@@ -51,7 +51,8 @@ struct SweepPoint {
 
 SweepPoint run_point(double loss) {
   Testbed bed;
-  auto client = bed.schooner->make_client("sparc-ua", "fault-sweep");
+  auto session = bed.schooner->make_session("sparc-ua");
+  auto client = session->open_line(rpc::LineOptions{}.with_name("fault-sweep"));
   client->contact_schx("sgi480-lerc", glue::kDuctPath);
   auto duct = client->import_proc("duct", glue::duct_import_spec());
 
@@ -93,7 +94,9 @@ struct FailoverResult {
 
 FailoverResult run_failover() {
   Testbed bed;
-  auto client = bed.schooner->make_client("sparc-ua", "fault-failover");
+  auto session = bed.schooner->make_session("sparc-ua");
+  auto client = session->open_line(
+      rpc::LineOptions{}.with_name("fault-failover"));
   rpc::StartResult started =
       client->contact_schx("sgi480-lerc", glue::kDuctPath);
   auto duct = client->import_proc("duct", glue::duct_import_spec());
@@ -149,7 +152,9 @@ MetaFailover run_meta_failover() {
   options.election_seed = 1993;
   rpc::SchoonerSystem schooner(cluster, "sparc-ua", options);
 
-  auto client = schooner.make_client("sparc-ua", "meta-failover");
+  auto session = schooner.make_session("sparc-ua");
+  auto client = session->open_line(
+      rpc::LineOptions{}.with_name("meta-failover"));
   client->contact_schx("sgi480-lerc", glue::kDuctPath);
   auto duct = client->import_proc("duct", glue::duct_import_spec());
   uts::ValueList args = {station_in(), Value::real(0.02), station_in()};

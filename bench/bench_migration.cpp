@@ -58,7 +58,8 @@ int run() {
       cluster.install_image("m2", "/bin/work", image_with_state(s2, stateful));
       rpc::SchoonerSystem schooner(cluster, "avs");
 
-      auto client = schooner.make_client("avs", "mover");
+      auto session = schooner.make_session("avs");
+      auto client = session->open_line(rpc::LineOptions{}.with_name("mover"));
       client->contact_schx("m1", "/bin/work");
       auto work = client->import_proc("work", kImport);
       auto& clock = client->io().endpoint().clock();

@@ -48,7 +48,8 @@ int run() {
         rpc::make_procedure_image(echo_spec(1),
                                   {{"echo", [](rpc::ProcCall&) {}}}));
     rpc::SchoonerSystem schooner(cluster, "client");
-    auto client = schooner.make_client("client", "latency");
+    auto session = schooner.make_session("client");
+    auto client = session->open_line(rpc::LineOptions{}.with_name("latency"));
     client->contact_schx("server", "/bin/echo");
     auto echo = client->import_proc(
         "echo", "import echo prog(\"data\" var array[1] of float)");
@@ -76,7 +77,9 @@ int run() {
                                       // echo: var params flow back as-is
                                     }}}));
       rpc::SchoonerSystem schooner(cluster, "client");
-      auto client = schooner.make_client("client", "latency");
+      auto session = schooner.make_session("client");
+      auto client =
+          session->open_line(rpc::LineOptions{}.with_name("latency"));
       client->contact_schx("server", "/bin/echo");
       auto echo = client->import_proc(
           "echo", "import echo prog(\"data\" var array[" +

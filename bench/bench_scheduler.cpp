@@ -115,15 +115,16 @@ OverlapResult run_overlap_half(int work_ms) {
   const std::string spin_import =
       uts::export_to_import_text(uts::parse_spec(kSpinSpec));
   // Two independent remote components on different LeRC machines, driven
-  // from the Arizona workstation — each on its own client/line, the
+  // from the Arizona workstation — each on its own line, the
   // RemoteBackend arrangement.
   const char* machines[] = {"sparc-lerc", "rs6000-lerc"};
-  std::vector<std::unique_ptr<rpc::SchoonerClient>> clients;
+  auto session = bed.schooner->make_session("sparc-ua");
+  std::vector<std::unique_ptr<rpc::Line>> clients;
   std::vector<std::unique_ptr<rpc::RemoteProc>> procs;
   for (const char* machine : machines) {
     bed.cluster.install_image(machine, kSpinPath, spin_image());
-    auto client = bed.schooner->make_client(
-        "sparc-ua", std::string("bench-spin on ") + machine);
+    auto client = session->open_line(
+        rpc::LineOptions{}.with_name(std::string("bench-spin on ") + machine));
     client->contact_schx(machine, kSpinPath);
     procs.push_back(client->import_proc("spin", spin_import));
     clients.push_back(std::move(client));

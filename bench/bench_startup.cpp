@@ -36,7 +36,9 @@ int run() {
     rpc::SchoonerSystem schooner(cluster, "avs");
 
     // Dynamic startup of one module, then call costs.
-    auto client = schooner.make_client("avs", "startup-bench");
+    auto session = schooner.make_session("avs");
+    auto client = session->open_line(
+        rpc::LineOptions{}.with_name("startup-bench"));
     auto& clock = client->io().endpoint().clock();
     const rpc::CallOptions legacy = rpc::CallOptions::legacy();
     util::SimTime t0 = clock.now();
@@ -59,12 +61,14 @@ int run() {
     util::Stopwatch wall;
     util::SimTime batch0 = 0, batchN = 0;
     {
-      std::vector<std::unique_ptr<rpc::SchoonerClient>> lines;
+      std::vector<std::unique_ptr<rpc::Line>> lines;
       std::vector<std::unique_ptr<rpc::RemoteProc>> procs;
-      auto probe = schooner.make_client("avs", "batch-probe");
+      auto probe = session->open_line(
+          rpc::LineOptions{}.with_name("batch-probe"));
       batch0 = probe->io().endpoint().clock().now();
       for (int i = 0; i < 16; ++i) {
-        auto line = schooner.make_client("avs", "mod" + std::to_string(i));
+        auto line = session->open_line(
+            rpc::LineOptions{}.with_name("mod" + std::to_string(i)));
         line->io().endpoint().clock().join(batch0);
         line->contact_schx("remote", "/bin/nop" + std::to_string(i));
         auto proc = line->import_proc("nop", kNopImport);

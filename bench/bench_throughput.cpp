@@ -168,7 +168,7 @@ int run() {
                            "sun-sparc10");
     rpc::TcpRemoteProc sum("127.0.0.1", host.port(), "sum", kArrayImport,
                            "sun-sparc10");
-    // Warm both signature caches (host Prepared entries, client plans).
+    // Warm both signature caches (host prepared imports, client plans).
     rpc::CallOptions once = rpc::CallOptions::legacy();
     once.max_attempts = 1;
     inc.call(small_args(0), once).values_or_raise();
@@ -202,7 +202,9 @@ int run() {
 
     {
       using clock_type = std::chrono::steady_clock;
-      auto client = schooner.make_client("avs", "bench-lockstep");
+      auto session = schooner.make_session("avs");
+      auto client = session->open_line(
+          rpc::LineOptions{}.with_name("bench-lockstep"));
       client->contact_schx("m0", "/bin/inc");
       auto inc = client->import_proc("inc", kSmallImport);
       std::vector<double> latencies;
@@ -232,8 +234,9 @@ int run() {
       std::vector<std::thread> threads;
       for (int t = 0; t < kClients; ++t) {
         threads.emplace_back([&, t] {
-          auto client =
-              schooner.make_client("avs", "bench-ol" + std::to_string(t));
+          auto session = schooner.make_session("avs");
+          auto client = session->open_line(
+              rpc::LineOptions{}.with_name("bench-ol" + std::to_string(t)));
           client->contact_schx("m0", "/bin/inc");
           auto inc = client->import_proc("inc", kSmallImport);
           std::vector<double> mine;

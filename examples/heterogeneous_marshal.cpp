@@ -103,7 +103,9 @@ int main() {
                                    c.set_real("sum", sum);
                                  }}}));
   rpc::SchoonerSystem schooner(cluster, "sparc");
-  auto client = schooner.make_client("sparc", "marshal-demo");
+  auto session = schooner.make_session("sparc");
+  auto client = session->open_line(
+      rpc::LineOptions{}.with_name("marshal-demo"));
   rpc::StartResult started = client->contact_schx("cray", "/npss/bin/sumsq");
   std::printf("\nthe Cray's Fortran compiler exported '%s'; importing "
               "'sumsq' still binds (Manager case synonyms):\n",

@@ -99,7 +99,7 @@ void AdaptedModule::placement_widgets(ModuleSpec& spec,
   spec.typein_string("path", default_path);
 }
 
-rpc::SchoonerClient& AdaptedModule::remote_client() {
+rpc::Line& AdaptedModule::remote_line() {
   NpssRuntime& rt = npss_runtime();
   if (!rt.configured()) {
     throw util::ModelError("module '" + instance_name() +
@@ -109,14 +109,16 @@ rpc::SchoonerClient& AdaptedModule::remote_client() {
   const std::string machine = widget("machine").text();
   const std::string path = widget("path").text();
   const std::string key = machine + ":" + path;
-  if (!client_ || contacted_machine_ != key) {
-    if (client_) client_->quit();
-    client_ = rt.schooner->make_client(rt.avs_machine, instance_name());
-    client_->contact_schx(machine, path);
-    bind_imports(*client_);
+  if (!line_ || contacted_machine_ != key) {
+    if (line_) line_->quit();
+    line_.reset();  // before the session it was opened from
+    session_ = rt.schooner->make_session(rt.avs_machine);
+    line_ = session_->open_line(rpc::LineOptions{}.with_name(instance_name()));
+    line_->contact_schx(machine, path);
+    bind_imports(*line_);
     contacted_machine_ = key;
   }
-  return *client_;
+  return *line_;
 }
 
 bool AdaptedModule::remote_invoke(rpc::RemoteProc& proc, ValueList args,
@@ -139,9 +141,10 @@ bool AdaptedModule::remote_invoke(rpc::RemoteProc& proc, ValueList args,
 }
 
 void AdaptedModule::destroy() {
-  if (client_) {
-    client_->quit();  // sch_i_quit: the Manager tears down only this line
-    client_.reset();
+  if (line_) {
+    line_->quit();  // sch_i_quit: the Manager tears down only this line
+    line_.reset();
+    session_.reset();
     contacted_machine_.clear();
   }
 }
@@ -286,8 +289,8 @@ void DuctModule::spec(ModuleSpec& spec) {
   spec.output("out", station_type());
 }
 
-void DuctModule::bind_imports(rpc::SchoonerClient& client) {
-  duct_ = client.import_proc("duct", duct_import_spec());
+void DuctModule::bind_imports(rpc::Line& line) {
+  duct_ = line.import_proc("duct", duct_import_spec());
 }
 
 void DuctModule::compute() {
@@ -297,7 +300,7 @@ void DuctModule::compute() {
     out("out", station_to_value(tess::duct(in_state, dp)));
     return;
   }
-  remote_client();
+  remote_line();
   ValueList reply;
   if (!remote_invoke(*duct_,
                      {station_wire_value(tess::to_array(in_state)),
@@ -324,8 +327,8 @@ void CombustorModule::spec(ModuleSpec& spec) {
   spec.output("out", station_type());
 }
 
-void CombustorModule::bind_imports(rpc::SchoonerClient& client) {
-  combustor_ = client.import_proc("combustor", combustor_import_spec());
+void CombustorModule::bind_imports(rpc::Line& line) {
+  combustor_ = line.import_proc("combustor", combustor_import_spec());
 }
 
 void CombustorModule::compute() {
@@ -337,7 +340,7 @@ void CombustorModule::compute() {
     out("out", station_to_value(tess::combustor(in_state, wf, eff, dp).out));
     return;
   }
-  remote_client();
+  remote_line();
   ValueList reply;
   if (!remote_invoke(*combustor_,
                      {station_wire_value(tess::to_array(in_state)),
@@ -362,8 +365,8 @@ void NozzleModule::spec(ModuleSpec& spec) {
   spec.output("thrust", uts::Type::real_double());
 }
 
-void NozzleModule::bind_imports(rpc::SchoonerClient& client) {
-  nozzle_ = client.import_proc("nozzle", nozzle_import_spec());
+void NozzleModule::bind_imports(rpc::Line& line) {
+  nozzle_ = line.import_proc("nozzle", nozzle_import_spec());
 }
 
 void NozzleModule::compute() {
@@ -376,7 +379,7 @@ void NozzleModule::compute() {
     w_required = r.w_required;
     thrust = r.thrust;
   } else {
-    remote_client();
+    remote_line();
     ValueList reply;
     if (remote_invoke(*nozzle_,
                       {station_wire_value(tess::to_array(in_state)),
@@ -412,9 +415,9 @@ void ShaftModule::spec(ModuleSpec& spec) {
   spec.output("speed", uts::Type::real_double());
 }
 
-void ShaftModule::bind_imports(rpc::SchoonerClient& client) {
-  shaft_ = client.import_proc("shaft", shaft_import_spec());
-  setshaft_ = client.import_proc("setshaft", shaft_import_spec());
+void ShaftModule::bind_imports(rpc::Line& line) {
+  shaft_ = line.import_proc("shaft", shaft_import_spec());
+  setshaft_ = line.import_proc("setshaft", shaft_import_spec());
 }
 
 void ShaftModule::run_setshaft() {
@@ -423,7 +426,7 @@ void ShaftModule::run_setshaft() {
   if (!remote()) {
     ecorr_ = tess::setshaft(ecom.data(), 1, etur.data(), 1);
   } else {
-    remote_client();
+    remote_line();
     ValueList reply;
     if (remote_invoke(*setshaft_,
                       {energy_to_value(ecom), Value::integer(1),
@@ -456,7 +459,7 @@ void ShaftModule::compute() {
     accel_ = tess::shaft(ecom.data(), 1, etur.data(), 1, ecorr_, speed_,
                          inertia);
   } else {
-    remote_client();
+    remote_line();
     ValueList reply;
     if (remote_invoke(*shaft_,
                       {energy_to_value(ecom), Value::integer(1),

@@ -39,7 +39,7 @@ class AdaptedModule : public flow::Module {
   bool remote() const;
   /// The module's Schooner line, contacting the remote process on first
   /// use (the sch_contact_schx call at the top of compute, §3.3).
-  rpc::SchoonerClient& remote_client();
+  rpc::Line& remote_line();
 
   /// The module fell back to local physics at least once (fault-tolerant
   /// degradation; see NpssRuntime::call_options / local_fallback).
@@ -52,7 +52,7 @@ class AdaptedModule : public flow::Module {
   void placement_widgets(flow::ModuleSpec& spec,
                          const std::string& default_path);
   /// Called after contact; build import stubs here.
-  virtual void bind_imports(rpc::SchoonerClient& client) = 0;
+  virtual void bind_imports(rpc::Line& line) = 0;
 
   /// Fault-tolerant stub invoke with the runtime's CallOptions. On
   /// success fills `out` and returns true; on terminal failure records
@@ -63,7 +63,8 @@ class AdaptedModule : public flow::Module {
                      uts::ValueList* out);
 
  private:
-  std::unique_ptr<rpc::SchoonerClient> client_;
+  std::unique_ptr<rpc::Session> session_;
+  std::unique_ptr<rpc::Line> line_;
   std::string contacted_machine_;
   bool degraded_ = false;
 };
@@ -120,7 +121,7 @@ class DuctModule final : public AdaptedModule {
   void compute() override;
 
  protected:
-  void bind_imports(rpc::SchoonerClient& client) override;
+  void bind_imports(rpc::Line& line) override;
 
  private:
   std::unique_ptr<rpc::RemoteProc> duct_;
@@ -136,7 +137,7 @@ class CombustorModule final : public AdaptedModule {
   void compute() override;
 
  protected:
-  void bind_imports(rpc::SchoonerClient& client) override;
+  void bind_imports(rpc::Line& line) override;
 
  private:
   std::unique_ptr<rpc::RemoteProc> combustor_;
@@ -150,7 +151,7 @@ class NozzleModule final : public AdaptedModule {
   void compute() override;
 
  protected:
-  void bind_imports(rpc::SchoonerClient& client) override;
+  void bind_imports(rpc::Line& line) override;
 
  private:
   std::unique_ptr<rpc::RemoteProc> nozzle_;
@@ -172,7 +173,7 @@ class ShaftModule final : public AdaptedModule {
   void clear_setshaft() { have_ecorr_ = false; }
 
  protected:
-  void bind_imports(rpc::SchoonerClient& client) override;
+  void bind_imports(rpc::Line& line) override;
 
  private:
   std::unique_ptr<rpc::RemoteProc> shaft_, setshaft_;

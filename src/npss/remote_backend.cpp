@@ -61,40 +61,31 @@ void RemoteBackend::place(AdaptedComponent component, int instance,
   Placement p = placement;
   if (p.path.empty()) p.path = default_path(component);
 
+  if (!session_) session_ = system_->make_session(avs_machine_);
   Instance inst;
-  inst.client = system_->make_client(
-      avs_machine_, std::string(adapted_component_name(component)) + "[" +
-                        std::to_string(instance) + "]");
-  inst.client->contact_schx(p.machine, p.path);
+  inst.line = session_->open_line(rpc::LineOptions{}.with_name(
+      std::string(adapted_component_name(component)) + "[" +
+      std::to_string(instance) + "]"));
+  inst.line->contact_schx(p.machine, p.path);
   switch (component) {
     case AdaptedComponent::kShaft:
-      inst.primary = inst.client->import_proc("shaft", shaft_import_spec());
+      inst.primary = inst.line->import_proc("shaft", shaft_import_spec());
       inst.secondary =
-          inst.client->import_proc("setshaft", shaft_import_spec());
+          inst.line->import_proc("setshaft", shaft_import_spec());
       break;
     case AdaptedComponent::kDuct:
-      inst.primary = inst.client->import_proc("duct", duct_import_spec());
+      inst.primary = inst.line->import_proc("duct", duct_import_spec());
       break;
     case AdaptedComponent::kCombustor:
       inst.primary =
-          inst.client->import_proc("combustor", combustor_import_spec());
+          inst.line->import_proc("combustor", combustor_import_spec());
       break;
     case AdaptedComponent::kNozzle:
-      inst.primary = inst.client->import_proc("nozzle", nozzle_import_spec());
+      inst.primary = inst.line->import_proc("nozzle", nozzle_import_spec());
       break;
   }
-  inst.clock_base = inst.client->io().endpoint().clock().now();
-  if (inst.primary) inst.primary->set_call_options(options_);
-  if (inst.secondary) inst.secondary->set_call_options(options_);
+  inst.clock_base = inst.line->io().endpoint().clock().now();
   instances_[{component, instance}] = std::move(inst);
-}
-
-void RemoteBackend::set_call_options(const rpc::CallOptions& opts) {
-  options_ = opts;
-  for (auto& [key, inst] : instances_) {
-    if (inst.primary) inst.primary->set_call_options(opts);
-    if (inst.secondary) inst.secondary->set_call_options(opts);
-  }
 }
 
 bool RemoteBackend::remote_call(rpc::RemoteProc& proc,
@@ -229,8 +220,7 @@ std::future<uts::ValueList> RemoteBackend::call_async(
                             "] is not placed remotely");
   }
   std::future<rpc::CallResult> inner =
-      inst->primary->call_async(std::move(args),
-                                inst->primary->call_options());
+      inst->primary->call_async(std::move(args), options_);
   return std::async(std::launch::deferred,
                     [inner = std::move(inner)]() mutable {
                       rpc::CallResult result = inner.get();
@@ -249,7 +239,7 @@ std::string RemoteBackend::move(AdaptedComponent component, int instance,
                             "[" + std::to_string(instance) +
                             "] is not placed remotely");
   }
-  return inst->client->move_proc(
+  return inst->line->move_proc(
       std::string(adapted_component_name(component)), machine, path,
       transfer_state);
 }
@@ -284,7 +274,7 @@ int RemoteBackend::total_calls() const {
 util::SimTime RemoteBackend::elapsed_virtual_us() const {
   util::SimTime worst = 0;
   for (const auto& [key, inst] : instances_) {
-    worst = std::max(worst, inst.client->io().endpoint().clock().now() -
+    worst = std::max(worst, inst.line->io().endpoint().clock().now() -
                                 inst.clock_base);
   }
   return worst;
@@ -292,13 +282,13 @@ util::SimTime RemoteBackend::elapsed_virtual_us() const {
 
 void RemoteBackend::reset_clocks() {
   for (auto& [key, inst] : instances_) {
-    inst.clock_base = inst.client->io().endpoint().clock().now();
+    inst.clock_base = inst.line->io().endpoint().clock().now();
   }
 }
 
 void RemoteBackend::quit() {
   for (auto& [key, inst] : instances_) {
-    if (inst.client) inst.client->quit();
+    if (inst.line) inst.line->quit();
   }
 }
 

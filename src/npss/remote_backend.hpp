@@ -6,7 +6,8 @@
 // shaft instances, and in the paper each AVS module instance registers
 // with the Manager and owns its remote process — same-named procedures in
 // different lines, the very scenario that forced the §4.2 lines extension.
-// Each placed instance therefore gets its own SchoonerClient (== line).
+// Each placed instance therefore gets its own rpc::Line, opened from the
+// backend's one Session.
 // Unplaced instances keep computing locally, so any subset of the adapted
 // components can be remote, as in the paper's module-by-module tests.
 #pragma once
@@ -55,9 +56,9 @@ class RemoteBackend {
   /// — the run completes instead of aborting the solve.
   tess::ComponentHooks hooks();
 
-  /// Deadline/retry/failover policy applied to every placed stub, current
-  /// and future (default: rpc::CallOptions::legacy()).
-  void set_call_options(const rpc::CallOptions& opts);
+  /// Deadline/retry/failover policy for every remote call, on current and
+  /// future placements (default: rpc::CallOptions::legacy()).
+  void set_call_options(const rpc::CallOptions& opts) { options_ = opts; }
   const rpc::CallOptions& call_options() const { return options_; }
 
   /// Degrade to the local compute hook when a remote call fails (default
@@ -73,7 +74,7 @@ class RemoteBackend {
   int failovers() const { return failovers_; }
 
   /// Async call seam: fire instance's primary procedure without blocking,
-  /// so calls on *different* placed instances (each owns its client/line)
+  /// so calls on *different* placed instances (each owns its line)
   /// overlap on the wire. Args follow the import signature of the placed
   /// component's primary procedure. Throws util::LookupError when the
   /// instance is not placed remotely.
@@ -106,7 +107,7 @@ class RemoteBackend {
 
  private:
   struct Instance {
-    std::unique_ptr<rpc::SchoonerClient> client;
+    std::unique_ptr<rpc::Line> line;
     std::unique_ptr<rpc::RemoteProc> primary;   ///< duct/combustor/nozzle/shaft
     std::unique_ptr<rpc::RemoteProc> secondary; ///< setshaft
     util::SimTime clock_base = 0;
@@ -123,6 +124,8 @@ class RemoteBackend {
 
   rpc::SchoonerSystem* system_;
   std::string avs_machine_;
+  /// Opened on first placement; outlives every instance's line.
+  std::unique_ptr<rpc::Session> session_;
   std::map<std::pair<AdaptedComponent, int>, Instance> instances_;
   rpc::CallOptions options_ = rpc::CallOptions::legacy();
   bool local_fallback_ = true;

@@ -468,29 +468,4 @@ std::future<CallResult> CallCore::invoke_async(
       });
 }
 
-uts::ValueList CallCore::invoke(const std::string& name,
-                                const uts::ProcDecl& import_decl,
-                                const std::string& import_text,
-                                uts::ValueList args,
-                                BindingCache& cache) const {
-  CallResult result = invoke(name, import_decl, import_text, std::move(args),
-                             cache, CallOptions::legacy());
-  return std::move(result.values_or_raise());
-}
-
-std::future<uts::ValueList> CallCore::invoke_async(
-    const std::string& name, const uts::ProcDecl& import_decl,
-    const std::string& import_text, uts::ValueList args,
-    BindingCache& cache) const {
-  return std::async(
-      std::launch::async,
-      [core = *this, name, import_decl, import_text, args = std::move(args),
-       &cache]() mutable {
-        CallResult result =
-            core.invoke(name, import_decl, import_text, std::move(args), cache,
-                        CallOptions::legacy());
-        return std::move(result.values_or_raise());
-      });
-}
-
 }  // namespace npss::rpc

@@ -1,4 +1,4 @@
-// The client-side call core shared by SchoonerClient stubs and nested
+// The client-side call core shared by Line stubs and nested
 // server-side calls: bind (Manager lookup with type check), marshal through
 // the caller's native formats, invoke, and recover from stale bindings by
 // re-querying the Manager — the §4.2 cache-update path used after a
@@ -56,8 +56,7 @@ struct BindingCache {
 // stack; the redesigned surface makes failure typed and first-class:
 // callers pass CallOptions (deadline, retry budget, backoff, failover
 // target) and receive a CallResult (util::Status + values + a per-attempt
-// trace). The legacy throwing signatures remain as thin shims over the
-// same engine during migration.
+// trace). CallResult::values_or_raise() re-raises where a throw is wanted.
 
 /// Exponential retry backoff. The jitter draw is deterministic: it is
 /// derived (hashed) from the caller's virtual clock and the attempt
@@ -188,12 +187,12 @@ struct CallOptions {
   /// deterministic regardless of this value.
   int host_grace_ms = 50;
   /// The owning line's shared fault budget; charged by CallCore::invoke.
-  /// Empty = unbudgeted (legacy clients, manager-internal calls). Set
+  /// Empty = unbudgeted (nested host calls, manager-internal calls). Set
   /// automatically on every stub created through rpc::Line.
   std::shared_ptr<LineBudget> line_budget;
 
-  /// The shim options reproducing the legacy throwing call exactly:
-  /// no deadline, one stale/dead-address retry, no backoff sleep.
+  /// The historical call contract: no deadline, one stale/dead-address
+  /// retry, no backoff sleep.
   static CallOptions legacy();
 };
 
@@ -220,8 +219,8 @@ struct CallResult {
   bool ok() const { return status.is_ok(); }
   int attempt_count() const { return static_cast<int>(attempts.size()); }
 
-  /// Legacy bridge: the values on success, or the status re-raised as
-  /// its original Error subclass.
+  /// The values on success, or the status re-raised as its original
+  /// Error subclass — for callers that want a throw.
   uts::ValueList& values_or_raise() {
     status.raise_if_error();
     return values;
@@ -275,23 +274,6 @@ struct CallCore {
                                        const std::string& import_text,
                                        uts::ValueList args, BindingCache& cache,
                                        const CallOptions& opts) const;
-
-  /// Legacy throwing shim over invoke(..., CallOptions::legacy()).
-  [[deprecated(
-      "use invoke(..., CallOptions) and branch on CallResult.status")]]
-  uts::ValueList invoke(const std::string& name,
-                        const uts::ProcDecl& import_decl,
-                        const std::string& import_text, uts::ValueList args,
-                        BindingCache& cache) const;
-
-  /// Legacy throwing async shim.
-  [[deprecated(
-      "use invoke_async(..., CallOptions); get() yields a CallResult")]]
-  std::future<uts::ValueList> invoke_async(const std::string& name,
-                                           const uts::ProcDecl& import_decl,
-                                           const std::string& import_text,
-                                           uts::ValueList args,
-                                           BindingCache& cache) const;
 
   /// Just the bind step (used by benches isolating lookup cost). With
   /// `host_grace_ms` > 0 the Manager exchange is deadline-bounded. When

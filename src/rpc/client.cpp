@@ -94,29 +94,19 @@ std::unique_ptr<Line> Session::open_line(LineOptions opts) {
   sim::EndpointPtr endpoint = cluster_->create_endpoint(
       machine_, "schx-line-" + std::to_string(line_seq_.fetch_add(
                     1, std::memory_order_relaxed)));
-  auto line = std::unique_ptr<Line>(new Line(
-      *this, std::move(endpoint), std::move(opts), /*owns_endpoint=*/true));
-  lines_opened_.fetch_add(1, std::memory_order_relaxed);
-  return line;
-}
-
-std::unique_ptr<Line> Session::adopt_line(sim::EndpointPtr endpoint,
-                                          LineOptions opts) {
-  auto line = std::unique_ptr<Line>(new Line(
-      *this, std::move(endpoint), std::move(opts), /*owns_endpoint=*/false));
+  auto line = std::unique_ptr<Line>(
+      new Line(*this, std::move(endpoint), std::move(opts)));
   lines_opened_.fetch_add(1, std::memory_order_relaxed);
   return line;
 }
 
 // --- Line ------------------------------------------------------------------
 
-Line::Line(Session& session, sim::EndpointPtr endpoint, LineOptions opts,
-           bool owns_endpoint)
+Line::Line(Session& session, sim::EndpointPtr endpoint, LineOptions opts)
     : session_(&session),
       endpoint_(std::move(endpoint)),
       io_(*session.cluster_, endpoint_),
       name_(std::move(opts.name)),
-      owns_endpoint_(owns_endpoint),
       budget_(std::make_shared<LineBudget>(opts.budget)) {
   const int attempts = std::max(opts.admission_attempts, 1);
   try {
@@ -148,13 +138,11 @@ Line::Line(Session& session, sim::EndpointPtr endpoint, LineOptions opts,
       }
     }
   } catch (...) {
-    // The line never existed as far as the Manager is concerned; a
-    // Session-created endpoint would otherwise leak in the cluster.
-    if (owns_endpoint_) {
-      try {
-        session_->cluster_->retire_endpoint(endpoint_->address());
-      } catch (...) {
-      }
+    // The line never existed as far as the Manager is concerned; its
+    // endpoint would otherwise leak in the cluster.
+    try {
+      session_->cluster_->retire_endpoint(endpoint_->address());
+    } catch (...) {
     }
     throw;
   }
@@ -166,11 +154,9 @@ Line::~Line() {
   } catch (...) {
     // Destructor teardown is best-effort (the Manager may already be gone).
   }
-  if (owns_endpoint_) {
-    try {
-      session_->cluster_->retire_endpoint(endpoint_->address());
-    } catch (...) {
-    }
+  try {
+    session_->cluster_->retire_endpoint(endpoint_->address());
+  } catch (...) {
   }
 }
 
@@ -299,30 +285,6 @@ std::future<CallResult> RemoteProc::call_async(uts::ValueList args,
                                           owner_->with_budget(opts));
 }
 
-// The deprecated throwing surface keeps compiling warning-free here (the
-// shim itself is the one sanctioned caller of the legacy contract).
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-
-uts::ValueList RemoteProc::call(uts::ValueList args) {
-  return call(std::move(args), options_).values_or_raise();
-}
-
-std::future<uts::ValueList> RemoteProc::call_async(uts::ValueList args) {
-  std::future<CallResult> inner = call_async(std::move(args), options_);
-  return std::async(std::launch::deferred,
-                    [inner = std::move(inner)]() mutable {
-                      CallResult result = inner.get();
-                      return std::move(result.values_or_raise());
-                    });
-}
-
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
-
 util::SimTime RemoteProc::ping() {
   if (owner_->line_ == kNoLine) {
     throw util::ShutdownError("line already quit");
@@ -331,19 +293,6 @@ util::SimTime RemoteProc::ping() {
     owner_->call_core().bind(name_, import_text_, cache_);
   }
   return owner_->io_.ping(cache_.address);
-}
-
-// --- SchoonerClient (compatibility wrapper) --------------------------------
-
-SchoonerClient::SchoonerClient(sim::Cluster& cluster, sim::EndpointPtr endpoint,
-                               std::string manager_address,
-                               std::string description,
-                               std::vector<std::string> manager_replicas)
-    : session_(std::make_unique<Session>(cluster, endpoint->machine().name,
-                                         std::move(manager_address),
-                                         std::move(manager_replicas))) {
-  line_ = session_->adopt_line(std::move(endpoint),
-                               LineOptions{}.with_name(std::move(description)));
 }
 
 }  // namespace npss::rpc

@@ -10,10 +10,7 @@
 // control with its own procedure name space, its own teardown
 // (sch_i_quit), and — past the paper — its own fault budget (LineBudget)
 // and Manager-granted call quota, so thousands of concurrent lines share
-// one resident fleet without sharing failure modes. The historical
-// `SchoonerClient` (one client == one line) remains as a thin
-// compatibility wrapper over Session + one Line; new code should use
-// Session/Line directly.
+// one resident fleet without sharing failure modes.
 #pragma once
 
 #include <map>
@@ -52,25 +49,6 @@ class RemoteProc {
   std::future<CallResult> call_async(uts::ValueList args,
                                      const CallOptions& opts);
 
-  /// Legacy throwing invoke: routes through the same engine with this
-  /// stub's default options and raises the terminal status as its
-  /// original Error subclass. Returns the full slot list with res/var
-  /// slots holding the results.
-  [[deprecated(
-      "use call(args, CallOptions) and branch on CallResult.status "
-      "(or .values_or_raise() where a throw is wanted)")]]
-  uts::ValueList call(uts::ValueList args);
-
-  /// Legacy throwing async variant.
-  [[deprecated(
-      "use call_async(args, CallOptions); get() yields a CallResult")]]
-  std::future<uts::ValueList> call_async(uts::ValueList args);
-
-  /// Default CallOptions used by the legacy throwing surface (initially
-  /// CallOptions::legacy(), i.e. the historical one-rebind retry loop).
-  void set_call_options(CallOptions opts) { options_ = std::move(opts); }
-  const CallOptions& call_options() const { return options_; }
-
   const std::string& name() const { return name_; }
   const uts::Signature& signature() const { return decl_.signature; }
 
@@ -105,7 +83,6 @@ class RemoteProc {
   std::string name_;
   uts::ProcDecl decl_;
   std::string import_text_;
-  CallOptions options_ = CallOptions::legacy();
   BindingCache& cache_;  ///< owned by the Line, shared per (name, import)
   obs::Counter calls_;
 };
@@ -200,17 +177,12 @@ class Line {
  private:
   friend class Session;
   friend class RemoteProc;
-  friend class SchoonerClient;
 
   /// Registers the line with the Manager (kRegisterLine), honoring the
-  /// admission backoff in `opts`. `owns_endpoint` = the Session created
-  /// the endpoint for this line and should retire it on teardown (false
-  /// for the endpoint adopted by the SchoonerClient shim).
-  Line(Session& session, sim::EndpointPtr endpoint, LineOptions opts,
-       bool owns_endpoint);
+  /// admission backoff in `opts`. The line retires `endpoint` on teardown.
+  Line(Session& session, sim::EndpointPtr endpoint, LineOptions opts);
 
-  /// The one invoke path every RemoteProc surface (sync/async, throwing/
-  /// status-returning) funnels through; stamps the line budget into opts.
+  /// The synchronous invoke path; stamps the line budget into opts.
   CallResult invoke(RemoteProc& proc, uts::ValueList args,
                     const CallOptions& opts);
   CallCore call_core();
@@ -227,7 +199,6 @@ class Line {
   MessageIo io_;
   std::string name_;
   LineId line_ = kNoLine;
-  bool owns_endpoint_ = false;
   std::shared_ptr<LineBudget> budget_;
   /// Per-line binding caches, keyed "name\n<import text>" — the §4.2
   /// name cache, hoisted out of the stubs so re-imports share bindings.
@@ -274,12 +245,6 @@ class Session {
 
  private:
   friend class Line;
-  friend class SchoonerClient;
-
-  /// Open a line over a caller-supplied endpoint (the SchoonerClient
-  /// adoption path; the endpoint is not retired on teardown).
-  std::unique_ptr<Line> adopt_line(sim::EndpointPtr endpoint,
-                                   LineOptions opts);
 
   /// Manager request over `io` with leader re-bind: on a dead or deposed
   /// Manager (NoRoute / kNotLeader) rediscover the leader and re-issue.
@@ -301,54 +266,6 @@ class Session {
   std::vector<std::string> replicas_;
   std::atomic<long> lines_opened_{0};
   std::atomic<long> line_seq_{0};  ///< endpoint-label suffix for open_line
-};
-
-/// Compatibility wrapper: one SchoonerClient == one line, exactly the
-/// pre-session API. Deprecated in favor of Session + Line (a Session
-/// amortizes the Manager connection over many lines and carries the
-/// admission/budget machinery); kept fully functional so existing tests
-/// and adapted modules migrate incrementally.
-class SchoonerClient {
- public:
-  /// Registers a new line with the Manager at `manager_address`.
-  /// `endpoint` is this participant's mailbox (typically on the AVS
-  /// workstation machine).
-  SchoonerClient(sim::Cluster& cluster, sim::EndpointPtr endpoint,
-                 std::string manager_address, std::string description,
-                 std::vector<std::string> manager_replicas = {});
-
-  ~SchoonerClient() = default;
-  SchoonerClient(const SchoonerClient&) = delete;
-  SchoonerClient& operator=(const SchoonerClient&) = delete;
-
-  LineId line() const { return line_->id(); }
-  MessageIo& io() { return line_->io(); }
-  std::string manager_address() const { return session_->manager_address(); }
-  const arch::ArchDescriptor& arch() const { return line_->arch(); }
-
-  StartResult contact_schx(const std::string& machine,
-                           const std::string& path, bool shared = false) {
-    return line_->contact_schx(machine, path, shared);
-  }
-  std::unique_ptr<RemoteProc> import_proc(
-      const std::string& name, const std::string& import_spec_text) {
-    return line_->import_proc(name, import_spec_text);
-  }
-  std::string move_proc(const std::string& name, const std::string& machine,
-                        const std::string& path = "",
-                        bool transfer_state = false) {
-    return line_->move_proc(name, machine, path, transfer_state);
-  }
-  void quit() { line_->quit(); }
-  bool active() const { return line_->active(); }
-
-  /// The wrapped handles, for code mid-migration.
-  Session& session() { return *session_; }
-  Line& as_line() { return *line_; }
-
- private:
-  std::unique_ptr<Session> session_;
-  std::unique_ptr<Line> line_;
 };
 
 }  // namespace npss::rpc

@@ -9,9 +9,7 @@
 #include "rpc/manager.hpp"
 #include "util/fair_queue.hpp"
 #include "util/log.hpp"
-#include "util/mutex.hpp"
 #include "util/sha256.hpp"
-#include "util/thread_annotations.hpp"
 
 namespace npss::rpc {
 
@@ -41,20 +39,12 @@ class HostRuntime {
       : ctx_(ctx),
         io_(ctx.cluster(), ctx.self_ptr()),
         options_(options),
-        exports_(uts::parse_spec(spec_text)),
+        exports_(spec_text, procs),
         spec_hash_(util::sha256_hex(spec_text)) {
     manager_ = table_get(ctx.args(), "manager", "");
     line_ = std::stoll(table_get(ctx.args(), "line", "-1"));
     shared_ = table_get(ctx.args(), "shared", "0") == "1";
     path_ = table_get(ctx.args(), "path", "?");
-    for (const ProcedureDef& def : procs) {
-      const uts::ProcDecl& decl = exports_.find(def.name);
-      if (decl.kind != uts::DeclKind::kExport) {
-        throw util::ModelError("declaration for '" + def.name +
-                               "' is not an export");
-      }
-      handlers_[lower(def.name)] = HandlerEntry{&decl, def.handler};
-    }
   }
 
   void run() {
@@ -93,59 +83,6 @@ class HostRuntime {
   }
 
  private:
-  struct HandlerEntry {
-    const uts::ProcDecl* decl;
-    ProcHandler handler;
-  };
-
-  /// Steady-state call state compiled from one caller's import text: the
-  /// parsed import, its type-compat verdict against our export, the
-  /// import->export slot map, and the marshal plans for both directions.
-  /// Keyed per handler so repeated calls skip the whole parse/check path.
-  struct ImportEntry {
-    uts::ProcDecl decl;
-    std::vector<std::size_t> slot_of_import;
-    std::shared_ptr<const uts::MarshalPlan> request_plan;
-    std::shared_ptr<const uts::MarshalPlan> reply_plan;
-  };
-
-  const ImportEntry& import_entry(const HandlerEntry& entry,
-                                  const std::string& proc_name,
-                                  const std::string& import_text) {
-    const std::string key = lower(proc_name) + "\n" + import_text;
-    // Pooled hosts reach here from several workers at once; map nodes are
-    // reference-stable, so callers may keep the entry past the lock.
-    util::MutexLock lock(import_mu_);
-    auto it = import_cache_.find(key);
-    if (it != import_cache_.end()) return it->second;
-
-    // The wire layout follows the caller's import signature, which may
-    // be a subsequence of the export (footnote 1): check compatibility,
-    // then precompute the scatter map import slot -> export slot.
-    ImportEntry ie;
-    ie.decl = parse_signature_text(import_text);
-    const uts::Signature& import_sig = ie.decl.signature;
-    const uts::Signature& export_sig = entry.decl->signature;
-    std::string why =
-        uts::signature_compatibility_error(import_sig, export_sig);
-    if (!why.empty()) {
-      // Incompatible imports are not cached: they are a caller bug, not a
-      // steady-state path.
-      throw util::TypeMismatchError("call to '" + proc_name + "': " + why);
-    }
-    ie.slot_of_import.resize(import_sig.size());
-    std::size_t epos = 0;
-    for (std::size_t i = 0; i < import_sig.size(); ++i) {
-      while (export_sig[epos].name != import_sig[i].name) ++epos;
-      ie.slot_of_import[i] = epos;
-      ++epos;
-    }
-    ie.request_plan =
-        uts::compile_plan(import_sig, uts::Direction::kRequest);
-    ie.reply_plan = uts::compile_plan(import_sig, uts::Direction::kReply);
-    return import_cache_.emplace(key, std::move(ie)).first->second;
-  }
-
   void register_exports() {
     const arch::ArchDescriptor& arch = ctx_.self().arch();
     Message msg;
@@ -157,19 +94,20 @@ class HostRuntime {
     // a strict-mode Manager detect a manifest that predates the spec.
     msg.c = spec_hash_;
     msg.n = shared_ ? 1 : 0;
-    for (const auto& [key, entry] : handlers_) {
+    for (const auto& [key, entry] : exports_.exports()) {
       // Export under the name the machine's compiler would emit: the
       // Cray's Fortran compiler upper-cases external names (§4.1).
-      std::string external = entry.decl->name;
+      std::string external = entry.decl.name;
       if (options_.language == SourceLanguage::kFortran) {
         external = arch::fortran_external_name(arch, external);
       }
       msg.table.emplace_back(
           external, signature_text(uts::DeclKind::kExport, external,
-                                   entry.decl->signature));
+                                   entry.decl.signature));
     }
     io_.call(manager_, std::move(msg));
-    NPSS_LOG_DEBUG("host", io_.address(), " exported ", handlers_.size(),
+    NPSS_LOG_DEBUG("host", io_.address(), " exported ",
+                   exports_.exports().size(),
                    " procedure(s) for line ", line_);
   }
 
@@ -245,46 +183,16 @@ class HostRuntime {
     obs::Span span("rpc.host", "serve " + msg.a, msg.trace);
     span.set_line(msg.line);
     try {
-      auto it = handlers_.find(lower(msg.a));
-      if (it == handlers_.end()) {
-        throw util::LookupError("no procedure '" + msg.a +
-                                "' in this process");
-      }
-      const HandlerEntry& entry = it->second;
-      const uts::Signature& export_sig = entry.decl->signature;
-
       // Parse/type-check/plan-compile once per distinct import text; the
-      // steady-state path below runs the compiled plans only.
-      const ImportEntry& ie = import_entry(entry, msg.a, msg.b);
-      const uts::Signature& import_sig = ie.decl.signature;
+      // steady-state path runs the compiled plans only.
+      const PreparedImport& prep = exports_.prepare(msg.a, msg.b);
       const arch::ArchDescriptor& arch = ctx_.self().arch();
       compute(static_cast<double>(msg.blob.size()) * kMarshalUsPerByte);
-      uts::ValueList import_values = ie.request_plan->unmarshal(arch, msg.blob);
-
-      uts::ValueList values;
-      values.reserve(export_sig.size());
-      for (const uts::Param& p : export_sig) {
-        values.push_back(uts::default_value(p.type));
-      }
-      for (std::size_t i = 0; i < import_sig.size(); ++i) {
-        if (uts::param_travels(import_sig[i].mode, uts::Direction::kRequest)) {
-          values[ie.slot_of_import[i]] = std::move(import_values[i]);
-        }
-      }
-
-      ProcCall call(export_sig, std::move(values), this);
       if (options_.compute_us_per_call > 0) {
         compute(options_.compute_us_per_call);
       }
-      entry.handler(call);
-
-      // Gather reply values back into import order and marshal.
-      uts::ValueList reply_values;
-      reply_values.reserve(import_sig.size());
-      for (std::size_t i = 0; i < import_sig.size(); ++i) {
-        reply_values.push_back(call.values()[ie.slot_of_import[i]]);
-      }
-      util::Bytes blob = ie.reply_plan->marshal(arch, reply_values);
+      util::Bytes blob = prep.reply_plan->marshal(
+          arch, run_prepared(prep, arch, msg.blob, this));
       compute(static_cast<double>(blob.size()) * kMarshalUsPerByte);
       Message rep;
       rep.kind = MessageKind::kReply;
@@ -329,25 +237,100 @@ class HostRuntime {
   sim::ProcessContext& ctx_;
   MessageIo io_;
   ProcedureImageOptions options_;
-  uts::SpecFile exports_;
+  /// Read by pooled workers; its prepared-import cache locks itself. The
+  /// rest of HostRuntime's state is dispatch-thread-only: the nested
+  /// caches are touched only by unpooled hosts, and io_.receive() is
+  /// owned by the dispatch thread alone.
+  ExportTable exports_;
   std::string manager_;
   LineId line_ = kNoLine;
   bool shared_ = false;
   std::string path_;
   std::string spec_hash_;
-  std::map<std::string, HandlerEntry> handlers_;
   std::map<std::string, BindingCache> nested_cache_;
   std::map<std::string, uts::ProcDecl> nested_decls_;
-  /// Guards import_cache_ in pooled mode; a leaf lock — compiling an
-  /// entry (parse + plan compile) runs under it but takes only the
-  /// uts.PlanCache below it (lock_hierarchy.md). The rest of
-  /// HostRuntime's state is dispatch-thread-only: handlers_ and the
-  /// nested caches are built at serve() start and then read-only to
-  /// workers, and io_.receive() is owned by the dispatch thread alone.
-  util::Mutex import_mu_{"rpc.Host.import_cache"};
-  std::map<std::string, ImportEntry> import_cache_
-      SCHOONER_GUARDED_BY(import_mu_);
 };
+
+// --- ExportTable -----------------------------------------------------------
+
+ExportTable::ExportTable(const std::string& spec_text,
+                         std::vector<ProcedureDef> procs) {
+  uts::SpecFile spec = uts::parse_spec(spec_text);
+  for (ProcedureDef& def : procs) {
+    const uts::ProcDecl& decl = spec.find(def.name);
+    if (decl.kind != uts::DeclKind::kExport) {
+      throw util::ModelError("declaration for '" + def.name +
+                             "' is not an export");
+    }
+    HostedExport entry{decl, std::move(def.handler), {}};
+    entry.defaults.reserve(decl.signature.size());
+    for (const uts::Param& p : decl.signature) {
+      entry.defaults.push_back(uts::default_value(p.type));
+    }
+    exports_[lower(def.name)] = std::move(entry);
+  }
+}
+
+const PreparedImport& ExportTable::prepare(const std::string& name,
+                                           const std::string& import_text) {
+  const std::string lowered = lower(name);
+  std::string key = lowered + '\n' + import_text;
+  // Map nodes are reference-stable, so callers keep the entry past the
+  // lock.
+  util::MutexLock lock(mu_);
+  auto it = prepared_.find(key);
+  if (it != prepared_.end()) return it->second;
+
+  auto target = exports_.find(lowered);
+  if (target == exports_.end()) {
+    throw util::LookupError("no procedure '" + name + "' in this process");
+  }
+  PreparedImport prep;
+  prep.target = &target->second;
+  prep.import_decl = parse_signature_text(import_text);
+  const uts::Signature& import_sig = prep.import_decl.signature;
+  const uts::Signature& export_sig = prep.target->decl.signature;
+  const std::string why =
+      uts::signature_compatibility_error(import_sig, export_sig);
+  if (!why.empty()) {
+    throw util::TypeMismatchError("call to '" + name + "': " + why);
+  }
+  prep.slot_of_import.resize(import_sig.size());
+  std::size_t epos = 0;
+  for (std::size_t i = 0; i < import_sig.size(); ++i) {
+    while (export_sig[epos].name != import_sig[i].name) ++epos;
+    prep.slot_of_import[i] = epos++;
+  }
+  prep.request_plan = uts::compile_plan(import_sig, uts::Direction::kRequest);
+  prep.reply_plan = uts::compile_plan(import_sig, uts::Direction::kReply);
+  return prepared_.emplace(std::move(key), std::move(prep)).first->second;
+}
+
+uts::ValueList run_prepared(const PreparedImport& prep,
+                            const arch::ArchDescriptor& arch,
+                            std::span<const std::uint8_t> request,
+                            HostRuntime* host) {
+  const uts::Signature& import_sig = prep.import_decl.signature;
+  uts::ValueList import_values = prep.request_plan->unmarshal(arch, request);
+  uts::ValueList values = prep.target->defaults;
+  for (std::size_t i = 0; i < import_sig.size(); ++i) {
+    if (uts::param_travels(import_sig[i].mode, uts::Direction::kRequest)) {
+      values[prep.slot_of_import[i]] = std::move(import_values[i]);
+    }
+  }
+
+  ProcCall call(prep.target->decl.signature, std::move(values), host);
+  prep.target->handler(call);
+
+  uts::ValueList reply_values;
+  reply_values.reserve(import_sig.size());
+  for (std::size_t i = 0; i < import_sig.size(); ++i) {
+    reply_values.push_back(call.values()[prep.slot_of_import[i]]);
+  }
+  return reply_values;
+}
+
+// --- ProcCall --------------------------------------------------------------
 
 const uts::Value& ProcCall::arg(std::size_t index) const {
   if (index >= values_.size()) {

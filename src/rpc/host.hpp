@@ -23,7 +23,10 @@
 #include "rpc/io.hpp"
 #include "rpc/message.hpp"
 #include "sim/cluster.hpp"
+#include "util/mutex.hpp"
+#include "util/thread_annotations.hpp"
 #include "uts/canonical.hpp"
+#include "uts/marshal_plan.hpp"
 #include "uts/spec.hpp"
 
 namespace npss::rpc {
@@ -106,6 +109,66 @@ struct ProcedureImageOptions {
   /// stream is owned by the dispatch loop).
   int workers = 0;
 };
+
+/// One exported procedure as a host serves it.
+struct HostedExport {
+  uts::ProcDecl decl;
+  ProcHandler handler;
+  uts::ValueList defaults;  ///< default_value per export parameter
+};
+
+/// Everything one (procedure, import text) pair needs per call, compiled
+/// on first sight: the parsed import, its compatibility verdict against
+/// the export, the import -> export slot map (imports may be a
+/// subsequence of the export, footnote 1), and the marshal plans for
+/// both directions.
+struct PreparedImport {
+  const HostedExport* target = nullptr;
+  uts::ProcDecl import_decl;
+  std::vector<std::size_t> slot_of_import;
+  std::shared_ptr<const uts::MarshalPlan> request_plan;
+  std::shared_ptr<const uts::MarshalPlan> reply_plan;
+};
+
+/// The procedures a host serves and its prepared-import cache, shared by
+/// both procedure hosts: the cluster image of make_procedure_image and
+/// the TcpProcedureHost. Only the transport around a call differs.
+class ExportTable {
+ public:
+  /// `spec_text` must hold one export declaration per procedure.
+  ExportTable(const std::string& spec_text, std::vector<ProcedureDef> procs);
+
+  /// Exports keyed by lower-cased name (Fortran externals may arrive
+  /// upper-cased, §4.1).
+  const std::map<std::string, HostedExport>& exports() const {
+    return exports_;
+  }
+
+  /// The prepared state for calls of `name` under `import_text`. Throws
+  /// util::LookupError for an unknown procedure and
+  /// util::TypeMismatchError for an incompatible import; neither is
+  /// cached (they are caller bugs, not a steady-state path). The
+  /// reference stays valid for the table's lifetime.
+  const PreparedImport& prepare(const std::string& name,
+                                const std::string& import_text);
+
+ private:
+  std::map<std::string, HostedExport> exports_;
+  /// Hosts with worker pools prepare from several threads at once;
+  /// compiling an entry takes only the uts.PlanCache below this lock
+  /// (lock_hierarchy.md).
+  util::Mutex mu_{"rpc.Host.import_cache"};
+  std::map<std::string, PreparedImport> prepared_ SCHOONER_GUARDED_BY(mu_);
+};
+
+/// Serve one call: unmarshal `request` through the prepared plan, scatter
+/// it into the export's slots, run the handler, and gather the reply
+/// values back into import order for the caller to marshal. `host` is
+/// null for transports without a cluster runtime.
+uts::ValueList run_prepared(const PreparedImport& prep,
+                            const arch::ArchDescriptor& arch,
+                            std::span<const std::uint8_t> request,
+                            HostRuntime* host);
 
 /// Build a program image exporting `procs` per `spec_text` (which must hold
 /// one export declaration per procedure). Install the result into a

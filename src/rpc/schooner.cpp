@@ -104,19 +104,6 @@ SchoonerSystem::~SchoonerSystem() {
   }
 }
 
-std::unique_ptr<SchoonerClient> SchoonerSystem::make_client(
-    const std::string& machine, const std::string& description) {
-  sim::EndpointPtr ep = cluster_->create_endpoint(machine, "schx-client");
-  // Pass the replica list only for a real group, so standalone clients
-  // keep the legacy block-forever Manager semantics.
-  std::vector<std::string> replicas =
-      replica_addresses_.size() > 1 ? replica_addresses_
-                                    : std::vector<std::string>{};
-  return std::make_unique<SchoonerClient>(*cluster_, std::move(ep),
-                                          manager_address_, description,
-                                          std::move(replicas));
-}
-
 std::unique_ptr<Session> SchoonerSystem::make_session(
     const std::string& machine) {
   std::vector<std::string> replicas =

@@ -78,11 +78,6 @@ class SchoonerSystem {
     return replica_addresses_;
   }
 
-  /// Make a client (== open a new line) whose endpoint lives on `machine`.
-  /// Compatibility surface; new code opens a Session and mints Lines.
-  std::unique_ptr<SchoonerClient> make_client(const std::string& machine,
-                                              const std::string& description);
-
   /// Open a Session on `machine`: one Manager connection from which many
   /// lightweight Line handles are created (session.open_line(...)). The
   /// Session must not outlive this system.

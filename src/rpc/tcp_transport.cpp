@@ -10,7 +10,6 @@
 #include <cerrno>
 
 #include <algorithm>
-#include <cctype>
 #include <chrono>
 #include <cmath>
 #include <cstring>
@@ -27,12 +26,6 @@ namespace npss::rpc {
 using util::CallError;
 
 namespace {
-
-std::string lower(std::string s) {
-  std::transform(s.begin(), s.end(), s.begin(),
-                 [](unsigned char c) { return std::tolower(c); });
-  return s;
-}
 
 // Metric handles resolved once: registry handles stay valid (and reset()
 // zeroes without invalidating them), so the per-call cost is an atomic
@@ -217,18 +210,8 @@ TcpProcedureHost::TcpProcedureHost(const std::string& spec_text,
                                    std::vector<ProcedureDef> procs,
                                    const std::string& arch_key, int port,
                                    bus::BusOptions bus_options)
-    : arch_(&arch::arch_catalog(arch_key)) {
-  uts::SpecFile spec = uts::parse_spec(spec_text);
-  for (ProcedureDef& def : procs) {
-    const uts::ProcDecl& decl = spec.find(def.name);
-    Entry entry{decl, std::move(def.handler), {}};
-    entry.defaults.reserve(decl.signature.size());
-    for (const uts::Param& p : decl.signature) {
-      entry.defaults.push_back(uts::default_value(p.type));
-    }
-    handlers_[lower(def.name)] = std::move(entry);
-  }
-
+    : arch_(&arch::arch_catalog(arch_key)),
+      exports_(spec_text, std::move(procs)) {
   int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd < 0) throw CallError("socket() failed");
   int one = 1;
@@ -298,44 +281,6 @@ void TcpProcedureHost::on_frame(
   work_.push(line, Work{conn, std::move(msg)});
 }
 
-std::shared_ptr<const TcpProcedureHost::Prepared>
-TcpProcedureHost::prepared_for(const Message& msg) {
-  const std::string key = msg.a + '\n' + msg.b;
-  {
-    util::MutexLock lock(prep_mu_);
-    auto it = prepared_.find(key);
-    if (it != prepared_.end()) return it->second;
-  }
-  auto hit = handlers_.find(lower(msg.a));
-  if (hit == handlers_.end()) {
-    throw util::LookupError("no procedure '" + msg.a + "'");
-  }
-  auto prep = std::make_shared<Prepared>();
-  prep->entry = &hit->second;
-  prep->import_decl = parse_signature_text(msg.b);
-  const std::string why = uts::signature_compatibility_error(
-      prep->import_decl.signature, prep->entry->decl.signature);
-  if (!why.empty()) throw util::TypeMismatchError(why);
-  // Map import slots onto the export signature by name (subset imports
-  // keep the export's order).
-  prep->slot.resize(prep->import_decl.signature.size());
-  std::size_t epos = 0;
-  for (std::size_t i = 0; i < prep->import_decl.signature.size(); ++i) {
-    while (prep->entry->decl.signature[epos].name !=
-           prep->import_decl.signature[i].name) {
-      ++epos;
-    }
-    prep->slot[i] = epos++;
-  }
-  prep->request_plan =
-      uts::compile_plan(prep->import_decl.signature, uts::Direction::kRequest);
-  prep->reply_plan =
-      uts::compile_plan(prep->import_decl.signature, uts::Direction::kReply);
-  util::MutexLock lock(prep_mu_);
-  prepared_[key] = prep;
-  return prep;
-}
-
 void TcpProcedureHost::handle(const std::shared_ptr<bus::BusConnection>& conn,
                               Message& msg) {
   if (msg.kind != MessageKind::kCall) {
@@ -347,32 +292,15 @@ void TcpProcedureHost::handle(const std::shared_ptr<bus::BusConnection>& conn,
   // the same trace id.
   obs::Span span("rpc.host", "tcp serve " + msg.a, msg.trace);
   try {
-    std::shared_ptr<const Prepared> prep = prepared_for(msg);
-    const uts::Signature& import_sig = prep->import_decl.signature;
-    uts::ValueList import_values =
-        prep->request_plan->unmarshal(*arch_, msg.blob);
-
-    uts::ValueList values = prep->entry->defaults;
-    for (std::size_t i = 0; i < import_sig.size(); ++i) {
-      if (uts::param_travels(import_sig[i].mode, uts::Direction::kRequest)) {
-        values[prep->slot[i]] = std::move(import_values[i]);
-      }
-    }
-
+    const PreparedImport& prep = exports_.prepare(msg.a, msg.b);
     // No cluster runtime behind a TCP host: compute() is a no-op and
     // nested calls are unavailable.
-    ProcCall call(prep->entry->decl.signature, std::move(values), nullptr);
-    prep->entry->handler(call);
-
-    uts::ValueList reply_values;
-    reply_values.reserve(import_sig.size());
-    for (std::size_t i = 0; i < import_sig.size(); ++i) {
-      reply_values.push_back(call.values()[prep->slot[i]]);
-    }
+    const uts::ValueList reply_values =
+        run_prepared(prep, *arch_, msg.blob, nullptr);
     std::size_t reply_frame_bytes = 0;
     conn->send_frame([&](util::ByteWriter& out) {
       const std::size_t before = out.size();
-      bus::append_reply_frame(out, msg.seq, *prep->reply_plan, *arch_,
+      bus::append_reply_frame(out, msg.seq, *prep.reply_plan, *arch_,
                               reply_values, span.context(),
                               dispatcher_->options().max_frame_bytes);
       reply_frame_bytes = out.size() - before;
@@ -433,25 +361,14 @@ std::shared_ptr<bus::BusChannel>& TcpRemoteProc::live_channel() {
 
 CallResult TcpRemoteProc::call(uts::ValueList args, const CallOptions& opts) {
   using clock_type = std::chrono::steady_clock;
-  CallResult result;
-  const uts::Signature& sig = decl_.signature;
-  if (args.size() != sig.size()) {
-    result.status = util::Status(util::ErrorCode::kTypeMismatch,
-                                 "tcp call: argument count mismatch");
-    return result;
-  }
   obs::Span span("rpc.client", span_label_);
-  const auto start = clock_type::now();
-  const bool deadlined = opts.deadline_us > 0;
   const auto deadline =
-      deadlined ? start + std::chrono::microseconds(opts.deadline_us)
-                : clock_type::time_point::max();
+      opts.deadline_us > 0
+          ? clock_type::now() + std::chrono::microseconds(opts.deadline_us)
+          : clock_type::time_point::max();
   const int max_attempts = std::max(opts.max_attempts, 1);
-
+  CallResult result;
   for (int n = 1; n <= max_attempts; ++n) {
-    CallAttempt attempt;
-    attempt.number = n;
-    attempt.address = host_ + ":" + std::to_string(port_);
     if (clock_type::now() >= deadline) {
       result.status = util::Status(
           util::ErrorCode::kDeadlineExceeded,
@@ -459,83 +376,53 @@ CallResult TcpRemoteProc::call(uts::ValueList args, const CallOptions& opts) {
               std::to_string(result.attempts.size()) + " attempt(s)");
       break;
     }
+    util::SimTime backoff_us = 0;
     if (n > 1 && opts.backoff.initial_us > 0) {
-      auto wait = std::chrono::microseconds(std::min<util::SimTime>(
+      backoff_us = std::min<util::SimTime>(
           static_cast<util::SimTime>(
               static_cast<double>(opts.backoff.initial_us) *
               std::pow(std::max(opts.backoff.multiplier, 1.0), n - 2)),
-          opts.backoff.max_us));
-      attempt.backoff_us = wait.count();
-      std::this_thread::sleep_for(wait);
+          opts.backoff.max_us);
+      std::this_thread::sleep_for(std::chrono::microseconds(backoff_us));
     }
-    bool retryable = false;
-    try {
-      std::shared_ptr<bus::BusChannel> ch = live_channel();
+    // The attempt's budget is what is left of the call's deadline; the
+    // floor of 1 us keeps an exhausted budget from meaning "no deadline".
+    util::SimTime budget_us = 0;
+    if (opts.deadline_us > 0) {
+      budget_us = std::max<util::SimTime>(
+          std::chrono::duration_cast<std::chrono::microseconds>(
+              deadline - clock_type::now())
+              .count(),
+          1);
+    }
+    PendingTcpCall pending;
+    {
       obs::Span attempt_span("rpc.client", "attempt " + std::to_string(n));
-      const std::uint64_t seq = ch->next_seq();
-      std::size_t request_blob_bytes = 0;
-      std::future<Message> fut = ch->send(seq, [&](util::ByteWriter& out) {
-        const std::size_t before = out.size();
-        bus::append_call_frame(out, seq, name_, import_text_, *request_plan_,
-                               *arch_, args, attempt_span.context(),
-                               ch->max_frame_bytes());
-        request_blob_bytes =
-            out.size() - before -
-            call_frame_overhead(name_, import_text_,
-                                attempt_span.context().active());
-      });
-      if (deadlined) {
-        const auto left = deadline - clock_type::now();
-        if (left <= clock_type::duration::zero() ||
-            fut.wait_for(left) != std::future_status::ready) {
-          // Abandon only this seq — the connection stays up and keeps
-          // serving every other in-flight call; the late reply is
-          // discarded by seq when it lands.
-          ch->abandon(seq);
-          throw util::DeadlineError(
-              "no tcp reply within " +
-              std::to_string(opts.deadline_us / 1000) + "ms");
-        }
-      }
-      Message reply = fut.get();
-      if (reply.is_error()) {
-        attempt.status = util::Status(static_cast<util::ErrorCode>(reply.n),
-                                      reply.a);
-        result.attempts.push_back(attempt);
-        result.status = attempt.status;
-        break;  // the peer executed and refused: terminal
-      }
-      if (obs::enabled()) {
-        TcpMetrics& m = tcp_metrics();
-        m.client_calls.add();
-        calls_by_name_->add();
-        m.client_bytes_marshaled.add(request_blob_bytes + reply.blob.size());
-        m.client_latency_us.record(span.elapsed_us());
-      }
-      uts::ValueList results = reply_plan_->unmarshal(*arch_, reply.blob);
-      for (std::size_t i = 0; i < sig.size(); ++i) {
-        if (!uts::param_travels(sig[i].mode, uts::Direction::kReply)) {
-          results[i] = std::move(args[i]);
-        }
-      }
-      attempt.status = util::Status::ok();
-      result.attempts.push_back(attempt);
-      result.status = util::Status::ok();
-      result.values = std::move(results);
-      return result;
-    } catch (const util::DeadlineError& e) {
-      attempt.status = util::Status::from(e);
-      retryable = opts.idempotent;  // the connection is kept either way
-    } catch (const CallError& e) {
-      attempt.status = util::Status::from(e);
-      channel_.reset();  // dead connection: next attempt re-pools
-      retryable = true;
-    } catch (const util::Error& e) {
-      attempt.status = util::Status::from(e);
+      pending = call_async(std::move(args), budget_us);
+      pending.get();
     }
-    result.attempts.push_back(attempt);
-    result.status = attempt.status;
-    if (!retryable) break;
+    CallResult& outcome = pending.result_;
+    if (outcome.attempts.empty()) return std::move(outcome);  // bad args
+    CallAttempt& attempt = outcome.attempts.back();
+    attempt.number = n;
+    attempt.backoff_us = backoff_us;
+    result.attempts.push_back(std::move(attempt));
+    result.status = outcome.status;
+    if (outcome.ok()) {
+      result.values = std::move(outcome.values);
+      return result;
+    }
+    // A peer refusal is terminal; a timeout is retried only when the call
+    // is idempotent (the peer may have run it); a dead connection is
+    // re-pooled and retried.
+    if (pending.answered_) break;
+    const util::ErrorCode code = result.status.code();
+    if (code == util::ErrorCode::kCallFailure) {
+      channel_.reset();
+    } else if (code != util::ErrorCode::kDeadlineExceeded || !opts.idempotent) {
+      break;
+    }
+    args = std::move(pending.args_);
   }
   if (result.status.is_ok()) {
     result.status = util::Status(
@@ -544,16 +431,6 @@ CallResult TcpRemoteProc::call(uts::ValueList args, const CallOptions& opts) {
   }
   return result;
 }
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-uts::ValueList TcpRemoteProc::call(uts::ValueList args) {
-  CallOptions opts = CallOptions::legacy();
-  opts.max_attempts = 1;  // the original stub made exactly one attempt
-  CallResult result = call(std::move(args), opts);
-  return std::move(result.values_or_raise());
-}
-#pragma GCC diagnostic pop
 
 PendingTcpCall TcpRemoteProc::call_async(uts::ValueList args,
                                          util::SimTime deadline_us) {
@@ -574,21 +451,27 @@ PendingTcpCall TcpRemoteProc::call_async(uts::ValueList args,
     pending.seq_ = ch->next_seq();
     const obs::TraceContext trace = obs::current_trace();
     pending.reply_ = ch->send(pending.seq_, [&](util::ByteWriter& out) {
+      const std::size_t before = out.size();
       bus::append_call_frame(out, pending.seq_, name_, import_text_,
                              *request_plan_, *arch_, pending.args_, trace,
                              ch->max_frame_bytes());
+      pending.request_bytes_ =
+          out.size() - before -
+          call_frame_overhead(name_, import_text_, trace.active());
     });
   } catch (const util::Error& e) {
+    // Nothing left the client; get() reports the failure as the attempt.
     pending.done_ = true;
     pending.result_.status = util::Status::from(e);
+    pending.result_.attempts.push_back(
+        CallAttempt{.address = host_ + ":" + std::to_string(port_),
+                    .status = pending.result_.status});
   }
   return pending;
 }
 
 void TcpRemoteProc::finish(PendingTcpCall& pending) {
-  CallAttempt attempt;
-  attempt.number = 1;
-  attempt.address = host_ + ":" + std::to_string(port_);
+  CallResult& result = pending.result_;
   pending.done_ = true;
   try {
     if (pending.deadline_us_ > 0) {
@@ -597,6 +480,8 @@ void TcpRemoteProc::finish(PendingTcpCall& pending) {
       const auto left = deadline - std::chrono::steady_clock::now();
       if (left <= std::chrono::steady_clock::duration::zero() ||
           pending.reply_.wait_for(left) != std::future_status::ready) {
+        // Abandon only this seq — the connection stays up and keeps
+        // serving every other in-flight call.
         pending.channel_->abandon(pending.seq_);
         throw util::DeadlineError(
             "no tcp reply within " +
@@ -604,39 +489,35 @@ void TcpRemoteProc::finish(PendingTcpCall& pending) {
       }
     }
     Message reply = pending.reply_.get();
+    pending.answered_ = true;
     if (reply.is_error()) {
-      attempt.status =
+      result.status =
           util::Status(static_cast<util::ErrorCode>(reply.n), reply.a);
-      pending.result_.attempts.push_back(attempt);
-      pending.result_.status = attempt.status;
-      return;
-    }
-    if (obs::enabled()) {
-      TcpMetrics& m = tcp_metrics();
-      m.client_calls.add();
-      calls_by_name_->add();
-      m.client_bytes_marshaled.add(reply.blob.size());
-      m.client_latency_us.record(
-          std::chrono::duration<double, std::micro>(
-              std::chrono::steady_clock::now() - pending.issued_)
-              .count());
-    }
-    const uts::Signature& sig = decl_.signature;
-    uts::ValueList results = reply_plan_->unmarshal(*arch_, reply.blob);
-    for (std::size_t i = 0; i < sig.size(); ++i) {
-      if (!uts::param_travels(sig[i].mode, uts::Direction::kReply)) {
-        results[i] = std::move(pending.args_[i]);
+    } else {
+      if (obs::enabled()) {
+        TcpMetrics& m = tcp_metrics();
+        m.client_calls.add();
+        calls_by_name_->add();
+        m.client_bytes_marshaled.add(pending.request_bytes_ +
+                                     reply.blob.size());
+        m.client_latency_us.record(
+            std::chrono::duration<double, std::micro>(
+                std::chrono::steady_clock::now() - pending.issued_)
+                .count());
+      }
+      const uts::Signature& sig = decl_.signature;
+      result.values = reply_plan_->unmarshal(*arch_, reply.blob);
+      for (std::size_t i = 0; i < sig.size(); ++i) {
+        if (!uts::param_travels(sig[i].mode, uts::Direction::kReply)) {
+          result.values[i] = std::move(pending.args_[i]);
+        }
       }
     }
-    attempt.status = util::Status::ok();
-    pending.result_.attempts.push_back(attempt);
-    pending.result_.status = util::Status::ok();
-    pending.result_.values = std::move(results);
   } catch (const util::Error& e) {
-    attempt.status = util::Status::from(e);
-    pending.result_.attempts.push_back(attempt);
-    pending.result_.status = attempt.status;
+    result.status = util::Status::from(e);
   }
+  result.attempts.push_back(CallAttempt{
+      .address = host_ + ":" + std::to_string(port_), .status = result.status});
 }
 
 double TcpRemoteProc::ping_us() {

@@ -21,7 +21,6 @@
 
 #include <atomic>
 #include <future>
-#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -33,8 +32,6 @@
 #include "rpc/host.hpp"
 #include "rpc/message.hpp"
 #include "util/fair_queue.hpp"
-#include "util/mutex.hpp"
-#include "util/thread_annotations.hpp"
 
 namespace npss::obs {
 class Counter;
@@ -78,10 +75,9 @@ class TcpConnection {
 
 /// Serves a set of procedures over TCP: a bus dispatcher owns every
 /// connection; decoded kCall frames are handed to a small worker pool
-/// (kPing answered inline on the loop). Per-signature call plumbing —
-/// parsed import declaration, compatibility check, slot mapping, compiled
-/// marshal plans — is compiled once and cached, so steady-state calls
-/// execute plans instead of re-parsing signature text.
+/// (kPing answered inline on the loop). Calls are prepared and run by the
+/// same ExportTable as the cluster host (host.hpp), so steady-state calls
+/// execute cached plans instead of re-parsing signature text.
 class TcpProcedureHost {
  public:
   /// Listen on `port` (0 = ephemeral; see port()). `arch_key` names the
@@ -100,44 +96,22 @@ class TcpProcedureHost {
   void stop();
 
  private:
-  struct Entry {
-    uts::ProcDecl decl;
-    ProcHandler handler;
-    uts::ValueList defaults;  ///< default_value per export param
-  };
-  /// Everything a (procedure, import signature) pair needs per call,
-  /// compiled on first sight and reused: the per-call cost drops to
-  /// cache lookup + plan execution.
-  struct Prepared {
-    const Entry* entry;
-    uts::ProcDecl import_decl;
-    std::vector<std::size_t> slot;  ///< import index -> export slot
-    std::shared_ptr<const uts::MarshalPlan> request_plan;
-    std::shared_ptr<const uts::MarshalPlan> reply_plan;
-  };
   struct Work {
     std::shared_ptr<bus::BusConnection> conn;
     Message msg;
   };
 
-  std::shared_ptr<const Prepared> prepared_for(const Message& msg);
   void on_frame(const std::shared_ptr<bus::BusConnection>& conn,
                 Message&& msg);
   void handle(const std::shared_ptr<bus::BusConnection>& conn, Message& msg);
 
   const arch::ArchDescriptor* arch_;
-  std::map<std::string, Entry> handlers_;
+  /// Set up before the workers start; its prepared-import cache is the
+  /// one the cluster host uses, and locks itself.
+  ExportTable exports_;
   int port_ = 0;
   std::atomic<bool> stopping_{false};
   std::atomic<long> calls_{0};
-
-  /// Guards the prepared-call cache workers race to fill; leaf lock
-  /// except for the uts.PlanCache taken while compiling an entry
-  /// (lock_hierarchy.md). handlers_ / arch_ / port_ are set before the
-  /// workers start and read-only afterward.
-  util::Mutex prep_mu_{"rpc.TcpHost.prepared"};
-  std::map<std::string, std::shared_ptr<const Prepared>> prepared_
-      SCHOONER_GUARDED_BY(prep_mu_);
 
   std::unique_ptr<bus::BusDispatcher> dispatcher_;
   /// Per-line FIFO lanes drained round-robin: one line's call storm
@@ -172,9 +146,11 @@ class PendingTcpCall {
   std::uint64_t seq_ = 0;
   util::SimTime deadline_us_ = 0;
   std::chrono::steady_clock::time_point issued_;
+  std::size_t request_bytes_ = 0;  ///< argument blob bytes sent
   uts::ValueList args_;
   CallResult result_;
   bool done_ = false;
+  bool answered_ = false;  ///< the peer replied (success or refusal)
 };
 
 /// Client stub calling one procedure on a TcpProcedureHost. All stubs
@@ -189,17 +165,12 @@ class TcpRemoteProc {
                 const std::string& arch_key);
 
   /// Fault-tolerant invoke, mirroring RemoteProc::call(args, opts) on the
-  /// real transport: deadline_us counts *real* microseconds. A timed-out
-  /// seq is abandoned — the healthy shared connection is kept and the late
-  /// reply discarded by seq; only a dead connection forces a reconnect.
-  /// failover_machine is ignored.
+  /// real transport: deadline_us counts *real* microseconds. Each attempt
+  /// is a call_async() completed in place. A timed-out seq is abandoned —
+  /// the healthy shared connection is kept and the late reply discarded
+  /// by seq; only a dead connection forces a reconnect. failover_machine
+  /// is ignored.
   CallResult call(uts::ValueList args, const CallOptions& opts);
-
-  /// Same contract as RemoteProc::call (legacy throwing surface: one
-  /// attempt, no deadline).
-  [[deprecated(
-      "use call(args, CallOptions) and branch on CallResult.status")]]
-  uts::ValueList call(uts::ValueList args);
 
   /// Issue the call and return immediately; many pending calls pipeline
   /// over the shared connection and replies are matched by seq. One
@@ -218,6 +189,9 @@ class TcpRemoteProc {
 
   /// The pooled channel, reconnecting if the previous one died.
   std::shared_ptr<bus::BusChannel>& live_channel();
+  /// The one reply-completion path of call() and call_async(): wait
+  /// within the deadline captured at issue, then check for a peer error,
+  /// record metrics, unmarshal, and copy val slots through.
   void finish(PendingTcpCall& pending);
 
   std::shared_ptr<bus::BusChannel> channel_;

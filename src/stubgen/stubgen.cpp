@@ -192,8 +192,8 @@ GeneratedStub generate_client_stub(const ProcDecl& decl) {
            uts::compile_plan(decl.signature, uts::Direction::kReply)
                ->describe());
   h << "class " << cls << " {\n public:\n";
-  h << "  explicit " << cls << "(npss::rpc::SchoonerClient& client)\n"
-    << "      : proc_(client.import_proc(\"" << decl.name << "\",\n"
+  h << "  explicit " << cls << "(npss::rpc::Line& line)\n"
+    << "      : proc_(line.import_proc(\"" << decl.name << "\",\n"
     << "            \"" << escape_string_literal(import_text) << "\")) {}\n\n";
 
   // Result struct: one member per out-travelling parameter.
@@ -228,7 +228,8 @@ GeneratedStub generate_client_stub(const ProcDecl& decl) {
     }
   }
   h << "    npss::rpc::CallResult reply =\n"
-       "        proc_->call(std::move(args), proc_->call_options());\n";
+       "        proc_->call(std::move(args), "
+       "npss::rpc::CallOptions::legacy());\n";
   h << "    uts::ValueList& out = reply.values_or_raise();\n";
   h << "    Result result{};\n";
   std::size_t idx = 0;

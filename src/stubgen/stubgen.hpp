@@ -32,7 +32,7 @@ std::string cpp_type_for(const uts::Type& type);
 std::string sanitize_identifier(const std::string& name);
 
 /// Generate a client stub class for one import declaration: a constructor
-/// taking SchoonerClient&, and a typed call() whose parameters mirror the
+/// taking rpc::Line&, and a typed call() whose parameters mirror the
 /// val/var parameters and whose result struct mirrors res/var parameters.
 GeneratedStub generate_client_stub(const uts::ProcDecl& decl);
 

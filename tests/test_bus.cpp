@@ -22,6 +22,9 @@ namespace {
 
 using uts::Value;
 
+/// No deadline, one stale-binding retry: the historical call contract.
+const rpc::CallOptions kLegacy = rpc::CallOptions::legacy();
+
 Message make_msg(std::uint64_t seq, const std::string& a) {
   Message msg;
   msg.kind = MessageKind::kCall;
@@ -301,7 +304,8 @@ TEST(BusChannel, TimeoutAbandonsSeqButKeepsTheConnection) {
   EXPECT_EQ(timed_out.status.code(), util::ErrorCode::kDeadlineExceeded);
 
   // The same connection keeps serving: no teardown, no reconnect.
-  uts::ValueList out = nap.call({Value::integer(0), Value::integer(0)});
+  uts::ValueList out = nap.call({Value::integer(0), Value::integer(0)}, kLegacy)
+      .values_or_raise();
   EXPECT_EQ(out[1].as_integer(), 0);
   auto channel_after =
       bus::TcpBus::instance().channel("127.0.0.1", host.port());

@@ -12,6 +12,9 @@ namespace {
 
 using uts::Value;
 
+/// No deadline, one stale-binding retry: the historical call contract.
+const rpc::CallOptions kLegacy = rpc::CallOptions::legacy();
+
 const char* kSpec = "export work prog(\"x\" val double, \"y\" res double)";
 const char* kImport = "import work prog(\"x\" val double, \"y\" res double)";
 
@@ -37,15 +40,18 @@ class DistributionFailureTest : public ::testing::Test {
 };
 
 TEST_F(DistributionFailureTest, WanOutageSurfacesAsErrorThenRecovers) {
-  auto client = system_->make_client("local", "outage");
+  auto session = system_->make_session("local");
+  auto client = session->open_line(rpc::LineOptions{}.with_name("outage"));
   client->contact_schx("remote", "/bin/work");
   auto work = client->import_proc("work", kImport);
   EXPECT_DOUBLE_EQ(
-      work->call({Value::real(3), Value::real(0)})[1].as_real(), 6.0);
+      work->call({Value::real(3), Value::real(0)}, kLegacy)
+          .values_or_raise()[1].as_real(), 6.0);
 
   // The Internet path between the sites goes down mid-run.
   cluster_.set_link_up("uarizona", "lerc", false);
-  EXPECT_THROW(work->call({Value::real(1), Value::real(0)}),
+  EXPECT_THROW(work->call({Value::real(1), Value::real(0)}, kLegacy)
+      .values_or_raise(),
                util::Error);
 
   // Back up: the binding survives the outage (the process never died),
@@ -53,14 +59,16 @@ TEST_F(DistributionFailureTest, WanOutageSurfacesAsErrorThenRecovers) {
   cluster_.set_link_up("uarizona", "lerc", true);
   work->invalidate();
   EXPECT_DOUBLE_EQ(
-      work->call({Value::real(4), Value::real(0)})[1].as_real(), 8.0);
+      work->call({Value::real(4), Value::real(0)}, kLegacy)
+          .values_or_raise()[1].as_real(), 8.0);
 }
 
 TEST_F(DistributionFailureTest, DeadProcessYieldsCallErrorNotHang) {
-  auto client = system_->make_client("local", "dead-proc");
+  auto session = system_->make_session("local");
+  auto client = session->open_line(rpc::LineOptions{}.with_name("dead-proc"));
   StartResult started = client->contact_schx("remote", "/bin/work");
   auto work = client->import_proc("work", kImport);
-  work->call({Value::real(1), Value::real(0)});
+  work->call({Value::real(1), Value::real(0)}, kLegacy).values_or_raise();
 
   // The remote process crashes (killed at the OS level, not via the
   // Manager, so the Manager's tables still name the corpse).
@@ -69,7 +77,7 @@ TEST_F(DistributionFailureTest, DeadProcessYieldsCallErrorNotHang) {
   // The stub retries once through the Manager, is handed the same dead
   // address, and reports a typed failure — never a hang.
   try {
-    work->call({Value::real(2), Value::real(0)});
+    work->call({Value::real(2), Value::real(0)}, kLegacy).values_or_raise();
     FAIL() << "expected an error";
   } catch (const util::Error& e) {
     EXPECT_TRUE(e.code() == util::ErrorCode::kNoRoute ||
@@ -93,22 +101,27 @@ TEST_F(DistributionFailureTest, HandlerExceptionsBecomeTypedErrors) {
               }
               c.set_real("y", std::sqrt(c.real("x")));
             }}}));
-  auto client = system_->make_client("local", "fragile");
+  auto session = system_->make_session("local");
+  auto client = session->open_line(rpc::LineOptions{}.with_name("fragile"));
   client->contact_schx("remote", "/bin/fragile");
   auto fragile = client->import_proc(
       "fragile", "import fragile prog(\"x\" val double, \"y\" res double)");
   EXPECT_DOUBLE_EQ(
-      fragile->call({Value::real(9), Value::real(0)})[1].as_real(), 3.0);
+      fragile->call({Value::real(9), Value::real(0)}, kLegacy)
+          .values_or_raise()[1].as_real(), 3.0);
   // The remote exception arrives typed and the process stays up.
-  EXPECT_THROW(fragile->call({Value::real(-1), Value::real(0)}),
+  EXPECT_THROW(fragile->call({Value::real(-1), Value::real(0)}, kLegacy)
+      .values_or_raise(),
                util::ModelError);
   EXPECT_DOUBLE_EQ(
-      fragile->call({Value::real(16), Value::real(0)})[1].as_real(), 4.0);
+      fragile->call({Value::real(16), Value::real(0)}, kLegacy)
+          .values_or_raise()[1].as_real(), 4.0);
 }
 
 TEST_F(DistributionFailureTest, StartFailsCleanlyDuringOutage) {
   cluster_.set_link_up("uarizona", "lerc", false);
-  auto client = system_->make_client("local", "no-start");
+  auto session = system_->make_session("local");
+  auto client = session->open_line(rpc::LineOptions{}.with_name("no-start"));
   EXPECT_THROW(client->contact_schx("remote", "/bin/work"), util::Error);
   // Local work is unaffected.
   cluster_.install_image("local", "/bin/work", work_image());
@@ -120,16 +133,18 @@ TEST_F(DistributionFailureTest, MoveAwayFromFailingMachineRestoresService) {
   // to go down; the user moves the procedure home, then the link dies —
   // and the computation keeps running locally.
   cluster_.install_image("local", "/bin/work", work_image());
-  auto client = system_->make_client("local", "evacuate");
+  auto session = system_->make_session("local");
+  auto client = session->open_line(rpc::LineOptions{}.with_name("evacuate"));
   client->contact_schx("remote", "/bin/work");
   auto work = client->import_proc("work", kImport);
-  work->call({Value::real(1), Value::real(0)});
+  work->call({Value::real(1), Value::real(0)}, kLegacy).values_or_raise();
 
   client->move_proc("work", "local", "/bin/work");
   cluster_.set_link_up("uarizona", "lerc", false);
 
   EXPECT_DOUBLE_EQ(
-      work->call({Value::real(5), Value::real(0)})[1].as_real(), 10.0);
+      work->call({Value::real(5), Value::real(0)}, kLegacy)
+          .values_or_raise()[1].as_real(), 10.0);
 }
 
 }  // namespace

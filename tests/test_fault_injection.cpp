@@ -1,7 +1,8 @@
 // The fault-tolerant call path end to end: seeded deterministic link
 // faults (drop/duplicate/delay), crash events, CallOptions/CallResult
 // deadline + retry semantics, migration-based failover, glue-level local
-// fallback, and the legacy throwing shim's unchanged behavior.
+// fallback, and the historical throwing contract through
+// CallOptions::legacy() + values_or_raise().
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -21,6 +22,9 @@ namespace {
 using rpc::CallOptions;
 using rpc::CallResult;
 using uts::Value;
+
+/// No deadline, one stale-binding retry: the historical call contract.
+const rpc::CallOptions kLegacy = rpc::CallOptions::legacy();
 
 const char* kEchoSpec =
     "export echo prog(\"x\" val double, \"y\" res double)";
@@ -120,7 +124,8 @@ TEST_F(FaultPathTest, SameSeedReproducesDropScheduleAndAttemptCounts) {
   // identical per-call attempt trace and identical fault tallies.
   auto run_once = [this]() {
     build();
-    auto client = system_->make_client("avs", "det");
+    auto session = system_->make_session("avs");
+    auto client = session->open_line(rpc::LineOptions{}.with_name("det"));
     client->contact_schx("far", "/bin/echo");
     auto echo = client->import_proc("echo", kEchoImport);
 
@@ -161,7 +166,8 @@ TEST_F(FaultPathTest, DeadlineExceededComesBackAsStatusNotHang) {
   sim::FaultSpec spec;
   spec.drop_rate = 1.0;
 
-  auto client = system_->make_client("avs", "dead");
+  auto session = system_->make_session("avs");
+  auto client = session->open_line(rpc::LineOptions{}.with_name("dead"));
   client->contact_schx("far", "/bin/echo");
   auto echo = client->import_proc("echo", kEchoImport);
   // Bind + marshal once while the link is clean, then break the link.
@@ -185,7 +191,8 @@ TEST_F(FaultPathTest, FivePercentWanLossCompletesEveryIdempotentCall) {
   // The availability claim: under 5% injected frame loss on the wan, a
   // retrying idempotent caller completes every call — no hangs, no
   // surfaced failures — and at least one call needed a retry.
-  auto client = system_->make_client("avs", "wan");
+  auto session = system_->make_session("avs");
+  auto client = session->open_line(rpc::LineOptions{}.with_name("wan"));
   client->contact_schx("far", "/bin/echo");
   auto echo = client->import_proc("echo", kEchoImport);
 
@@ -211,7 +218,8 @@ TEST_F(FaultPathTest, DuplicateAndDelayFaultsNeverCorruptReplies) {
   // Duplicated reply frames must be discarded by the abandoned-seq
   // filter, and delayed frames only shift virtual time — every call still
   // returns the right value through the legacy throwing surface.
-  auto client = system_->make_client("avs", "dup");
+  auto session = system_->make_session("avs");
+  auto client = session->open_line(rpc::LineOptions{}.with_name("dup"));
   client->contact_schx("far", "/bin/echo");
   auto echo = client->import_proc("echo", kEchoImport);
 
@@ -223,7 +231,8 @@ TEST_F(FaultPathTest, DuplicateAndDelayFaultsNeverCorruptReplies) {
   cluster_->set_link_faults("internet-wan", spec);
 
   for (int i = 0; i < 50; ++i) {
-    uts::ValueList out = echo->call({Value::real(i), Value::real(0)});
+    uts::ValueList out = echo->call({Value::real(i), Value::real(0)}, kLegacy)
+        .values_or_raise();
     EXPECT_DOUBLE_EQ(out[1].as_real(), 2.0 * i);
   }
   auto stats = cluster_->fault_stats();
@@ -233,7 +242,8 @@ TEST_F(FaultPathTest, DuplicateAndDelayFaultsNeverCorruptReplies) {
 }
 
 TEST_F(FaultPathTest, CrashedServerFailsOverByMigration) {
-  auto client = system_->make_client("avs", "failover");
+  auto session = system_->make_session("avs");
+  auto client = session->open_line(rpc::LineOptions{}.with_name("failover"));
   rpc::StartResult started = client->contact_schx("far", "/bin/echo");
   auto echo = client->import_proc("echo", kEchoImport);
   ASSERT_TRUE(echo->call({Value::real(3), Value::real(0)},
@@ -274,7 +284,9 @@ TEST_F(FaultPathTest, FailoverToIncompatibleReplicaIsRefusedByCompatGate) {
               c.set_real("y", static_cast<double>(2 * c.integer("x")));
             }}}));
 
-  auto client = system_->make_client("avs", "compat-reject");
+  auto session = system_->make_session("avs");
+  auto client = session->open_line(
+      rpc::LineOptions{}.with_name("compat-reject"));
   rpc::StartResult started = client->contact_schx("far", "/bin/echo");
   auto echo = client->import_proc("echo", kEchoImport);
   ASSERT_TRUE(
@@ -333,7 +345,8 @@ TEST_F(FaultPathTest, GlueDegradesToLocalComputeWhenServerDies) {
 TEST_F(FaultPathTest, RetryAttemptsShareOneTraceAsChildSpans) {
   // Trace context survives retries: the call records one parent span and
   // one child span per attempt, all on the same trace.
-  auto client = system_->make_client("avs", "trace");
+  auto session = system_->make_session("avs");
+  auto client = session->open_line(rpc::LineOptions{}.with_name("trace"));
   client->contact_schx("far", "/bin/echo");
   auto echo = client->import_proc("echo", kEchoImport);
   CallOptions opts = wan_options();
@@ -370,7 +383,8 @@ TEST_F(FaultPathTest, RetryAttemptsShareOneTraceAsChildSpans) {
 }
 
 TEST_F(FaultPathTest, LegacyThrowingShimKeepsItsContract) {
-  auto client = system_->make_client("avs", "legacy");
+  auto session = system_->make_session("avs");
+  auto client = session->open_line(rpc::LineOptions{}.with_name("legacy"));
   client->contact_schx("far", "/bin/echo");
 
   // An import of an undeclared name still raises LookupError.
@@ -380,10 +394,14 @@ TEST_F(FaultPathTest, LegacyThrowingShimKeepsItsContract) {
   // A working call returns values, and a post-move call recovers through
   // the historical one-rebind stale path — transparently, exactly once.
   auto echo = client->import_proc("echo", kEchoImport);
-  EXPECT_DOUBLE_EQ(echo->call({Value::real(6), Value::real(0)})[1].as_real(),
+  EXPECT_DOUBLE_EQ(echo->call({Value::real(6), Value::real(0)}, kLegacy)
+                       .values_or_raise()[1]
+                       .as_real(),
                    12.0);
   client->move_proc("echo", "spare");
-  EXPECT_DOUBLE_EQ(echo->call({Value::real(7), Value::real(0)})[1].as_real(),
+  EXPECT_DOUBLE_EQ(echo->call({Value::real(7), Value::real(0)}, kLegacy)
+                       .values_or_raise()[1]
+                       .as_real(),
                    14.0);
   EXPECT_EQ(echo->stale_retries(), 1);
   client->quit();

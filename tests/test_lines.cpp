@@ -403,20 +403,21 @@ TEST_F(LinesTest, LossyLineDoesNotMoveNeighborP99) {
   (void)budget_hit;
 }
 
-TEST_F(LinesTest, SchoonerClientWrapsSessionAndLine) {
+TEST_F(LinesTest, FreshSessionCarriesOneLine) {
+  // The one-client-per-line shape: a session of its own and one line.
   build();
-  auto client = system_->make_client("avs", "compat");
-  client->contact_schx("m0", "/bin/work");
-  auto work = client->import_proc("work", kWorkImport);
+  auto session = system_->make_session("avs");
+  auto line = session->open_line(LineOptions{}.with_name("solo"));
+  line->contact_schx("m0", "/bin/work");
+  auto work = line->import_proc("work", kWorkImport);
   const CallOptions legacy = CallOptions::legacy();
   EXPECT_DOUBLE_EQ(
       work->call({Value::real(3), Value::real(0)}, legacy).values_or_raise()[1]
           .as_real(),
       4.0);
-  // The wrapped handles are reachable for code mid-migration.
-  EXPECT_EQ(client->line(), client->as_line().id());
-  EXPECT_EQ(client->session().lines_opened(), 1);
-  client->quit();
+  EXPECT_EQ(&line->session(), session.get());
+  EXPECT_EQ(session->lines_opened(), 1);
+  line->quit();
 }
 
 }  // namespace

@@ -28,6 +28,9 @@ namespace {
 using meta::ChangeRecord;
 using meta::RecordKind;
 
+/// No deadline, one stale-binding retry: the historical call contract.
+const rpc::CallOptions kLegacy = rpc::CallOptions::legacy();
+
 // --- Pure-unit half ---------------------------------------------------------
 
 ChangeRecord line_create(std::int64_t line, const std::string& note) {
@@ -404,10 +407,13 @@ class MetaGroupTest : public ::testing::Test {
 TEST_F(MetaGroupTest, GroupBootsReplicatesAndAgreesOnDigest) {
   build({});
   ASSERT_EQ(system_->manager_replica_addresses().size(), 3u);
-  auto client = system_->make_client("avs", "boot test");
+  auto session = system_->make_session("avs");
+  auto client = session->open_line(rpc::LineOptions{}.with_name("boot test"));
   client->contact_schx("far", "/bin/echo");
   auto proc = client->import_proc("echo", kEchoImport);
-  uts::ValueList out = proc->call({uts::Value::real(21.0), uts::Value::real(0.0)});
+  uts::ValueList out = proc->call(
+      {uts::Value::real(21.0), uts::Value::real(0.0)}, kLegacy)
+          .values_or_raise();
   EXPECT_DOUBLE_EQ(out[1].as_real(), 42.0);
 
   // Followers mirror the leader's state machine, byte for byte.
@@ -420,11 +426,14 @@ TEST_F(MetaGroupTest, GroupBootsReplicatesAndAgreesOnDigest) {
 
 TEST_F(MetaGroupTest, LeaderKillFailsOverWithExportTableIntact) {
   build({});
-  auto client = system_->make_client("avs", "failover test");
+  auto session = system_->make_session("avs");
+  auto client = session->open_line(
+      rpc::LineOptions{}.with_name("failover test"));
   client->contact_schx("far", "/bin/echo");
   auto proc = client->import_proc("echo", kEchoImport);
   EXPECT_DOUBLE_EQ(
-      proc->call({uts::Value::real(1.0), uts::Value::real(0.0)})[1].as_real(),
+      proc->call({uts::Value::real(1.0), uts::Value::real(0.0)}, kLegacy)
+          .values_or_raise()[1].as_real(),
       2.0);
 
   const std::string before = converged_digest();
@@ -435,7 +444,8 @@ TEST_F(MetaGroupTest, LeaderKillFailsOverWithExportTableIntact) {
   // calls on the already-bound stub keep succeeding during the election.
   for (int i = 0; i < 20; ++i) {
     uts::ValueList out =
-        proc->call({uts::Value::real(i), uts::Value::real(0.0)});
+        proc->call({uts::Value::real(i), uts::Value::real(0.0)}, kLegacy)
+            .values_or_raise();
     EXPECT_DOUBLE_EQ(out[1].as_real(), 2.0 * i);
   }
   std::string new_leader = wait_for_leader();
@@ -450,7 +460,8 @@ TEST_F(MetaGroupTest, LeaderKillFailsOverWithExportTableIntact) {
   // lands on the new leader.
   proc->invalidate();
   EXPECT_DOUBLE_EQ(
-      proc->call({uts::Value::real(5.0), uts::Value::real(0.0)})[1].as_real(),
+      proc->call({uts::Value::real(5.0), uts::Value::real(0.0)}, kLegacy)
+          .values_or_raise()[1].as_real(),
       10.0);
 
   // The move-compat gate still holds after failover because the bound
@@ -460,7 +471,8 @@ TEST_F(MetaGroupTest, LeaderKillFailsOverWithExportTableIntact) {
   EXPECT_FALSE(moved.empty());
   proc->invalidate();
   EXPECT_DOUBLE_EQ(
-      proc->call({uts::Value::real(7.0), uts::Value::real(0.0)})[1].as_real(),
+      proc->call({uts::Value::real(7.0), uts::Value::real(0.0)}, kLegacy)
+          .values_or_raise()[1].as_real(),
       14.0);
 
   rpc::ManagerStats stats = system_->stats();
@@ -474,7 +486,9 @@ TEST_F(MetaGroupTest, SameSeedElectsTheSameLeader) {
   // scheduling. Run the same crash twice per seed.
   auto winner_index = [&](std::uint64_t seed) {
     build({.seed = seed});
-    auto client = system_->make_client("avs", "election determinism");
+    auto session = system_->make_session("avs");
+    auto client = session->open_line(
+        rpc::LineOptions{}.with_name("election determinism"));
     client->contact_schx("far", "/bin/echo");
     cluster_->crash_process(system_->manager_replica_addresses()[0]);
     std::string leader = wait_for_leader();
@@ -497,13 +511,16 @@ TEST_F(MetaGroupTest, SnapshotCompactionCoversFollowerCatchUp) {
   // follower that missed the compacted records can only recover through
   // the snapshot + log-tail path.
   build({.snapshot_interval = 4});
-  auto client = system_->make_client("avs", "snapshot test");
+  auto session = system_->make_session("avs");
+  auto client = session->open_line(
+      rpc::LineOptions{}.with_name("snapshot test"));
 
   // Isolate replica 2 from the rest of the control plane (the client and
   // worker machines stay fully connected).
   cluster_->partition({"m2"}, {"m0", "m1"});
   for (int i = 0; i < 3; ++i) {
-    auto extra = system_->make_client("avs", "filler " + std::to_string(i));
+    auto extra = session->open_line(
+        rpc::LineOptions{}.with_name("filler " + std::to_string(i)));
     extra->contact_schx("far", "/bin/echo");
     extra->quit();
   }
@@ -520,7 +537,9 @@ TEST_F(MetaGroupTest, SnapshotCompactionCoversFollowerCatchUp) {
 
 TEST_F(MetaGroupTest, PartitionedLeaderStepsDownAfterHeal) {
   build({});
-  auto client = system_->make_client("avs", "partition test");
+  auto session = system_->make_session("avs");
+  auto client = session->open_line(
+      rpc::LineOptions{}.with_name("partition test"));
   client->contact_schx("far", "/bin/echo");
 
   // Cut the leader off from both followers; they elect a successor.

@@ -26,6 +26,9 @@ namespace {
 
 using uts::Value;
 
+/// No deadline, one stale-binding retry: the historical call contract.
+const rpc::CallOptions kLegacy = rpc::CallOptions::legacy();
+
 TEST(ObsHistogram, BucketEdgesMinMaxAndOverflow) {
   obs::Histogram h({0.0, 10.0, 100.0});
   // Empty histogram reads as zeros, not the +/-infinity seeds.
@@ -168,7 +171,9 @@ TEST(ObsWire, TraceIdPropagatesAcrossRealTcpCall) {
                          "import inc prog(\"x\" val integer,"
                          " \"y\" res integer)",
                          "sun-sparc10");
-  uts::ValueList out = inc.call({Value::integer(41), Value::integer(0)});
+  uts::ValueList out =
+      inc.call({Value::integer(41), Value::integer(0)}, kLegacy)
+          .values_or_raise();
   EXPECT_EQ(out[1].as_integer(), 42);
 
   // The server-side span closes just after the reply is sent; poll

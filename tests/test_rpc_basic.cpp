@@ -16,6 +16,9 @@ using rpc::ProcedureImageOptions;
 using uts::Value;
 using uts::ValueList;
 
+/// No deadline, one stale-binding retry: the historical call contract.
+const rpc::CallOptions kLegacy = rpc::CallOptions::legacy();
+
 const char* kAddSpec = R"(
   export add prog(
     "x" val double,
@@ -54,11 +57,12 @@ class RpcBasicTest : public ::testing::Test {
 
 TEST_F(RpcBasicTest, CallRemoteProcedureOnSameSite) {
   cluster_.install_image("cray", "/npss/add", add_image());
-  auto client = system_->make_client("sparc", "test");
+  auto session = system_->make_session("sparc");
+  auto client = session->open_line(rpc::LineOptions{}.with_name("test"));
   client->contact_schx("cray", "/npss/add");
   auto add = client->import_proc("add", kAddImport);
   ValueList out = add->call({Value::real(2.5), Value::real(4.25),
-                             Value::real(0)});
+                             Value::real(0)}, kLegacy).values_or_raise();
   EXPECT_DOUBLE_EQ(out[2].as_real(), 6.75);
 }
 
@@ -66,11 +70,12 @@ TEST_F(RpcBasicTest, CallAcrossWanAdvancesVirtualClockMore) {
   cluster_.install_image("cray", "/npss/add", add_image());
   cluster_.install_image("rs6000", "/npss/add", add_image());
 
-  auto client_lan = system_->make_client("sparc", "lan");
+  auto session = system_->make_session("sparc");
+  auto client_lan = session->open_line(rpc::LineOptions{}.with_name("lan"));
   client_lan->contact_schx("cray", "/npss/add");
   auto add_lan = client_lan->import_proc("add", kAddImport);
 
-  auto client_wan = system_->make_client("sparc", "wan");
+  auto client_wan = session->open_line(rpc::LineOptions{}.with_name("wan"));
   client_wan->contact_schx("rs6000", "/npss/add");
   auto add_wan = client_wan->import_proc("add", kAddImport);
 
@@ -78,15 +83,19 @@ TEST_F(RpcBasicTest, CallAcrossWanAdvancesVirtualClockMore) {
   (void)lan_ep;
 
   // Warm both bindings, then compare per-call virtual time.
-  add_lan->call({Value::real(1), Value::real(2), Value::real(0)});
-  add_wan->call({Value::real(1), Value::real(2), Value::real(0)});
+  add_lan->call({Value::real(1), Value::real(2), Value::real(0)}, kLegacy)
+      .values_or_raise();
+  add_wan->call({Value::real(1), Value::real(2), Value::real(0)}, kLegacy)
+      .values_or_raise();
 
   auto& lan_clock = client_lan->io().endpoint().clock();
   auto& wan_clock = client_wan->io().endpoint().clock();
   const util::SimTime lan_before = lan_clock.now();
   const util::SimTime wan_before = wan_clock.now();
-  add_lan->call({Value::real(1), Value::real(2), Value::real(0)});
-  add_wan->call({Value::real(1), Value::real(2), Value::real(0)});
+  add_lan->call({Value::real(1), Value::real(2), Value::real(0)}, kLegacy)
+      .values_or_raise();
+  add_wan->call({Value::real(1), Value::real(2), Value::real(0)}, kLegacy)
+      .values_or_raise();
   const util::SimTime lan_cost = lan_clock.now() - lan_before;
   const util::SimTime wan_cost = wan_clock.now() - wan_before;
   EXPECT_GT(wan_cost, 10 * lan_cost)
@@ -97,20 +106,24 @@ TEST_F(RpcBasicTest, FortranNamesResolveAcrossCaseConventions) {
   // On the Cray the Fortran compiler upper-cases external names; the
   // importer should never need to know that (§4.1).
   cluster_.install_image("cray", "/npss/add", add_image());
-  auto client = system_->make_client("sparc", "case-test");
+  auto session = system_->make_session("sparc");
+  auto client = session->open_line(rpc::LineOptions{}.with_name("case-test"));
   rpc::StartResult result = client->contact_schx("cray", "/npss/add");
   ASSERT_FALSE(result.exports.empty());
   // The export list shows the upper-cased external name...
   EXPECT_EQ(result.exports[0].first, "ADD");
   // ...but the lower-case import still resolves.
   auto add = client->import_proc("add", kAddImport);
-  ValueList out = add->call({Value::real(1), Value::real(1), Value::real(0)});
+  ValueList out = add->call(
+      {Value::real(1), Value::real(1), Value::real(0)}, kLegacy)
+          .values_or_raise();
   EXPECT_DOUBLE_EQ(out[2].as_real(), 2.0);
 }
 
 TEST_F(RpcBasicTest, TypeCheckRejectsIncompatibleImport) {
   cluster_.install_image("cray", "/npss/add", add_image());
-  auto client = system_->make_client("sparc", "type-test");
+  auto session = system_->make_session("sparc");
+  auto client = session->open_line(rpc::LineOptions{}.with_name("type-test"));
   client->contact_schx("cray", "/npss/add");
   const char* bad_import = R"(
     import add prog(
@@ -120,7 +133,8 @@ TEST_F(RpcBasicTest, TypeCheckRejectsIncompatibleImport) {
   )";
   auto add = client->import_proc("add", bad_import);
   EXPECT_THROW(
-      add->call({Value::integer(1), Value::real(1), Value::real(0)}),
+      add->call({Value::integer(1), Value::real(1), Value::real(0)}, kLegacy)
+          .values_or_raise(),
       util::TypeMismatchError);
 }
 
@@ -145,7 +159,8 @@ TEST_F(RpcBasicTest, SubsetImportIsAccepted) {
                                                            (call.real("a") +
                                                             call.real("b")));
                                           }}}));
-  auto client = system_->make_client("sparc", "subset-test");
+  auto session = system_->make_session("sparc");
+  auto client = session->open_line(rpc::LineOptions{}.with_name("subset-test"));
   client->contact_schx("cray", "/npss/combo");
   const char* narrow_import = R"(
     import combo prog(
@@ -155,7 +170,8 @@ TEST_F(RpcBasicTest, SubsetImportIsAccepted) {
   )";
   auto combo = client->import_proc("combo", narrow_import);
   ValueList out =
-      combo->call({Value::real(3), Value::real(4), Value::real(0)});
+      combo->call({Value::real(3), Value::real(4), Value::real(0)}, kLegacy)
+          .values_or_raise();
   // Omitted "scale" arrives as the default (0 -> treated as 1 by handler).
   EXPECT_DOUBLE_EQ(out[2].as_real(), 7.0);
 }
@@ -164,37 +180,44 @@ TEST_F(RpcBasicTest, LinesIsolateNamesAndShutdown) {
   cluster_.install_image("cray", "/npss/add", add_image());
   cluster_.install_image("rs6000", "/npss/add", add_image());
 
-  auto line1 = system_->make_client("sparc", "line1");
-  auto line2 = system_->make_client("sparc", "line2");
+  auto session = system_->make_session("sparc");
+  auto line1 = session->open_line(rpc::LineOptions{}.with_name("line1"));
+  auto line2 = session->open_line(rpc::LineOptions{}.with_name("line2"));
   line1->contact_schx("cray", "/npss/add");
   line2->contact_schx("rs6000", "/npss/add");
 
   auto add1 = line1->import_proc("add", kAddImport);
   auto add2 = line2->import_proc("add", kAddImport);
   EXPECT_DOUBLE_EQ(
-      add1->call({Value::real(1), Value::real(2), Value::real(0)})[2]
+      add1->call({Value::real(1), Value::real(2), Value::real(0)}, kLegacy)
+          .values_or_raise()[2]
           .as_real(),
       3.0);
   EXPECT_DOUBLE_EQ(
-      add2->call({Value::real(3), Value::real(4), Value::real(0)})[2]
+      add2->call({Value::real(3), Value::real(4), Value::real(0)}, kLegacy)
+          .values_or_raise()[2]
           .as_real(),
       7.0);
 
   // Quitting line1 must not disturb line2 (§4.2 shutdown semantics).
   line1->quit();
   EXPECT_DOUBLE_EQ(
-      add2->call({Value::real(5), Value::real(6), Value::real(0)})[2]
+      add2->call({Value::real(5), Value::real(6), Value::real(0)}, kLegacy)
+          .values_or_raise()[2]
           .as_real(),
       11.0);
   // ... but line1's import is now unusable.
-  EXPECT_THROW(add1->call({Value::real(0), Value::real(0), Value::real(0)}),
+  EXPECT_THROW(add1->call(
+      {Value::real(0), Value::real(0), Value::real(0)}, kLegacy)
+          .values_or_raise(),
                util::Error);
 }
 
 TEST_F(RpcBasicTest, DuplicateNamesAllowedAcrossLinesNotWithin) {
   cluster_.install_image("cray", "/npss/add", add_image());
-  auto line1 = system_->make_client("sparc", "dup1");
-  auto line2 = system_->make_client("sparc", "dup2");
+  auto session = system_->make_session("sparc");
+  auto line1 = session->open_line(rpc::LineOptions{}.with_name("dup1"));
+  auto line2 = session->open_line(rpc::LineOptions{}.with_name("dup2"));
   line1->contact_schx("cray", "/npss/add");
   EXPECT_NO_THROW(line2->contact_schx("cray", "/npss/add"));
   // Second instance in the *same* line collides.
@@ -204,12 +227,15 @@ TEST_F(RpcBasicTest, DuplicateNamesAllowedAcrossLinesNotWithin) {
 
 TEST_F(RpcBasicTest, SharedProcedureVisibleFromEveryLine) {
   cluster_.install_image("cray", "/npss/add", add_image());
-  auto owner = system_->make_client("sparc", "shared-owner");
+  auto session = system_->make_session("sparc");
+  auto owner = session->open_line(rpc::LineOptions{}.with_name("shared-owner"));
   owner->contact_schx("cray", "/npss/add", /*shared=*/true);
 
-  auto other = system_->make_client("sparc", "shared-user");
+  auto other = session->open_line(rpc::LineOptions{}.with_name("shared-user"));
   auto add = other->import_proc("add", kAddImport);
-  ValueList out = add->call({Value::real(8), Value::real(9), Value::real(0)});
+  ValueList out = add->call(
+      {Value::real(8), Value::real(9), Value::real(0)}, kLegacy)
+          .values_or_raise();
   EXPECT_DOUBLE_EQ(out[2].as_real(), 17.0);
 }
 
@@ -217,10 +243,12 @@ TEST_F(RpcBasicTest, MigrationWithStaleCacheRecovery) {
   cluster_.install_image("cray", "/npss/add", add_image());
   cluster_.install_image("rs6000", "/npss/add", add_image());
 
-  auto client = system_->make_client("sparc", "mover");
+  auto session = system_->make_session("sparc");
+  auto client = session->open_line(rpc::LineOptions{}.with_name("mover"));
   client->contact_schx("cray", "/npss/add");
   auto add = client->import_proc("add", kAddImport);
-  add->call({Value::real(1), Value::real(1), Value::real(0)});
+  add->call({Value::real(1), Value::real(1), Value::real(0)}, kLegacy)
+      .values_or_raise();
   EXPECT_EQ(add->lookups(), 1);
   EXPECT_EQ(add->stale_retries(), 0);
 
@@ -228,7 +256,9 @@ TEST_F(RpcBasicTest, MigrationWithStaleCacheRecovery) {
 
   // The stub's cache is now stale: the next call fails over to the
   // Manager and retries (§4.2).
-  ValueList out = add->call({Value::real(2), Value::real(3), Value::real(0)});
+  ValueList out = add->call(
+      {Value::real(2), Value::real(3), Value::real(0)}, kLegacy)
+          .values_or_raise();
   EXPECT_DOUBLE_EQ(out[2].as_real(), 5.0);
   EXPECT_EQ(add->stale_retries(), 1);
   EXPECT_EQ(add->lookups(), 2);
@@ -260,23 +290,27 @@ TEST_F(RpcBasicTest, NestedCallAcrossMachines) {
                                 {{"helper", [](ProcCall& call) {
                                     call.set_real("y", call.real("x") + 10.0);
                                   }}}));
-  auto client = system_->make_client("sparc", "nested");
+  auto session = system_->make_session("sparc");
+  auto client = session->open_line(rpc::LineOptions{}.with_name("nested"));
   client->contact_schx("cray", "/npss/outer");
   client->contact_schx("rs6000", "/npss/helper");
   auto outer = client->import_proc(
       "outer", "import outer prog(\"x\" val double, \"y\" res double)");
-  ValueList out = outer->call({Value::real(5), Value::real(0)});
+  ValueList out = outer->call({Value::real(5), Value::real(0)}, kLegacy)
+      .values_or_raise();
   EXPECT_DOUBLE_EQ(out[1].as_real(), 30.0);  // (5 + 10) * 2
 }
 
 TEST_F(RpcBasicTest, ManagerPersistsAcrossRuns) {
   cluster_.install_image("cray", "/npss/add", add_image());
   for (int run = 0; run < 3; ++run) {
-    auto client = system_->make_client("sparc", "run");
+    auto session = system_->make_session("sparc");
+    auto client = session->open_line(rpc::LineOptions{}.with_name("run"));
     client->contact_schx("cray", "/npss/add");
     auto add = client->import_proc("add", kAddImport);
     ValueList out =
-        add->call({Value::real(run), Value::real(run), Value::real(0)});
+        add->call({Value::real(run), Value::real(run), Value::real(0)}, kLegacy)
+            .values_or_raise();
     EXPECT_DOUBLE_EQ(out[2].as_real(), 2.0 * run);
     client->quit();
   }
@@ -285,14 +319,17 @@ TEST_F(RpcBasicTest, ManagerPersistsAcrossRuns) {
 }
 
 TEST_F(RpcBasicTest, LookupFailureIsReported) {
-  auto client = system_->make_client("sparc", "missing");
+  auto session = system_->make_session("sparc");
+  auto client = session->open_line(rpc::LineOptions{}.with_name("missing"));
   auto ghost = client->import_proc(
       "ghost", "import ghost prog(\"x\" val double)");
-  EXPECT_THROW(ghost->call({Value::real(1)}), util::LookupError);
+  EXPECT_THROW(ghost->call({Value::real(1)}, kLegacy)
+      .values_or_raise(), util::LookupError);
 }
 
 TEST_F(RpcBasicTest, StartFailsForUnknownImage) {
-  auto client = system_->make_client("sparc", "bad-path");
+  auto session = system_->make_session("sparc");
+  auto client = session->open_line(rpc::LineOptions{}.with_name("bad-path"));
   EXPECT_THROW(client->contact_schx("cray", "/no/such/file"), util::Error);
 }
 

@@ -10,6 +10,9 @@ namespace {
 
 using uts::Value;
 
+/// No deadline, one stale-binding retry: the historical call contract.
+const rpc::CallOptions kLegacy = rpc::CallOptions::legacy();
+
 class RpcEdgeTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -33,22 +36,26 @@ TEST_F(RpcEdgeTest, LineLocalBindingShadowsSharedOne) {
   cluster_.install_image("m1", "/bin/shared-who", tagged_image("shared"));
   cluster_.install_image("m2", "/bin/local-who", tagged_image("line-local"));
 
-  auto owner = system_->make_client("host", "shared-owner");
+  auto session = system_->make_session("host");
+  auto owner = session->open_line(rpc::LineOptions{}.with_name("shared-owner"));
   owner->contact_schx("m1", "/bin/shared-who", /*shared=*/true);
 
   // A line with its own 'whoami' must resolve its own (§4.2: line first,
   // then the shared database).
-  auto line = system_->make_client("host", "with-local");
+  auto line = session->open_line(rpc::LineOptions{}.with_name("with-local"));
   line->contact_schx("m2", "/bin/local-who");
   auto who = line->import_proc("whoami",
                                "import whoami prog(\"tag\" res string)");
-  EXPECT_EQ(who->call({Value::str("")})[0].as_string(), "line-local");
+  EXPECT_EQ(who->call({Value::str("")}, kLegacy)
+      .values_or_raise()[0].as_string(), "line-local");
 
   // A line without one falls through to the shared database.
-  auto other = system_->make_client("host", "without-local");
+  auto other = session->open_line(
+      rpc::LineOptions{}.with_name("without-local"));
   auto who2 = other->import_proc("whoami",
                                  "import whoami prog(\"tag\" res string)");
-  EXPECT_EQ(who2->call({Value::str("")})[0].as_string(), "shared");
+  EXPECT_EQ(who2->call({Value::str("")}, kLegacy)
+      .values_or_raise()[0].as_string(), "shared");
 }
 
 TEST_F(RpcEdgeTest, SubsetImportMayDropResultParameters) {
@@ -61,12 +68,14 @@ TEST_F(RpcEdgeTest, SubsetImportMayDropResultParameters) {
               c.set_real("twice", 2 * c.real("x"));
               c.set_real("square", c.real("x") * c.real("x"));
             }}}));
-  auto client = system_->make_client("host", "narrow");
+  auto session = system_->make_session("host");
+  auto client = session->open_line(rpc::LineOptions{}.with_name("narrow"));
   client->contact_schx("m1", "/bin/stats");
   // The import asks only for 'square'; 'twice' never crosses the wire.
   auto stats = client->import_proc(
       "stats", "import stats prog(\"x\" val double, \"square\" res double)");
-  uts::ValueList out = stats->call({Value::real(7), Value::real(0)});
+  uts::ValueList out = stats->call({Value::real(7), Value::real(0)}, kLegacy)
+      .values_or_raise();
   ASSERT_EQ(out.size(), 2u);
   EXPECT_DOUBLE_EQ(out[1].as_real(), 49.0);
 }
@@ -82,13 +91,16 @@ TEST_F(RpcEdgeTest, VarArraysTravelBothWaysThroughCrayWords) {
               for (double& x : xs) x *= c.real("k");
               c.set("xs", Value::real_array(xs));
             }}}));
-  auto client = system_->make_client("host", "var-array");
+  auto session = system_->make_session("host");
+  auto client = session->open_line(rpc::LineOptions{}.with_name("var-array"));
   client->contact_schx("m2", "/bin/scale");
   auto scale = client->import_proc(
       "scale",
       "import scale prog(\"xs\" var array[8] of double, \"k\" val double)");
   std::vector<double> xs{1, 2, 3, 4, 5, 6, 7, 8};
-  uts::ValueList out = scale->call({Value::real_array(xs), Value::real(3)});
+  uts::ValueList out = scale->call(
+      {Value::real_array(xs), Value::real(3)}, kLegacy)
+          .values_or_raise();
   std::vector<double> back = out[0].as_real_vector();
   for (int i = 0; i < 8; ++i) {
     // Cray words carry 48-bit mantissas; these small integers are exact.
@@ -103,10 +115,11 @@ TEST_F(RpcEdgeTest, EmptySignatureProcedure) {
       "m1", "/bin/tick",
       make_procedure_image("export tick prog()",
                            {{"tick", [](ProcCall&) { ++fired; }}}));
-  auto client = system_->make_client("host", "ticker");
+  auto session = system_->make_session("host");
+  auto client = session->open_line(rpc::LineOptions{}.with_name("ticker"));
   client->contact_schx("m1", "/bin/tick");
   auto tick = client->import_proc("tick", "import tick prog()");
-  uts::ValueList out = tick->call({});
+  uts::ValueList out = tick->call({}, kLegacy).values_or_raise();
   EXPECT_TRUE(out.empty());
   EXPECT_EQ(fired, 1);
 }
@@ -120,7 +133,8 @@ TEST_F(RpcEdgeTest, CaseSynonymCollisionWithinLineRejected) {
       make_procedure_image(
           "export WHOAMI prog(\"tag\" res string)",
           {{"WHOAMI", [](ProcCall& c) { c.set("tag", Value::str("UP")); }}}));
-  auto client = system_->make_client("host", "collide");
+  auto session = system_->make_session("host");
+  auto client = session->open_line(rpc::LineOptions{}.with_name("collide"));
   client->contact_schx("m1", "/bin/lower");
   EXPECT_THROW(client->contact_schx("m2", "/bin/upper"),
                util::DuplicateNameError);
@@ -137,14 +151,16 @@ TEST_F(RpcEdgeTest, ByteAndStringParamsSurviveTheWire) {
                     Value::str(c.arg("name").as_string() + ":" +
                                std::to_string(c.arg("flag").as_byte())));
             }}}));
-  auto client = system_->make_client("host", "packer");
+  auto session = system_->make_session("host");
+  auto client = session->open_line(rpc::LineOptions{}.with_name("packer"));
   client->contact_schx("m2", "/bin/pack");
   auto pack = client->import_proc(
       "pack",
       "import pack prog(\"flag\" val byte, \"name\" val string, "
       "\"summary\" res string)");
   uts::ValueList out = pack->call(
-      {Value::byte(200), Value::str("f100 engine"), Value::str("")});
+      {Value::byte(200), Value::str("f100 engine"), Value::str("")}, kLegacy)
+          .values_or_raise();
   EXPECT_EQ(out[2].as_string(), "f100 engine:200");
 }
 

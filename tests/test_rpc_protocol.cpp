@@ -14,6 +14,9 @@ namespace {
 using uts::Value;
 using uts::ValueList;
 
+/// No deadline, one stale-binding retry: the historical call contract.
+const rpc::CallOptions kLegacy = rpc::CallOptions::legacy();
+
 // --- Message codec ---------------------------------------------------------------
 
 TEST(MessageCodec, RoundTripsAllFields) {
@@ -114,19 +117,23 @@ TEST_F(RpcProtocolTest, StateTransferMigrationPreservesCounter) {
   cluster_.install_image("m1", "/bin/counter", counter_image(state1));
   cluster_.install_image("m2", "/bin/counter", counter_image(state2));
 
-  auto client = system_->make_client("host", "counter");
+  auto session = system_->make_session("host");
+  auto client = session->open_line(rpc::LineOptions{}.with_name("counter"));
   client->contact_schx("m1", "/bin/counter");
   auto bump = client->import_proc("bump", kCounterImport);
-  EXPECT_EQ(bump->call({Value::integer(5), Value::integer(0)})[1]
+  EXPECT_EQ(bump->call({Value::integer(5), Value::integer(0)}, kLegacy)
+      .values_or_raise()[1]
                 .as_integer(),
             5);
-  EXPECT_EQ(bump->call({Value::integer(2), Value::integer(0)})[1]
+  EXPECT_EQ(bump->call({Value::integer(2), Value::integer(0)}, kLegacy)
+      .values_or_raise()[1]
                 .as_integer(),
             7);
 
   // Move *with* state transfer: the counter continues from 7 on m2.
   client->move_proc("bump", "m2", "/bin/counter", /*transfer_state=*/true);
-  EXPECT_EQ(bump->call({Value::integer(1), Value::integer(0)})[1]
+  EXPECT_EQ(bump->call({Value::integer(1), Value::integer(0)}, kLegacy)
+      .values_or_raise()[1]
                 .as_integer(),
             8);
   EXPECT_EQ(*state2, 8);
@@ -138,13 +145,15 @@ TEST_F(RpcProtocolTest, StatelessMigrationRestartsFresh) {
   cluster_.install_image("m1", "/bin/counter", counter_image(state1));
   cluster_.install_image("m2", "/bin/counter", counter_image(state2));
 
-  auto client = system_->make_client("host", "counter");
+  auto session = system_->make_session("host");
+  auto client = session->open_line(rpc::LineOptions{}.with_name("counter"));
   client->contact_schx("m1", "/bin/counter");
   auto bump = client->import_proc("bump", kCounterImport);
-  bump->call({Value::integer(5), Value::integer(0)});
+  bump->call({Value::integer(5), Value::integer(0)}, kLegacy).values_or_raise();
 
   client->move_proc("bump", "m2", "/bin/counter", /*transfer_state=*/false);
-  EXPECT_EQ(bump->call({Value::integer(1), Value::integer(0)})[1]
+  EXPECT_EQ(bump->call({Value::integer(1), Value::integer(0)}, kLegacy)
+      .values_or_raise()[1]
                 .as_integer(),
             1)
       << "without state transfer the procedure restarts from scratch";
@@ -156,23 +165,26 @@ TEST_F(RpcProtocolTest, SharedProcedureMoveUpdatesAllLines) {
   auto state_b = std::make_shared<std::int64_t>(100);
   cluster_.install_image("m2", "/bin/counter", counter_image(state_b));
 
-  auto owner = system_->make_client("host", "owner");
+  auto session = system_->make_session("host");
+  auto owner = session->open_line(rpc::LineOptions{}.with_name("owner"));
   owner->contact_schx("m1", "/bin/counter", /*shared=*/true);
 
-  auto user1 = system_->make_client("host", "user1");
-  auto user2 = system_->make_client("host", "user2");
+  auto user1 = session->open_line(rpc::LineOptions{}.with_name("user1"));
+  auto user2 = session->open_line(rpc::LineOptions{}.with_name("user2"));
   auto b1 = user1->import_proc("bump", kCounterImport);
   auto b2 = user2->import_proc("bump", kCounterImport);
-  b1->call({Value::integer(1), Value::integer(0)});
-  b2->call({Value::integer(1), Value::integer(0)});
+  b1->call({Value::integer(1), Value::integer(0)}, kLegacy).values_or_raise();
+  b2->call({Value::integer(1), Value::integer(0)}, kLegacy).values_or_raise();
   EXPECT_EQ(*state, 2);
 
   // Owner moves the shared procedure; both users' caches recover.
   owner->move_proc("bump", "m2", "/bin/counter", /*transfer_state=*/true);
-  EXPECT_EQ(b1->call({Value::integer(1), Value::integer(0)})[1]
+  EXPECT_EQ(b1->call({Value::integer(1), Value::integer(0)}, kLegacy)
+      .values_or_raise()[1]
                 .as_integer(),
             3);
-  EXPECT_EQ(b2->call({Value::integer(1), Value::integer(0)})[1]
+  EXPECT_EQ(b2->call({Value::integer(1), Value::integer(0)}, kLegacy)
+      .values_or_raise()[1]
                 .as_integer(),
             4);
   EXPECT_EQ(b1->stale_retries(), 1);
@@ -197,13 +209,16 @@ TEST_F(RpcProtocolTest, ConcurrentLinesRunIndependently) {
   std::vector<std::int64_t> totals(kLines, 0);
   for (int i = 0; i < kLines; ++i) {
     threads.emplace_back([&, i] {
-      auto client =
-          system_->make_client("host", "line" + std::to_string(i));
+      auto session = system_->make_session("host");
+      auto client = session->open_line(
+          rpc::LineOptions{}.with_name("line" + std::to_string(i)));
       client->contact_schx(i % 2 ? "m1" : "m2",
                            "/bin/counter" + std::to_string(i));
       auto bump = client->import_proc("bump", kCounterImport);
       for (int c = 0; c < kCallsPerLine; ++c) {
-        totals[i] = bump->call({Value::integer(i + 1), Value::integer(0)})[1]
+        totals[i] = bump->call(
+            {Value::integer(i + 1), Value::integer(0)}, kLegacy)
+                .values_or_raise()[1]
                         .as_integer();
       }
       client->quit();
@@ -227,16 +242,19 @@ TEST_F(RpcProtocolTest, VarParametersTravelBothWays) {
                                      call.set_real("x", call.real("x") *
                                                             call.real("k"));
                                    }}}));
-  auto client = system_->make_client("host", "var-test");
+  auto session = system_->make_session("host");
+  auto client = session->open_line(rpc::LineOptions{}.with_name("var-test"));
   client->contact_schx("m1", "/bin/scale");
   auto scale = client->import_proc(
       "scale", "import scale prog(\"x\" var double, \"k\" val double)");
-  ValueList out = scale->call({Value::real(3.0), Value::real(4.0)});
+  ValueList out = scale->call({Value::real(3.0), Value::real(4.0)}, kLegacy)
+      .values_or_raise();
   EXPECT_DOUBLE_EQ(out[0].as_real(), 12.0);
 }
 
 TEST_F(RpcProtocolTest, ManagerAnswersPing) {
-  auto client = system_->make_client("host", "pinger");
+  auto session = system_->make_session("host");
+  auto client = session->open_line(rpc::LineOptions{}.with_name("pinger"));
   Message pong = client->io().call(system_->manager_address(),
                                    Message{.kind = MessageKind::kPing});
   EXPECT_EQ(pong.kind, MessageKind::kPong);
@@ -247,11 +265,13 @@ TEST_F(RpcProtocolTest, RuntimeTypeCheckHappensAtBindTime) {
       "m1", "/bin/one",
       make_procedure_image("export one prog(\"x\" val double)",
                            {{"one", [](ProcCall&) {}}}));
-  auto client = system_->make_client("host", "bind-check");
+  auto session = system_->make_session("host");
+  auto client = session->open_line(rpc::LineOptions{}.with_name("bind-check"));
   client->contact_schx("m1", "/bin/one");
   auto bad = client->import_proc("one",
                                  "import one prog(\"x\" val integer)");
-  EXPECT_THROW(bad->call({Value::integer(1)}), util::TypeMismatchError);
+  EXPECT_THROW(bad->call({Value::integer(1)}, kLegacy)
+      .values_or_raise(), util::TypeMismatchError);
   EXPECT_EQ(system_->stats().type_check_failures, 1u);
 }
 

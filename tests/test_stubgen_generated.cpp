@@ -14,6 +14,10 @@
 namespace npss {
 namespace {
 
+/// No deadline, one stale-binding retry: the historical call contract.
+const rpc::CallOptions kLegacy = rpc::CallOptions::legacy();
+
+
 class StubgenGeneratedTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -28,7 +32,9 @@ class StubgenGeneratedTest : public ::testing::Test {
 };
 
 TEST_F(StubgenGeneratedTest, GeneratedClientStubCallsShaft) {
-  auto client = system_->make_client("sparc", "stubgen-test");
+  auto session = system_->make_session("sparc");
+  auto client = session->open_line(
+      rpc::LineOptions{}.with_name("stubgen-test"));
   client->contact_schx("cray", glue::kShaftPath);
 
   SetshaftStub setshaft(*client);
@@ -69,7 +75,9 @@ TEST_F(StubgenGeneratedTest, GeneratedServerStubDispatches) {
             stats = {call_count, x};
           })}));
 
-  auto client = system_->make_client("sparc", "server-stub-test");
+  auto session = system_->make_session("sparc");
+  auto client = session->open_line(
+      rpc::LineOptions{}.with_name("server-stub-test"));
   client->contact_schx("cray", "/test/probe");
   auto probe = client->import_proc(
       "probe",
@@ -78,7 +86,8 @@ TEST_F(StubgenGeneratedTest, GeneratedServerStubDispatches) {
       "\"sum\": double end)");
   uts::ValueList out = probe->call(
       {uts::Value::real(21.0), uts::Value::str("abc"), uts::Value::real(0),
-       uts::Value::record({uts::Value::integer(0), uts::Value::real(0)})});
+       uts::Value::record({uts::Value::integer(0), uts::Value::real(0)})},
+      kLegacy).values_or_raise();
   EXPECT_DOUBLE_EQ(out[2].as_real(), 45.0);
   EXPECT_EQ(out[3].items()[0].as_integer(), 1);
   EXPECT_DOUBLE_EQ(out[3].items()[1].as_real(), 21.0);

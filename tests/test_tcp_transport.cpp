@@ -9,7 +9,10 @@
 #include <atomic>
 #include <cmath>
 #include <thread>
+#include <tuple>
 
+#include "obs/metrics.hpp"
+#include "rpc/schooner.hpp"
 #include "rpc/tcp_transport.hpp"
 #include "tess/components.hpp"
 
@@ -17,6 +20,9 @@ namespace npss::rpc {
 namespace {
 
 using uts::Value;
+
+/// No deadline, one stale-binding retry: the historical call contract.
+const rpc::CallOptions kLegacy = rpc::CallOptions::legacy();
 
 const char* kShaftSpec = R"(
   export shaft prog(
@@ -64,7 +70,7 @@ TEST(TcpTransport, ShaftCallOverRealSockets) {
       {Value::real_array({1.0e6, 100.0, 1.0e4, 0.85}), Value::integer(1),
        Value::real_array({1.2e6, 100.0, 1.2e4, 0.88}), Value::integer(1),
        Value::real(1.0), Value::real(10000.0), Value::real(40.0),
-       Value::real(0)});
+       Value::real(0)}, kLegacy).values_or_raise();
 
   const double ecom[4] = {1.0e6, 100.0, 1.0e4, 0.85};
   const double etur[4] = {1.2e6, 100.0, 1.2e4, 0.88};
@@ -84,7 +90,9 @@ TEST(TcpTransport, ManySequentialCallsOnOneConnection) {
                     "import inc prog(\"x\" val integer, \"y\" res integer)",
                     "sun-sparc10");
   for (int i = 0; i < 200; ++i) {
-    uts::ValueList out = inc.call({Value::integer(i), Value::integer(0)});
+    uts::ValueList out = inc.call(
+        {Value::integer(i), Value::integer(0)}, kLegacy)
+            .values_or_raise();
     ASSERT_EQ(out[1].as_integer(), i + 1);
   }
   EXPECT_EQ(host.calls(), 200);
@@ -108,7 +116,9 @@ TEST(TcpTransport, ConcurrentClientsAreServedIndependently) {
       bool all = true;
       for (int i = 0; i < 50; ++i) {
         const double x = t * 100.0 + i;
-        uts::ValueList out = square.call({Value::real(x), Value::real(0)});
+        uts::ValueList out = square.call(
+            {Value::real(x), Value::real(0)}, kLegacy)
+                .values_or_raise();
         all = all && out[1].as_real() == x * x;
       }
       ok[t] = all;
@@ -130,12 +140,15 @@ TEST(TcpTransport, RemoteErrorsArriveTyped) {
   TcpRemoteProc root("127.0.0.1", host.port(), "root",
                      "import root prog(\"x\" val double, \"y\" res double)",
                      "sun-sparc10");
-  EXPECT_DOUBLE_EQ(root.call({Value::real(9), Value::real(0)})[1].as_real(),
+  EXPECT_DOUBLE_EQ(root.call({Value::real(9), Value::real(0)}, kLegacy)
+      .values_or_raise()[1].as_real(),
                    3.0);
-  EXPECT_THROW(root.call({Value::real(-4), Value::real(0)}),
+  EXPECT_THROW(root.call({Value::real(-4), Value::real(0)}, kLegacy)
+      .values_or_raise(),
                util::ModelError);
   // The connection survives an application error.
-  EXPECT_DOUBLE_EQ(root.call({Value::real(16), Value::real(0)})[1].as_real(),
+  EXPECT_DOUBLE_EQ(root.call({Value::real(16), Value::real(0)}, kLegacy)
+      .values_or_raise()[1].as_real(),
                    4.0);
 }
 
@@ -145,11 +158,13 @@ TEST(TcpTransport, UnknownProcedureAndBadSignature) {
       {{"f", [](ProcCall&) {}}}, "sun-sparc10");
   TcpRemoteProc ghost("127.0.0.1", host.port(), "g",
                       "import g prog(\"x\" val double)", "sun-sparc10");
-  EXPECT_THROW(ghost.call({Value::real(1)}), util::LookupError);
+  EXPECT_THROW(ghost.call({Value::real(1)}, kLegacy)
+      .values_or_raise(), util::LookupError);
 
   TcpRemoteProc wrong("127.0.0.1", host.port(), "f",
                       "import f prog(\"x\" val integer)", "sun-sparc10");
-  EXPECT_THROW(wrong.call({Value::integer(1)}), util::TypeMismatchError);
+  EXPECT_THROW(wrong.call({Value::integer(1)}, kLegacy)
+      .values_or_raise(), util::TypeMismatchError);
 }
 
 TEST(TcpTransport, CrayPersonalityQuantizesOnTheServer) {
@@ -161,7 +176,8 @@ TEST(TcpTransport, CrayPersonalityQuantizesOnTheServer) {
   TcpRemoteProc echo("127.0.0.1", host.port(), "echo",
                      "import echo prog(\"x\" var double)", "sun-sparc10");
   const double fine = 1.0 + std::ldexp(1.0, -52);
-  uts::ValueList out = echo.call({Value::real(fine)});
+  uts::ValueList out = echo.call({Value::real(fine)}, kLegacy)
+      .values_or_raise();
   EXPECT_EQ(out[0].as_real(), 1.0) << "Cray word cannot hold 2^-52";
 }
 
@@ -203,8 +219,10 @@ TEST(TcpTransport, StubsToOneHostShareThePooledConnection) {
   TcpRemoteProc b("127.0.0.1", host.port(), "inc",
                   "import inc prog(\"x\" val integer, \"y\" res integer)",
                   "sun-sparc10");
-  EXPECT_EQ(a.call({Value::integer(1), Value::integer(0)})[1].as_integer(), 2);
-  EXPECT_EQ(b.call({Value::integer(2), Value::integer(0)})[1].as_integer(), 3);
+  EXPECT_EQ(a.call({Value::integer(1), Value::integer(0)}, kLegacy)
+      .values_or_raise()[1].as_integer(), 2);
+  EXPECT_EQ(b.call({Value::integer(2), Value::integer(0)}, kLegacy)
+      .values_or_raise()[1].as_integer(), 3);
   // One pooled channel per host:port — both stubs rode the same socket.
   auto c1 = bus::TcpBus::instance().channel("127.0.0.1", host.port());
   auto c2 = bus::TcpBus::instance().channel("127.0.0.1", host.port());
@@ -217,6 +235,114 @@ TEST(TcpTransport, ConnectionToNowhereFailsFast) {
                              "import f prog(\"x\" val double)",
                              "sun-sparc10"),
                util::CallError);
+}
+
+// A pipelined call marshals the same request and reply as a lock-step
+// one, so both count request and reply bytes alike.
+TEST(TcpTransport, PipelinedAndLockStepCountTheSameMarshaledBytes) {
+  TcpProcedureHost host(
+      "export inc prog(\"x\" val integer, \"y\" res integer)",
+      {{"inc", [](ProcCall& c) {
+          c.set("y", Value::integer(c.integer("x") + 1));
+        }}},
+      "sun-sparc10");
+  TcpRemoteProc inc("127.0.0.1", host.port(), "inc",
+                    "import inc prog(\"x\" val integer, \"y\" res integer)",
+                    "sun-sparc10");
+  const obs::Counter& bytes =
+      obs::Registry::global().counter("rpc.client.bytes_marshaled");
+  const uts::ValueList args = {Value::integer(7), Value::integer(0)};
+
+  const std::uint64_t start = bytes.value();
+  ASSERT_TRUE(inc.call(args, kLegacy).ok());
+  const std::uint64_t lockstep = bytes.value() - start;
+  ASSERT_TRUE(inc.call_async(args).get().ok());
+  const std::uint64_t pipelined = bytes.value() - start - lockstep;
+  EXPECT_GT(lockstep, 0u);
+  EXPECT_EQ(pipelined, lockstep);
+}
+
+// One export served by both procedure hosts — the cluster image and the
+// TCP host — answers a subset import, an unknown procedure and an
+// incompatible import identically: same values, same codes, same text.
+TEST(HostParity, ClusterAndTcpHostsServeOneExportAlike) {
+  const char* spec = R"(
+    export stats prog(
+        "x" val double,
+        "scale" val double,
+        "y" res double,
+        "tag" res integer)
+  )";
+  const auto handler = [](ProcCall& c) {
+    c.set_real("y", 2.0 * c.real("x") + c.real("scale"));
+    c.set("tag", Value::integer(7));
+  };
+  const std::string subset =
+      "import stats prog(\"x\" val double, \"y\" res double)";
+  const std::string unknown =
+      "import ghost prog(\"x\" val double, \"y\" res double)";
+  const std::string incompatible =
+      "import stats prog(\"x\" val integer, \"y\" res double)";
+
+  sim::Cluster cluster;
+  cluster.add_machine("m", "sun-sparc10", "site");
+  cluster.install_image("m", "/bin/stats",
+                        make_procedure_image(spec, {{"stats", handler}}));
+  SchoonerSystem system(cluster, "m");
+  auto session = system.make_session("m");
+  auto line = session->open_line(LineOptions{}.with_name("parity"));
+  const std::string address = line->contact_schx("m", "/bin/stats").address;
+  // Straight to the cluster host, past the Manager's own lookup and
+  // compatibility gate, so the two hosts face the very same requests.
+  auto cluster_call = [&](const std::string& name, const std::string& text,
+                          const uts::ValueList& args) {
+    const uts::ProcDecl decl = uts::parse_spec(text).find(name);
+    Message msg;
+    msg.kind = MessageKind::kCall;
+    msg.line = line->id();
+    msg.a = name;
+    msg.b = uts::decl_to_string(decl);
+    msg.blob = uts::compile_plan(decl.signature, uts::Direction::kRequest)
+                   ->marshal(line->arch(), args);
+    return line->io().call(address, std::move(msg), /*raise_errors=*/false);
+  };
+
+  TcpProcedureHost host(spec, {{"stats", handler}}, "sun-sparc10");
+  auto tcp_call = [&](const std::string& name, const std::string& text,
+                      const uts::ValueList& args) {
+    TcpRemoteProc proc("127.0.0.1", host.port(), name, text, "sun-sparc10");
+    return proc.call(args, kLegacy);
+  };
+
+  const uts::ValueList args = {Value::real(1.5), Value::real(0)};
+  auto stub = line->import_proc("stats", subset);
+  const CallResult via_cluster = stub->call(args, kLegacy);
+  const CallResult via_tcp = tcp_call("stats", subset, args);
+  ASSERT_TRUE(via_cluster.ok()) << via_cluster.status.to_string();
+  ASSERT_TRUE(via_tcp.ok()) << via_tcp.status.to_string();
+  ASSERT_EQ(via_tcp.values.size(), 2u);
+  EXPECT_DOUBLE_EQ(via_tcp.values[1].as_real(), 3.0);  // scale defaulted
+  EXPECT_EQ(via_cluster.values, via_tcp.values);
+
+  const uts::ValueList int_args = {Value::integer(1), Value::real(0)};
+  for (const auto& [name, text, call_args, code] :
+       {std::tuple{std::string("ghost"), unknown, args,
+                   util::ErrorCode::kLookupFailure},
+        std::tuple{std::string("stats"), incompatible, int_args,
+                   util::ErrorCode::kTypeMismatch}}) {
+    SCOPED_TRACE(text);
+    const Message reply = cluster_call(name, text, call_args);
+    const CallResult result = tcp_call(name, text, call_args);
+    ASSERT_TRUE(reply.is_error());
+    EXPECT_EQ(static_cast<util::ErrorCode>(reply.n), code);
+    EXPECT_EQ(result.status.code(), code);
+    EXPECT_EQ(result.status.message(), reply.a);
+  }
+  const CallResult mismatch = tcp_call("stats", incompatible, int_args);
+  EXPECT_NE(mismatch.status.message().find("call to 'stats': "),
+            std::string::npos)
+      << mismatch.status.message();
+  line->quit();
 }
 
 }  // namespace

@@ -25,6 +25,9 @@ using check::RunOptions;
 using check::RunResult;
 using check::Severity;
 
+/// No deadline, one stale-binding retry: the historical call contract.
+const rpc::CallOptions kLegacy = rpc::CallOptions::legacy();
+
 std::string read_file(const std::string& path) {
   std::ifstream in(path);
   EXPECT_TRUE(in) << "cannot open " << path;
@@ -223,11 +226,13 @@ TEST(StrictManager, MatchingManifestPassesAndCallsWork) {
   rpc::SchoonerSystem system(cluster, "sparc", std::move(options));
 
   cluster.install_image("cray", "/npss/add", add_image());
-  auto client = system.make_client("sparc", "strict-ok");
+  auto session = system.make_session("sparc");
+  auto client = session->open_line(rpc::LineOptions{}.with_name("strict-ok"));
   client->contact_schx("cray", "/npss/add");
   auto add = client->import_proc("add", kAddImport);
   uts::ValueList out = add->call(
-      {uts::Value::real(2), uts::Value::real(3), uts::Value::real(0)});
+      {uts::Value::real(2), uts::Value::real(3), uts::Value::real(0)}, kLegacy)
+          .values_or_raise();
   EXPECT_DOUBLE_EQ(out[2].as_real(), 5.0);
   EXPECT_EQ(system.stats().static_check_failures, 0u);
   EXPECT_GT(
@@ -257,7 +262,9 @@ TEST(StrictManager, DriftedExportRejectedAtStartupBeforeAnyCall) {
   rpc::SchoonerSystem system(cluster, "sparc", std::move(options));
 
   cluster.install_image("cray", "/npss/add", add_image());
-  auto client = system.make_client("sparc", "strict-drift");
+  auto session = system.make_session("sparc");
+  auto client = session->open_line(
+      rpc::LineOptions{}.with_name("strict-drift"));
   EXPECT_THROW(client->contact_schx("cray", "/npss/add"),
                util::TypeMismatchError);
   EXPECT_EQ(system.stats().static_check_failures, 1u);
@@ -279,7 +286,9 @@ TEST(StrictManager, UnlistedExportRejected) {
   rpc::SchoonerSystem system(cluster, "sparc", std::move(options));
 
   cluster.install_image("cray", "/npss/add", add_image());
-  auto client = system.make_client("sparc", "strict-unlisted");
+  auto session = system.make_session("sparc");
+  auto client = session->open_line(
+      rpc::LineOptions{}.with_name("strict-unlisted"));
   EXPECT_THROW(client->contact_schx("cray", "/npss/add"),
                util::TypeMismatchError);
   EXPECT_EQ(system.stats().static_check_failures, 1u);
@@ -313,11 +322,14 @@ TEST(StrictManager, CompatibleDriftAdmittedWithStaleWarning) {
                                                    call.real("y") +
                                                    call.real("bias"));
                         }}}));
-  auto client = system.make_client("sparc", "strict-stale");
+  auto session = system.make_session("sparc");
+  auto client = session->open_line(
+      rpc::LineOptions{}.with_name("strict-stale"));
   EXPECT_NO_THROW(client->contact_schx("cray", "/npss/add"));
   auto add = client->import_proc("add", kAddImport);
   uts::ValueList out = add->call(
-      {uts::Value::real(2), uts::Value::real(3), uts::Value::real(0)});
+      {uts::Value::real(2), uts::Value::real(3), uts::Value::real(0)}, kLegacy)
+          .values_or_raise();
   EXPECT_DOUBLE_EQ(out[2].as_real(), 5.0);
   EXPECT_GE(system.stats().stale_manifest_warnings, 1u);
   EXPECT_EQ(system.stats().static_check_failures, 0u);
@@ -340,7 +352,8 @@ TEST(StrictManager, SpecHashMismatchWarnsStaleButAdmitsMatchingExport) {
   rpc::SchoonerSystem system(cluster, "sparc", std::move(options));
 
   cluster.install_image("cray", "/npss/add", add_image());
-  auto client = system.make_client("sparc", "strict-hash");
+  auto session = system.make_session("sparc");
+  auto client = session->open_line(rpc::LineOptions{}.with_name("strict-hash"));
   EXPECT_NO_THROW(client->contact_schx("cray", "/npss/add"));
   EXPECT_GE(system.stats().stale_manifest_warnings, 1u);
   EXPECT_EQ(system.stats().compat_rejects, 0u);
@@ -355,7 +368,9 @@ TEST(StrictManager, SpecHashMismatchWarnsStaleButAdmitsMatchingExport) {
   fresh.manifest_spec_hashes = {util::sha256_hex(kAddExport)};
   rpc::SchoonerSystem fresh_system(fresh_cluster, "sparc", std::move(fresh));
   fresh_cluster.install_image("cray", "/npss/add", add_image());
-  auto fresh_client = fresh_system.make_client("sparc", "fresh-hash");
+  auto session2 = fresh_system.make_session("sparc");
+  auto fresh_client = session2->open_line(
+      rpc::LineOptions{}.with_name("fresh-hash"));
   EXPECT_NO_THROW(fresh_client->contact_schx("cray", "/npss/add"));
   EXPECT_EQ(fresh_system.stats().stale_manifest_warnings, 0u);
 }
@@ -366,7 +381,8 @@ TEST(StrictManager, OffByDefaultKeepsLegacyBehavior) {
   cluster.add_machine("cray", "cray-ymp", "lerc");
   rpc::SchoonerSystem system(cluster, "sparc");
   cluster.install_image("cray", "/npss/add", add_image());
-  auto client = system.make_client("sparc", "lenient");
+  auto session = system.make_session("sparc");
+  auto client = session->open_line(rpc::LineOptions{}.with_name("lenient"));
   EXPECT_NO_THROW(client->contact_schx("cray", "/npss/add"));
 }
 
