@@ -7,8 +7,15 @@
 // amortizes syscalls and wire round trips that a lock-step caller pays
 // per call. Rows cover a small scalar signature and an array-heavy one,
 // over real loopback TCP (lock-step vs pipelined window) and over the
-// simulated transport (lock-step vs overlapped clients). Writes
+// simulated transport (lock-step vs overlapped clients). A null-call
+// ping-pong over a plain blocking TcpConnection pair is the raw-socket
+// floor the bus's lock-step row is measured against. Writes
 // BENCH_throughput.json next to the binary.
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -114,6 +121,60 @@ Row tcp_lockstep(rpc::TcpRemoteProc& proc, const std::string& signature,
   return make_row(signature, "tcp", "lockstep", latencies, wall.elapsed_ms());
 }
 
+/// The floor under the bus's lock-step rows: a null call (ping, pong)
+/// over a plain blocking TcpConnection pair. One thread per end, no
+/// dispatcher, no worker pool, no marshal plan.
+Row tcp_raw_floor(long calls) {
+  using clock_type = std::chrono::steady_clock;
+  const int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  socklen_t len = sizeof addr;
+  if (::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr), len) != 0 ||
+      ::listen(listen_fd, 1) != 0 ||
+      ::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&addr), &len) !=
+          0) {
+    std::fprintf(stderr, "raw floor: loopback listen failed\n");
+    std::exit(1);
+  }
+  std::thread echo([listen_fd] {
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
+    int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+    rpc::TcpConnection server(fd);
+    rpc::Message msg;
+    while (server.receive(msg)) {
+      msg.kind = rpc::MessageKind::kPong;
+      server.send(msg);
+    }
+  });
+  std::vector<double> latencies;
+  latencies.reserve(static_cast<std::size_t>(calls));
+  auto client =
+      rpc::TcpConnection::connect("127.0.0.1", ntohs(addr.sin_port));
+  rpc::Message ping, pong;
+  ping.kind = rpc::MessageKind::kPing;
+  util::Stopwatch wall;
+  for (long i = 0; i < calls; ++i) {
+    ping.seq = static_cast<std::uint64_t>(i);
+    const auto t0 = clock_type::now();
+    client->send(ping);
+    if (!client->receive(pong) || pong.seq != ping.seq) {
+      std::fprintf(stderr, "raw floor: bad pong\n");
+      std::exit(1);
+    }
+    latencies.push_back(
+        std::chrono::duration<double, std::micro>(clock_type::now() - t0)
+            .count());
+  }
+  const double wall_ms = wall.elapsed_ms();
+  client->close();  // the echo thread sees the close and returns
+  echo.join();
+  ::close(listen_fd);
+  return make_row("null", "raw", "lockstep", latencies, wall_ms);
+}
+
 /// Sliding window of kWindow pipelined calls: the oldest call is reaped
 /// as each new one is issued, so the connection always carries a full
 /// window of in-flight seqs.
@@ -174,6 +235,8 @@ int run() {
     inc.call(small_args(0), once).values_or_raise();
     sum.call(array_args(), once).values_or_raise();
 
+    rows.push_back(tcp_raw_floor(10'000));
+    print_row(rows.back());
     rows.push_back(tcp_lockstep(inc, "small", 10'000, true));
     print_row(rows.back());
     rows.push_back(tcp_pipelined(inc, "small", 100'000, true));
@@ -262,12 +325,25 @@ int run() {
   }
 
   double lockstep_small = 0.0, pipelined_small = 0.0;
+  double lockstep_small_p50 = 0.0, raw_floor_p50 = 0.0;
   for (const Row& row : rows) {
     if (row.transport == "tcp" && row.signature == "small") {
-      if (row.mode == "lockstep") lockstep_small = row.calls_per_sec;
+      if (row.mode == "lockstep") {
+        lockstep_small = row.calls_per_sec;
+        lockstep_small_p50 = row.p50_us;
+      }
       if (row.mode == "pipelined") pipelined_small = row.calls_per_sec;
     }
+    if (row.transport == "raw") raw_floor_p50 = row.p50_us;
   }
+  // p50 of a lock-step small call on the bus over the raw null-call
+  // p50: what the bus adds on top of the socket round trip (the aim is
+  // at most 1.3). Printed for tracking; not a gate.
+  const double over_floor =
+      raw_floor_p50 > 0.0 ? lockstep_small_p50 / raw_floor_p50 : 0.0;
+  std::printf(
+      "bus lock-step p50 over raw-socket floor: %.2fx (%.1f us vs %.1f us)\n",
+      over_floor, lockstep_small_p50, raw_floor_p50);
   const double ratio =
       lockstep_small > 0.0 ? pipelined_small / lockstep_small : 0.0;
   const bool target_met = pipelined_small >= 100'000.0 && ratio >= 5.0;
@@ -297,6 +373,8 @@ int run() {
     std::fprintf(f, "  \"pipelined_over_lockstep_small\": %.2f,\n", ratio);
     std::fprintf(f, "  \"pipelined_small_calls_per_sec\": %.0f,\n",
                  pipelined_small);
+    std::fprintf(f, "  \"bus_lockstep_over_raw_floor\": %.2f,\n",
+                 over_floor);
     std::fprintf(f, "  \"target_met\": %s\n", target_met ? "true" : "false");
     std::fprintf(f, "}\n");
     std::fclose(f);

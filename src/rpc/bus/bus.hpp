@@ -43,6 +43,9 @@ struct BusOptions {
 ///   rpc.bus.bytes_sent       bytes actually written to sockets
 ///   rpc.bus.frames_coalesced frames that shared a flush with a
 ///                            predecessor (syscalls saved)
+///   rpc.bus.frames_written_through frames a sender wrote on its own
+///                            thread because nothing was queued behind
+///                            them (no loop wake-up, no self-pipe)
 ///   rpc.bus.inflight_calls   gauge: calls currently awaiting a reply
 ///   rpc.bus.partial_reads    read batches that ended mid-frame (the
 ///                            incremental decoder carried state over)
@@ -51,6 +54,7 @@ struct BusOptions {
 struct BusMetrics {
   obs::Counter& bytes_sent;
   obs::Counter& frames_coalesced;
+  obs::Counter& frames_written_through;
   obs::Gauge& inflight_calls;
   obs::Counter& partial_reads;
   obs::Counter& abandoned_replies;

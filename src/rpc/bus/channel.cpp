@@ -75,6 +75,7 @@ BusChannel::~BusChannel() {
 std::future<Message> BusChannel::send(
     std::uint64_t seq, const std::function<void(util::ByteWriter&)>& framer) {
   std::future<Message> fut;
+  bool alone = false;
   {
     util::MutexLock lock(mu_);
     if (closed_) {
@@ -83,11 +84,15 @@ std::future<Message> BusChannel::send(
     // Register before the frame can hit the wire: the reply may race in
     // on the loop thread before send_frame even returns.
     fut = waiting_[seq].get_future();
+    alone = waiting_.size() == 1;
   }
   inflight_delta(+1);
   bool queued = false;
   try {
-    queued = conn_->send_frame(framer);
+    // The only call in flight (lock-step) writes through; a pipelined
+    // window keeps coalescing on the loop.
+    queued = conn_->send_frame(framer, alone ? SendHint::kWriteThrough
+                                             : SendHint::kCoalesce);
   } catch (...) {
     abandon(seq);
     throw;

@@ -39,7 +39,8 @@ class BusChannel : public std::enable_shared_from_this<BusChannel> {
   }
 
   /// Register a waiter for `seq`, then append the frame via `framer`
-  /// (see BusConnection::send_frame). The future resolves with the
+  /// (see BusConnection::send_frame); when `seq` is the only waiter the
+  /// frame is written through on this thread. The future resolves with the
   /// matching reply, or with util::CallError when the connection dies
   /// first. Throws util::CallError if the channel is already closed and
   /// re-throws whatever `framer` throws (waiter unregistered again).

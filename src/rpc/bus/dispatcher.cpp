@@ -21,6 +21,7 @@ BusMetrics& bus_metrics() {
     obs::Registry& reg = obs::Registry::global();
     return BusMetrics{reg.counter("rpc.bus.bytes_sent"),
                       reg.counter("rpc.bus.frames_coalesced"),
+                      reg.counter("rpc.bus.frames_written_through"),
                       reg.gauge("rpc.bus.inflight_calls"),
                       reg.counter("rpc.bus.partial_reads"),
                       reg.counter("rpc.bus.abandoned_replies")};
@@ -70,7 +71,8 @@ BusConnection::BusConnection(BusDispatcher* dispatcher, int fd,
 BusConnection::~BusConnection() = default;
 
 bool BusConnection::send_frame(
-    const std::function<void(util::ByteWriter&)>& framer) {
+    const std::function<void(util::ByteWriter&)>& framer, SendHint hint) {
+  bool write_through = false;
   {
     util::MutexLock lock(out_mu_);
     if (!alive_.load(std::memory_order_relaxed)) return false;
@@ -89,15 +91,101 @@ bool BusConnection::send_frame(
       m.frames_sent.add();
       m.bytes_sent.add(pending_.size() - mark - 4);  // sans length prefix
     }
+    // Write through only when this frame is the whole backlog and no
+    // thread owns the socket's output.
+    if (hint == SendHint::kWriteThrough && mark == 0 &&
+        !writing_.load(std::memory_order_relaxed) && segs_.empty() &&
+        write_error_.is_ok()) {
+      writing_.store(true, std::memory_order_relaxed);
+      take_pending();
+      write_through = true;
+    }
   }
-  dispatcher_->wake();
+  if (!write_through) {
+    dispatcher_->wake();
+    return true;
+  }
+  if (obs::enabled()) bus_metrics().frames_written_through.add();
+  util::Status failed = write_segs();
+  bool leftover = false;
+  {
+    util::MutexLock lock(out_mu_);
+    // close_conn is loop-only: a failure is recorded for the loop.
+    if (!failed.is_ok()) write_error_ = std::move(failed);
+    leftover = !segs_.empty() || pending_.size() > 0 || !write_error_.is_ok();
+    release_writer();
+  }
+  if (leftover) dispatcher_->wake();
   return true;
 }
 
-bool BusConnection::send_message(const Message& msg) {
+bool BusConnection::send_message(const Message& msg, SendHint hint) {
   const std::size_t cap = dispatcher_->options().max_frame_bytes;
   return send_frame(
-      [&](util::ByteWriter& out) { append_frame(out, msg, cap); });
+      [&](util::ByteWriter& out) { append_frame(out, msg, cap); }, hint);
+}
+
+void BusConnection::take_pending() {
+  if (pending_.size() == 0) return;
+  if (pending_frames_ > 1 && obs::enabled()) {
+    bus_metrics().frames_coalesced.add(pending_frames_ - 1);
+  }
+  pending_frames_ = 0;
+  segs_.push_back(std::move(pending_).take());
+  pending_ = util::ByteWriter();
+}
+
+void BusConnection::release_writer() {
+  writing_.store(false, std::memory_order_relaxed);
+  // A closer sets alive_ false under out_mu_ before it waits.
+  if (!alive_.load(std::memory_order_relaxed)) writer_done_.notify_all();
+}
+
+util::Status BusConnection::write_segs() {
+  while (!segs_.empty()) {
+    // Scatter-gather: one send covers the partially written front
+    // segment plus whatever coalesced behind it. MSG_NOSIGNAL: a peer
+    // that vanished is an EPIPE for this connection, not a SIGPIPE for
+    // the process.
+    iovec iov[8];
+    std::size_t cnt = 0;
+    std::size_t off = seg_off_;
+    for (const util::Bytes& seg : segs_) {
+      iov[cnt].iov_base = const_cast<std::uint8_t*>(seg.data()) + off;
+      iov[cnt].iov_len = seg.size() - off;
+      off = 0;
+      if (++cnt == 8) break;
+    }
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = cnt;
+    const ssize_t n = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) break;  // loop: POLLOUT
+      return util::Status(
+          util::ErrorCode::kCallFailure,
+          std::string("tcp write failed: ") + std::strerror(errno));
+    }
+    if (obs::enabled()) {
+      bus_metrics().bytes_sent.add(static_cast<std::uint64_t>(n));
+    }
+    queued_bytes_.fetch_sub(static_cast<std::size_t>(n),
+                            std::memory_order_relaxed);
+    std::size_t left = static_cast<std::size_t>(n);
+    while (left > 0) {
+      const std::size_t avail = segs_.front().size() - seg_off_;
+      if (left >= avail) {
+        left -= avail;
+        segs_.pop_front();
+        seg_off_ = 0;
+      } else {
+        seg_off_ += left;
+        left = 0;
+      }
+    }
+  }
+  return util::Status::ok();
 }
 
 void BusConnection::shutdown() {
@@ -165,6 +253,7 @@ void BusDispatcher::post(std::function<void()> op) {
 
 void BusDispatcher::wake() {
   if (wake_pending_.exchange(true, std::memory_order_acq_rel)) return;
+  wakeups_.fetch_add(1, std::memory_order_relaxed);
   const std::uint8_t b = 1;
   // Nonblocking: a full pipe already guarantees a pending wake.
   [[maybe_unused]] ssize_t n = ::write(wake_fds_[1], &b, 1);
@@ -206,6 +295,11 @@ void BusDispatcher::close_conn(const std::shared_ptr<BusConnection>& c,
   {
     util::MutexLock lock(c->out_mu_);
     was_alive = c->alive_.exchange(false, std::memory_order_acq_rel);
+    // A sender writing through still uses fd_; its sends never block,
+    // so the wait is short.
+    while (c->writing_.load(std::memory_order_relaxed)) {
+      c->writer_done_.wait(lock);
+    }
   }
   if (!was_alive) return;
   for (std::size_t i = 0; i < conns_.size(); ++i) {
@@ -219,59 +313,30 @@ void BusDispatcher::close_conn(const std::shared_ptr<BusConnection>& c,
   if (c->on_close_) c->on_close_(c, why);
 }
 
-void BusDispatcher::pull_pending(BusConnection& c) {
-  util::MutexLock lock(c.out_mu_);
-  if (c.pending_.size() == 0) return;
-  if (c.pending_frames_ > 1 && obs::enabled()) {
-    bus_metrics().frames_coalesced.add(c.pending_frames_ - 1);
-  }
-  c.pending_frames_ = 0;
-  c.segs_.push_back(std::move(c.pending_).take());
-  c.pending_ = util::ByteWriter();
-}
-
 void BusDispatcher::flush(const std::shared_ptr<BusConnection>& c) {
-  pull_pending(*c);
-  while (!c->segs_.empty()) {
-    // Scatter-gather: one writev covers the partially written front
-    // segment plus whatever coalesced behind it.
-    iovec iov[8];
-    int cnt = 0;
-    std::size_t off = c->seg_off_;
-    for (const util::Bytes& seg : c->segs_) {
-      iov[cnt].iov_base = const_cast<std::uint8_t*>(seg.data()) + off;
-      iov[cnt].iov_len = seg.size() - off;
-      off = 0;
-      if (++cnt == 8) break;
+  util::Status failed;
+  {
+    util::MutexLock lock(c->out_mu_);
+    // A busy token needs nothing from us: its holder re-checks pending_
+    // before it lets go and wakes the loop for anything left over.
+    if (c->writing_.load(std::memory_order_relaxed)) return;
+    failed = c->write_error_;
+    if (failed.is_ok()) {
+      c->writing_.store(true, std::memory_order_relaxed);
+      c->take_pending();
     }
-    const ssize_t n = ::writev(c->fd_, iov, cnt);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return;  // poll POLLOUT
-      close_conn(c, util::Status(util::ErrorCode::kCallFailure,
-                                 std::string("tcp write failed: ") +
-                                     std::strerror(errno)));
-      return;
-    }
-    if (obs::enabled()) {
-      bus_metrics().bytes_sent.add(static_cast<std::uint64_t>(n));
-    }
-    c->queued_bytes_.fetch_sub(static_cast<std::size_t>(n),
-                               std::memory_order_relaxed);
-    std::size_t left = static_cast<std::size_t>(n);
-    while (left > 0) {
-      const std::size_t avail = c->segs_.front().size() - c->seg_off_;
-      if (left >= avail) {
-        left -= avail;
-        c->segs_.pop_front();
-        c->seg_off_ = 0;
-      } else {
-        c->seg_off_ += left;
-        left = 0;
-      }
-    }
-    if (c->segs_.empty()) pull_pending(*c);
   }
+  while (failed.is_ok()) {
+    failed = c->write_segs();
+    util::MutexLock lock(c->out_mu_);
+    if (failed.is_ok() && c->segs_.empty() && c->pending_.size() > 0) {
+      c->take_pending();  // frames appended meanwhile: keep writing
+      continue;
+    }
+    c->release_writer();
+    break;
+  }
+  if (!failed.is_ok()) close_conn(c, failed);
 }
 
 void BusDispatcher::read_ready(const std::shared_ptr<BusConnection>& c) {
@@ -348,7 +413,10 @@ void BusDispatcher::loop(std::string name) {
       // Backpressure: stop reading a connection whose replies the peer
       // is not draining.
       if (c->queued_bytes() < opts_.backpressure_bytes) events |= POLLIN;
-      if (!c->segs_.empty() || c->queued_bytes() > 0) events |= POLLOUT;
+      if (c->queued_bytes() > 0 &&
+          !c->writing_.load(std::memory_order_relaxed)) {
+        events |= POLLOUT;
+      }
       pfds.push_back(pollfd{c->fd_, events, 0});
     }
     round.assign(conns_.begin(), conns_.end());

@@ -1,15 +1,21 @@
 // The bus event loop: one thread, one poll() set, every connection
 // nonblocking. Modeled on the classic tcp_dispatcher/tcp_connection
 // split of high-throughput RPC buses: the dispatcher owns the sockets
-// and moves bytes; connection users (client channels, the procedure
-// host's workers) only append frames and receive decoded Messages.
+// and reads them; connection users (client channels, the procedure
+// host's workers) append frames and receive decoded Messages.
 //
 // Threading contract:
 //   * on_frame / on_close / on_accept callbacks run on the loop thread.
 //     They must not block; hand heavy work to a worker pool.
 //   * BusConnection::send_frame / send_message / shutdown are safe from
-//     any thread. Frames appended while the loop is mid-flush coalesce
+//     any thread. Frames appended while a write is in progress coalesce
 //     into the next writev.
+//   * Reading and closing a socket are loop-only. Writing is done by
+//     whichever thread holds the connection's write token: the loop's
+//     flush, or a sender that passed SendHint::kWriteThrough and found
+//     nothing queued and no writer active. That sender writes its own
+//     frame and hands anything left over (a partial write, frames queued
+//     behind it, a write error) back to the loop.
 //   * After on_close (or stop()), a connection never fires callbacks
 //     again; late send_frame calls return false.
 #pragma once
@@ -34,6 +40,13 @@ namespace npss::rpc::bus {
 
 class BusDispatcher;
 
+/// What a sender knows about the frames behind its own — MSG_MORE
+/// inverted. kWriteThrough promises that no other frame is about to
+/// follow (a lock-step caller, a host with an empty work queue), so the
+/// frame may skip the loop and be written on the sender's thread.
+/// Everything else coalesces: one loop writev per batch.
+enum class SendHint { kCoalesce, kWriteThrough };
+
 /// One nonblocking socket registered with a dispatcher. Outgoing frames
 /// accumulate in a pending buffer (coalescing) that the loop drains with
 /// scatter-gather writev; incoming bytes run through a FrameDecoder.
@@ -52,14 +65,17 @@ class BusConnection : public std::enable_shared_from_this<BusConnection> {
 
   /// Append one complete frame via `framer` (which must write exactly
   /// one length-prefixed frame, e.g. through append_call_frame) and
-  /// schedule a flush. Thread-safe. Returns false when the connection
-  /// is closed — the frame is not queued. If `framer` throws, the
-  /// buffer rolls back to the frame boundary and the exception
-  /// propagates (a marshal error must not corrupt the stream).
-  bool send_frame(const std::function<void(util::ByteWriter&)>& framer);
+  /// schedule a flush. With kWriteThrough, when the frame is the whole
+  /// backlog and no thread is writing, it is written right here instead.
+  /// Thread-safe. Returns false when the connection is closed — the
+  /// frame is not queued. If `framer` throws, the buffer rolls back to
+  /// the frame boundary and the exception propagates (a marshal error
+  /// must not corrupt the stream).
+  bool send_frame(const std::function<void(util::ByteWriter&)>& framer,
+                  SendHint hint = SendHint::kCoalesce);
 
   /// Convenience: frame and queue an encoded Message.
-  bool send_message(const Message& msg);
+  bool send_message(const Message& msg, SendHint hint = SendHint::kCoalesce);
 
   /// Request an asynchronous close; on_close fires once on the loop
   /// thread with a kShutdown status.
@@ -75,23 +91,40 @@ class BusConnection : public std::enable_shared_from_this<BusConnection> {
  private:
   friend class BusDispatcher;
 
+  /// Move the pending buffer onto segs_ (caller holds the write token).
+  void take_pending() SCHOONER_REQUIRES(out_mu_);
+  /// Write segs_ until it is empty or the socket would block. Caller
+  /// holds the write token. Returns the error of a failed send.
+  util::Status write_segs();
+  /// Give the write token back; wakes a close_conn waiting for it.
+  void release_writer() SCHOONER_REQUIRES(out_mu_);
+
   BusDispatcher* dispatcher_;
-  int fd_;
+  int fd_;  ///< closed by close_conn only once no writer holds the token
   std::atomic<bool> alive_{true};
   std::atomic<std::size_t> queued_bytes_{0};
 
-  // Writer side: any thread appends under out_mu_; the loop moves the
-  // pending buffer into its private segment queue.
+  // Writer side: any thread appends under out_mu_. The same lock guards
+  // the write token: the one thread allowed to write the socket.
   util::Mutex out_mu_{"bus.BusConnection.out"};
   util::ByteWriter pending_ SCHOONER_GUARDED_BY(out_mu_);
   std::size_t pending_frames_ SCHOONER_GUARDED_BY(out_mu_) = 0;
+  /// The write token. Taken and given back only under out_mu_; the loop
+  /// also reads it unlocked, to skip polling for output that a sender
+  /// is writing right now (the sender wakes the loop for any leftover).
+  std::atomic<bool> writing_{false};
+  /// A write-through send failed; the loop closes the connection.
+  util::Status write_error_ SCHOONER_GUARDED_BY(out_mu_);
+  util::CondVar writer_done_;  ///< signalled when a closer awaits the token
 
-  // Loop-thread-only state: touched exclusively by the dispatcher's
-  // loop thread (flush / read_ready / close_conn), so it needs no lock.
-  // The annotations can't express thread confinement; the dispatcher's
-  // loop() is the only code path that reaches these.
+  // Owned by the write-token holder, whichever thread that is: it takes
+  // the token under out_mu_, then touches these without the lock. The
+  // annotations can't express a token, so they are unannotated.
   std::deque<util::Bytes> segs_;  ///< buffers awaiting write
   std::size_t seg_off_ = 0;       ///< consumed prefix of segs_.front()
+
+  // Loop-thread-only state: touched exclusively by the dispatcher's
+  // loop thread (read_ready / close_conn), so it needs no lock.
   FrameDecoder decoder_;
   FrameFn on_frame_;
   CloseFn on_close_;
@@ -121,6 +154,11 @@ class BusDispatcher {
   /// Nudge the loop out of poll() (pending output, new control ops).
   void wake();
 
+  /// Self-pipe writes so far: how often a thread had to rouse the loop.
+  std::uint64_t wakeups() const {
+    return wakeups_.load(std::memory_order_relaxed);
+  }
+
   /// Stop the loop, close every connection (on_close fires with a
   /// kShutdown status) and all listeners. Idempotent.
   void stop();
@@ -132,7 +170,6 @@ class BusDispatcher {
 
   void loop(std::string name);
   void flush(const std::shared_ptr<BusConnection>& c);
-  void pull_pending(BusConnection& c);
   void read_ready(const std::shared_ptr<BusConnection>& c);
   void close_conn(const std::shared_ptr<BusConnection>& c,
                   const util::Status& why);
@@ -142,6 +179,7 @@ class BusDispatcher {
   BusOptions opts_;
   int wake_fds_[2] = {-1, -1};
   std::atomic<bool> wake_pending_{false};
+  std::atomic<std::uint64_t> wakeups_{0};
   std::atomic<bool> stopping_{false};
 
   util::Mutex ctl_mu_{"bus.BusDispatcher.ctl"};

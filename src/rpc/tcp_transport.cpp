@@ -240,7 +240,7 @@ TcpProcedureHost::TcpProcedureHost(const std::string& spec_text,
   for (int i = 0; i < workers; ++i) {
     workers_.emplace_back([this] {
       while (auto work = work_.pop()) {
-        handle(work->conn, work->msg);
+        handle(work->conn, work->msg, /*pooled=*/true);
       }
     });
   }
@@ -274,7 +274,7 @@ void TcpProcedureHost::on_frame(
     return;
   }
   if (workers_.empty()) {
-    handle(conn, msg);
+    handle(conn, msg, /*pooled=*/false);
     return;
   }
   const LineId line = msg.line;
@@ -282,7 +282,14 @@ void TcpProcedureHost::on_frame(
 }
 
 void TcpProcedureHost::handle(const std::shared_ptr<bus::BusConnection>& conn,
-                              Message& msg) {
+                              Message& msg, bool pooled) {
+  // A worker that finds the queue empty sends the last reply of its
+  // batch: write it through. Queued calls mean more replies follow, and
+  // the loop thread (no pool) flushes its own batch: both coalesce.
+  auto reply_hint = [&] {
+    return pooled && work_.size() == 0 ? bus::SendHint::kWriteThrough
+                                       : bus::SendHint::kCoalesce;
+  };
   if (msg.kind != MessageKind::kCall) {
     conn->send_message(Message::error_reply(
         msg, util::ErrorCode::kProtocolError, "tcp host: unexpected message"));
@@ -298,6 +305,7 @@ void TcpProcedureHost::handle(const std::shared_ptr<bus::BusConnection>& conn,
     const uts::ValueList reply_values =
         run_prepared(prep, *arch_, msg.blob, nullptr);
     std::size_t reply_frame_bytes = 0;
+    double serve_us = 0.0;
     conn->send_frame([&](util::ByteWriter& out) {
       const std::size_t before = out.size();
       bus::append_reply_frame(out, msg.seq, *prep.reply_plan, *arch_,
@@ -306,16 +314,19 @@ void TcpProcedureHost::handle(const std::shared_ptr<bus::BusConnection>& conn,
       reply_frame_bytes = out.size() - before;
       ++calls_;  // committed: counted before the reply bytes can leave,
                  // so a client that saw its reply also sees the counter
-    });
+      // Serving ends with the framed reply; writing it is transport time.
+      serve_us = span.elapsed_us();
+    }, reply_hint());
     if (obs::enabled()) {
       TcpMetrics& m = tcp_metrics();
       m.host_calls.add();
       m.host_bytes_marshaled.add(msg.blob.size() + reply_frame_bytes);
-      m.host_handler_us.record(span.elapsed_us());
+      m.host_handler_us.record(serve_us);
     }
   } catch (const util::Error& e) {
     if (obs::enabled()) tcp_metrics().host_errors.add();
-    conn->send_message(Message::error_reply(msg, e.code(), e.what()));
+    conn->send_message(Message::error_reply(msg, e.code(), e.what()),
+                       reply_hint());
   }
 }
 

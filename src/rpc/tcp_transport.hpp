@@ -103,7 +103,10 @@ class TcpProcedureHost {
 
   void on_frame(const std::shared_ptr<bus::BusConnection>& conn,
                 Message&& msg);
-  void handle(const std::shared_ptr<bus::BusConnection>& conn, Message& msg);
+  /// Serve one call; `pooled` is true on a worker thread, false inline
+  /// on the loop.
+  void handle(const std::shared_ptr<bus::BusConnection>& conn, Message& msg,
+              bool pooled);
 
   const arch::ArchDescriptor* arch_;
   /// Set up before the workers start; its prepared-import cache is the

@@ -1,15 +1,26 @@
 // Tests of the multiplexed RPC bus: the incremental wire decoder
 // (fragmented, coalesced, and oversized frames), raw-socket behavior of
 // the dispatcher-based TcpProcedureHost, reply/seq matching for
-// out-of-order completions, and the abandon-on-timeout contract (a
-// deadline gives up on one seq, never on the shared connection).
+// out-of-order completions, the abandon-on-timeout contract (a
+// deadline gives up on one seq, never on the shared connection), peer
+// resets (no SIGPIPE, waiters fail), and the write-through send path
+// (lock-step frames skip the loop; partial writes, send errors and
+// pipelined windows fall back to it).
 #include <gtest/gtest.h>
 
+#include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
+#include <csignal>
+#include <deque>
+#include <future>
+#include <mutex>
 #include <thread>
+#include <vector>
 
 #include "obs/metrics.hpp"
 #include "rpc/bus/channel.hpp"
@@ -147,6 +158,29 @@ struct RawClient {
   int fd;
 };
 
+/// A bare loopback listener (ephemeral port) for peers a test scripts
+/// by hand. `rcvbuf` > 0 shrinks the receive buffer accepted sockets
+/// inherit, so a sender fills the wire quickly.
+struct RawListener {
+  explicit RawListener(int rcvbuf = 0) : fd(::socket(AF_INET, SOCK_STREAM, 0)) {
+    if (rcvbuf > 0) {
+      ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof rcvbuf);
+    }
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    EXPECT_EQ(::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+    EXPECT_EQ(::listen(fd, 4), 0);
+    socklen_t len = sizeof addr;
+    ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
+    port = ntohs(addr.sin_port);
+  }
+  ~RawListener() { ::close(fd); }
+
+  int fd;
+  int port = 0;
+};
+
 util::Bytes framed_inc_call(std::uint64_t seq, std::int64_t x) {
   const std::string spec =
       "import inc prog(\"x\" val integer, \"y\" res integer)";
@@ -163,6 +197,9 @@ util::Bytes framed_inc_call(std::uint64_t seq, std::int64_t x) {
   bus::append_frame(out, msg, 64u << 20);
   return std::move(out).take();
 }
+
+const char* const kIncImport =
+    "import inc prog(\"x\" val integer, \"y\" res integer)";
 
 std::unique_ptr<TcpProcedureHost> make_inc_host() {
   return std::make_unique<TcpProcedureHost>(
@@ -321,6 +358,269 @@ TEST(BusChannel, TimeoutAbandonsSeqButKeepsTheConnection) {
   }
   EXPECT_GT(abandoned_after, abandoned_before);
   EXPECT_EQ(host.calls(), 2);
+}
+
+/// One client streaming pings at a peer that half-closes and then
+/// closes with the pings unread. The FIN puts the client socket in
+/// CLOSE_WAIT, so the reset that follows fails its next send with EPIPE:
+/// the send that raises SIGPIPE unless it passes MSG_NOSIGNAL. Whether
+/// the loop sends or reads first after the reset is a race, hence the
+/// test runs several rounds.
+void stream_pings_into_reset() {
+  RawListener listener;
+  std::thread peer([&] {
+    const int fd = ::accept(listener.fd, nullptr, nullptr);
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    ::shutdown(fd, SHUT_WR);
+    ::close(fd);
+  });
+  bus::BusDispatcher dispatcher("reset-test");
+  auto ch = bus::BusChannel::open(dispatcher, "127.0.0.1", listener.port);
+  Message ping;
+  ping.kind = MessageKind::kPing;
+  std::vector<std::future<Message>> waiters;
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (std::chrono::steady_clock::now() < give_up) {
+    ping.seq = ch->next_seq();
+    try {
+      waiters.push_back(ch->send(ping.seq, [&](util::ByteWriter& out) {
+        bus::append_frame(out, ping, ch->max_frame_bytes());
+      }));
+    } catch (const util::CallError&) {
+      break;  // the channel saw the reset
+    }
+  }
+  peer.join();
+  ASSERT_FALSE(ch->alive()) << "the reset must close the channel";
+  ASSERT_FALSE(waiters.empty());
+  for (auto& w : waiters) EXPECT_THROW(w.get(), util::CallError);
+}
+
+TEST(BusChannel, PeerResetUnderLoadFailsWaitersWithoutSigpipe) {
+  // The default disposition: a send that raises SIGPIPE kills the
+  // process, so surviving this test is the assertion.
+  std::signal(SIGPIPE, SIG_DFL);
+  for (int round = 0; round < 5; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    stream_pings_into_reset();
+  }
+}
+
+// --- Write-through sends ---------------------------------------------------
+
+TEST(BusWriteThrough, LockStepWritesThroughAndPipelinedWindowStillCoalesces) {
+  // One worker, so the count is exact: with two, a worker preempted
+  // between its send and giving the write token back makes the other
+  // worker's next reply coalesce instead (correct, but not counted).
+  bus::BusOptions one_worker;
+  one_worker.workers = 1;
+  TcpProcedureHost host(
+      "export inc prog(\"x\" val integer, \"y\" res integer)",
+      {{"inc", [](ProcCall& c) {
+          c.set("y", Value::integer(c.integer("x") + 1));
+        }}},
+      "sun-sparc10", 0, one_worker);
+  TcpRemoteProc inc("127.0.0.1", host.port(), "inc", kIncImport,
+                    "sun-sparc10");
+  inc.call({Value::integer(0), Value::integer(0)}, kLegacy)
+      .values_or_raise();  // warm: connect, prepare the import
+  obs::Registry& reg = obs::Registry::global();
+  obs::Counter& through = reg.counter("rpc.bus.frames_written_through");
+  obs::Counter& coalesced = reg.counter("rpc.bus.frames_coalesced");
+  const bus::BusDispatcher& client_loop = bus::TcpBus::instance().dispatcher();
+
+  constexpr int kCalls = 200;
+  const std::uint64_t through_before = through.value();
+  const std::uint64_t wakes_before = client_loop.wakeups();
+  for (int i = 0; i < kCalls; ++i) {
+    uts::ValueList out =
+        inc.call({Value::integer(i), Value::integer(0)}, kLegacy)
+            .values_or_raise();
+    EXPECT_EQ(out[1].as_integer(), i + 1);
+  }
+  EXPECT_EQ(through.value() - through_before, 2u * kCalls)
+      << "every call and every reply is written by its sender";
+  EXPECT_EQ(client_loop.wakeups() - wakes_before, 0u)
+      << "a lock-step call must not rouse the client loop";
+
+  // A 256-deep window queues behind in-flight calls: the loop's
+  // coalesced writev carries it.
+  constexpr std::size_t kWindow = 256;
+  const std::uint64_t coalesced_before = coalesced.value();
+  std::deque<std::pair<PendingTcpCall, std::int64_t>> window;
+  auto reap = [&] {
+    CallResult& r = window.front().first.get();
+    ASSERT_TRUE(r.ok()) << r.status.to_string();
+    EXPECT_EQ(r.values[1].as_integer(), window.front().second + 1);
+    window.pop_front();
+  };
+  for (std::int64_t i = 0; i < 4000; ++i) {
+    if (window.size() >= kWindow) reap();
+    window.emplace_back(inc.call_async({Value::integer(i), Value::integer(0)}),
+                        i);
+  }
+  while (!window.empty()) reap();
+  EXPECT_GT(coalesced.value() - coalesced_before, 0u);
+}
+
+TEST(BusWriteThrough, OversizedFrameIsFinishedByTheLoopAndLaterFramesKeepOrder) {
+  constexpr int kThreads = 4;
+  constexpr std::int64_t kPerThread = 50;
+  constexpr std::size_t kFrames = 1 + kThreads * kPerThread;
+  RawListener listener(/*rcvbuf=*/64 * 1024);
+  std::vector<Message> got;
+  std::thread peer([&] {
+    const int fd = ::accept(listener.fd, nullptr, nullptr);
+    // A slow reader: late to start, small reads, a pause after each.
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    bus::FrameDecoder decoder(64u << 20);
+    std::vector<std::uint8_t> chunk(64 * 1024);
+    while (got.size() < kFrames) {
+      pollfd p{fd, POLLIN, 0};
+      if (::poll(&p, 1, 10'000) <= 0) break;  // stalled: counted below
+      const ssize_t n = ::recv(fd, chunk.data(), chunk.size(), 0);
+      if (n <= 0) break;
+      decoder.feed(std::span(chunk.data(), static_cast<std::size_t>(n)));
+      while (auto frame = decoder.next()) got.push_back(decode_message(*frame));
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    ::close(fd);
+  });
+
+  bus::BusDispatcher dispatcher("partial-write-test");
+  auto ch = bus::BusChannel::open(dispatcher, "127.0.0.1", listener.port);
+  obs::Counter& through =
+      obs::Registry::global().counter("rpc.bus.frames_written_through");
+  std::mutex mu;
+  std::vector<std::uint64_t> seqs;
+  std::vector<std::future<Message>> waiters;  // never answered
+  auto send = [&](Message& m) {
+    m.seq = ch->next_seq();
+    std::future<Message> f = ch->send(m.seq, [&](util::ByteWriter& out) {
+      bus::append_frame(out, m, ch->max_frame_bytes());
+    });
+    std::lock_guard<std::mutex> lock(mu);
+    seqs.push_back(m.seq);
+    waiters.push_back(std::move(f));
+  };
+
+  // 16 MiB: far past what the socket buffers on both ends can hold.
+  Message big;
+  big.kind = MessageKind::kCall;
+  big.a = "big";
+  big.blob.resize(16u << 20);
+  for (std::size_t i = 0; i < big.blob.size(); ++i) {
+    big.blob[i] = static_cast<std::uint8_t>(i * 131 + 7);
+  }
+  const std::uint64_t through_before = through.value();
+  send(big);
+  EXPECT_EQ(through.value() - through_before, 1u)
+      << "the lone frame is written by its sender";
+  EXPECT_GT(ch->connection()->queued_bytes(), 0u)
+      << "the sender returns at EAGAIN and leaves the rest to the loop";
+
+  std::vector<std::thread> senders;
+  for (int t = 0; t < kThreads; ++t) {
+    senders.emplace_back([&, t] {
+      for (std::int64_t i = 0; i < kPerThread; ++i) {
+        Message m;
+        m.kind = MessageKind::kCall;
+        m.a = "t" + std::to_string(t);
+        m.n = i;
+        send(m);
+      }
+    });
+  }
+  for (auto& s : senders) s.join();
+  peer.join();
+
+  ASSERT_EQ(got.size(), kFrames);
+  EXPECT_EQ(got[0].a, "big");
+  EXPECT_TRUE(got[0].blob == big.blob) << "the oversized frame arrived torn";
+  std::vector<std::int64_t> next(kThreads, 0);
+  for (std::size_t k = 1; k < got.size(); ++k) {
+    ASSERT_EQ(got[k].a.size(), 2u);
+    const int t = got[k].a[1] - '0';
+    ASSERT_TRUE(t >= 0 && t < kThreads) << got[k].a;
+    EXPECT_EQ(got[k].n, next[t]++) << "frames of thread " << t << " reordered";
+  }
+  for (std::uint64_t seq : seqs) ch->abandon(seq);
+}
+
+TEST(BusWriteThrough, SendErrorOnTheCallerThreadIsClosedByTheLoop) {
+  std::signal(SIGPIPE, SIG_DFL);  // as above: surviving is the assertion
+  RawListener listener;
+  bus::BusDispatcher dispatcher("write-error-test");
+  // Hold the loop in a posted op, so the socket is not polled until the
+  // caller's write-through has met the reset.
+  std::promise<void> release;
+  dispatcher.post([held = release.get_future().share()] { held.wait(); });
+  dispatcher.wake();
+  auto ch = bus::BusChannel::open(dispatcher, "127.0.0.1", listener.port);
+
+  // FIN, then a reset: the client socket fails its next send with EPIPE.
+  const int peer = ::accept(listener.fd, nullptr, nullptr);
+  ::shutdown(peer, SHUT_WR);
+  const linger hard_close{1, 0};
+  ::setsockopt(peer, SOL_SOCKET, SO_LINGER, &hard_close, sizeof hard_close);
+  ::close(peer);
+  pollfd p{ch->connection()->fd(), POLLIN, 0};
+  for (int i = 0; i < 500 && !(p.revents & (POLLHUP | POLLERR)); ++i) {
+    ::poll(&p, 1, 10);
+  }
+  EXPECT_TRUE(p.revents & (POLLHUP | POLLERR)) << "the reset never arrived";
+
+  obs::Counter& through =
+      obs::Registry::global().counter("rpc.bus.frames_written_through");
+  const std::uint64_t through_before = through.value();
+  Message ping;
+  ping.kind = MessageKind::kPing;
+  ping.seq = ch->next_seq();
+  std::future<Message> reply = ch->send(ping.seq, [&](util::ByteWriter& out) {
+    bus::append_frame(out, ping, ch->max_frame_bytes());
+  });
+  EXPECT_EQ(through.value() - through_before, 1u);
+  EXPECT_TRUE(ch->alive()) << "closing is the loop's job, not the sender's";
+  release.set_value();
+
+  EXPECT_THROW(reply.get(), util::CallError);
+  const util::Status why = ch->close_status();
+  EXPECT_EQ(why.code(), util::ErrorCode::kCallFailure);
+  EXPECT_NE(why.message().find("tcp write failed"), std::string::npos)
+      << why.message();
+}
+
+TEST(BusWriteThrough, FourLockStepThreadsOnOnePooledChannelGetTheirOwnReplies) {
+  auto host = make_inc_host();
+  obs::Counter& through =
+      obs::Registry::global().counter("rpc.bus.frames_written_through");
+  const bus::BusDispatcher& client_loop = bus::TcpBus::instance().dispatcher();
+  const std::uint64_t through_before = through.value();
+  const std::uint64_t wakes_before = client_loop.wakeups();
+  constexpr int kThreads = 4;
+  constexpr std::int64_t kCalls = 300;
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Every stub aimed at one host:port shares the pooled channel.
+      TcpRemoteProc inc("127.0.0.1", host->port(), "inc", kIncImport,
+                        "sun-sparc10");
+      for (std::int64_t i = 0; i < kCalls; ++i) {
+        const std::int64_t x = t * 1'000'000 + i;
+        CallResult r = inc.call({Value::integer(x), Value::integer(0)}, kLegacy);
+        if (!r.ok() || r.values[1].as_integer() != x + 1) ++wrong;
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(host->calls(), kThreads * kCalls);
+  // Both send paths ran: lone calls wrote through, overlapping ones
+  // queued and woke the loop.
+  EXPECT_GT(through.value() - through_before, 0u);
+  EXPECT_GT(client_loop.wakeups() - wakes_before, 0u);
 }
 
 }  // namespace
