@@ -21,6 +21,18 @@ void record_driver_iterations(const char* name, double iterations) {
       .record(iterations);
 }
 
+/// Network evaluations of one driver run, reusing the last one for an
+/// integrator stage at the speeds just evaluated (the network still holds
+/// that evaluation).
+solvers::LastEvaluation<std::vector<double>> last_evaluation(
+    NetworkEngineDriver& driver) {
+  return solvers::LastEvaluation<std::vector<double>>(
+      [&driver](const std::vector<double>& speeds, double fuel_flow) {
+        driver.set_speeds(speeds);
+        return driver.evaluate_flow(fuel_flow);
+      });
+}
+
 }  // namespace
 
 F100NetworkNames build_f100_network(flow::Network& net,
@@ -220,10 +232,10 @@ std::vector<double> NetworkEngineDriver::evaluate_flow(double fuel_flow) {
   solvers::NewtonOptions opt;
   opt.tolerance = flow_tolerance_;
   opt.max_iterations = 100;
+  // The last network evaluation was at the solution: the ports hold it.
   solvers::NewtonResult nr =
-      solvers::newton_solve(residual, warm_start_, opt);
+      solvers::newton_solve(residual, warm_start_, opt, flow_jacobian_);
   warm_start_ = nr.solution;
-  residual(nr.solution);
 
   record_driver_iterations("flow_newton_iterations", nr.iterations);
   if (obs::enabled()) {
@@ -250,25 +262,23 @@ NetworkSteadyResult NetworkEngineDriver::balance(double fuel_flow) {
     solvers::NewtonOptions opt;
     opt.tolerance = balance_tolerance_;
     opt.max_iterations = 60;
+    // The last residual set the solution's speeds and evaluated there.
     solvers::NewtonResult nr =
         solvers::newton_solve(residual, {1.0, 1.0}, opt);
-    set_speeds({nr.solution[0] * design[0], nr.solution[1] * design[1]});
-    evaluate_flow(fuel_flow);
     result.iterations = nr.iterations;
   } else {
     // RK4 pseudo-transient march.
     auto integrator =
         solvers::make_integrator(solvers::IntegratorKind::kRungeKutta4);
+    auto eval = last_evaluation(*this);
+    solvers::OdeFn rhs = [&](double, const std::vector<double>& y) {
+      return eval(y, fuel_flow);
+    };
     std::vector<double> speeds = design;
     int steps = 0;
     while (steps < 20000) {
-      set_speeds(speeds);
-      std::vector<double> accel = evaluate_flow(fuel_flow);
+      const std::vector<double>& accel = eval(speeds, fuel_flow);
       if (std::max(std::abs(accel[0]), std::abs(accel[1])) < 0.5) break;
-      solvers::OdeFn rhs = [&](double, const std::vector<double>& y) {
-        set_speeds(y);
-        return evaluate_flow(fuel_flow);
-      };
       speeds = integrator->step(rhs, steps * 0.05, speeds, 0.05);
       ++steps;
     }
@@ -289,12 +299,12 @@ std::vector<NetworkTransientSample> NetworkEngineDriver::run_transient(
   auto integrator = solvers::make_integrator(system().transient_method());
   std::vector<NetworkTransientSample> history;
 
+  auto eval = last_evaluation(*this);
   solvers::OdeFn rhs = [&](double t, const std::vector<double>& y) {
-    set_speeds(y);
-    return evaluate_flow(schedule(t));
+    return eval(y, schedule(t));
   };
   std::vector<double> speeds = current_speeds();
-  evaluate_flow(schedule(0.0));
+  eval(speeds, schedule(0.0));
   history.push_back(
       NetworkTransientSample{0.0, speeds, current_thrust(), current_t4()});
   double t = 0.0;
@@ -302,8 +312,7 @@ std::vector<NetworkTransientSample> NetworkEngineDriver::run_transient(
     const double step = std::min(dt, t_end - t);
     speeds = integrator->step(rhs, t, speeds, step);
     t += step;
-    set_speeds(speeds);
-    evaluate_flow(schedule(t));
+    eval(speeds, schedule(t));
     if (obs::enabled()) {
       obs::Registry::global().counter("npss.driver.transient_steps").add();
     }

@@ -9,6 +9,7 @@
 
 #include "flow/network.hpp"
 #include "npss/modules.hpp"
+#include "solvers/newton.hpp"
 
 namespace npss::glue {
 
@@ -94,6 +95,7 @@ class NetworkEngineDriver {
   flow::Network* net_;
   F100NetworkNames names_;
   std::vector<double> warm_start_;
+  solvers::JacobianCarry flow_jacobian_;
   double flow_tolerance_ = 1e-9;
   double balance_tolerance_ = 1e-7;
 };

@@ -78,7 +78,7 @@ std::future<Message> BusChannel::send(
   bool alone = false;
   {
     util::MutexLock lock(mu_);
-    if (closed_) {
+    if (!open_.load(std::memory_order_relaxed)) {
       throw util::CallError("bus channel closed: " + close_status_.message());
     }
     // Register before the frame can hit the wire: the reply may race in
@@ -98,7 +98,7 @@ std::future<Message> BusChannel::send(
     throw;
   }
   if (!queued) {
-    // The connection died between the closed_ check and the send; the
+    // The connection died between the open_ check and the send; the
     // on_close sweep may or may not have seen our waiter. The status is
     // re-read under the lock — on_close may still be mid-write on the
     // loop thread at this point.
@@ -140,9 +140,9 @@ void BusChannel::on_close(const util::Status& why) {
   std::map<std::uint64_t, std::promise<Message>> orphans;
   {
     util::MutexLock lock(mu_);
-    if (closed_) return;
-    closed_ = true;
+    if (!open_.load(std::memory_order_relaxed)) return;
     close_status_ = why;
+    open_.store(false, std::memory_order_release);
     orphans.swap(waiting_);
   }
   if (!orphans.empty()) inflight_delta(-static_cast<long>(orphans.size()));

@@ -9,6 +9,7 @@
 // N stubs talking to one host pipeline over a single socket.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <future>
@@ -52,7 +53,10 @@ class BusChannel : public std::enable_shared_from_this<BusChannel> {
   /// the reply already arrived (the future is ready after all).
   bool abandon(std::uint64_t seq);
 
-  bool alive() const { return conn_ && conn_->alive(); }
+  /// False once the connection's on_close has run; close_status() is then
+  /// non-OK. Lock-free: every TCP call checks it. (The connection's own
+  /// alive() flips earlier, before the status is known.)
+  bool alive() const { return open_.load(std::memory_order_acquire); }
   /// By value: the status is written by the loop thread's on_close while
   /// callers may be mid-send, so a reference would be a torn read.
   util::Status close_status() const {
@@ -75,8 +79,10 @@ class BusChannel : public std::enable_shared_from_this<BusChannel> {
   mutable util::Mutex mu_{"bus.BusChannel"};
   std::map<std::uint64_t, std::promise<Message>> waiting_
       SCHOONER_GUARDED_BY(mu_);
-  bool closed_ SCHOONER_GUARDED_BY(mu_) = false;
   util::Status close_status_ SCHOONER_GUARDED_BY(mu_);
+  /// Cleared once, by on_close under mu_ after close_status_ is written;
+  /// read without the lock by alive().
+  std::atomic<bool> open_{true};
 };
 
 /// The process-wide client bus: one dispatcher thread, one shared channel

@@ -60,6 +60,40 @@ class Integrator {
 
 std::unique_ptr<Integrator> make_integrator(IntegratorKind kind);
 
+/// The last result of an expensive right-hand side g(y, u) — an engine
+/// evaluation at states y and fuel flow u — returned again when the same
+/// (y, u) is asked for next: an integrator's first stage at the state the
+/// previous step accepted, which its caller has just evaluated to sample
+/// or test. Exact when every evaluation of the run goes through one
+/// instance and g depends only on its arguments and on the state its own
+/// last call left behind (a flow match warm-started at the solution of an
+/// identical call converges at iteration 0 and repeats the same calls).
+template <typename Result>
+class LastEvaluation {
+ public:
+  using Fn = std::function<Result(const std::vector<double>&, double)>;
+
+  explicit LastEvaluation(Fn fn) : fn_(std::move(fn)) {}
+
+  const Result& operator()(const std::vector<double>& y, double u) {
+    if (!valid_ || y != y_ || u != u_) {
+      valid_ = false;
+      last_ = fn_(y, u);
+      y_ = y;
+      u_ = u;
+      valid_ = true;
+    }
+    return last_;
+  }
+
+ private:
+  Fn fn_;
+  bool valid_ = false;
+  std::vector<double> y_;
+  double u_ = 0.0;
+  Result last_{};
+};
+
 /// Fixed-step integration from t0 to t1 (h is clipped on the final step).
 /// `observer`, if provided, is called after every accepted step.
 std::vector<double> integrate(

@@ -22,6 +22,16 @@ void record_iterations(const char* name, double iterations) {
       .record(iterations);
 }
 
+/// Engine evaluations of one driver run at one flight condition, reusing
+/// the last one for an integrator stage at the state just evaluated.
+solvers::LastEvaluation<Performance> last_evaluation(
+    EngineModel& engine, const FlightCondition& flight) {
+  return solvers::LastEvaluation<Performance>(
+      [&engine, &flight](const std::vector<double>& states, double wf) {
+        return engine.evaluate(states, wf, flight);
+      });
+}
+
 }  // namespace
 
 // --- Shared drivers -----------------------------------------------------------
@@ -63,12 +73,13 @@ SteadyResult EngineModel::balance(double wf, const FlightCondition& flight,
       // The design point itself may be thermodynamically infeasible at
       // this fuel flow (deep idle at full speed has no flow match); scan
       // down in speed until evaluation succeeds, then march from there.
+      auto eval = last_evaluation(*this, flight);
       std::vector<double> march_states = design;
       bool feasible = false;
       for (double scale : {1.0, 0.92, 0.85, 0.78, 0.72, 0.66, 0.60}) {
         for (int i = 0; i < n; ++i) march_states[i] = design[i] * scale;
         try {
-          (void)evaluate(march_states, wf, flight);
+          (void)eval(march_states, wf);
           feasible = true;
           break;
         } catch (const util::ConvergenceError&) {
@@ -76,11 +87,11 @@ SteadyResult EngineModel::balance(double wf, const FlightCondition& flight,
       }
       if (!feasible) throw;
       solvers::OdeFn rhs = [&](double, const std::vector<double>& y) {
-        return evaluate(y, wf, flight).accelerations;
+        return eval(y, wf).accelerations;
       };
       for (int s = 0; s < 800; ++s) {
         march_states = integ->step(rhs, s * 0.05, march_states, 0.05);
-        Performance p = evaluate(march_states, wf, flight);
+        const Performance& p = eval(march_states, wf);
         double worst = 0.0;
         for (int i = 0; i < n; ++i) {
           worst = std::max(worst,
@@ -91,10 +102,10 @@ SteadyResult EngineModel::balance(double wf, const FlightCondition& flight,
       for (int i = 0; i < n; ++i) x0[i] = march_states[i] / design[i];
       nr = solvers::newton_solve(residual, x0, opt);
     }
+    // newton_solve's last residual was at the solution, so `last` is the
+    // evaluation there.
     SteadyResult result;
-    std::vector<double> states(n);
-    for (int i = 0; i < n; ++i) states[i] = nr.solution[i] * design[i];
-    result.performance = evaluate(states, wf, flight);
+    result.performance = std::move(last);
     result.iterations = nr.iterations;
     result.residual = nr.residual_norm;
     record_iterations("balance_iterations", result.iterations);
@@ -109,13 +120,12 @@ SteadyResult EngineModel::balance(double wf, const FlightCondition& flight,
   std::vector<double> states = design;
   const double dt = 0.05;
   int steps = 0;
-  Performance perf = evaluate(states, wf, flight);
+  auto eval = last_evaluation(*this, flight);
   solvers::OdeFn rhs = [&](double, const std::vector<double>& y) {
-    Performance p = evaluate(y, wf, flight);
-    return p.accelerations;
+    return eval(y, wf).accelerations;
   };
   while (steps < 20000) {
-    perf = evaluate(states, wf, flight);
+    const Performance& perf = eval(states, wf);
     double worst = 0.0;
     for (int i = 0; i < n; ++i) {
       // Settle to 0.5 rpm/s equivalent on every state.
@@ -144,14 +154,14 @@ TransientResult EngineModel::transient(const std::vector<double>& initial_speeds
                                        solvers::IntegratorKind kind) {
   auto integrator = solvers::make_integrator(kind);
   TransientResult result;
+  auto eval = last_evaluation(*this, flight);
   solvers::OdeFn rhs = [&](double t, const std::vector<double>& y) {
-    Performance p = evaluate(y, schedule(t), flight);
-    return p.accelerations;
+    return eval(y, schedule(t)).accelerations;
   };
-  Performance p0 = evaluate(initial_speeds, schedule(0.0), flight);
-  result.history.push_back(TransientSample{0.0, p0});
+  result.history.push_back(
+      TransientSample{0.0, eval(initial_speeds, schedule(0.0))});
   auto observer = [&](double t, const std::vector<double>& y) {
-    Performance p = evaluate(y, schedule(t), flight);
+    Performance p = eval(y, schedule(t));
     record_iterations("step_flow_iterations", p.flow_iterations);
     if (obs::enabled()) {
       obs::Registry::global().counter("tess.engine.transient_steps").add();
@@ -218,10 +228,10 @@ Performance TurbojetEngine::evaluate(const std::vector<double>& speeds,
   solvers::NewtonOptions opt;
   opt.tolerance = flow_tolerance_;
   opt.max_iterations = 80;
+  // The last residual was at the solution: the stations describe it.
   solvers::NewtonResult nr =
-      solvers::newton_solve(flow_residual, warm_start_, opt);
+      solvers::newton_solve(flow_residual, warm_start_, opt, flow_jacobian_);
   warm_start_ = nr.solution;
-  flow_residual(nr.solution);  // leave component state at the solution
 
   Performance perf;
   perf.airflow = st2.W;
@@ -232,6 +242,7 @@ Performance TurbojetEngine::evaluate(const std::vector<double>& speeds,
   perf.states = speeds;
   perf.surge_margins = {comp.surge_margin};
   perf.flow_iterations = nr.iterations;
+  perf.flow_evaluations = nr.function_evaluations;
   perf.stations = {{"st2", st2},      {"st3", comp.out},
                    {"st4", st4},      {"st5", turb.out},
                    {"st7", st7}};
@@ -384,9 +395,9 @@ Performance F100Engine::evaluate(const std::vector<double>& states, double wf,
     solvers::NewtonOptions opt;
     opt.tolerance = flow_tolerance_;
     opt.max_iterations = 100;
-    nr = solvers::newton_solve(residual, warm_start_vol_, opt);
+    nr = solvers::newton_solve(residual, warm_start_vol_, opt,
+                               flow_jacobian_);
     warm_start_vol_ = nr.solution;
-    residual(nr.solution);
   } else {
     auto residual = [&](const std::vector<double>& u) {
       march(clampd(u[0], 0.05, 3.0) * w_design,
@@ -404,10 +415,10 @@ Performance F100Engine::evaluate(const std::vector<double>& states, double wf,
     solvers::NewtonOptions opt;
     opt.tolerance = flow_tolerance_;
     opt.max_iterations = 100;
-    nr = solvers::newton_solve(residual, warm_start_, opt);
+    nr = solvers::newton_solve(residual, warm_start_, opt, flow_jacobian_);
     warm_start_ = nr.solution;
-    residual(nr.solution);
   }
+  // Either way the last march was at the solution: the stations describe it.
 
   Performance perf;
   perf.airflow = st2.W;
@@ -418,6 +429,7 @@ Performance F100Engine::evaluate(const std::vector<double>& states, double wf,
   perf.states = states;
   perf.surge_margins = {fan.surge_margin, hpc.surge_margin};
   perf.flow_iterations = nr.iterations;
+  perf.flow_evaluations = nr.function_evaluations;
   perf.stations = {{"st2", st2},   {"st13", st13}, {"st25", st25},
                    {"st3", st3},   {"st4", st4},   {"st45", st45},
                    {"st5", st5},   {"st16", st16}, {"st6", st6},

@@ -6,6 +6,8 @@
 //       problem (map operating points, turbine PRs, bypass split, nozzle
 //       continuity) by Newton-Raphson at frozen spool speeds, returning
 //       performance plus spool accelerations from the shaft procedures;
+//       each engine warm-starts the match from its last solution and
+//       carries its Jacobian (solvers::JacobianCarry) between calls;
 //   balance(...)                  — steady state: find spool speeds with
 //       zero acceleration, via Newton-Raphson or an RK4 pseudo-transient
 //       march (TESS's two steady-state methods, §3.2);
@@ -41,6 +43,7 @@ struct Performance {
   std::vector<double> surge_margins; ///< per compressor
   std::map<std::string, GasState> stations;
   int flow_iterations = 0;    ///< inner Newton iterations
+  int flow_evaluations = 0;   ///< inner residual evaluations (gas-path marches)
 };
 
 enum class SteadyMethod : std::uint8_t {
@@ -171,6 +174,7 @@ class TurbojetEngine final : public EngineModel {
   const CompressorMap* cmap_;
   const TurbineMap* tmap_;
   std::vector<double> warm_start_;
+  solvers::JacobianCarry flow_jacobian_;
 };
 
 struct F100Config {
@@ -232,6 +236,7 @@ class F100Engine final : public EngineModel {
   const TurbineMap* lpt_map_;
   std::vector<double> warm_start_;
   std::vector<double> warm_start_vol_;
+  solvers::JacobianCarry flow_jacobian_;  ///< of whichever mode config_ picks
 };
 
 }  // namespace npss::tess

@@ -126,6 +126,51 @@ TEST(ConcurrencyContracts, BusChannelCloseStatusReadableWhileCloseLands) {
   ::close(listen_fd);
 }
 
+// The same close, many rounds, with the observer spinning on alive() so
+// it reads close_status() the instant alive() turns false. The channel's
+// alive() used to follow the connection's flag, which the loop clears
+// before on_close stores the status: a caller could see a dead channel
+// with an OK status. alive() now turns false only after the status is in.
+TEST(ConcurrencyContracts, BusChannelNotAliveImpliesCloseStatusStress) {
+  int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listen_fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = 0;
+  ASSERT_EQ(::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr),
+                   sizeof addr), 0);
+  ASSERT_EQ(::listen(listen_fd, 16), 0);
+  socklen_t len = sizeof addr;
+  ASSERT_EQ(::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&addr),
+                          &len), 0);
+  const int port = ntohs(addr.sin_port);
+
+  rpc::bus::BusDispatcher dispatcher("close-status-stress");
+  constexpr int kRounds = 300;
+  int ok_after_close = 0;
+  int still_alive = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    auto channel = rpc::bus::BusChannel::open(dispatcher, "127.0.0.1", port);
+    const int server_fd = ::accept(listen_fd, nullptr, nullptr);
+    ASSERT_GE(server_fd, 0);
+    ::close(server_fd);
+    const auto deadline = std::chrono::steady_clock::now() + 5s;
+    while (channel->alive() && std::chrono::steady_clock::now() < deadline) {
+    }
+    if (channel->alive()) {
+      ++still_alive;
+    } else if (channel->close_status().is_ok()) {
+      ++ok_after_close;
+    }
+  }
+  EXPECT_EQ(still_alive, 0);
+  EXPECT_EQ(ok_after_close, 0) << "rounds in which alive() was false while "
+                                  "close_status() was still OK";
+  dispatcher.stop();
+  ::close(listen_fd);
+}
+
 // Cluster::route() used to return a reference into the routing table
 // that send() then read after dropping the cluster lock — a use-after-
 // free the moment set_site_link replaced the entry. route() now returns

@@ -124,6 +124,130 @@ TEST(Newton, CountsFunctionEvaluations) {
   EXPECT_LE(r.function_evaluations, 10);
 }
 
+// --- Newton with a carried Jacobian ------------------------------------------------
+
+/// x^2 + y^2 = 4 + p, x y = 1 + p/10: a family of nearby systems, as the
+/// flow match sees from one engine evaluation to the next. Counts calls
+/// and remembers where the last one was made.
+struct CountedFamily {
+  double p = 0.0;
+  int calls = 0;
+  std::vector<double> last_x;
+  std::vector<std::vector<double>> points;
+
+  ResidualFn fn() {
+    return [this](const std::vector<double>& v) {
+      ++calls;
+      last_x = v;
+      points.push_back(v);
+      return std::vector<double>{v[0] * v[0] + v[1] * v[1] - 4.0 - p,
+                                 v[0] * v[1] - 1.0 - 0.1 * p};
+    };
+  }
+};
+
+TEST(NewtonCarry, NearbySolvesMatchPlainSolvesWithFewerEvaluations) {
+  CountedFamily plain_f, carry_f;
+  JacobianCarry carry;
+  std::vector<double> plain_x{2.0, 0.5}, carry_x{2.0, 0.5};
+  int plain_evals = 0, carry_evals = 0;
+  for (int k = 0; k < 20; ++k) {
+    plain_f.p = carry_f.p = 0.02 * k;
+    plain_f.calls = carry_f.calls = 0;
+    NewtonResult a = newton_solve(plain_f.fn(), plain_x);
+    NewtonResult b = newton_solve(carry_f.fn(), carry_x, {}, carry);
+    // The reported count is every residual call, no more, no less.
+    EXPECT_EQ(a.function_evaluations, plain_f.calls);
+    EXPECT_EQ(b.function_evaluations, carry_f.calls);
+    ASSERT_TRUE(b.converged);
+    EXPECT_LE(b.residual_norm, NewtonOptions{}.tolerance);
+    EXPECT_NEAR(b.solution[0], a.solution[0], 1e-8);
+    EXPECT_NEAR(b.solution[1], a.solution[1], 1e-8);
+    plain_evals += a.function_evaluations;
+    carry_evals += b.function_evaluations;
+    plain_x = a.solution;
+    carry_x = b.solution;
+  }
+  EXPECT_FALSE(carry.empty());
+  // Each plain iteration pays 2 finite-difference columns + 1 step; a
+  // carried one only the step.
+  EXPECT_LT(carry_evals * 3, plain_evals * 2)
+      << carry_evals << " vs " << plain_evals;
+}
+
+TEST(NewtonCarry, WrongJacobianIsRefreshedAndStillConverges) {
+  // Learn the right Jacobian near the root, then corrupt it two ways.
+  CountedFamily f;
+  JacobianCarry learned;
+  NewtonResult ref = newton_solve(f.fn(), {2.0, 0.5}, {}, learned);
+  ASSERT_TRUE(ref.converged);
+
+  JacobianCarry flipped = learned;
+  for (std::size_t i = 0; i < 2; ++i) {
+    for (std::size_t j = 0; j < 2; ++j) flipped.jacobian(i, j) *= -1.0;
+  }
+  JacobianCarry foreign;  // from another system: d/dx of (y, x)
+  foreign.jacobian = Matrix(2, 2);
+  foreign.jacobian(0, 1) = 1.0;
+  foreign.jacobian(1, 0) = 1.0;
+
+  for (JacobianCarry* carry : {&flipped, &foreign}) {
+    f.p = 0.1;
+    f.points.clear();
+    NewtonResult r = newton_solve(f.fn(), ref.solution, {}, *carry);
+    ASSERT_TRUE(r.converged);
+    EXPECT_NEAR(r.solution[0] * r.solution[1], 1.01, 1e-8);
+    EXPECT_NEAR(r.solution[0] * r.solution[0] + r.solution[1] * r.solution[1],
+                4.1, 1e-8);
+    // The rejected full step was followed by finite-difference columns at
+    // the starting point, which only the refresh path makes.
+    ASSERT_GE(f.points.size(), 4u);
+    const double h = NewtonOptions{}.fd_step * std::max(1.0, ref.solution[0]);
+    EXPECT_EQ(f.points[2][0], ref.solution[0] + h);
+    EXPECT_EQ(f.points[2][1], ref.solution[1]);
+    EXPECT_EQ(f.last_x, r.solution);
+  }
+}
+
+TEST(NewtonCarry, LastResidualCallIsAtTheSolution) {
+  CountedFamily f;
+  NewtonResult plain = newton_solve(f.fn(), {2.0, 0.3});
+  EXPECT_EQ(f.last_x, plain.solution);
+
+  JacobianCarry carry;
+  for (double p : {0.0, 0.05, 0.3, 0.0}) {
+    f.p = p;
+    NewtonResult r = newton_solve(f.fn(), {2.0, 0.3}, {}, carry);
+    EXPECT_EQ(f.last_x, r.solution) << "p = " << p;
+  }
+
+  // Also when the solve stops at the iteration limit.
+  NewtonOptions opt;
+  opt.max_iterations = 2;
+  ResidualFn no_root = [&f](const std::vector<double>& v) {
+    f.last_x = v;
+    return std::vector<double>{v[0] * v[0] + 1.0};
+  };
+  NewtonResult stuck = newton_try_solve(no_root, {3.0}, opt);
+  EXPECT_FALSE(stuck.converged);
+  EXPECT_EQ(f.last_x, stuck.solution);
+}
+
+TEST(NewtonCarry, DimensionChangeDropsTheCarry) {
+  JacobianCarry carry;
+  carry.jacobian = Matrix::identity(3);
+  CountedFamily f;
+  NewtonResult r = newton_solve(f.fn(), {2.0, 0.5}, {}, carry);
+  ASSERT_TRUE(r.converged);
+  EXPECT_EQ(carry.jacobian.rows(), 2u);
+  EXPECT_EQ(carry.jacobian.cols(), 2u);
+  // The first iteration built its Jacobian by finite differences.
+  ASSERT_GE(f.points.size(), 3u);
+  const double h = NewtonOptions{}.fd_step * 2.0;
+  EXPECT_EQ(f.points[1], (std::vector<double>{2.0 + h, 0.5}));
+  EXPECT_EQ(f.points[2], (std::vector<double>{2.0, 0.5 + NewtonOptions{}.fd_step}));
+}
+
 // --- ODE integrators: exact-solution accuracy -----------------------------------------
 
 /// y' = -y + sin(t), y(0)=1; exact: y = 0.5(sin t - cos t) + 1.5 e^-t.

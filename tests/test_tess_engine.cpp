@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "tess/engine.hpp"
 
@@ -163,6 +164,101 @@ TEST(F100, SetshaftRunsOncePerBalance) {
   EXPECT_EQ(setshaft_calls, 2);  // one per spool
   engine.balance(1.0, {});
   EXPECT_EQ(setshaft_calls, 4);  // fresh run, fresh setshaft
+}
+
+/// All-local hooks that count the calls each component receives.
+struct CountingHooks {
+  int combustor = 0, duct = 0, nozzle = 0, setshaft = 0;
+  std::vector<int> shaft = std::vector<int>(2, 0);  ///< per spool
+
+  ComponentHooks hooks() {
+    ComponentHooks h = ComponentHooks::local();
+    h.combustor = [this, base = h.combustor](int i, const StationArray& in,
+                                             double wf, double eff,
+                                             double dp) {
+      ++combustor;
+      return base(i, in, wf, eff, dp);
+    };
+    h.duct = [this, base = h.duct](int i, const StationArray& in, double dp) {
+      ++duct;
+      return base(i, in, dp);
+    };
+    h.nozzle = [this, base = h.nozzle](int i, const StationArray& in,
+                                       double area, double pamb) {
+      ++nozzle;
+      return base(i, in, area, pamb);
+    };
+    h.setshaft = [this, base = h.setshaft](int spool, const StationArray& ecom,
+                                           int incom, const StationArray& etur,
+                                           int intur) {
+      ++setshaft;
+      return base(spool, ecom, incom, etur, intur);
+    };
+    h.shaft = [this, base = h.shaft](int spool, const StationArray& ecom,
+                                     int incom, const StationArray& etur,
+                                     int intur, double ecorr, double xspool,
+                                     double xmyi) {
+      ++shaft.at(static_cast<std::size_t>(spool));
+      return base(spool, ecom, incom, etur, intur, ecorr, xspool, xmyi);
+    };
+    return h;
+  }
+};
+
+TEST(F100, HeunTransientEvaluatesTwicePerStepPlusOnce) {
+  // The sample evaluation at each accepted state is the next step's first
+  // stage: N Heun steps cost 2N + 1 engine evaluations, one shaft call per
+  // spool each.
+  F100Engine engine;
+  SteadyResult steady = engine.balance(1.0, {});
+  CountingHooks count;
+  engine.set_hooks(count.hooks());
+  FuelSchedule step = [](double t) { return t < 0.1 ? 1.0 : 1.27; };
+  constexpr int kSteps = 25;
+  TransientResult tr = engine.transient(
+      steady.performance.speeds, step, {}, kSteps * 0.02, 0.02,
+      solvers::IntegratorKind::kModifiedEuler);
+  ASSERT_EQ(tr.history.size(), static_cast<std::size_t>(kSteps + 1));
+  EXPECT_EQ(tr.rhs_evaluations, 2 * kSteps);
+  EXPECT_EQ(count.shaft[0], 2 * kSteps + 1);
+  EXPECT_EQ(count.shaft[1], 2 * kSteps + 1);
+  EXPECT_EQ(count.setshaft, 0);  // ecorr carries over from the balance
+}
+
+TEST(F100, FlowPathCallsEqualFlowMatchResiduals) {
+  // Every combustor / duct / nozzle call is one residual of the inner flow
+  // match: nothing re-marches the gas path at the solution afterwards.
+  F100Engine engine;
+  CountingHooks count;
+  engine.set_hooks(count.hooks());
+  int residuals = 0;
+  int evaluations = 0;
+  for (double wf : {1.0, 1.01, 1.03, 0.98, 0.98}) {
+    Performance p = engine.evaluate(engine.design_states(), wf, {});
+    EXPECT_GE(p.flow_evaluations, 1);
+    residuals += p.flow_evaluations;
+    ++evaluations;
+  }
+  EXPECT_EQ(count.combustor, residuals);
+  EXPECT_EQ(count.duct, 2 * residuals);  // bypass duct and tailpipe
+  EXPECT_EQ(count.nozzle, residuals);
+  EXPECT_EQ(count.shaft[0], evaluations);
+  EXPECT_EQ(count.shaft[1], evaluations);
+}
+
+TEST(Turbojet, FlowPathCallsEqualFlowMatchResiduals) {
+  TurbojetEngine engine;
+  CountingHooks count;
+  engine.set_hooks(count.hooks());
+  int residuals = 0;
+  for (double wf : {0.80, 0.82, 0.78}) {
+    residuals +=
+        engine.evaluate(engine.design_speeds(), wf, {}).flow_evaluations;
+  }
+  EXPECT_EQ(count.combustor, residuals);
+  EXPECT_EQ(count.duct, residuals);
+  EXPECT_EQ(count.nozzle, residuals);
+  EXPECT_EQ(count.shaft[0], 3);
 }
 
 TEST(F100, ConvergenceFailureIsReported) {
