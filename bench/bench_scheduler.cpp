@@ -98,8 +98,9 @@ sim::ProgramImage spin_image() {
   return rpc::make_procedure_image(
       kSpinSpec, {{"spin", [](rpc::ProcCall& call) {
                      const std::int64_t ms = call.integer("ms");
-                     std::this_thread::sleep_for(
-                         std::chrono::milliseconds(ms));
+                     // A fiber sleep: the other host's fiber runs
+                     // meanwhile, as the two remote machines would.
+                     sim::sleep_for(std::chrono::milliseconds(ms));
                      call.set("done", uts::Value::integer(ms));
                    }}},
       {});

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <map>
 #include <sstream>
+#include <utility>
 
 #include "obs/metrics.hpp"
 
@@ -37,6 +38,10 @@ std::uint64_t next_span_id() noexcept {
 }
 
 TraceContext current_trace() noexcept { return t_current; }
+
+TraceContext exchange_current_trace(TraceContext next) noexcept {
+  return std::exchange(t_current, next);
+}
 
 // --- SpanCollector ------------------------------------------------------------
 

@@ -35,6 +35,11 @@ struct TraceContext {
 /// context when no span is open.
 TraceContext current_trace() noexcept;
 
+/// Install `next` as the thread's current context and return the one it
+/// replaces. A fiber scheduler calls this on every switch, so each fiber
+/// keeps its own innermost span whichever thread resumes it.
+TraceContext exchange_current_trace(TraceContext next) noexcept;
+
 /// One finished span as the collector keeps it.
 struct SpanRecord {
   std::uint64_t trace_id = 0;

@@ -4,9 +4,9 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <thread>
 
 #include "obs/trace.hpp"
+#include "sim/fiber.hpp"
 #include "util/log.hpp"
 
 namespace npss::rpc {
@@ -74,7 +74,7 @@ std::string discover_manager_leader(MessageIo& io,
         // Dead replica; try the next one.
       }
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    sim::sleep_for(std::chrono::milliseconds(20));
   }
   return {};
 }

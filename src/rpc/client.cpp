@@ -1,9 +1,9 @@
 #include "rpc/client.hpp"
 
 #include <chrono>
-#include <thread>
 
 #include "rpc/manager.hpp"
+#include "sim/fiber.hpp"
 #include "util/log.hpp"
 
 namespace npss::rpc {
@@ -130,8 +130,7 @@ Line::Line(Session& session, sim::EndpointPtr endpoint, LineOptions opts)
         if (attempt >= attempts) throw;
         count("rpc.line.admission_backoffs");
         if (opts.admission_backoff_ms > 0) {
-          std::this_thread::sleep_for(
-              std::chrono::milliseconds(opts.admission_backoff_ms));
+          sim::sleep_for(std::chrono::milliseconds(opts.admission_backoff_ms));
           endpoint_->clock().advance(
               static_cast<util::SimTime>(opts.admission_backoff_ms) * 1000);
         }

@@ -115,8 +115,9 @@ class HostRuntime {
     // Pooled mode (§15 fairness): kCall work queues per line and the pool
     // drains lines round-robin, so one line's call storm waits behind its
     // own earlier calls instead of starving every other line. Control
-    // messages stay on the dispatch thread, which also keeps sole
-    // ownership of io_.receive().
+    // messages stay on the dispatch fiber, which also keeps sole
+    // ownership of io_.receive(). The workers only send, so joining them
+    // here cannot wait on another sim process (DESIGN.md §16).
     util::FairQueue<Incoming> queue;
     std::vector<std::jthread> pool;
     const int workers = std::max(options_.workers, 0);
@@ -238,9 +239,9 @@ class HostRuntime {
   MessageIo io_;
   ProcedureImageOptions options_;
   /// Read by pooled workers; its prepared-import cache locks itself. The
-  /// rest of HostRuntime's state is dispatch-thread-only: the nested
+  /// rest of HostRuntime's state is dispatch-fiber-only: the nested
   /// caches are touched only by unpooled hosts, and io_.receive() is
-  /// owned by the dispatch thread alone.
+  /// owned by the dispatch fiber alone.
   ExportTable exports_;
   std::string manager_;
   LineId line_ = kNoLine;

@@ -127,11 +127,11 @@ struct ManagerStats {
 };
 
 /// The live counters a running replica increments. Atomic field by
-/// field: each counter is bumped on its replica's own thread while
-/// SchoonerSystem::stats() sums across the group from the test/bench
-/// thread, so plain uint64 fields would be a data race. Relaxed order is
-/// enough — each counter is an independent tally, not a synchronization
-/// point.
+/// field: each counter is bumped by its replica's fiber, on whichever
+/// thread runs it, while SchoonerSystem::stats() sums across the group
+/// from the test/bench thread, so plain uint64 fields would be a data
+/// race. Relaxed order is enough — each counter is an independent tally,
+/// not a synchronization point.
 struct ManagerCounters {
   std::atomic<std::uint64_t> lines_created{0};
   std::atomic<std::uint64_t> lines_rejected{0};

@@ -1,6 +1,7 @@
 #include "sim/cluster.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "util/log.hpp"
@@ -10,6 +11,120 @@ namespace npss::sim {
 using util::NoRouteError;
 using util::NoSuchImageError;
 using util::NoSuchMachineError;
+
+// --- Endpoint mailbox --------------------------------------------------------
+
+std::optional<Envelope> Endpoint::take() {
+  if (items_.empty()) return std::nullopt;
+  std::optional<Envelope> env(std::move(items_.front()));
+  items_.pop_front();
+  clock_.join(env->stamp);
+  return env;
+}
+
+std::optional<Envelope> Endpoint::try_receive() {
+  util::MutexLock lock(mu_);
+  return take();
+}
+
+void Endpoint::drive_if_woken(bool woke) {
+  if (woke && !sched_->current()) sched_->drive_woken();
+}
+
+bool Endpoint::push(Envelope env) {
+  bool woke = false;
+  {
+    util::MutexLock lock(mu_);
+    if (closed_) return false;
+    items_.push_back(std::move(env));
+    // Woken under the lock: the waiter must retake it before it can
+    // return, let alone exit, so the pointer stays valid for wake().
+    if (waiter_) woke = sched_->wake(std::exchange(waiter_, nullptr));
+    if (thread_waiters_ > 0) cv_.notify_all();
+  }
+  drive_if_woken(woke);
+  return true;
+}
+
+void Endpoint::close() {
+  bool woke = false;
+  {
+    util::MutexLock lock(mu_);
+    closed_ = true;
+    if (waiter_) woke = sched_->wake(std::exchange(waiter_, nullptr));
+    if (thread_waiters_ > 0) cv_.notify_all();
+  }
+  drive_if_woken(woke);
+}
+
+bool Endpoint::closed() const {
+  util::MutexLock lock(mu_);
+  return closed_;
+}
+
+std::optional<Envelope> Endpoint::wait(Scheduler::Clock::time_point deadline) {
+  if (Fiber* self = sched_->current()) return wait_on_fiber(self, deadline);
+  return wait_on_thread(deadline);
+}
+
+std::optional<Envelope> Endpoint::wait_on_fiber(
+    Fiber* self, Scheduler::Clock::time_point deadline) {
+  while (true) {
+    {
+      util::MutexLock lock(mu_);
+      if (waiter_ == self) waiter_ = nullptr;
+      if (auto env = take()) return env;
+      if (closed_) return std::nullopt;
+      if (deadline != Scheduler::kNever &&
+          Scheduler::Clock::now() >= deadline) {
+        return std::nullopt;
+      }
+      waiter_ = self;
+    }
+    sched_->park(self, deadline);
+  }
+}
+
+std::optional<Envelope> Endpoint::wait_on_thread(
+    Scheduler::Clock::time_point deadline) {
+  const std::function<bool()> satisfied = [this, deadline] {
+    {
+      util::MutexLock lock(mu_);
+      if (!items_.empty() || closed_) return true;
+    }
+    return deadline != Scheduler::kNever &&
+           Scheduler::Clock::now() >= deadline;
+  };
+  while (true) {
+    {
+      util::MutexLock lock(mu_);
+      if (auto env = take()) return env;
+      if (closed_) return std::nullopt;
+      if (deadline != Scheduler::kNever &&
+          Scheduler::Clock::now() >= deadline) {
+        return std::nullopt;
+      }
+    }
+    // Run the fibers this wait depends on, here, while the baton is free.
+    if (sched_->drive_until(satisfied)) continue;
+    // Someone else holds the baton (or nothing is ready yet): whoever
+    // runs the fiber that answers pushes here and wakes this wait.
+    util::MutexLock lock(mu_);
+    ++thread_waiters_;
+    while (items_.empty() && !closed_) {
+      if (deadline == Scheduler::kNever) {
+        cv_.wait(lock);
+      } else if (cv_.wait_until(lock, deadline) == std::cv_status::timeout) {
+        break;
+      }
+    }
+    --thread_waiters_;
+    if (auto env = take()) return env;
+    return std::nullopt;
+  }
+}
+
+// --- ProcessContext ----------------------------------------------------------
 
 void ProcessContext::compute(double microseconds) {
   const double speed = self_->arch().cpu_speed;
@@ -134,7 +249,7 @@ EndpointPtr Cluster::create_endpoint(const std::string& machine,
   }
   std::string address =
       machine + "/" + label + "#" + std::to_string(next_pid_++);
-  auto ep = std::make_shared<Endpoint>(it->second, address);
+  auto ep = std::make_shared<Endpoint>(sched_, it->second, address);
   endpoints_[address] = ep;
   return ep;
 }
@@ -143,20 +258,17 @@ EndpointPtr Cluster::spawn(const std::string& machine,
                            const std::string& label, ProgramImage image,
                            std::vector<std::string> args) {
   EndpointPtr ep = create_endpoint(machine, label);
-  {
-    util::MutexLock lock(mu_);
-    threads_.emplace_back([this, ep, image = std::move(image),
-                           args = std::move(args)]() mutable {
-      ProcessContext ctx(*this, ep, std::move(args));
-      try {
-        image(ctx);
-      } catch (const std::exception& e) {
-        NPSS_LOG_ERROR("sim", "process ", ep->address(),
-                       " died with exception: ", e.what());
-      }
-      retire_endpoint(ep->address());
-    });
-  }
+  sched_.spawn([this, ep, image = std::move(image),
+                args = std::move(args)]() mutable {
+    ProcessContext ctx(*this, ep, std::move(args));
+    try {
+      image(ctx);
+    } catch (const std::exception& e) {
+      NPSS_LOG_ERROR("sim", "process ", ep->address(),
+                     " died with exception: ", e.what());
+    }
+    retire_endpoint(ep->address());
+  });
   return ep;
 }
 
@@ -282,25 +394,24 @@ void Cluster::send(Endpoint& from, const std::string& to,
   NPSS_LOG_TRACE("sim", from.address(), " -> ", to, " (", size, " bytes via ",
                  link.name, ")");
   if (action == FaultAction::kDuplicate) {
-    dest->inbox_.push(Envelope{from.address(), to, stamp, payload});
+    dest->push(Envelope{from.address(), to, stamp, payload});
   }
-  if (!dest->inbox_.push(
-          Envelope{from.address(), to, stamp, std::move(payload)})) {
+  if (!dest->push(Envelope{from.address(), to, stamp, std::move(payload)})) {
     throw NoRouteError("endpoint '" + to + "' is closed");
   }
 }
 
 void Cluster::shutdown() {
   std::unordered_map<std::string, EndpointPtr> eps;
-  std::vector<std::jthread> threads;
   {
     util::MutexLock lock(mu_);
     eps.swap(endpoints_);
-    threads.swap(threads_);
   }
   for (auto& [addr, ep] : eps) ep->close();
-  threads.clear();  // jthread joins on destruction
+  sched_.wait_all_exited();
 }
+
+std::size_t Cluster::live_processes() const { return sched_.live(); }
 
 Cluster::Traffic Cluster::traffic() const {
   util::MutexLock lock(mu_);

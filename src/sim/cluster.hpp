@@ -3,8 +3,8 @@
 // A Cluster owns named Machines (each with an arch::ArchDescriptor and a
 // site), a routing table of LinkProfiles keyed by site pair, a registry of
 // installed "program images" (the simulated executables the user's pathname
-// widget points at, §3.3), and the live processes. A process is a host
-// thread bound to an Endpoint: a mailbox plus a virtual clock on some
+// widget points at, §3.3), and the live processes. A process is a fiber
+// (fiber.hpp) bound to an Endpoint: a mailbox plus a virtual clock on some
 // machine. Message delivery stamps envelopes with
 //   sender_clock + link.transfer_time(bytes)
 // and receivers join their clock with the stamp on receipt, so elapsed
@@ -12,22 +12,23 @@
 // of host scheduling.
 #pragma once
 
+#include <chrono>
+#include <deque>
 #include <functional>
 #include <map>
 #include <set>
 #include <memory>
 #include <optional>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "arch/arch.hpp"
+#include "sim/fiber.hpp"
 #include "sim/network.hpp"
 #include "util/bytes.hpp"
 #include "util/clock.hpp"
 #include "util/mutex.hpp"
-#include "util/queue.hpp"
 #include "util/status.hpp"
 #include "util/thread_annotations.hpp"
 
@@ -49,10 +50,14 @@ struct Envelope {
 class Cluster;
 
 /// A process's communication end: mailbox + virtual clock on a machine.
+/// The owner may be one of the cluster's process fibers or any other
+/// thread (a client, a test); a fiber parks on an empty mailbox, any
+/// other thread drives the cluster's fibers while the baton is free and
+/// otherwise blocks (fiber.hpp).
 class Endpoint {
  public:
-  Endpoint(const Machine& machine, std::string address)
-      : machine_(&machine), address_(std::move(address)) {}
+  Endpoint(Scheduler& sched, const Machine& machine, std::string address)
+      : sched_(&sched), machine_(&machine), address_(std::move(address)) {}
 
   const std::string& address() const { return address_; }
   const Machine& machine() const { return *machine_; }
@@ -61,37 +66,47 @@ class Endpoint {
 
   /// Blocking receive; joins the clock with the envelope stamp.
   /// Returns nullopt once the endpoint is closed and drained.
-  std::optional<Envelope> receive() {
-    auto env = inbox_.pop();
-    if (env) clock_.join(env->stamp);
-    return env;
-  }
+  std::optional<Envelope> receive() { return wait(Scheduler::kNever); }
 
-  std::optional<Envelope> try_receive() {
-    auto env = inbox_.try_pop();
-    if (env) clock_.join(env->stamp);
-    return env;
-  }
+  std::optional<Envelope> try_receive();
 
   /// Receive bounded by *host* time — the detection mechanism behind call
   /// deadlines: a dropped frame means the matching reply will never
   /// arrive, and the host-side wait is how the caller notices. Returns
   /// nullopt on timeout or once closed and drained (check closed()).
   std::optional<Envelope> receive_for(std::chrono::milliseconds timeout) {
-    auto env = inbox_.pop_for(timeout);
-    if (env) clock_.join(env->stamp);
-    return env;
+    return wait(Scheduler::Clock::now() + timeout);
   }
 
-  void close() { inbox_.close(); }
-  bool closed() const { return inbox_.closed(); }
+  void close();
+  bool closed() const;
 
  private:
   friend class Cluster;
+  /// Queue an envelope; false (dropping it) once closed.
+  bool push(Envelope env);
+  std::optional<Envelope> wait(Scheduler::Clock::time_point deadline);
+  std::optional<Envelope> wait_on_fiber(Fiber* self,
+                                        Scheduler::Clock::time_point deadline);
+  std::optional<Envelope> wait_on_thread(Scheduler::Clock::time_point deadline);
+  /// Pop the front envelope into the clock, or nullopt when empty.
+  std::optional<Envelope> take() SCHOONER_REQUIRES(mu_);
+  /// After waking a fiber from outside the scheduler: run it here.
+  void drive_if_woken(bool woke);
+
+  Scheduler* sched_;
   const Machine* machine_;
   std::string address_;
   util::VirtualClock clock_;
-  util::BlockingQueue<Envelope> inbox_;
+  /// Leaf except for sim.Scheduler, taken to wake a parked owner.
+  mutable util::Mutex mu_{"sim.Mailbox"};
+  util::CondVar cv_;
+  std::deque<Envelope> items_ SCHOONER_GUARDED_BY(mu_);
+  bool closed_ SCHOONER_GUARDED_BY(mu_) = false;
+  /// The owner fiber while it is parked here.
+  Fiber* waiter_ SCHOONER_GUARDED_BY(mu_) = nullptr;
+  /// Non-fiber threads blocked in cv_.
+  int thread_waiters_ SCHOONER_GUARDED_BY(mu_) = 0;
 };
 
 using EndpointPtr = std::shared_ptr<Endpoint>;
@@ -161,12 +176,14 @@ class Cluster {
   bool has_image(const std::string& machine, const std::string& path) const;
 
   // --- Processes ----------------------------------------------------------
-  /// A mailbox for a caller-driven participant (no thread is spawned); the
+  /// A mailbox for a caller-driven participant (no fiber is spawned); the
   /// caller runs its own logic and receives on the returned endpoint.
   EndpointPtr create_endpoint(const std::string& machine,
                               const std::string& label);
 
-  /// Spawn `image` as a process (host thread) on `machine`.
+  /// Spawn `image` as a process (a fiber) on `machine`. From a thread that
+  /// is not one of this cluster's fibers, the new process runs until it
+  /// first waits before spawn returns.
   EndpointPtr spawn(const std::string& machine, const std::string& label,
                     ProgramImage image, std::vector<std::string> args = {});
 
@@ -199,8 +216,12 @@ class Cluster {
   /// recovery. Also advances the sender's clock by the send overhead.
   void send(Endpoint& from, const std::string& to, util::Bytes payload);
 
-  /// Close every endpoint and join all process threads.
+  /// Close every endpoint and wait for every process to exit.
   void shutdown();
+
+  /// Processes spawned and not yet exited. An exited process has already
+  /// given back its stack and endpoint.
+  std::size_t live_processes() const;
 
   // --- Accounting ---------------------------------------------------------
   struct Traffic {
@@ -239,9 +260,9 @@ class Cluster {
   /// One coarse lock over all cluster state. Standalone in the lock
   /// hierarchy except for the util.Logger / obs.Registry leaves taken by
   /// logging and drop accounting; critically, send() never holds it
-  /// while pushing into an endpoint's inbox (a BlockingQueue with its
-  /// own lock), so delivery cannot order sim.Cluster against mailbox
-  /// waits (lock_hierarchy.md).
+  /// while pushing into an endpoint's mailbox (sim.Mailbox, its own
+  /// lock), so delivery cannot order sim.Cluster against mailbox waits
+  /// (lock_hierarchy.md).
   mutable util::Mutex mu_{"sim.Cluster"};
   std::map<std::string, Machine> machines_ SCHOONER_GUARDED_BY(mu_);
   std::map<std::pair<std::string, std::string>, LinkProfile> site_links_
@@ -254,7 +275,6 @@ class Cluster {
       SCHOONER_GUARDED_BY(mu_);
   std::map<std::pair<std::string, std::string>, ProgramImage> images_
       SCHOONER_GUARDED_BY(mu_);
-  std::vector<std::jthread> threads_ SCHOONER_GUARDED_BY(mu_);
   std::uint64_t next_pid_ SCHOONER_GUARDED_BY(mu_) = 1;
   Traffic traffic_ SCHOONER_GUARDED_BY(mu_);
   std::map<std::string, Traffic> traffic_by_link_ SCHOONER_GUARDED_BY(mu_);
@@ -264,6 +284,9 @@ class Cluster {
   std::vector<std::pair<std::set<std::string>, std::set<std::string>>>
       partitions_ SCHOONER_GUARDED_BY(mu_);
   std::uint64_t partition_drops_ SCHOONER_GUARDED_BY(mu_) = 0;
+  /// Runs every process. Declared last so it is destroyed first: its
+  /// driver thread stops before the state above goes away.
+  Scheduler sched_;
 };
 
 }  // namespace npss::sim

@@ -3,7 +3,7 @@
 // worker pools key work by line id, so one line flooding the host (a
 // retry storm, a deadline stampede) can delay its own queued calls but
 // advances the round-robin cursor past it once per turn — neighbors keep
-// their service rate. Same close semantics as util::BlockingQueue:
+// their service rate. Close semantics match a sim::Endpoint mailbox:
 // close() wakes every waiter, pushes after close are dropped, pops drain
 // the remaining items (still round-robin) and then return nullopt.
 #pragma once

@@ -43,12 +43,47 @@ struct Held {
   std::string site;
 };
 
+}  // namespace
+
+// One execution context's held stack: a thread's own, or a fiber's.
+struct Context {
+  std::vector<Held> held;
+};
+
+namespace {
+
+// The context the calling thread is running right now: a fiber's while
+// the thread runs that fiber, else nullptr for the thread's own stack.
+// Trivially destructible on purpose: a late on_release during static
+// destruction may still read it.
+thread_local Context* t_current = nullptr;
+// The thread's own stack, allocated on first use and reclaimed by
+// ThreadReclaim at thread exit.
+thread_local Context* t_own = nullptr;
+
+struct ThreadReclaim {
+  ~ThreadReclaim() {
+    delete t_own;
+    t_own = nullptr;
+  }
+};
+
+/// The calling context's held stack if it has one, without allocating.
+std::vector<Held>* held_stack_if_any() {
+  if (t_current) return &t_current->held;
+  return t_own ? &t_own->held : nullptr;
+}
+
 std::vector<Held>& held_stack() {
-  // Leaked per thread for the same static-destruction reason as the
-  // registry: a thread_local vector could be destroyed before the last
-  // static mutex this thread releases.
-  thread_local std::vector<Held>* held = new std::vector<Held>();
-  return *held;
+  if (std::vector<Held>* held = held_stack_if_any()) return *held;
+  // ODR-use registers the reclaimer's destructor for this thread. A
+  // static mutex acquired after the main thread's thread_locals are gone
+  // gets a fresh stack that stays reachable from this thread's TLS until
+  // exit; a release finds nothing and returns (on_release).
+  thread_local ThreadReclaim reclaim;
+  (void)reclaim;
+  t_own = new Context();
+  return t_own->held;
 }
 
 std::string format_site(const std::source_location& site) {
@@ -162,9 +197,11 @@ const std::string& class_name(const LockClass* cls) { return cls->name; }
 std::string Report::to_string() const {
   std::ostringstream os;
   os << summary << "\n";
-  os << "  this thread is acquiring (in order):\n";
+  os << (blocking ? "  this context holds (in order):\n"
+                  : "  this thread is acquiring (in order):\n");
   for (const auto& line : acquiring_chain) os << "    " << line << "\n";
-  os << "  which contradicts the recorded ordering:\n";
+  os << (blocking ? "  which is unsafe because:\n"
+                  : "  which contradicts the recorded ordering:\n");
   for (const auto& line : prior_chain) os << "    " << line << "\n";
   return os.str();
 }
@@ -185,7 +222,9 @@ void on_try_acquire(const LockClass* cls, const void* instance,
 }
 
 void on_release(const LockClass* cls, const void* instance) {
-  auto& held = held_stack();
+  std::vector<Held>* stack = held_stack_if_any();
+  if (!stack) return;
+  auto& held = *stack;
   for (auto it = held.rbegin(); it != held.rend(); ++it) {
     if (it->instance == instance && it->cls == cls) {
       held.erase(std::next(it).base());
@@ -211,7 +250,47 @@ std::uint64_t inversions_detected() {
   return registry().inversions.load(std::memory_order_relaxed);
 }
 
-std::size_t held_count() { return held_stack().size(); }
+std::size_t held_count() {
+  const std::vector<Held>* held = held_stack_if_any();
+  return held ? held->size() : 0;
+}
+
+Context* context_create() { return new Context(); }
+
+void context_destroy(Context* ctx) { delete ctx; }
+
+Context* context_switch(Context* next) {
+  Context* prev = t_current;
+  t_current = next;
+  return prev;
+}
+
+void on_block(const char* what, std::source_location site) {
+  const std::vector<Held>* held = held_stack_if_any();
+  if (!held || held->empty()) return;
+  Report report;
+  report.blocking = true;
+  report.summary = std::string("lockdep: ") + what + " at " +
+                   format_site(site) + " while holding '" +
+                   class_name(held->back().cls) + "'";
+  for (const Held& h : *held) {
+    report.acquiring_chain.push_back(class_name(h.cls) + "  (acquired at " +
+                                     h.site + ")");
+  }
+  report.prior_chain.push_back(
+      "a parked context keeps its locks while other fibers run on this "
+      "thread; one that takes the same lock self-deadlocks");
+  Handler handler;
+  {
+    std::lock_guard lock(registry().mu);
+    handler = registry().handler;
+  }
+  if (handler) {
+    handler(report);
+  } else {
+    default_handler(report);
+  }
+}
 
 std::string graph_text() {
   std::lock_guard lock(registry().mu);
@@ -230,7 +309,7 @@ void reset() {
   for (auto& [name, cls] : registry().classes) cls->out.clear();
   registry().edges = 0;
   registry().inversions.store(0, std::memory_order_relaxed);
-  held_stack().clear();
+  if (std::vector<Held>* held = held_stack_if_any()) held->clear();
 }
 
 }  // namespace npss::util::lockdep

@@ -1,8 +1,8 @@
 // Runtime lock-order checking (DESIGN.md §16), modeled on the kernel's
 // lockdep. Every util::Mutex belongs to a named *lock class* (all
 // Session leader-cache mutexes are one class, all BusChannel mutexes
-// another, ...). While enabled, each thread keeps a stack of the lock
-// classes it currently holds, and every acquisition records "held ->
+// another, ...). While enabled, each thread or fiber keeps a stack of the
+// lock classes it currently holds, and every acquisition records "held ->
 // acquiring" edges in a global lock-order graph whose edges remember the
 // source location that first established them. An acquisition that would
 // close a cycle in that graph is a lock-order inversion — a potential
@@ -50,6 +50,9 @@ struct Report {
   /// edge path from the acquiring class back to a held class, each edge
   /// stamped with the site that first established it.
   std::vector<std::string> prior_chain;
+  /// A block-while-holding report (on_block) rather than an inversion:
+  /// acquiring_chain is then the held stack, prior_chain the reason.
+  bool blocking = false;
 
   std::string to_string() const;
 };
@@ -80,11 +83,29 @@ void on_try_acquire(
 /// Record the release of `instance`. Releases need not be LIFO.
 void on_release(const LockClass* cls, const void* instance);
 
+/// Report (through the handler) if the calling context holds any lock
+/// while it is about to block in `what` — a fiber parking, which hands
+/// its OS thread to other fibers that may take the same lock.
+void on_block(const char* what,
+              std::source_location site = std::source_location::current());
+
+// --- Execution contexts ----------------------------------------------------
+// Each execution context keeps its own held stack. A thread's is created
+// on first use and reclaimed at thread exit. A fiber scheduler creates one
+// per fiber and makes it current while the fiber runs on a thread, so a
+// fiber's locks are never attributed to whichever thread resumes it.
+struct Context;
+Context* context_create();
+void context_destroy(Context* ctx);
+/// Make `next` the calling thread's current context (nullptr = the
+/// thread's own stack); returns the context that was current.
+Context* context_switch(Context* next);
+
 /// Diagnostics / test hooks.
 std::size_t class_count();
 std::size_t edge_count();
 std::uint64_t inversions_detected();
-std::size_t held_count();  ///< calling thread's current held-stack depth
+std::size_t held_count();  ///< calling context's current held-stack depth
 
 /// The recorded ordering graph, one "A -> B  (first: file:line)" line
 /// per edge, sorted — what lock_hierarchy.md documents, as observed.

@@ -228,6 +228,55 @@ TEST_F(LockdepTest, NonLifoReleaseIsSupported) {
   EXPECT_TRUE(reports_.empty());
 }
 
+TEST_F(LockdepTest, ThreadExitReclaimsItsHeldStack) {
+  // A thread's held stack is allocated on its first acquisition and must
+  // be freed when the thread exits: LeakSanitizer (the ASan lane runs
+  // with detect_leaks=1) reports the stack of every exited thread
+  // otherwise. The util::Mutex records through the hooks in lockdep
+  // builds; the direct calls exercise the engine in every build.
+  Mutex mu{"lockdep-test.thread-exit.mutex"};
+  const auto* cls = lockdep::lock_class("lockdep-test.thread-exit");
+  int token = 0;
+  std::size_t held_inside = 0;
+  std::thread worker([&] {
+    MutexLock lock(mu);
+    lockdep::on_acquire(cls, &token);
+    held_inside = lockdep::held_count();
+    lockdep::on_release(cls, &token);
+  });
+  worker.join();
+  EXPECT_GE(held_inside, 1u);
+  EXPECT_EQ(lockdep::held_count(), 0u);  // the main thread's stack is its own
+  EXPECT_TRUE(reports_.empty());
+}
+
+TEST_F(LockdepTest, ContextsKeepSeparateHeldStacks) {
+  // A fiber scheduler switches contexts on one thread: a lock taken in
+  // one context is neither visible in nor released by another.
+  const auto* cls = lockdep::lock_class("lockdep-test.context");
+  int token = 0;
+  lockdep::Context* fiber = lockdep::context_create();
+  lockdep::Context* own = lockdep::context_switch(fiber);
+  EXPECT_EQ(own, nullptr);
+  lockdep::on_acquire(cls, &token);
+  EXPECT_EQ(lockdep::held_count(), 1u);
+  lockdep::context_switch(own);
+  EXPECT_EQ(lockdep::held_count(), 0u);
+  lockdep::on_release(cls, &token);  // not held here: ignored
+  lockdep::context_switch(fiber);
+  EXPECT_EQ(lockdep::held_count(), 1u);
+  lockdep::on_block("test block");
+  lockdep::on_release(cls, &token);
+  lockdep::on_block("test block");  // nothing held: silent
+  lockdep::context_switch(own);
+  lockdep::context_destroy(fiber);
+  ASSERT_EQ(reports_.size(), 1u);
+  EXPECT_TRUE(reports_.front().blocking);
+  EXPECT_TRUE(contains(reports_.front().summary, "test block"));
+  EXPECT_TRUE(any_line_contains(reports_.front().acquiring_chain,
+                                "lockdep-test.context"));
+}
+
 #if defined(SCHOONER_LOCKDEP) && SCHOONER_LOCKDEP
 TEST_F(LockdepTest, MutexIntegrationCatchesSeededInversion) {
   // The real wrapper path: two util::Mutex instances in distinct

@@ -1,16 +1,12 @@
-// Tests of the utility substrate: byte reader/writer framing, the
-// closable blocking queue, virtual clocks, error taxonomy, and the
-// parallel_for helper's chunking.
+// Tests of the utility substrate: byte reader/writer framing, virtual
+// clocks, error taxonomy, and the parallel_for helper's chunking.
 #include <gtest/gtest.h>
-
-#include <thread>
 
 #include <atomic>
 
 #include "util/bytes.hpp"
 #include "util/clock.hpp"
 #include "util/parallel.hpp"
-#include "util/queue.hpp"
 #include "util/status.hpp"
 
 namespace npss::util {
@@ -68,53 +64,6 @@ TEST(Bytes, StringLengthValidatedBeforeRead) {
 TEST(Bytes, HexDump) {
   EXPECT_EQ(hex_dump(Bytes{0x00, 0xff, 0x3f}), "00 ff 3f");
   EXPECT_EQ(hex_dump(Bytes{}), "");
-}
-
-TEST(Queue, FifoOrderAndTryPop) {
-  BlockingQueue<int> q;
-  EXPECT_FALSE(q.try_pop().has_value());
-  q.push(1);
-  q.push(2);
-  q.push(3);
-  EXPECT_EQ(q.size(), 3u);
-  EXPECT_EQ(*q.pop(), 1);
-  EXPECT_EQ(*q.try_pop(), 2);
-  EXPECT_EQ(*q.pop(), 3);
-}
-
-TEST(Queue, CloseDrainsThenStops) {
-  BlockingQueue<int> q;
-  q.push(7);
-  q.close();
-  EXPECT_FALSE(q.push(8));  // dropped after close
-  EXPECT_EQ(*q.pop(), 7);   // existing items drain
-  EXPECT_FALSE(q.pop().has_value());
-  EXPECT_TRUE(q.closed());
-}
-
-TEST(Queue, CloseWakesBlockedConsumer) {
-  BlockingQueue<int> q;
-  std::thread consumer([&] {
-    auto item = q.pop();
-    EXPECT_FALSE(item.has_value());
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  q.close();
-  consumer.join();
-}
-
-TEST(Queue, CrossThreadHandoff) {
-  BlockingQueue<int> q;
-  std::thread producer([&] {
-    for (int i = 0; i < 1000; ++i) q.push(i);
-    q.close();
-  });
-  int expected = 0;
-  while (auto item = q.pop()) {
-    EXPECT_EQ(*item, expected++);
-  }
-  EXPECT_EQ(expected, 1000);
-  producer.join();
 }
 
 TEST(Clock, AdvanceAndJoinAreMonotone) {
