@@ -1,16 +1,11 @@
 // meta_check explorer throughput.
 //
 // Times bounded explorations of the replicated control plane at the CI
-// gate's bounds and one size up, and measures what the two reductions
-// buy: the visited-set hit rate (fraction of expansions cut because the
-// state was already explored at least as deep under a subset sleep set)
-// and the sleep-set reduction factor (states with reduction off /
-// states with it on, same bounds). The visited set only honors a cache
-// entry that *dominates* the revisit — soundness requires re-exploring
-// under incomparable sleep sets — so the factor can dip below 1x at
-// shallow bounds and grows with depth. A last section times how fast
-// the legacy negative corpus is found and minimized. Writes
-// BENCH_mc.json next to the binary.
+// gate's bounds and one size up, and measures what the visited set buys:
+// its hit rate (fraction of expansions cut because the state was already
+// explored at least as deep). A last section times how fast the legacy
+// negative corpus is found and minimized. Writes BENCH_mc.json next to
+// the binary.
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -71,35 +66,23 @@ int bench_main() {
   mc::ExploreOptions deep_x = gate_x;
   deep_x.depth = 8;
 
-  mc::ExploreOptions unreduced = gate_x;
-  unreduced.reduce = false;
-
   std::printf("meta_check explorer throughput (3 replicas, quorum)\n\n");
   std::vector<Row> rows;
   rows.push_back(run("gate_depth7", gate, gate_x));
-  rows.push_back(run("gate_depth7_no_reduce", gate, unreduced));
   rows.push_back(run("deep_depth8", deep, deep_x));
 
   for (const Row& row : rows) {
     std::printf(
-        "%-22s states=%-8llu hits=%-8llu pruned=%-8llu %8.1f ms "
-        "%10.0f states/s  hit_rate=%.3f\n",
+        "%-12s states=%-8llu hits=%-8llu %8.1f ms %10.0f states/s  "
+        "hit_rate=%.3f\n",
         row.name.c_str(),
         static_cast<unsigned long long>(row.stats.states_explored),
-        static_cast<unsigned long long>(row.stats.visited_hits),
-        static_cast<unsigned long long>(row.stats.sleep_pruned), row.millis,
+        static_cast<unsigned long long>(row.stats.visited_hits), row.millis,
         states_per_sec(row), hit_rate(row));
     if (row.violation) {
       std::printf("  UNEXPECTED: quorum protocol produced a violation\n");
     }
   }
-  const double reduction_factor =
-      rows[0].stats.states_explored > 0
-          ? static_cast<double>(rows[1].stats.states_explored) /
-                static_cast<double>(rows[0].stats.states_explored)
-          : 0.0;
-  std::printf("\nsleep-set reduction factor at the gate bounds: %.2fx\n",
-              reduction_factor);
 
   // The negative corpus: how fast the legacy acked-write-loss is found.
   mc::Options legacy = gate;
@@ -113,7 +96,7 @@ int bench_main() {
   const double legacy_ms = std::chrono::duration<double, std::milli>(
                                std::chrono::steady_clock::now() - start)
                                .count();
-  std::printf("legacy MC003 found+minimized in %.1f ms, schedule '%s'\n",
+  std::printf("\nlegacy MC003 found+minimized in %.1f ms, schedule '%s'\n",
               legacy_ms,
               found.violation ? mc::encode_schedule(found.schedule).c_str()
                               : "NOT FOUND (bench is broken)");
@@ -129,22 +112,19 @@ int bench_main() {
       std::fprintf(
           f,
           "    {\"name\": \"%s\", \"states_explored\": %llu, "
-          "\"visited_hits\": %llu, \"sleep_pruned\": %llu, "
+          "\"visited_hits\": %llu, "
           "\"transitions\": %llu, \"millis\": %.1f, "
           "\"states_per_sec\": %.0f, \"visited_hit_rate\": %.4f, "
           "\"violation\": %s}%s\n",
           row.name.c_str(),
           static_cast<unsigned long long>(row.stats.states_explored),
           static_cast<unsigned long long>(row.stats.visited_hits),
-          static_cast<unsigned long long>(row.stats.sleep_pruned),
           static_cast<unsigned long long>(row.stats.transitions), row.millis,
           states_per_sec(row), hit_rate(row),
           row.violation ? "true" : "false",
           i + 1 < rows.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n");
-    std::fprintf(f, "  \"sleep_set_reduction_factor\": %.3f,\n",
-                 reduction_factor);
     std::fprintf(f,
                  "  \"legacy_negative\": {\"found\": %s, \"code\": \"%s\", "
                  "\"schedule\": \"%s\", \"millis\": %.1f}\n",
@@ -157,7 +137,7 @@ int bench_main() {
     std::fclose(f);
     std::printf("\nwrote BENCH_mc.json\n");
   }
-  return found.violation && !rows[0].violation && !rows[2].violation ? 0 : 1;
+  return found.violation && !rows[0].violation && !rows[1].violation ? 0 : 1;
 }
 
 }  // namespace

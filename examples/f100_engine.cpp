@@ -3,8 +3,10 @@
 // Builds the F100 engine as a network of TESS modules in the flow
 // executive, places the four adapted modules on remote machines through
 // their §3.3 widgets (machine radio buttons + pathname type-in), balances
-// the engine, flies a throttle transient, then "flies" a climb profile by
-// editing the inlet widgets between runs — the §2.4 executive use cases.
+// the engine, flies a throttle transient, then "flies" a climb profile —
+// each steady point's flight condition lands in the inlet and nozzle
+// widgets — the §2.4 executive use cases. The system module's
+// solution-method widgets pick the steady and transient solvers.
 // Finally the network is saved to f100.net (the Network Editor's save).
 //
 //   $ ./f100_engine
@@ -61,15 +63,18 @@ int main() {
   place(names.lp_shaft, "rs6000-lerc");
   place(names.hp_shaft, "rs6000-lerc");
 
-  glue::NetworkEngineDriver driver(net);
-  driver.set_tolerances(5e-6, 1e-4);
+  glue::NetworkEngine engine(net);
+  engine.set_solver_tolerances(5e-6, 1e-4);
+  const glue::SystemModule& sys = engine.system();
 
   // Balance the engine at part power, as TESS does before any transient.
-  glue::NetworkSteadyResult steady = driver.balance(1.0);
+  const tess::SteadyResult steady =
+      engine.balance(1.0, tess::FlightCondition{}, sys.steady_method());
+  const tess::Performance& point = steady.performance;
   std::printf(
       "\nbalanced: N1=%.0f rpm  N2=%.0f rpm  T4=%.0f K  thrust=%.1f kN "
       "(%d Newton iterations)\n",
-      steady.speeds[0], steady.speeds[1], steady.t4, steady.thrust / 1e3,
+      point.speeds[0], point.speeds[1], point.t4, point.thrust / 1e3,
       steady.iterations);
 
   // The 1993 Internet between the sites now drops one frame in fifty —
@@ -87,14 +92,18 @@ int main() {
   tess::FuelSchedule throttle = [](double t) {
     return t < 0.1 ? 1.0 : 1.27;
   };
-  auto history = driver.run_transient(throttle, 1.5, 0.05);
+  const std::vector<tess::TransientSample> history =
+      engine
+          .transient(point.speeds, throttle, tess::FlightCondition{}, 1.5,
+                     0.05, sys.transient_method())
+          .history;
   for (std::size_t i = 0; i < history.size(); i += 6) {
-    const auto& s = history[i];
-    std::printf("%8.2f %10.1f %10.1f %10.1f %12.2f\n", s.t, s.speeds[0],
-                s.speeds[1], s.t4, s.thrust / 1e3);
+    const tess::Performance& p = history[i].performance;
+    std::printf("%8.2f %10.1f %10.1f %10.1f %12.2f\n", history[i].t,
+                p.speeds[0], p.speeds[1], p.t4, p.thrust / 1e3);
   }
 
-  // "Fly" a climb profile by editing the operating-condition widgets.
+  // "Fly" a climb profile: each point's flight condition.
   std::printf("\nclimb profile (steady points):\n");
   std::printf("%10s %6s %10s %12s %10s\n", "alt [m]", "Mach", "wf [kg/s]",
               "thrust [kN]", "T4 [K]");
@@ -103,12 +112,9 @@ int main() {
   };
   for (const Leg& leg : {Leg{0, 0.0, 1.27}, Leg{3000, 0.5, 1.05},
                          Leg{7000, 0.75, 0.85}, Leg{11000, 0.85, 0.62}}) {
-    flow::Module& inlet = net.module(names.inlet);
-    inlet.widget("altitude").set_real(leg.alt);
-    inlet.widget("mach").set_real(leg.mach);
-    tess::FlightCondition fc{leg.alt, leg.mach, 0.0};
-    net.module(names.nozzle).widget("pamb").set_real(fc.ambient_pressure());
-    glue::NetworkSteadyResult pt = driver.balance(leg.wf);
+    const tess::FlightCondition fc{leg.alt, leg.mach, 0.0};
+    const tess::Performance pt =
+        engine.balance(leg.wf, fc, sys.steady_method()).performance;
     std::printf("%10.0f %6.2f %10.2f %12.2f %10.1f\n", leg.alt, leg.mach,
                 leg.wf, pt.thrust / 1e3, pt.t4);
   }

@@ -1,28 +1,14 @@
-// Schedule exploration: bounded DFS over World action schedules with
-// sleep-set partial-order reduction and a hashed visited set.
+// Schedule exploration: bounded DFS over World action schedules with a
+// hashed visited set.
 //
 // The search is depth-first over every Action the World enables, up to
-// `depth` steps. Two reductions keep it tractable:
-//
-//  * Visited set — sha256 of World::fingerprint() maps to the
-//    exploration already recorded from that state: its *remaining
-//    depth* and the *sleep set* it ran under. A revisit is skipped only
-//    when the cached exploration dominates the current one — at least
-//    as much budget AND a sleep set that is a subset of the incoming
-//    one. Either refinement alone re-explores: a shallow first visit
-//    would mask violations needing longer suffixes, and a first visit
-//    under a larger sleep set pruned subtrees the current visit must
-//    still search (skipping on hash+depth alone is unsound once sleep
-//    sets are on — those pruned transitions would never be explored
-//    from that state along any path).
-//
-//  * Sleep sets — after exploring sibling action A, A enters the sleep
-//    set for the remaining siblings; children inherit the sleep set
-//    minus actions that conflict with the edge taken (two actions
-//    conflict when their World::footprint() masks intersect). This is
-//    the classic Godefroid sleep-set reduction: schedules that only
-//    reorder commuting actions collapse to one representative
-//    (DESIGN.md §17 discusses the trade).
+// `depth` steps. The visited set keeps it tractable: sha256 of
+// World::fingerprint() maps to the largest remaining depth any
+// exploration from that state had. A revisit is skipped when that depth
+// is at least the current remaining depth — everything reachable within
+// the current budget was already searched; a shallower first visit is
+// re-explored, since it would mask violations needing longer suffixes
+// (DESIGN.md §17).
 //
 // A violating schedule is minimized by greedy delta-debugging (drop one
 // action, replay, keep the drop if the same code still fires) and
@@ -43,14 +29,12 @@ namespace npss::mc {
 struct ExploreOptions {
   int depth = 12;                    ///< schedule length bound
   std::uint64_t max_states = 250000; ///< step budget (0 = unbounded)
-  bool reduce = true;                ///< sleep-set reduction
   bool minimize = true;              ///< delta-debug violating schedules
 };
 
 struct ExploreStats {
   std::uint64_t states_explored = 0;  ///< step() calls made
   std::uint64_t visited_hits = 0;     ///< subtrees cut by the visited set
-  std::uint64_t sleep_pruned = 0;     ///< sibling actions cut by sleep sets
   std::uint64_t transitions = 0;      ///< enabled actions summed over states
   bool budget_exhausted = false;      ///< max_states hit before completion
 };

@@ -463,45 +463,4 @@ std::string World::summary() const {
   return os.str();
 }
 
-std::uint64_t World::footprint(const Action& action) const {
-  const int n = opts_.replicas;
-  const auto node_bit = [](int i) { return std::uint64_t{1} << i; };
-  const auto link_bit = [n](int from, int to) {
-    return std::uint64_t{1} << (n + from * n + to);
-  };
-  std::uint64_t mask = 0;
-  const auto touch_outgoing = [&](int i) {
-    for (int k = 0; k < n; ++k) {
-      if (k != i) mask |= link_bit(i, k);
-    }
-  };
-  switch (action.kind) {
-    case ActionKind::kPropose:
-    case ActionKind::kTimer:
-      mask |= node_bit(action.a);
-      touch_outgoing(action.a);
-      break;
-    case ActionKind::kDeliver:
-      mask |= link_bit(action.a, action.b) | node_bit(action.b);
-      touch_outgoing(action.b);
-      break;
-    case ActionKind::kDrop:
-    case ActionKind::kDuplicate:
-      mask |= link_bit(action.a, action.b);
-      break;
-    case ActionKind::kCrash:
-      mask |= node_bit(action.a);
-      for (int k = 0; k < n; ++k) {
-        if (k == action.a) continue;
-        mask |= link_bit(action.a, k) | link_bit(k, action.a);
-      }
-      break;
-    case ActionKind::kRestart:
-      mask |= node_bit(action.a);
-      touch_outgoing(action.a);
-      break;
-  }
-  return mask;
-}
-
 }  // namespace npss::mc

@@ -122,11 +122,6 @@ class World {
   const std::vector<AckedOp>& acked() const { return acked_; }
   bool up(int i) const { return nodes_[static_cast<std::size_t>(i)].up; }
 
-  /// Resource bitmask for independence: bit i = node i, bit
-  /// replicas + a*replicas + b = link a→b. Two actions commute when
-  /// their masks are disjoint (sleep-set reduction).
-  std::uint64_t footprint(const Action& action) const;
-
  private:
   struct Node {
     meta::ReplicaCore core;

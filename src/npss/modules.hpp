@@ -158,7 +158,7 @@ class NozzleModule final : public AdaptedModule {
 };
 
 /// Adapted: shaft with the paper's widget panel. Holds the spool-speed
-/// state; the engine driver integrates it between network evaluations.
+/// state; NetworkEngine sets it before each network evaluation.
 class ShaftModule final : public AdaptedModule {
  public:
   std::string type_name() const override { return "tess-shaft"; }
@@ -184,7 +184,8 @@ class ShaftModule final : public AdaptedModule {
 };
 
 /// The system module: overall control of the simulation run with the
-/// §3.2 solution-method widgets. Carries no ports; the driver reads it.
+/// §3.2 solution-method widgets. Carries no ports; NetworkEngine's
+/// callers pass its methods to balance() and transient().
 class SystemModule final : public flow::Module {
  public:
   std::string type_name() const override { return "tess-system"; }

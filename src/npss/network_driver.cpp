@@ -1,11 +1,8 @@
 #include "npss/network_driver.hpp"
 
-#include <cmath>
+#include <algorithm>
 
 #include "check/flowlint.hpp"
-#include "obs/metrics.hpp"
-#include "solvers/newton.hpp"
-#include "solvers/ode.hpp"
 #include "util/log.hpp"
 #include "util/status.hpp"
 
@@ -13,24 +10,12 @@ namespace npss::glue {
 
 namespace {
 
-void record_driver_iterations(const char* name, double iterations) {
-  if (!obs::enabled()) return;
-  obs::Registry::global()
-      .histogram(std::string("npss.driver.") + name,
-                 obs::default_iteration_bounds())
-      .record(iterations);
-}
-
-/// Network evaluations of one driver run, reusing the last one for an
-/// integrator stage at the speeds just evaluated (the network still holds
-/// that evaluation).
-solvers::LastEvaluation<std::vector<double>> last_evaluation(
-    NetworkEngineDriver& driver) {
-  return solvers::LastEvaluation<std::vector<double>>(
-      [&driver](const std::vector<double>& speeds, double fuel_flow) {
-        driver.set_speeds(speeds);
-        return driver.evaluate_flow(fuel_flow);
-      });
+double port_real(const flow::Module& module, const std::string& port) {
+  for (const flow::OutputPort& p : module.outputs()) {
+    if (p.name == port && p.value) return p.value->as_real();
+  }
+  throw util::GraphError("no value on " + module.instance_name() + "." +
+                         port);
 }
 
 }  // namespace
@@ -125,8 +110,7 @@ F100NetworkNames build_f100_network(flow::Network& net,
   return names;
 }
 
-NetworkEngineDriver::NetworkEngineDriver(flow::Network& net,
-                                         F100NetworkNames names)
+NetworkEngine::NetworkEngine(flow::Network& net, F100NetworkNames names)
     : net_(&net), names_(std::move(names)) {
   // Engine-config lint at startup: run flow_lint's static pass over the
   // serialized form of the network we were handed. Warnings (serialization
@@ -137,7 +121,7 @@ NetworkEngineDriver::NetworkEngineDriver(flow::Network& net,
       "<engine-network>", net.save_to_text(), check::ModuleCatalog::from_factory());
   for (const check::Diagnostic& d : lint.diags) {
     if (d.severity == check::Severity::kWarning) {
-      NPSS_LOG_WARN("npss.driver", "flow-lint: ", check::to_string(d));
+      NPSS_LOG_WARN("npss.network", "flow-lint: ", check::to_string(d));
     }
   }
   if (!lint.ok()) {
@@ -151,68 +135,58 @@ NetworkEngineDriver::NetworkEngineDriver(flow::Network& net,
   }
 }
 
-SystemModule& NetworkEngineDriver::system() {
+SystemModule& NetworkEngine::system() const {
   return dynamic_cast<SystemModule&>(net_->module(names_.system));
 }
 
-ShaftModule& NetworkEngineDriver::lp_shaft() {
+ShaftModule& NetworkEngine::lp_shaft() const {
   return dynamic_cast<ShaftModule&>(net_->module(names_.lp_shaft));
 }
 
-ShaftModule& NetworkEngineDriver::hp_shaft() {
+ShaftModule& NetworkEngine::hp_shaft() const {
   return dynamic_cast<ShaftModule&>(net_->module(names_.hp_shaft));
 }
 
-double NetworkEngineDriver::current_thrust() const {
-  const flow::Module& nozzle = net_->module(names_.nozzle);
-  const flow::Module& inlet = net_->module(names_.inlet);
-  double ram = 0.0;
-  if (inlet.outputs()[1].value) ram = inlet.outputs()[1].value->as_real();
-  double gross = 0.0;
-  for (const flow::OutputPort& p : nozzle.outputs()) {
-    if (p.name == "thrust" && p.value) gross = p.value->as_real();
+std::vector<double> NetworkEngine::design_speeds() const {
+  return {net_->module(names_.fan).widget("design-speed").real(),
+          net_->module(names_.hpc).widget("design-speed").real()};
+}
+
+double NetworkEngine::design_fuel_flow() const {
+  return system().widget("fuel-flow").real();
+}
+
+void NetworkEngine::reset_run() {
+  EngineModel::reset_run();
+  lp_shaft().clear_setshaft();
+  hp_shaft().clear_setshaft();
+}
+
+tess::Performance NetworkEngine::evaluate(const std::vector<double>& speeds,
+                                          double wf,
+                                          const tess::FlightCondition& flight) {
+  if (speeds.size() != 2) {
+    throw util::ModelError("f100 network expects two spool speeds, got " +
+                           std::to_string(speeds.size()));
   }
-  return gross - ram;
-}
-
-double NetworkEngineDriver::current_t4() const {
-  const flow::Module& burner = net_->module(names_.burner);
-  for (const flow::OutputPort& p : burner.outputs()) {
-    if (p.name == "out" && p.value) {
-      return station_from_value(*p.value).Tt;
-    }
-  }
-  return 0.0;
-}
-
-std::vector<double> NetworkEngineDriver::current_speeds() const {
-  auto& self = const_cast<NetworkEngineDriver&>(*this);
-  return {self.lp_shaft().speed(), self.hp_shaft().speed()};
-}
-
-void NetworkEngineDriver::set_speeds(const std::vector<double>& speeds) {
+  flow::Module& inlet = net_->module(names_.inlet);
+  inlet.widget("altitude").set_real(flight.altitude_m);
+  inlet.widget("mach").set_real(flight.mach);
+  inlet.widget("dT-isa").set_real(flight.dT_isa);
+  net_->module(names_.nozzle).widget("pamb").set_real(
+      flight.ambient_pressure());
   lp_shaft().set_speed(speeds[0]);
   hp_shaft().set_speed(speeds[1]);
-}
-
-std::vector<double> NetworkEngineDriver::evaluate_flow(double fuel_flow) {
-  net_->module(names_.burner).widget("wfuel").set_real(fuel_flow);
+  net_->module(names_.burner).widget("wfuel").set_real(wf);
 
   const double w_design =
       tess::compressor_map(net_->module(names_.fan).widget("map").text())
           .design_corrected_flow();
-  flow::Module& inlet = net_->module(names_.inlet);
   flow::Module& splitter = net_->module(names_.splitter);
   flow::Module& hpt = net_->module(names_.hpt);
   flow::Module& lpt = net_->module(names_.lpt);
-
-  auto read_real = [&](const std::string& module,
-                       const std::string& port) {
-    for (const flow::OutputPort& p : net_->module(module).outputs()) {
-      if (p.name == port && p.value) return p.value->as_real();
-    }
-    throw util::GraphError("no value on " + module + "." + port);
-  };
+  const flow::Module& mixer = net_->module(names_.mixer);
+  const flow::Module& nozzle = net_->module(names_.nozzle);
 
   auto residual = [&](const std::vector<double>& u) {
     inlet.widget("W").set_real(std::clamp(u[0], 0.05, 3.0) * w_design);
@@ -221,115 +195,28 @@ std::vector<double> NetworkEngineDriver::evaluate_flow(double fuel_flow) {
     lpt.widget("pr").set_real(std::clamp(u[3], 0.3, 2.5) * 2.3);
     net_->evaluate();
     return std::vector<double>{
-        read_real(names_.hpt, "flow-error"),
-        read_real(names_.lpt, "flow-error"),
-        read_real(names_.mixer, "p-imbalance"),
-        read_real(names_.nozzle, "w-error"),
+        port_real(hpt, "flow-error"),
+        port_real(lpt, "flow-error"),
+        port_real(mixer, "p-imbalance"),
+        port_real(nozzle, "w-error"),
     };
   };
-
-  if (warm_start_.empty()) warm_start_ = {1.0, 1.0, 1.0, 1.0};
-  solvers::NewtonOptions opt;
-  opt.tolerance = flow_tolerance_;
-  opt.max_iterations = 100;
   // The last network evaluation was at the solution: the ports hold it.
-  solvers::NewtonResult nr =
-      solvers::newton_solve(residual, warm_start_, opt, flow_jacobian_);
-  warm_start_ = nr.solution;
+  const solvers::NewtonResult nr = solve_flow_match(residual, 4);
 
-  record_driver_iterations("flow_newton_iterations", nr.iterations);
-  if (obs::enabled()) {
-    obs::Registry::global().counter("npss.driver.flow_evaluations").add();
+  tess::Performance perf;
+  perf.fuel_flow = wf;
+  perf.speeds = speeds;
+  perf.states = speeds;
+  perf.accelerations = {port_real(lp_shaft(), "accel"),
+                        port_real(hp_shaft(), "accel")};
+  perf.thrust = port_real(nozzle, "thrust") - port_real(inlet, "ram-drag");
+  for (const flow::OutputPort& p : net_->module(names_.burner).outputs()) {
+    if (p.name == "out" && p.value) perf.t4 = station_from_value(*p.value).Tt;
   }
-  return {read_real(names_.lp_shaft, "accel"),
-          read_real(names_.hp_shaft, "accel")};
-}
-
-NetworkSteadyResult NetworkEngineDriver::balance(double fuel_flow) {
-  lp_shaft().clear_setshaft();
-  hp_shaft().clear_setshaft();
-  const std::vector<double> design = {
-      net_->module(names_.fan).widget("design-speed").real(),
-      net_->module(names_.hpc).widget("design-speed").real()};
-
-  NetworkSteadyResult result;
-  if (system().steady_method() == tess::SteadyMethod::kNewtonRaphson) {
-    auto residual = [&](const std::vector<double>& x) {
-      set_speeds({x[0] * design[0], x[1] * design[1]});
-      std::vector<double> accel = evaluate_flow(fuel_flow);
-      return std::vector<double>{accel[0] / 1000.0, accel[1] / 1000.0};
-    };
-    solvers::NewtonOptions opt;
-    opt.tolerance = balance_tolerance_;
-    opt.max_iterations = 60;
-    // The last residual set the solution's speeds and evaluated there.
-    solvers::NewtonResult nr =
-        solvers::newton_solve(residual, {1.0, 1.0}, opt);
-    result.iterations = nr.iterations;
-  } else {
-    // RK4 pseudo-transient march.
-    auto integrator =
-        solvers::make_integrator(solvers::IntegratorKind::kRungeKutta4);
-    auto eval = last_evaluation(*this);
-    solvers::OdeFn rhs = [&](double, const std::vector<double>& y) {
-      return eval(y, fuel_flow);
-    };
-    std::vector<double> speeds = design;
-    int steps = 0;
-    while (steps < 20000) {
-      const std::vector<double>& accel = eval(speeds, fuel_flow);
-      if (std::max(std::abs(accel[0]), std::abs(accel[1])) < 0.5) break;
-      speeds = integrator->step(rhs, steps * 0.05, speeds, 0.05);
-      ++steps;
-    }
-    if (steps >= 20000) {
-      throw util::ConvergenceError("network RK4 march did not settle");
-    }
-    result.iterations = steps;
-  }
-  record_driver_iterations("balance_iterations", result.iterations);
-  result.speeds = current_speeds();
-  result.thrust = current_thrust();
-  result.t4 = current_t4();
-  return result;
-}
-
-std::vector<NetworkTransientSample> NetworkEngineDriver::run_transient(
-    const tess::FuelSchedule& schedule, double t_end, double dt) {
-  auto integrator = solvers::make_integrator(system().transient_method());
-  std::vector<NetworkTransientSample> history;
-
-  auto eval = last_evaluation(*this);
-  solvers::OdeFn rhs = [&](double t, const std::vector<double>& y) {
-    return eval(y, schedule(t));
-  };
-  std::vector<double> speeds = current_speeds();
-  eval(speeds, schedule(0.0));
-  history.push_back(
-      NetworkTransientSample{0.0, speeds, current_thrust(), current_t4()});
-  double t = 0.0;
-  while (t < t_end - 1e-12) {
-    const double step = std::min(dt, t_end - t);
-    speeds = integrator->step(rhs, t, speeds, step);
-    t += step;
-    eval(speeds, schedule(t));
-    if (obs::enabled()) {
-      obs::Registry::global().counter("npss.driver.transient_steps").add();
-    }
-    history.push_back(
-        NetworkTransientSample{t, speeds, current_thrust(), current_t4()});
-  }
-  return history;
-}
-
-std::vector<NetworkTransientSample>
-NetworkEngineDriver::run_configured_transient() {
-  SystemModule& sys = system();
-  const double wf = sys.widget("fuel-flow").real();
-  const double t_end = sys.widget("transient-seconds").real();
-  const double dt = sys.widget("time-step").real();
-  tess::FuelSchedule schedule = [wf](double) { return wf; };
-  return run_transient(schedule, t_end, dt);
+  perf.flow_iterations = nr.iterations;
+  perf.flow_evaluations = nr.function_evaluations;
+  return perf;
 }
 
 }  // namespace npss::glue

@@ -1,7 +1,6 @@
 // The Figure 2 network: a builder assembling the F100 engine model in a
-// flow::Network from TESS modules, and the engine driver that balances and
-// flies it by iterating network evaluations — the role the TESS system
-// module plays inside the prototype executive.
+// flow::Network from TESS modules, and the EngineModel that balances and
+// flies it by iterating network evaluations.
 #pragma once
 
 #include <string>
@@ -9,7 +8,7 @@
 
 #include "flow/network.hpp"
 #include "npss/modules.hpp"
-#include "solvers/newton.hpp"
+#include "tess/engine.hpp"
 
 namespace npss::glue {
 
@@ -37,67 +36,39 @@ struct F100NetworkNames {
 F100NetworkNames build_f100_network(flow::Network& net,
                                     F100NetworkNames names = {});
 
-struct NetworkSteadyResult {
-  std::vector<double> speeds;  ///< {LP, HP} rpm
-  double thrust = 0.0;
-  double t4 = 0.0;
-  int iterations = 0;
-};
-
-struct NetworkTransientSample {
-  double t = 0.0;
-  std::vector<double> speeds;
-  double thrust = 0.0;
-  double t4 = 0.0;
-};
-
-/// Drives an F100 network: the balancing/transient logic the TESS system
-/// module performs, expressed as repeated network evaluations.
-class NetworkEngineDriver {
+/// The F100 network as an EngineModel: each evaluation writes the flight
+/// condition, shaft speeds and fuel flow into the network's widgets and
+/// solves the flow match over repeated network evaluations, so the
+/// balance, RK4 march and transient are EngineModel's — the role the TESS
+/// system module plays inside the prototype executive. Placement lives in
+/// the adapted modules' widgets; the EngineModel hooks are not used.
+class NetworkEngine final : public tess::EngineModel {
  public:
-  NetworkEngineDriver(flow::Network& net, F100NetworkNames names = {});
+  /// Lints the network's serialized form first; throws util::GraphError
+  /// on hard findings.
+  NetworkEngine(flow::Network& net, F100NetworkNames names = {});
 
-  /// Loosen solver tolerances (needed when adapted modules run remotely:
-  /// their values cross the wire as UTS single floats).
-  void set_tolerances(double flow_tol, double balance_tol) {
-    flow_tolerance_ = flow_tol;
-    balance_tolerance_ = balance_tol;
-  }
+  std::string name() const override { return "f100-network"; }
+  int num_spools() const override { return 2; }
+  std::vector<double> design_speeds() const override;
+  double design_fuel_flow() const override;
 
-  /// One thermodynamic evaluation at the current shaft speeds and the
-  /// given fuel flow: solves the flow-match unknowns by Newton over
-  /// repeated network evaluations. Returns spool accelerations.
-  std::vector<double> evaluate_flow(double fuel_flow);
+  tess::Performance evaluate(const std::vector<double>& speeds, double wf,
+                             const tess::FlightCondition& flight) override;
 
-  /// Steady-state balance at `fuel_flow`, honoring the system module's
-  /// steady-method widget.
-  NetworkSteadyResult balance(double fuel_flow);
+  /// Also clears both shaft modules' setshaft correction.
+  void reset_run() override;
 
-  /// Transient under a fuel schedule, honoring the transient-method
-  /// widget; starts from the network's current shaft speeds.
-  std::vector<NetworkTransientSample> run_transient(
-      const tess::FuelSchedule& schedule, double t_end, double dt);
-
-  /// Convenience: run the transient configured on the system module's
-  /// widgets (fuel-flow step, transient-seconds, time-step).
-  std::vector<NetworkTransientSample> run_configured_transient();
-
-  double current_thrust() const;
-  double current_t4() const;
-  std::vector<double> current_speeds() const;
-  void set_speeds(const std::vector<double>& speeds);
-
-  SystemModule& system();
-  ShaftModule& lp_shaft();
-  ShaftModule& hp_shaft();
+  /// The solution-method widgets: pass steady_method() to balance() and
+  /// transient_method() to transient().
+  SystemModule& system() const;
 
  private:
+  ShaftModule& lp_shaft() const;
+  ShaftModule& hp_shaft() const;
+
   flow::Network* net_;
   F100NetworkNames names_;
-  std::vector<double> warm_start_;
-  solvers::JacobianCarry flow_jacobian_;
-  double flow_tolerance_ = 1e-9;
-  double balance_tolerance_ = 1e-7;
 };
 
 }  // namespace npss::glue

@@ -99,10 +99,13 @@ std::future<Message> BusChannel::send(
   }
   if (!queued) {
     // The connection died between the open_ check and the send; the
-    // on_close sweep may or may not have seen our waiter. The status is
-    // re-read under the lock — on_close may still be mid-write on the
-    // loop thread at this point.
+    // on_close sweep may or may not have seen our waiter. If it has not,
+    // the loop thread has not closed the channel yet: close it here, so
+    // a caller that sees this error also sees !alive() and a status. The
+    // first close wins; the status is re-read under the lock.
     if (abandon(seq)) {
+      on_close(util::Status(util::ErrorCode::kCallFailure,
+                            "connection closed while sending"));
       throw util::CallError("bus channel closed: " + close_status().message());
     }
   }

@@ -43,7 +43,8 @@ class BusChannel : public std::enable_shared_from_this<BusChannel> {
   /// (see BusConnection::send_frame); when `seq` is the only waiter the
   /// frame is written through on this thread. The future resolves with the
   /// matching reply, or with util::CallError when the connection dies
-  /// first. Throws util::CallError if the channel is already closed and
+  /// first. Throws util::CallError if the channel is already closed, or
+  /// if the connection is found dead (the channel is closed first), and
   /// re-throws whatever `framer` throws (waiter unregistered again).
   std::future<Message> send(std::uint64_t seq,
                             const std::function<void(util::ByteWriter&)>& framer);
@@ -53,7 +54,8 @@ class BusChannel : public std::enable_shared_from_this<BusChannel> {
   /// the reply already arrived (the future is ready after all).
   bool abandon(std::uint64_t seq);
 
-  /// False once the connection's on_close has run; close_status() is then
+  /// False once the channel is closed — by the connection's on_close or
+  /// by a send that found the connection dead; close_status() is then
   /// non-OK. Lock-free: every TCP call checks it. (The connection's own
   /// alive() flips earlier, before the status is known.)
   bool alive() const { return open_.load(std::memory_order_acquire); }

@@ -181,6 +181,21 @@ TransientResult EngineModel::transient(const std::vector<double>& initial_speeds
 
 void EngineModel::reset_run() { ecorr_.clear(); }
 
+solvers::NewtonResult EngineModel::solve_flow_match(
+    const solvers::ResidualFn& residual, std::size_t unknowns,
+    int max_iterations) {
+  if (flow_warm_start_.size() != unknowns) {
+    flow_warm_start_.assign(unknowns, 1.0);
+  }
+  solvers::NewtonOptions opt;
+  opt.tolerance = flow_tolerance_;
+  opt.max_iterations = max_iterations;
+  solvers::NewtonResult nr =
+      solvers::newton_solve(residual, flow_warm_start_, opt, flow_jacobian_);
+  flow_warm_start_ = nr.solution;
+  return nr;
+}
+
 // --- Turbojet -------------------------------------------------------------------
 
 TurbojetEngine::TurbojetEngine(TurbojetConfig config)
@@ -224,14 +239,8 @@ Performance TurbojetEngine::evaluate(const std::vector<double>& speeds,
     };
   };
 
-  if (warm_start_.empty()) warm_start_ = {1.0, 1.0};
-  solvers::NewtonOptions opt;
-  opt.tolerance = flow_tolerance_;
-  opt.max_iterations = 80;
   // The last residual was at the solution: the stations describe it.
-  solvers::NewtonResult nr =
-      solvers::newton_solve(flow_residual, warm_start_, opt, flow_jacobian_);
-  warm_start_ = nr.solution;
+  const solvers::NewtonResult nr = solve_flow_match(flow_residual, 2, 80);
 
   Performance perf;
   perf.airflow = st2.W;
@@ -391,13 +400,7 @@ Performance F100Engine::evaluate(const std::vector<double>& states, double wf,
           (st45.W - lpt.flow_demand) / w_design,
       };
     };
-    if (warm_start_vol_.empty()) warm_start_vol_ = {1.0, 1.0};
-    solvers::NewtonOptions opt;
-    opt.tolerance = flow_tolerance_;
-    opt.max_iterations = 100;
-    nr = solvers::newton_solve(residual, warm_start_vol_, opt,
-                               flow_jacobian_);
-    warm_start_vol_ = nr.solution;
+    nr = solve_flow_match(residual, 2);
   } else {
     auto residual = [&](const std::vector<double>& u) {
       march(clampd(u[0], 0.05, 3.0) * w_design,
@@ -411,12 +414,7 @@ Performance F100Engine::evaluate(const std::vector<double>& states, double wf,
           (st7.W - noz[0]) / w_design,
       };
     };
-    if (warm_start_.empty()) warm_start_ = {1.0, 1.0, 1.0, 1.0};
-    solvers::NewtonOptions opt;
-    opt.tolerance = flow_tolerance_;
-    opt.max_iterations = 100;
-    nr = solvers::newton_solve(residual, warm_start_, opt, flow_jacobian_);
-    warm_start_ = nr.solution;
+    nr = solve_flow_match(residual, 4);
   }
   // Either way the last march was at the solution: the stations describe it.
 

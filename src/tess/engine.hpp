@@ -6,8 +6,9 @@
 //       problem (map operating points, turbine PRs, bypass split, nozzle
 //       continuity) by Newton-Raphson at frozen spool speeds, returning
 //       performance plus spool accelerations from the shaft procedures;
-//       each engine warm-starts the match from its last solution and
-//       carries its Jacobian (solvers::JacobianCarry) between calls;
+//       every engine solves the match through solve_flow_match(), which
+//       warm-starts from the last solution and carries the Jacobian
+//       (solvers::JacobianCarry) between calls;
 //   balance(...)                  — steady state: find spool speeds with
 //       zero acceleration, via Newton-Raphson or an RK4 pseudo-transient
 //       march (TESS's two steady-state methods, §3.2);
@@ -126,10 +127,19 @@ class EngineModel {
 
   /// Reset per-run bookkeeping (the setshaft call happens again on the
   /// next balance, as in TESS where it runs once per steady computation).
-  void reset_run();
+  virtual void reset_run();
 
  protected:
   EngineModel() : hooks_(ComponentHooks::local()) {}
+
+  /// Solve the internal flow match F(u) = 0 over `unknowns` normalized
+  /// unknowns: Newton-Raphson at the flow tolerance, warm-started from the
+  /// previous solution (all ones the first time) and carrying the Jacobian
+  /// from one call to the next. The last `residual` call is at the
+  /// returned solution, so whatever it leaves behind describes it.
+  solvers::NewtonResult solve_flow_match(const solvers::ResidualFn& residual,
+                                         std::size_t unknowns,
+                                         int max_iterations = 100);
 
   /// Shaft-correction factors (from setshaft), one per spool; filled
   /// lazily on first evaluation of a run.
@@ -137,6 +147,10 @@ class EngineModel {
   ComponentHooks hooks_;
   double flow_tolerance_ = 1e-9;
   double balance_tolerance_ = 1e-7;
+
+ private:
+  std::vector<double> flow_warm_start_;
+  solvers::JacobianCarry flow_jacobian_;
 };
 
 // --- Concrete engines ---------------------------------------------------------
@@ -173,8 +187,6 @@ class TurbojetEngine final : public EngineModel {
   TurbojetConfig config_;
   const CompressorMap* cmap_;
   const TurbineMap* tmap_;
-  std::vector<double> warm_start_;
-  solvers::JacobianCarry flow_jacobian_;
 };
 
 struct F100Config {
@@ -234,9 +246,6 @@ class F100Engine final : public EngineModel {
   const CompressorMap* hpc_map_;
   const TurbineMap* hpt_map_;
   const TurbineMap* lpt_map_;
-  std::vector<double> warm_start_;
-  std::vector<double> warm_start_vol_;
-  solvers::JacobianCarry flow_jacobian_;  ///< of whichever mode config_ picks
 };
 
 }  // namespace npss::tess

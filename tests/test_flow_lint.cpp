@@ -163,11 +163,11 @@ class UnregisteredModule final : public npss::flow::Module {
 };
 
 TEST(DriverLint, RejectsBrokenEngineNetworkAtStartup) {
-  // A driver over a valid F100 network starts fine (lint runs in the
+  // An engine over a valid F100 network starts fine (lint runs in the
   // constructor)...
   npss::flow::Network good;
   npss::glue::F100NetworkNames names = npss::glue::build_f100_network(good);
-  EXPECT_NO_THROW({ npss::glue::NetworkEngineDriver driver(good, names); });
+  EXPECT_NO_THROW({ npss::glue::NetworkEngine engine(good, names); });
 
   // ...but a network whose serialized form the static pass cannot vet —
   // here a module type absent from the factory — is refused before any
@@ -175,7 +175,7 @@ TEST(DriverLint, RejectsBrokenEngineNetworkAtStartup) {
   npss::flow::Network bad;
   npss::glue::build_f100_network(bad);
   bad.add("rogue", std::make_unique<UnregisteredModule>());
-  EXPECT_THROW({ npss::glue::NetworkEngineDriver driver(bad, {}); },
+  EXPECT_THROW({ npss::glue::NetworkEngine engine(bad, {}); },
                npss::util::GraphError);
 }
 

@@ -61,10 +61,16 @@ TEST(Monitoring, SinksAttachToEngineModuleOutputs) {
   net.connect(names.hpc, "surge-margin", "sm-view", "in");
   net.connect(names.nozzle, "thrust", "thrust-chart", "in");
 
-  glue::NetworkEngineDriver driver(net);
-  driver.balance(1.0);
-  auto history = driver.run_transient(
-      [](double t) { return t < 0.05 ? 1.0 : 1.2; }, 0.5, 0.05);
+  glue::NetworkEngine engine(net);
+  const tess::SteadyResult steady =
+      engine.balance(1.0, tess::FlightCondition{});
+  const std::vector<tess::TransientSample> history =
+      engine
+          .transient(steady.performance.speeds,
+                     [](double t) { return t < 0.05 ? 1.0 : 1.2; },
+                     tess::FlightCondition{}, 0.5, 0.05,
+                     engine.system().transient_method())
+          .history;
 
   auto& monitor = static_cast<flow::MonitorModule&>(net.module("sm-view"));
   auto& chart =

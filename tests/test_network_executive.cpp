@@ -15,7 +15,7 @@ namespace npss {
 namespace {
 
 using glue::F100NetworkNames;
-using glue::NetworkEngineDriver;
+using glue::NetworkEngine;
 using glue::build_f100_network;
 
 class NetworkExecutiveTest : public ::testing::Test {
@@ -38,29 +38,43 @@ class NetworkExecutiveTest : public ::testing::Test {
 };
 
 TEST_F(NetworkExecutiveTest, NetworkBalanceMatchesDirectEngine) {
-  flow::Network net;
-  build_f100_network(net);
-  NetworkEngineDriver driver(net);
-  glue::NetworkSteadyResult via_network = driver.balance(1.0);
+  // At sea level and at cruise: the flight condition reaches the inlet
+  // and nozzle widgets, so the network balances as the direct engine does.
+  struct Point {
+    tess::FlightCondition flight;
+    double wf;
+  };
+  for (const Point& pt : {Point{{}, 1.0}, Point{{7000.0, 0.75, 0.0}, 0.85}}) {
+    SCOPED_TRACE(pt.flight.altitude_m);
+    flow::Network net;
+    build_f100_network(net);
+    NetworkEngine engine(net);
+    const tess::Performance via_network =
+        engine.balance(pt.wf, pt.flight).performance;
 
-  tess::F100Engine direct;
-  tess::SteadyResult reference = direct.balance(1.0, tess::FlightCondition{});
+    tess::F100Engine direct;
+    const tess::Performance reference =
+        direct.balance(pt.wf, pt.flight).performance;
 
-  EXPECT_NEAR(via_network.speeds[0] / reference.performance.speeds[0], 1.0,
-              1e-6);
-  EXPECT_NEAR(via_network.speeds[1] / reference.performance.speeds[1], 1.0,
-              1e-6);
-  EXPECT_NEAR(via_network.thrust / reference.performance.thrust, 1.0, 1e-6);
-  EXPECT_NEAR(via_network.t4 / reference.performance.t4, 1.0, 1e-6);
+    EXPECT_NEAR(via_network.speeds[0] / reference.speeds[0], 1.0, 1e-6);
+    EXPECT_NEAR(via_network.speeds[1] / reference.speeds[1], 1.0, 1e-6);
+    EXPECT_NEAR(via_network.thrust / reference.thrust, 1.0, 1e-6);
+    EXPECT_NEAR(via_network.t4 / reference.t4, 1.0, 1e-6);
+  }
 }
 
 TEST_F(NetworkExecutiveTest, TransientThroughNetworkMatchesDirectEngine) {
   flow::Network net;
   build_f100_network(net);
-  NetworkEngineDriver driver(net);
-  driver.balance(1.0);
+  NetworkEngine engine(net);
+  const tess::SteadyResult start = engine.balance(1.0, tess::FlightCondition{});
   tess::FuelSchedule throttle = [](double t) { return t < 0.1 ? 1.0 : 1.2; };
-  auto history = driver.run_transient(throttle, 0.5, 0.02);
+  const std::vector<tess::TransientSample> history =
+      engine
+          .transient(start.performance.speeds, throttle,
+                     tess::FlightCondition{}, 0.5, 0.02,
+                     engine.system().transient_method())
+          .history;
 
   tess::F100Engine direct;
   tess::SteadyResult steady = direct.balance(1.0, tess::FlightCondition{});
@@ -70,7 +84,7 @@ TEST_F(NetworkExecutiveTest, TransientThroughNetworkMatchesDirectEngine) {
                        solvers::IntegratorKind::kModifiedEuler);
 
   ASSERT_EQ(history.size(), reference.history.size());
-  const auto& net_end = history.back();
+  const auto& net_end = history.back().performance;
   const auto& ref_end = reference.history.back().performance;
   EXPECT_NEAR(net_end.speeds[0] / ref_end.speeds[0], 1.0, 1e-6);
   EXPECT_NEAR(net_end.speeds[1] / ref_end.speeds[1], 1.0, 1e-6);
@@ -87,9 +101,10 @@ TEST_F(NetworkExecutiveTest, WidgetPlacementRunsModuleRemotely) {
   burner.widget("machine").select("cray-lerc");
   burner.widget("path").set_text(glue::kCombustorPath);
 
-  NetworkEngineDriver driver(net);
-  driver.set_tolerances(5e-6, 1e-4);
-  glue::NetworkSteadyResult remote = driver.balance(1.0);
+  NetworkEngine engine(net);
+  engine.set_solver_tolerances(5e-6, 1e-4);
+  const tess::Performance remote =
+      engine.balance(1.0, tess::FlightCondition{}).performance;
 
   tess::F100Engine direct;
   tess::SteadyResult reference = direct.balance(1.0, tess::FlightCondition{});
@@ -105,9 +120,9 @@ TEST_F(NetworkExecutiveTest, ModuleRemovalShutsDownOnlyItsLine) {
   net.module(names.burner).widget("machine").select("cray-lerc");
   net.module(names.tailpipe).widget("machine").select("rs6000-lerc");
 
-  NetworkEngineDriver driver(net);
-  driver.set_tolerances(5e-6, 1e-4);
-  driver.balance(1.0);
+  NetworkEngine engine(net);
+  engine.set_solver_tolerances(5e-6, 1e-4);
+  engine.balance(1.0, tess::FlightCondition{});
   const auto lines_before = system_->stats().lines_shut_down;
 
   // Deleting one module from the network must terminate only its remote
@@ -120,8 +135,9 @@ TEST_F(NetworkExecutiveTest, ModuleRemovalShutsDownOnlyItsLine) {
   net.module(names.burner).widget("dp").set_real(0.05);
   net.connect(names.hpc, "out", names.burner, "in");
   net.connect(names.burner, "out", names.hpt, "in");
-  glue::NetworkSteadyResult again = driver.balance(1.0);
-  EXPECT_GT(again.thrust, 0.0);
+  const tess::SteadyResult again =
+      engine.balance(1.0, tess::FlightCondition{});
+  EXPECT_GT(again.performance.thrust, 0.0);
 }
 
 TEST_F(NetworkExecutiveTest, SaveAndReloadEngineModel) {
@@ -136,25 +152,49 @@ TEST_F(NetworkExecutiveTest, SaveAndReloadEngineModel) {
       reloaded.module(names.burner).widget("wfuel").real(), 1.1);
   EXPECT_EQ(reloaded.connections().size(), net.connections().size());
 
-  NetworkEngineDriver driver(reloaded);
-  glue::NetworkSteadyResult r = driver.balance(1.0);
-  EXPECT_GT(r.thrust, 0.0);
+  NetworkEngine engine(reloaded);
+  const tess::SteadyResult r = engine.balance(1.0, tess::FlightCondition{});
+  EXPECT_GT(r.performance.thrust, 0.0);
 }
 
 TEST_F(NetworkExecutiveTest, SystemModuleMethodWidgetsSelectSolvers) {
   flow::Network net;
   F100NetworkNames names = build_f100_network(net);
-  NetworkEngineDriver driver(net);
+  NetworkEngine engine(net);
+  const tess::FlightCondition sls;
+  auto balance = [&] {
+    return engine.balance(1.0, sls, engine.system().steady_method());
+  };
 
-  glue::NetworkSteadyResult newton = driver.balance(1.0);
+  const tess::SteadyResult newton = balance();
 
   net.module(names.system).widget("steady-method").select("Runge-Kutta 4");
-  glue::NetworkSteadyResult march = driver.balance(1.0);
+  const tess::SteadyResult march = balance();
 
-  EXPECT_NEAR(march.speeds[0] / newton.speeds[0], 1.0, 1e-3);
-  EXPECT_NEAR(march.speeds[1] / newton.speeds[1], 1.0, 1e-3);
+  EXPECT_NEAR(march.performance.speeds[0] / newton.performance.speeds[0], 1.0,
+              1e-3);
+  EXPECT_NEAR(march.performance.speeds[1] / newton.performance.speeds[1], 1.0,
+              1e-3);
   EXPECT_GT(march.iterations, newton.iterations)
       << "the pseudo-transient march takes more steps than Newton";
+
+  // The transient-method widget picks the integrator: Gear flies the same
+  // short transient as the default Modified Euler, with other work.
+  tess::FuelSchedule throttle = [](double t) { return t < 0.05 ? 1.0 : 1.1; };
+  auto fly = [&] {
+    return engine.transient(newton.performance.speeds, throttle, sls, 0.2,
+                            0.02, engine.system().transient_method());
+  };
+  const tess::TransientResult euler = fly();
+  net.module(names.system).widget("transient-method").select("Gear");
+  EXPECT_EQ(engine.system().transient_method(),
+            solvers::IntegratorKind::kGear);
+  const tess::TransientResult gear = fly();
+  const tess::Performance& euler_end = euler.history.back().performance;
+  const tess::Performance& gear_end = gear.history.back().performance;
+  EXPECT_NEAR(gear_end.speeds[0] / euler_end.speeds[0], 1.0, 1e-3);
+  EXPECT_NEAR(gear_end.speeds[1] / euler_end.speeds[1], 1.0, 1e-3);
+  EXPECT_NE(gear.rhs_evaluations, euler.rhs_evaluations);
 }
 
 }  // namespace

@@ -156,16 +156,18 @@ TEST_F(PlacementTest, ZoomedDuctPathWorksInTheNetwork) {
   F100NetworkNames names = build_f100_network(net);
   net.module(names.tailpipe).widget("machine").select("m1");
   net.module(names.tailpipe).widget("path").set_text(kHifiDuctPath);
-  NetworkEngineDriver driver(net);
-  driver.set_tolerances(5e-6, 1e-4);
-  glue::NetworkSteadyResult zoomed = driver.balance(1.0);
+  NetworkEngine engine(net);
+  engine.set_solver_tolerances(5e-6, 1e-4);
+  const tess::Performance zoomed =
+      engine.balance(1.0, tess::FlightCondition{}).performance;
   EXPECT_GT(zoomed.thrust, 0.0);
 
   // The level-1 network for comparison.
   flow::Network net1;
   build_f100_network(net1);
-  NetworkEngineDriver driver1(net1);
-  glue::NetworkSteadyResult level1 = driver1.balance(1.0);
+  NetworkEngine engine1(net1);
+  const tess::Performance level1 =
+      engine1.balance(1.0, tess::FlightCondition{}).performance;
   EXPECT_NEAR(zoomed.thrust / level1.thrust, 1.0, 0.05);
 }
 

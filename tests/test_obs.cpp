@@ -229,13 +229,16 @@ TEST(ObsReport, F100RemoteTransientShowsInstrumentedLayers) {
   net.module(names.burner).widget("machine").select("cray-lerc");
   net.module(names.burner).widget("path").set_text(glue::kCombustorPath);
 
-  glue::NetworkEngineDriver driver(net);
-  driver.set_tolerances(5e-6, 1e-4);
+  glue::NetworkEngine engine(net);
+  engine.set_solver_tolerances(5e-6, 1e-4);
 
   obs::reset_run();
-  driver.balance(1.0);
-  driver.run_transient([](double t) { return t < 0.05 ? 1.0 : 1.2; }, 0.2,
-                       0.05);
+  const tess::SteadyResult steady =
+      engine.balance(1.0, tess::FlightCondition{});
+  engine.transient(steady.performance.speeds,
+                   [](double t) { return t < 0.05 ? 1.0 : 1.2; },
+                   tess::FlightCondition{}, 0.2, 0.05,
+                   engine.system().transient_method());
 
   std::vector<std::string> layers =
       obs::active_layers(obs::Registry::global());
@@ -252,7 +255,7 @@ TEST(ObsReport, F100RemoteTransientShowsInstrumentedLayers) {
   EXPECT_GT(reg.find_histogram("flow.scheduler.module_evaluate_us").count(),
             0u);
   EXPECT_GT(reg.find_counter("rpc.transport.frames_sent").value(), 0u);
-  EXPECT_GT(reg.find_counter("npss.driver.transient_steps").value(), 0u);
+  EXPECT_GT(reg.find_counter("tess.engine.transient_steps").value(), 0u);
 
   // One kCall, both sides: a procedure-host span whose parent is a client
   // span of the same trace.
