@@ -135,7 +135,7 @@ std::vector<Diagnostic> lint_spec(const uts::ParsedSpec& parsed,
   }
 
   // UTS001: duplicate declaration names per kind, case-folded the way the
-  // Manager's NameDb folds them (§4.1 Fortran synonyms).
+  // Manager's name index folds them (§4.1 Fortran synonyms).
   std::map<std::string, const ProcDecl*> seen[2];
   for (const ProcDecl& decl : parsed.file.decls) {
     auto& kind_seen = seen[static_cast<int>(decl.kind)];
@@ -219,7 +219,7 @@ std::vector<Diagnostic> link_check(const std::vector<FileReport>& files,
   }
 
   // UTS103: a configuration (one line's worth of programs) must export each
-  // name at most once — the Manager's NameDb would reject the second
+  // name at most once — the Manager's name check would reject the second
   // registration at runtime.
   for (const auto& [name, sites] : exports) {
     for (std::size_t i = 1; i < sites.size(); ++i) {

@@ -97,7 +97,7 @@ struct Outbound {
 
 enum class CoreEventKind : std::uint8_t {
   kCommitted,     ///< entry .index (term .term) is durable: ack the client
-  kBecameLeader,  ///< rebuild ManagerState and start serving
+  kBecameLeader,  ///< reset the Manager's write projection and serve
   kSteppedDown,   ///< drop pending client completions; they retry elsewhere
 };
 
@@ -169,9 +169,9 @@ class ReplicaCore {
   const CoreCounters& counters() const { return counters_; }
 
   /// state() plus the uncommitted log tail applied — what a freshly
-  /// elected leader rebuilds its Manager bookkeeping from (its own
-  /// entries cannot be truncated while it stays leader, so the
-  /// projection is what the noop barrier is about to make durable).
+  /// elected leader checks Manager writes against (its own entries
+  /// cannot be truncated while it stays leader, so the projection is
+  /// what the noop barrier is about to make durable).
   ReplicatedState projected_state() const;
 
   /// Milliseconds of quiet before fire_timer() should be invoked, for

@@ -1,6 +1,7 @@
 #include "meta/state.hpp"
 
 #include <algorithm>
+#include <cctype>
 
 #include "util/sha256.hpp"
 
@@ -8,6 +9,39 @@ namespace npss::meta {
 
 using util::ByteReader;
 using util::ByteWriter;
+
+std::string fold_case(std::string_view name) {
+  std::string folded(name);
+  for (char& c : folded) {
+    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  }
+  return folded;
+}
+
+std::optional<ProcRef> ReplicatedState::find(std::int64_t db,
+                                             std::string_view name) const {
+  auto it = names_.find({db, fold_case(name)});
+  if (it == names_.end()) return std::nullopt;
+  const auto& [address, group] = *exports_.find(it->second.first);
+  return ProcRef{address, group.procs[it->second.second]};
+}
+
+void ReplicatedState::add_names(const std::string& address,
+                                const ExportGroup& group) {
+  const std::int64_t db = group.shared ? -1 : group.line;
+  for (std::size_t i = 0; i < group.procs.size(); ++i) {
+    names_.try_emplace({db, fold_case(group.procs[i].first)}, address, i);
+  }
+}
+
+void ReplicatedState::drop_names(const std::string& address,
+                                 const ExportGroup& group) {
+  const std::int64_t db = group.shared ? -1 : group.line;
+  for (const auto& [name, sig] : group.procs) {
+    auto it = names_.find({db, fold_case(name)});
+    if (it != names_.end() && it->second.first == address) names_.erase(it);
+  }
+}
 
 bool ReplicatedState::apply(const ChangeRecord& record, std::uint64_t index) {
   if (index <= last_applied_) return false;
@@ -21,6 +55,7 @@ bool ReplicatedState::apply(const ChangeRecord& record, std::uint64_t index) {
       // The line's processes are shut down with it; shared exports stay.
       for (auto it = exports_.begin(); it != exports_.end();) {
         if (!it->second.shared && it->second.line == record.line) {
+          drop_names(it->first, it->second);
           it = exports_.erase(it);
         } else {
           ++it;
@@ -36,12 +71,19 @@ bool ReplicatedState::apply(const ChangeRecord& record, std::uint64_t index) {
       group.path = record.path;
       group.spec_hash = record.spec_hash;
       group.procs = record.procs;
-      exports_[record.address] = std::move(group);
+      auto [it, fresh] = exports_.try_emplace(record.address);
+      if (!fresh) drop_names(it->first, it->second);
+      it->second = std::move(group);
+      add_names(it->first, it->second);
       break;
     }
-    case RecordKind::kRetire:
-      exports_.erase(record.address);
+    case RecordKind::kRetire: {
+      auto it = exports_.find(record.address);
+      if (it == exports_.end()) break;
+      drop_names(it->first, it->second);
+      exports_.erase(it);
       break;
+    }
     case RecordKind::kNoop:
       break;  // advances last_applied_ only — the new-leader barrier
   }
@@ -121,7 +163,9 @@ ReplicatedState ReplicatedState::deserialize(
       std::string sig = in.str();
       group.procs.emplace_back(std::move(name), std::move(sig));
     }
-    state.exports_[std::move(address)] = std::move(group);
+    auto [it, fresh] =
+        state.exports_.emplace(std::move(address), std::move(group));
+    if (fresh) state.add_names(it->first, it->second);
   }
   if (!in.exhausted()) {
     throw util::EncodingError("trailing bytes in snapshot image");

@@ -120,7 +120,7 @@ void CallCore::bind(const std::string& name, const std::string& import_text,
                            /*raise_errors=*/false);
     } catch (const util::NoRouteError&) {
       // The Manager we knew is dead. With a replica group, find the new
-      // leader and re-ask; standalone, the bind fails as it always did.
+      // leader and re-ask; alone, the bind fails as it always did.
       if (attempt >= 3 || !rediscover_manager()) throw;
       continue;
     } catch (const util::DeadlineError&) {

@@ -240,8 +240,8 @@ struct CallCore {
   /// Current Manager (leader) address. Mutable: when the leader dies the
   /// const call paths rediscover and re-point mid-flight.
   mutable std::string manager;
-  /// Every Manager replica address; empty = classic standalone Manager
-  /// (a dead Manager is then terminal, as before).
+  /// Every Manager replica address; empty = a one-member group (a dead
+  /// Manager is then terminal, as before).
   std::vector<std::string> manager_replicas;
   LineId line = kNoLine;
   const arch::ArchDescriptor* arch = nullptr;

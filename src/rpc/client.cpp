@@ -57,7 +57,7 @@ Message Session::manager_call(MessageIo& io, Message msg) {
     Message ack;
     try {
       // With a replica group a hung leader (e.g. partitioned away) must
-      // not block the client forever; standalone keeps the legacy
+      // not block the client forever; a one-member group keeps the legacy
       // block-until-reply semantics.
       ack = replicas_.empty()
                 ? io.call(target, std::move(copy), /*raise_errors=*/false)

@@ -216,7 +216,7 @@ class Session {
  public:
   /// `machine` is the cluster machine this session's lines live on (their
   /// endpoints and native formats). `manager_replicas` is the full
-  /// Manager replica group (empty for a classic standalone Manager):
+  /// Manager replica group (empty for a one-member group):
   /// with it set, every Manager exchange survives a leader death by
   /// rediscovering the new leader and re-issuing the request.
   Session(sim::Cluster& cluster, std::string machine,

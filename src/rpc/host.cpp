@@ -212,7 +212,7 @@ class HostRuntime {
       if (obs::enabled()) {
         obs::Registry::global().counter("rpc.host.errors").add();
       }
-      io_.send(in.from, Message::error_reply(msg, e.code(), e.what()));
+      io_.send(in.from, Message::error_reply(msg, e));
     }
   }
 

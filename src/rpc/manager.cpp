@@ -1,7 +1,6 @@
 #include "rpc/manager.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <chrono>
 #include <functional>
 #include <map>
@@ -32,75 +31,9 @@ void bump(const char* name) {
   }
 }
 
-std::string lower(std::string s) {
-  std::transform(s.begin(), s.end(), s.begin(),
-                 [](unsigned char c) { return std::tolower(c); });
-  return s;
-}
-
-std::string upper(std::string s) {
-  std::transform(s.begin(), s.end(), s.begin(),
-                 [](unsigned char c) { return std::toupper(c); });
-  return s;
-}
-
-using BindingPtr = std::shared_ptr<Binding>;
-
-/// A name database: exact names plus upper/lower case synonyms (§4.1).
-class NameDb {
- public:
-  /// Register a binding under its canonical name and case synonyms.
-  /// Throws DuplicateNameError if any synonym is already taken.
-  void insert(BindingPtr binding) {
-    std::vector<std::string> keys = synonyms(binding->canonical_name);
-    for (const std::string& key : keys) {
-      if (names_.contains(key)) {
-        throw util::DuplicateNameError(
-            "procedure '" + binding->canonical_name +
-            "' conflicts with existing name '" + key + "'");
-      }
-    }
-    for (const std::string& key : keys) names_[key] = binding;
-    all_.push_back(std::move(binding));
-  }
-
-  BindingPtr find(const std::string& name) const {
-    for (const std::string& key : synonyms(name)) {
-      auto it = names_.find(key);
-      if (it != names_.end()) return it->second;
-    }
-    return nullptr;
-  }
-
-  void erase(const BindingPtr& binding) {
-    for (const std::string& key : synonyms(binding->canonical_name)) {
-      auto it = names_.find(key);
-      if (it != names_.end() && it->second == binding) names_.erase(it);
-    }
-    std::erase(all_, binding);
-  }
-
-  const std::vector<BindingPtr>& all() const { return all_; }
-
- private:
-  static std::vector<std::string> synonyms(const std::string& name) {
-    std::vector<std::string> keys{name};
-    std::string lo = lower(name), up = upper(name);
-    if (lo != name) keys.push_back(lo);
-    if (up != name && up != lo) keys.push_back(up);
-    return keys;
-  }
-
-  std::map<std::string, BindingPtr> names_;
-  std::vector<BindingPtr> all_;
-};
-
-struct Line {
-  LineId id = kNoLine;
-  std::string description;
-  std::int64_t quota = 0;  ///< outstanding-call quota granted at admission
-  NameDb db;
-};
+/// A procedure's (canonical name, export declaration text), as the
+/// changelog's kExport records carry it.
+using ProcEntry = std::pair<std::string, std::string>;
 
 /// A start or move in flight: the Server has spawned the process and the
 /// Manager is waiting for its kExport before answering the requester.
@@ -113,75 +46,60 @@ struct PendingStart {
   std::string spawned_address;
   std::string machine;
   std::string path;
-  // Move bookkeeping: every binding that lived in the moved process, so
+  // Move bookkeeping: every procedure that lived in the moved process, so
   // the replacement's exports can be gated against the old signatures.
-  std::vector<BindingPtr> moved_bindings;
+  std::vector<ProcEntry> moved_procs;
   std::optional<util::Bytes> state_blob;
 };
 
+/// The leader's request handlers. The replicated state machine is the
+/// only state: reads (kLookup, the binding a kMove resolves) come from
+/// the core's committed state, so a lookup never hands out a binding a
+/// failover could forget; writes are checked against `proposed_`, the
+/// committed state plus this leader's own uncommitted tail, and each one
+/// becomes a changelog proposal whose client ack runs once the entry is
+/// quorum-committed. Completions the leader drops when deposed simply
+/// never run; the requester times out and retries against the new leader.
 class ManagerState {
  public:
   ManagerState(MessageIo& io, const ManagerConfig& config,
                std::shared_ptr<ManagerCounters> stats)
       : io_(io), config_(config), stats_(std::move(stats)) {
-    // Manifest names obey the same case-synonym rule as the NameDb.
+    // Manifest names obey the same case-synonym rule as lookups.
     for (const auto& [name, text] : config_.static_manifest) {
-      folded_manifest_.emplace(lower(name), &text);
+      folded_manifest_.emplace(meta::fold_case(name), &text);
     }
   }
 
   /// A deferred client acknowledgement: runs once the transition that
-  /// produced it is durable. Null-safe no-arg callable.
+  /// produced it is durable.
   using Completion = std::function<void()>;
 
-  /// Replication hook: called with every state transition the Manager
-  /// wants to commit (null in standalone mode). The replica driver
-  /// appends the record to the changelog, replicates it, and invokes the
-  /// completion only once a majority holds the entry — the quorum-commit
-  /// rule meta_check forced. Completions the driver drops (leader
-  /// deposed before commit) simply never run; the requester times out
-  /// and retries against the new leader.
-  void set_commit(
-      std::function<void(meta::ChangeRecord, Completion)> commit) {
-    commit_ = std::move(commit);
+  /// Start serving as `core`'s leader. The projection includes the
+  /// uncommitted tail the no-op barrier is about to commit — our own
+  /// entries cannot be truncated while we stay leader, so checking writes
+  /// against it is safe. Pending starts die with the old leader (their
+  /// requesters time out and retry against this one).
+  void lead(meta::ReplicaCore& core) {
+    core_ = &core;
+    proposed_ = core.projected_state();
+    pending_.clear();
   }
 
-  /// Rebuild the full Manager bookkeeping from the replicated state
-  /// machine — what a freshly elected leader does before serving clients.
-  /// Pending starts die with the old leader (their requesters time out and
-  /// retry against the new one), so only lines and exports carry over.
-  void rebuild_from(const meta::ReplicatedState& st) {
-    lines_.clear();
-    shared_db_ = NameDb{};
-    pending_.clear();
-    next_line_ = st.next_line();
-    for (const auto& [id, info] : st.lines()) {
-      Line line;
-      line.id = id;
-      line.description = info.description;
-      line.quota = info.quota;
-      lines_.emplace(id, std::move(line));
-    }
-    for (const auto& [address, group] : st.exports()) {
-      NameDb* db = &shared_db_;
-      if (!group.shared) {
-        auto it = lines_.find(group.line);
-        if (it == lines_.end()) continue;  // line quit raced the export
-        db = &it->second.db;
-      }
-      for (const auto& [name, sig_text] : group.procs) {
-        uts::ProcDecl decl = parse_signature_text(sig_text);
-        auto binding = std::make_shared<Binding>();
-        binding->canonical_name = name;
-        binding->signature_text = sig_text;
-        binding->signature = decl.signature;
-        binding->address = address;
-        binding->machine = group.machine;
-        binding->path = group.path;
-        binding->line = group.shared ? kNoLine : group.line;
-        binding->shared = group.shared;
-        db->insert(std::move(binding));
-      }
+  /// Unacked client work dies with the leadership.
+  void step_down() { completions_.clear(); }
+
+  /// Changelog entry `index` is durable: release its client ack.
+  void committed(std::uint64_t index) {
+    auto it = completions_.find(index);
+    if (it == completions_.end()) return;
+    Completion done = std::move(it->second);
+    completions_.erase(it);
+    try {
+      done();
+    } catch (const util::Error& e) {
+      NPSS_LOG_WARN("manager", "ack for committed index ", index,
+                    " undeliverable: ", e.what());
     }
   }
 
@@ -212,7 +130,7 @@ class ManagerState {
                                                  msg.kind))));
       }
     } catch (const util::Error& e) {
-      reply(in, Message::error_reply(msg, e.code(), e.what()));
+      reply(in, Message::error_reply(msg, e));
     }
     return true;
   }
@@ -220,12 +138,19 @@ class ManagerState {
  private:
   void reply(const Incoming& in, Message msg) { io_.send(in.from, msg); }
 
-  Line& line_or_throw(LineId id) {
-    auto it = lines_.find(id);
-    if (it == lines_.end()) {
+  /// Append `rec` to the changelog; `done` runs once it commits. A
+  /// one-member group commits inside propose(), so its ack still goes out
+  /// before the next request is handled.
+  void propose(meta::ChangeRecord rec, Completion done) {
+    const std::uint64_t index = core_->propose(rec);
+    proposed_.apply(rec, index);
+    completions_[index] = std::move(done);
+  }
+
+  void require_line(LineId id) const {
+    if (!proposed_.lines().contains(id)) {
       throw util::ProtocolError("unknown line " + std::to_string(id));
     }
-    return it->second;
   }
 
   void on_register_line(const Incoming& in) {
@@ -233,15 +158,16 @@ class ManagerState {
     // degrading for everyone already admitted. The client's
     // Session::open_line backs off and re-asks (capacity frees when a
     // neighbor quits).
+    const std::size_t active = proposed_.lines().size();
     if (config_.max_lines > 0 &&
-        lines_.size() >= static_cast<std::size_t>(config_.max_lines)) {
+        active >= static_cast<std::size_t>(config_.max_lines)) {
       ++stats_->lines_rejected;
       bump("lines_rejected");
       if (obs::enabled()) {
         obs::Registry::global().counter("rpc.line.rejected").add();
       }
       NPSS_LOG_DEBUG("manager", "line for '", in.msg.a, "' rejected (",
-                     lines_.size(), "/", config_.max_lines, " lines active)");
+                     active, "/", config_.max_lines, " lines active)");
       reply(in, Message::error_reply(
                     in.msg, ErrorCode::kLineRejected,
                     "manager at capacity: " +
@@ -249,10 +175,8 @@ class ManagerState {
                         " concurrent line(s) admitted"));
       return;
     }
-    Line line;
-    line.id = next_line_++;
-    line.description = in.msg.a;
-    line.quota = config_.line_call_quota;
+    const LineId id = proposed_.next_line();
+    const std::int64_t quota = config_.line_call_quota;
     ++stats_->lines_created;
     bump("lines_created");
     if (obs::enabled()) {
@@ -260,29 +184,21 @@ class ManagerState {
       reg.counter("rpc.line.admitted").add();
       reg.gauge("rpc.line.active").add(1);
     }
-    NPSS_LOG_DEBUG("manager", "line ", line.id, " registered for '",
-                   in.msg.a, "' (", in.from, ")");
-    LineId id = line.id;
-    const std::int64_t quota = line.quota;
-    lines_.emplace(id, std::move(line));
+    NPSS_LOG_DEBUG("manager", "line ", id, " registered for '", in.msg.a,
+                   "' (", in.from, ")");
     // The ack grants the per-line outstanding-call quota in .n; the
-    // client folds it into the line's LineBudget. Under replication the
-    // ack is deferred until the record is quorum-committed — the
-    // acked-registration-can-be-lost hole meta_check exposed.
-    Completion ack = [this, from = in.from, seq = in.msg.seq, id, quota] {
+    // client folds it into the line's LineBudget. It waits for quorum
+    // commit — the acked-registration-can-be-lost hole meta_check exposed.
+    meta::ChangeRecord rec;
+    rec.kind = meta::RecordKind::kLineCreate;
+    rec.line = id;
+    rec.note = in.msg.a;
+    rec.quota = quota;
+    propose(std::move(rec), [this, from = in.from, seq = in.msg.seq, id,
+                             quota] {
       io_.send(from, Message{.kind = MessageKind::kLineAck, .seq = seq,
                              .line = id, .n = quota});
-    };
-    if (commit_) {
-      meta::ChangeRecord rec;
-      rec.kind = meta::RecordKind::kLineCreate;
-      rec.line = id;
-      rec.note = in.msg.a;
-      rec.quota = quota;
-      commit_(std::move(rec), std::move(ack));
-    } else {
-      ack();
-    }
+    });
   }
 
   /// Spawn `path` on `machine` through its Server; returns the new address.
@@ -308,10 +224,23 @@ class ManagerState {
     return ack.a;
   }
 
+  void shutdown_process(const std::string& address,
+                        const std::string& reason) {
+    Message stop;
+    stop.kind = MessageKind::kShutdownProc;
+    stop.seq = io_.next_seq();
+    stop.a = reason;
+    try {
+      io_.send(address, std::move(stop));
+    } catch (const util::NoRouteError&) {
+      // Process already gone; shutdown is idempotent.
+    }
+  }
+
   void on_start_request(const Incoming& in) {
     const Message& msg = in.msg;
     const bool shared = (msg.n & 1) != 0;
-    if (!shared) line_or_throw(msg.line);
+    if (!shared) require_line(msg.line);
     std::string address = spawn_process(msg.a, msg.b, msg.line, shared);
     PendingStart pending;
     pending.requester = in.from;
@@ -339,14 +268,8 @@ class ManagerState {
     const bool shared =
         (msg.n & 1) != 0 ||
         (pending_it != pending_.end() && pending_it->shared);
-    NameDb* db = nullptr;
-    LineId line = msg.line;
-    if (shared) {
-      db = &shared_db_;
-      line = kNoLine;
-    } else {
-      db = &line_or_throw(line).db;
-    }
+    const LineId line = shared ? kNoLine : msg.line;
+    if (!shared) require_line(line);
 
     // Stale-manifest screen: the exporter stamps its spec text's sha256
     // into msg.c; a hash the manifest does not list means the spec changed
@@ -364,79 +287,63 @@ class ManagerState {
                     " is not in the uts_check manifest; re-run uts_check");
     }
 
-    std::vector<BindingPtr> registered;
     try {
+      // Every name must be free in its database (§4.1 case synonyms
+      // included), against what this leader has already proposed and
+      // against the export's own earlier names.
+      std::map<std::string, uts::Signature> offered;  // by folded name
       for (const auto& [name, sig_text] : msg.table) {
         uts::ProcDecl decl = parse_signature_text(sig_text);
         if (config_.strict) static_check(name, decl);
-        auto binding = std::make_shared<Binding>();
-        binding->canonical_name = name;
-        binding->signature_text = sig_text;
-        binding->signature = decl.signature;
-        binding->address = in.from;
-        binding->machine =
-            pending_it != pending_.end() ? pending_it->machine : msg.b;
-        binding->path = msg.a;
-        binding->line = line;
-        binding->shared = shared;
-        db->insert(binding);
-        registered.push_back(std::move(binding));
+        if (auto taken = proposed_.find(line, name)) {
+          throw util::DuplicateNameError(
+              "procedure '" + name + "' conflicts with existing name '" +
+              taken->proc.first + "'");
+        }
+        if (!offered.emplace(meta::fold_case(name), decl.signature).second) {
+          throw util::DuplicateNameError("procedure '" + name +
+                                         "' is exported twice");
+        }
       }
       // Migration compat gate: a moved procedure's replacement must offer
       // an export surface the surviving clients can still bind — every
       // old binding signature (what the callers compiled against) must be
-      // compatible with the replacement's export. Refusing here rides the
-      // rollback path below, so the incompatible replica is dismissed
-      // before any call can be mis-marshaled into it.
+      // compatible with the replacement's export. Refusing here dismisses
+      // the incompatible replica before any call can be mis-marshaled
+      // into it.
       if (pending_it != pending_.end() &&
           pending_it->ack_kind == MessageKind::kMoveAck) {
-        for (const BindingPtr& old : pending_it->moved_bindings) {
-          const BindingPtr* replacement = nullptr;
-          for (const BindingPtr& b : registered) {
-            if (lower(b->canonical_name) == lower(old->canonical_name)) {
-              replacement = &b;
-              break;
-            }
-          }
-          std::string why;
-          if (!replacement) {
-            why = "replacement does not export it";
-          } else {
-            why = uts::signature_compatibility_error(
-                old->signature, (*replacement)->signature);
-          }
+        for (const auto& [old_name, old_text] : pending_it->moved_procs) {
+          auto replacement = offered.find(meta::fold_case(old_name));
+          const std::string why =
+              replacement == offered.end()
+                  ? "replacement does not export it"
+                  : uts::signature_compatibility_error(
+                        parse_signature_text(old_text).signature,
+                        replacement->second);
           if (!why.empty()) {
             ++stats_->compat_rejects;
             bump("compat_reject");
             throw util::TypeMismatchError(
-                "move of '" + old->canonical_name +
-                "' rejected: replacement on " + pending_it->machine +
+                "move of '" + old_name + "' rejected: replacement on " +
+                pending_it->machine +
                 " is incompatible with the signature clients bound: " + why);
           }
         }
       }
     } catch (const util::Error& e) {
-      // Roll back, dismiss the new process, and fail the start/move
-      // request that caused it — *not* just the exporter, or the original
-      // requester would wait forever.
-      for (const BindingPtr& b : registered) db->erase(b);
-      Message stop;
-      stop.kind = MessageKind::kShutdownProc;
-      stop.seq = io_.next_seq();
-      stop.a = std::string("export rejected: ") + e.what();
-      try {
-        io_.send(in.from, std::move(stop));
-      } catch (const util::NoRouteError&) {
-      }
+      // Dismiss the new process and fail the start/move request that
+      // caused it — *not* just the exporter, or the original requester
+      // would wait forever. Nothing was proposed, so nothing rolls back.
+      shutdown_process(in.from, std::string("export rejected: ") + e.what());
       if (pending_it != pending_.end()) {
         Message original;
         original.seq = pending_it->requester_seq;
         original.line = pending_it->line;
-        io_.send(pending_it->requester,
-                 Message::error_reply(original, e.code(), e.what()));
+        io_.send(pending_it->requester, Message::error_reply(original, e));
         pending_.erase(pending_it);
       }
-      reply(in, Message::error_reply(msg, e.code(), e.what()));
+      reply(in, Message::error_reply(msg, e));
       return;
     }
 
@@ -448,31 +355,24 @@ class ManagerState {
       pending = std::move(*pending_it);
       pending_.erase(pending_it);
     }
-    Completion ack = [this, from = in.from, seq = msg.seq,
-                      pending = std::move(pending), registered]() mutable {
-      io_.send(from,
-               Message{.kind = MessageKind::kExportAck, .seq = seq});
-      if (pending) finish_pending(*pending, registered);
-    };
-    if (commit_) {
-      meta::ChangeRecord rec;
-      rec.kind = meta::RecordKind::kExport;
-      rec.line = line;
-      rec.shared = shared;
-      rec.address = in.from;
-      rec.machine =
-          registered.empty() ? std::string() : registered.front()->machine;
-      rec.path = msg.a;
-      rec.spec_hash = msg.c;
-      rec.procs = msg.table;
-      commit_(std::move(rec), std::move(ack));
-    } else {
-      ack();
-    }
+    meta::ChangeRecord rec;
+    rec.kind = meta::RecordKind::kExport;
+    rec.line = line;
+    rec.shared = shared;
+    rec.address = in.from;
+    rec.machine = pending ? pending->machine : msg.b;
+    rec.path = msg.a;
+    rec.spec_hash = msg.c;
+    rec.procs = msg.table;
+    propose(std::move(rec), [this, from = in.from, seq = msg.seq,
+                             pending = std::move(pending),
+                             procs = msg.table]() mutable {
+      io_.send(from, Message{.kind = MessageKind::kExportAck, .seq = seq});
+      if (pending) finish_pending(*pending, std::move(procs));
+    });
   }
 
-  void finish_pending(PendingStart& pending,
-                      const std::vector<BindingPtr>& registered) {
+  void finish_pending(PendingStart& pending, std::vector<ProcEntry> procs) {
     if (pending.ack_kind == MessageKind::kMoveAck) {
       // Install transferred state in the new process before exposing it.
       if (pending.state_blob) {
@@ -487,19 +387,17 @@ class ManagerState {
     ack.seq = pending.requester_seq;
     ack.line = pending.line;
     ack.a = pending.spawned_address;
-    for (const BindingPtr& b : registered) {
-      ack.table.emplace_back(b->canonical_name, b->signature_text);
-    }
+    ack.table = std::move(procs);
     io_.send(pending.requester, std::move(ack));
   }
 
   /// Strict mode: the export table the Manager is about to build must be
   /// the one uts_check verified statically. Throws TypeMismatchError on a
   /// missing-from-manifest or signature-drift export, which rides the
-  /// existing on_export rollback path — the exporting process is dismissed
-  /// before any call can reach it.
+  /// on_export rejection path — the exporting process is dismissed before
+  /// any call can reach it.
   void static_check(const std::string& name, const uts::ProcDecl& decl) {
-    auto it = folded_manifest_.find(lower(name));
+    auto it = folded_manifest_.find(meta::fold_case(name));
     if (it == folded_manifest_.end()) {
       ++stats_->static_check_failures;
       bump("static_check_fail");
@@ -537,22 +435,22 @@ class ManagerState {
     bump("static_check_pass");
   }
 
-  BindingPtr resolve(LineId line, const std::string& name) {
-    // The caller's line first, then the shared database (§4.2).
+  /// The caller's line first, then the shared database (§4.2) — read
+  /// from committed state only.
+  std::optional<meta::ProcRef> resolve(LineId line,
+                                       const std::string& name) const {
+    const meta::ReplicatedState& committed = core_->state();
     if (line != kNoLine) {
-      auto it = lines_.find(line);
-      if (it != lines_.end()) {
-        if (BindingPtr b = it->second.db.find(name)) return b;
-      }
+      if (auto hit = committed.find(line, name)) return hit;
     }
-    return shared_db_.find(name);
+    return committed.find(kNoLine, name);
   }
 
   void on_lookup(const Incoming& in) {
     const Message& msg = in.msg;
     ++stats_->lookups;
     bump("lookups");
-    BindingPtr binding = resolve(msg.line, msg.a);
+    auto binding = resolve(msg.line, msg.a);
     if (!binding) {
       reply(in, Message::error_reply(msg, ErrorCode::kLookupFailure,
                                      "no procedure '" + msg.a + "' in line " +
@@ -560,10 +458,11 @@ class ManagerState {
                                          " or shared database"));
       return;
     }
+    const auto& [name, sig_text] = binding->proc;
     if (!msg.b.empty()) {
-      uts::ProcDecl import_decl = parse_signature_text(msg.b);
       std::string why = uts::signature_compatibility_error(
-          import_decl.signature, binding->signature);
+          parse_signature_text(msg.b).signature,
+          parse_signature_text(sig_text).signature);
       if (!why.empty()) {
         ++stats_->type_check_failures;
         bump("type_check_failures");
@@ -584,32 +483,9 @@ class ManagerState {
     ack.seq = msg.seq;
     ack.line = msg.line;
     ack.a = binding->address;
-    ack.b = binding->canonical_name;
-    ack.c = binding->signature_text;
+    ack.b = name;
+    ack.c = sig_text;
     reply(in, ack);
-  }
-
-  void shutdown_line_procs(Line& line, const std::string& reason) {
-    // One process may export several procedures; shut each address down
-    // exactly once.
-    std::vector<std::string> addresses;
-    for (const BindingPtr& b : line.db.all()) {
-      if (std::find(addresses.begin(), addresses.end(), b->address) ==
-          addresses.end()) {
-        addresses.push_back(b->address);
-      }
-    }
-    for (const std::string& addr : addresses) {
-      Message stop;
-      stop.kind = MessageKind::kShutdownProc;
-      stop.seq = io_.next_seq();
-      stop.a = reason;
-      try {
-        io_.send(addr, std::move(stop));
-      } catch (const util::NoRouteError&) {
-        // Process already gone; shutdown is idempotent.
-      }
-    }
   }
 
   void on_quit(const Incoming& in) {
@@ -619,41 +495,51 @@ class ManagerState {
       io_.send(from, Message{.kind = MessageKind::kQuitAck, .seq = seq,
                              .line = line});
     };
-    auto it = lines_.find(msg.line);
-    if (it == lines_.end()) {
+    if (!proposed_.lines().contains(msg.line)) {
       ack();
       return;
     }
-    NPSS_LOG_DEBUG("manager", "line ", msg.line, " quitting (",
-                   it->second.db.all().size(), " bindings)");
-    shutdown_line_procs(it->second, "line quit");
-    lines_.erase(it);
+    // One process may export several procedures; the export table holds
+    // each process once.
+    std::size_t procs = 0;
+    for (const auto& [address, group] : proposed_.exports()) {
+      if (group.shared || group.line != msg.line) continue;
+      shutdown_process(address, "line quit");
+      ++procs;
+    }
+    NPSS_LOG_DEBUG("manager", "line ", msg.line, " quitting (", procs,
+                   " process(es))");
     ++stats_->lines_shut_down;
     bump("lines_shut_down");
     if (obs::enabled()) {
       obs::Registry::global().gauge("rpc.line.active").sub(1);
     }
-    if (commit_) {
-      meta::ChangeRecord rec;
-      rec.kind = meta::RecordKind::kLineQuit;
-      rec.line = msg.line;
-      commit_(std::move(rec), std::move(ack));
-    } else {
-      ack();
-    }
+    meta::ChangeRecord rec;
+    rec.kind = meta::RecordKind::kLineQuit;
+    rec.line = msg.line;
+    propose(std::move(rec), std::move(ack));
   }
 
   void on_move(const Incoming& in) {
     const Message& msg = in.msg;
     const bool transfer_state = (msg.n & 1) != 0;
-    BindingPtr binding = resolve(msg.line, msg.a);
-    if (!binding) {
+    auto binding = resolve(msg.line, msg.a);
+    // The whole process moves, so its sibling procedures move with it —
+    // as this leader has them, which excludes a process already retired
+    // by a move still in flight.
+    auto source = binding ? proposed_.exports().find(binding->address)
+                          : proposed_.exports().end();
+    if (source == proposed_.exports().end()) {
       throw util::LookupError("move: no procedure '" + msg.a + "' in line " +
                               std::to_string(msg.line));
     }
+    // Copies: a one-member group commits inside propose(), which changes
+    // the state `binding` and `source` point into.
+    const std::string old_address = source->first;
+    const meta::ExportGroup group = source->second;
+    const LineId line = group.shared ? kNoLine : group.line;
     ++stats_->moves;
     bump("moves");
-    const std::string old_address = binding->address;
 
     // 1. Capture state if requested (the planned UTS state-list extension).
     //    A crashed or unreachable source must not abort the move — that is
@@ -676,50 +562,34 @@ class ManagerState {
       }
     }
 
-    // 2. Shut down the original process.
-    Message stop;
-    stop.kind = MessageKind::kShutdownProc;
-    stop.seq = io_.next_seq();
-    stop.a = "moved to " + msg.b;
-    try {
-      io_.send(old_address, std::move(stop));
-    } catch (const util::NoRouteError&) {
-    }
+    // 2. Start the replacement. A machine without a Server or without the
+    //    image fails the move here, while the source still serves.
+    const std::string path = msg.c.empty() ? group.path : msg.c;
+    std::string address = spawn_process(msg.b, path, line, group.shared);
 
-    // 3. Remove every binding that lived in that process: the whole
-    //    process moves, so sibling procedures move with it.
-    NameDb& db = binding->shared ? shared_db_ : line_or_throw(msg.line).db;
-    std::vector<BindingPtr> moved;
-    for (const BindingPtr& b : db.all()) {
-      if (b->address == old_address) moved.push_back(b);
-    }
-    for (const BindingPtr& b : moved) db.erase(b);
-    if (commit_) {
-      meta::ChangeRecord rec;
-      rec.kind = meta::RecordKind::kRetire;
-      rec.line = binding->line;
-      rec.shared = binding->shared;
-      rec.address = old_address;
-      rec.note = "moved to " + msg.b;
-      // No client ack rides the retirement itself — the kMoveAck waits
-      // for the replacement's kExport commit — so the completion is empty.
-      commit_(std::move(rec), [] {});
-    }
+    // 3. Shut down the original process and retire its bindings. No
+    //    client ack rides the retirement itself — the kMoveAck waits for
+    //    the replacement's kExport commit — so the completion is empty.
+    shutdown_process(old_address, "moved to " + msg.b);
+    meta::ChangeRecord rec;
+    rec.kind = meta::RecordKind::kRetire;
+    rec.line = line;
+    rec.shared = group.shared;
+    rec.address = old_address;
+    rec.note = "moved to " + msg.b;
+    propose(std::move(rec), [] {});
 
-    // 4. Start the replacement and wait for its export.
-    const std::string path = msg.c.empty() ? binding->path : msg.c;
-    std::string address =
-        spawn_process(msg.b, path, binding->line, binding->shared);
+    // 4. Wait for the replacement's export.
     PendingStart pending;
     pending.requester = in.from;
     pending.requester_seq = msg.seq;
     pending.ack_kind = MessageKind::kMoveAck;
-    pending.line = binding->line;
-    pending.shared = binding->shared;
+    pending.line = line;
+    pending.shared = group.shared;
     pending.spawned_address = address;
     pending.machine = msg.b;
     pending.path = path;
-    pending.moved_bindings = std::move(moved);
+    pending.moved_procs = group.procs;
     pending.state_blob = std::move(state);
     pending_.push_back(std::move(pending));
     NPSS_LOG_DEBUG("manager", "moving '", msg.a, "' ", old_address, " -> ",
@@ -727,23 +597,12 @@ class ManagerState {
   }
 
   void on_stop(const Incoming& in) {
-    for (auto& [id, line] : lines_) {
-      shutdown_line_procs(line, "manager stopping");
+    for (const auto& [address, group] : proposed_.exports()) {
+      shutdown_process(address, "manager stopping");
     }
-    if (obs::enabled() && !lines_.empty()) {
+    if (obs::enabled() && !proposed_.lines().empty()) {
       obs::Registry::global().gauge("rpc.line.active").sub(
-          static_cast<double>(lines_.size()));
-    }
-    lines_.clear();
-    for (const BindingPtr& b : shared_db_.all()) {
-      Message stop;
-      stop.kind = MessageKind::kShutdownProc;
-      stop.seq = io_.next_seq();
-      stop.a = "manager stopping";
-      try {
-        io_.send(b->address, std::move(stop));
-      } catch (const util::NoRouteError&) {
-      }
+          static_cast<double>(proposed_.lines().size()));
     }
     reply(in, Message{.kind = MessageKind::kQuitAck, .seq = in.msg.seq});
   }
@@ -751,23 +610,28 @@ class ManagerState {
   MessageIo& io_;
   const ManagerConfig& config_;
   std::shared_ptr<ManagerCounters> stats_;
-  std::function<void(meta::ChangeRecord, Completion)> commit_;
   /// case-folded name -> manifest declaration text (owned by config_).
   std::map<std::string, const std::string*> folded_manifest_;
-  std::map<LineId, Line> lines_;
-  NameDb shared_db_;
+  meta::ReplicaCore* core_ = nullptr;  ///< set while (and once) leading
+  /// Committed state plus this leader's uncommitted tail: what writes are
+  /// checked against. Reset from the core at each election win, then
+  /// advanced by every proposal — never rebuilt per request.
+  meta::ReplicatedState proposed_;
   std::vector<PendingStart> pending_;
-  LineId next_line_ = 1;
+  /// Client acks keyed by the changelog index whose commit releases them.
+  std::map<std::uint64_t, Completion> completions_;
 };
+
 
 /// One replica of a Manager group: a meta::ReplicaCore — the pure
 /// steppable consensus state machine that src/mc/'s meta_check
 /// exhaustively model-checks — driven by host time and rpc::Message
-/// frames. The driver owns everything impure (the clock anchor behind
-/// the core's single logical timer, the address<->replica-index map,
-/// wire framing, the deferred client completions) and the core owns the
-/// protocol, so the schedules the checker proves safe are the schedules
-/// this loop can actually produce.
+/// frames. Every Manager is one; a single Manager is a one-member group,
+/// whose proposals commit at once (a majority of one). The driver owns
+/// everything impure (the clock anchor behind the core's single logical
+/// timer, the address<->replica-index map, wire framing) and the core
+/// owns the protocol, so the schedules the checker proves safe are the
+/// schedules this loop can actually produce.
 ///
 /// Client acks are quorum-committed: ManagerState hands each transition
 /// to the core as a proposal plus a completion, and the completion runs
@@ -780,18 +644,15 @@ class ReplicaDriver {
   ReplicaDriver(MessageIo& io, const ManagerConfig& config,
                 std::shared_ptr<ManagerCounters> stats)
       : io_(io), config_(config), stats_(stats),
-        manager_(io, config, std::move(stats)) {
-    manager_.set_commit(
-        [this](meta::ChangeRecord rec, ManagerState::Completion done) {
-          const std::uint64_t index = core_->propose(std::move(rec));
-          if (index != 0) completions_[index] = std::move(done);
-        });
-  }
+        manager_(io, config, std::move(stats)) {}
 
   void run() {
     if (!await_config()) return;
     Clock::time_point anchor = Clock::now();
     std::uint64_t anchored_gen = core_->timer_generation();
+    // A one-member group has no one to heartbeat and no one to lose an
+    // election to, so it waits for requests without a timer.
+    const bool alone = peers_.size() == 1;
     while (running_) {
       pump();
       if (!running_) break;
@@ -802,15 +663,15 @@ class ReplicaDriver {
         anchor = Clock::now();
       }
       const int wait = core_->timer_ms() - elapsed_ms(anchor);
-      if (wait <= 0) {
+      if (wait <= 0 && !alone) {
         core_->fire_timer();
         anchor = Clock::now();
         anchored_gen = core_->timer_generation();
         continue;
       }
-      auto in = io_.receive_for(wait);
+      auto in = alone ? io_.receive() : io_.receive_for(wait);
       if (!in) {
-        if (io_.endpoint().closed()) running_ = false;
+        if (alone || io_.endpoint().closed()) running_ = false;
         continue;
       }
       dispatch(*in);
@@ -866,6 +727,7 @@ class ReplicaDriver {
         core_->start(my_index_ == 0 ? meta::Role::kLeader
                                     : meta::Role::kFollower,
                      /*term=*/1, /*leader_index=*/0);
+        if (my_index_ == 0) manager_.lead(*core_);
         io_.send(in->from, Message{.kind = MessageKind::kMetaConfigAck,
                                    .seq = msg.seq});
         NPSS_LOG_INFO("manager", "replica ", my_index_, "/", peers_.size(),
@@ -901,7 +763,7 @@ class ReplicaDriver {
   }
 
   /// Drain the core's queued side effects: protocol messages onto the
-  /// wire, commit/role events into client acks and Manager rebuilds,
+  /// wire, commit/role events into client acks and leadership changes,
   /// counter deltas into the shared atomics.
   void pump() {
     for (meta::Outbound& out : core_->take_outbound()) {
@@ -920,37 +782,24 @@ class ReplicaDriver {
   void on_event(const meta::CoreEvent& ev) {
     switch (ev.kind) {
       case meta::CoreEventKind::kBecameLeader:
-        // The projection includes the uncommitted tail the no-op barrier
-        // is about to commit — our own entries cannot be truncated while
-        // we stay leader, so serving from it is safe.
-        manager_.rebuild_from(core_->projected_state());
+        manager_.lead(*core_);
         NPSS_LOG_INFO("manager", "replica ", my_index_,
                       " elected leader for term ", ev.term, ": ",
                       core_->state().lines().size(), " line(s), ",
                       core_->state().exports().size(),
-                      " export group(s) rebuilt from log index ",
+                      " export group(s) committed through log index ",
                       core_->state().last_applied());
         break;
       case meta::CoreEventKind::kSteppedDown:
         // Unacked client work dies with the leadership; requesters time
         // out and retry against whoever won term ev.term.
-        completions_.clear();
+        manager_.step_down();
         NPSS_LOG_WARN("manager", "replica ", my_index_,
                       " deposed: following term ", ev.term);
         break;
-      case meta::CoreEventKind::kCommitted: {
-        auto it = completions_.find(ev.index);
-        if (it == completions_.end()) break;
-        ManagerState::Completion done = std::move(it->second);
-        completions_.erase(it);
-        try {
-          done();
-        } catch (const util::Error& e) {
-          NPSS_LOG_WARN("manager", "ack for committed index ", ev.index,
-                        " undeliverable: ", e.what());
-        }
+      case meta::CoreEventKind::kCommitted:
+        manager_.committed(ev.index);
         break;
-      }
     }
   }
 
@@ -1206,8 +1055,6 @@ class ReplicaDriver {
   /// (replica index, address), sorted by index; includes this replica.
   std::vector<std::pair<int, std::string>> peers_;
   std::optional<meta::ReplicaCore> core_;
-  /// Client acks keyed by the changelog index whose commit releases them.
-  std::map<std::uint64_t, ManagerState::Completion> completions_;
   meta::CoreCounters synced_;  ///< counters already folded into stats_
 };
 
@@ -1230,18 +1077,9 @@ uts::ProcDecl parse_signature_text(const std::string& text) {
 void manager_main(sim::ProcessContext& ctx, const ManagerConfig& config,
                   std::shared_ptr<ManagerCounters> stats) {
   MessageIo io(ctx.cluster(), ctx.self_ptr());
-  if (config.replicated) {
-    ReplicaDriver driver(io, config, std::move(stats));
-    NPSS_LOG_INFO("manager", "replica up at ", io.address());
-    driver.run();
-    return;
-  }
-  ManagerState state(io, config, std::move(stats));
-  NPSS_LOG_INFO("manager", "up at ", io.address());
-  while (auto in = io.receive()) {
-    if (!state.handle(*in)) break;
-  }
-  NPSS_LOG_INFO("manager", "stopped");
+  ReplicaDriver driver(io, config, std::move(stats));
+  NPSS_LOG_INFO("manager", "replica up at ", io.address());
+  driver.run();
 }
 
 }  // namespace npss::rpc

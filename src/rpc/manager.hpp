@@ -41,18 +41,6 @@ std::string signature_text(uts::DeclKind kind, const std::string& name,
 /// Parse the single declaration in `text`.
 uts::ProcDecl parse_signature_text(const std::string& text);
 
-/// One exported procedure as the Manager tracks it.
-struct Binding {
-  std::string canonical_name;   ///< name as registered by the exporter
-  std::string signature_text;   ///< export declaration text
-  uts::Signature signature;
-  std::string address;          ///< current process address
-  std::string machine;
-  std::string path;
-  LineId line = kNoLine;        ///< kNoLine for shared procedures
-  bool shared = false;
-};
-
 struct ManagerConfig {
   /// machine name -> Server address (SchoonerSystem fills this in).
   std::map<std::string, std::string> servers;
@@ -87,10 +75,9 @@ struct ManagerConfig {
   std::vector<std::string> manifest_spec_hashes;
 
   /// --- Replicated control plane (src/meta/) ---------------------------
-  /// When true the process runs as one replica of a Manager group: it
-  /// waits for the kMetaConfig handshake naming every replica, then enters
-  /// the leader/follower protocol. False = the classic standalone Manager.
-  bool replicated = false;
+  /// Every Manager process is one replica of a group (a lone Manager is
+  /// a one-member group): it waits for the kMetaConfig handshake naming
+  /// every replica, then enters the leader/follower protocol.
   /// Leader heartbeat period (host ms). Follower election timeouts are
   /// derived from election_base_ms via meta::election_timeout_ms.
   int heartbeat_ms = 15;

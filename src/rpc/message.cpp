@@ -58,6 +58,11 @@ Message Message::error_reply(const Message& request, util::ErrorCode code,
   return out;
 }
 
+Message Message::error_reply(const Message& request, const util::Error& e) {
+  const util::Status status = util::Status::from(e);
+  return error_reply(request, status.code(), status.message());
+}
+
 void Message::raise_if_error() const {
   if (!is_error()) return;
   util::raise_error(static_cast<util::ErrorCode>(n), a);

@@ -122,6 +122,9 @@ struct Message {
   /// Construct the standard error reply for a request.
   static Message error_reply(const Message& request, util::ErrorCode code,
                              const std::string& text);
+  /// Relay a caught Error: its code, and its message without the
+  /// "<code-name>: " prefix what() embeds (the receiver re-adds it).
+  static Message error_reply(const Message& request, const util::Error& e);
 
   bool is_error() const { return kind == MessageKind::kError; }
 

@@ -24,7 +24,6 @@ SchoonerSystem::SchoonerSystem(sim::Cluster& cluster,
   config.line_call_quota = options.line_call_quota;
 
   const int replicas = std::max(options.manager_replicas, 1);
-  config.replicated = replicas > 1;
   config.heartbeat_ms = options.heartbeat_ms;
   config.election_base_ms = options.election_base_ms;
   config.election_seed = options.election_seed;
@@ -51,25 +50,23 @@ SchoonerSystem::SchoonerSystem(sim::Cluster& cluster,
   }
   manager_address_ = replica_addresses_.front();
 
-  if (config.replicated) {
-    // Membership handshake: addresses exist only now, so each replica
-    // learns the group (and its own index) in one synchronous exchange.
-    // Replica 0 wakes as the term-1 leader once its ack is in.
-    sim::EndpointPtr ep =
-        cluster.create_endpoint(manager_machine, "schx-boot");
-    MessageIo io(cluster, ep);
-    for (int i = 0; i < replicas; ++i) {
-      Message cfg;
-      cfg.kind = MessageKind::kMetaConfig;
-      cfg.n = i;
-      for (int j = 0; j < replicas; ++j) {
-        cfg.table.emplace_back(std::to_string(j),
-                               replica_addresses_[static_cast<std::size_t>(j)]);
-      }
-      io.call(replica_addresses_[static_cast<std::size_t>(i)], std::move(cfg));
+  // Membership handshake: addresses exist only now, so each replica
+  // learns the group (and its own index) in one synchronous exchange.
+  // Replica 0 wakes as the term-1 leader once its ack is in; a lone
+  // replica is a one-member group.
+  sim::EndpointPtr ep = cluster.create_endpoint(manager_machine, "schx-boot");
+  MessageIo io(cluster, ep);
+  for (int i = 0; i < replicas; ++i) {
+    Message cfg;
+    cfg.kind = MessageKind::kMetaConfig;
+    cfg.n = i;
+    for (int j = 0; j < replicas; ++j) {
+      cfg.table.emplace_back(std::to_string(j),
+                             replica_addresses_[static_cast<std::size_t>(j)]);
     }
-    cluster.retire_endpoint(ep->address());
+    io.call(replica_addresses_[static_cast<std::size_t>(i)], std::move(cfg));
   }
+  cluster.retire_endpoint(ep->address());
   running_ = true;
 }
 

@@ -31,10 +31,10 @@ struct SystemOptions {
   std::vector<std::string> manifest_spec_hashes;
 
   /// --- Replicated control plane (src/meta/) ---------------------------
-  /// Number of Manager replicas. 1 (the default) runs the classic
-  /// standalone Manager; >= 2 runs a replica group: replica 0 starts on
-  /// `manager_machine` as the term-1 leader, the rest on
-  /// `replica_machines` (round-robin over the cluster when empty).
+  /// Number of Manager replicas. 1 (the default) is a one-member group;
+  /// >= 2 survive crashes: replica 0 starts on `manager_machine` as the
+  /// term-1 leader, the rest on `replica_machines` (round-robin over the
+  /// cluster when empty).
   int manager_replicas = 1;
   std::vector<std::string> replica_machines;
   /// Leader heartbeat period and follower election-timeout base, in host
@@ -72,8 +72,8 @@ class SchoonerSystem {
   const std::string& manager_address() const { return manager_address_; }
 
   /// Addresses of every Manager replica, indexed by replica id. Size 1
-  /// when running the classic standalone Manager. Clients use the full
-  /// list to rediscover the leader after a failover.
+  /// for a one-member group. Clients use the full list to rediscover the
+  /// leader after a failover.
   const std::vector<std::string>& manager_replica_addresses() const {
     return replica_addresses_;
   }

@@ -325,7 +325,7 @@ void TcpProcedureHost::handle(const std::shared_ptr<bus::BusConnection>& conn,
     }
   } catch (const util::Error& e) {
     if (obs::enabled()) tcp_metrics().host_errors.add();
-    conn->send_message(Message::error_reply(msg, e.code(), e.what()),
+    conn->send_message(Message::error_reply(msg, e),
                        reply_hint());
   }
 }

@@ -326,10 +326,11 @@ sim::ProgramImage echo_image() {
 struct GroupOptions {
   std::uint64_t seed = 1;
   std::uint64_t snapshot_interval = 32;
+  int replicas = 3;
 };
 
 /// One site, three Manager replica machines plus a worker and a client
-/// machine, with a 3-replica control plane.
+/// machine, with a 3-replica control plane (by default).
 class MetaGroupTest : public ::testing::Test {
  protected:
   void build(const GroupOptions& group) {
@@ -343,7 +344,7 @@ class MetaGroupTest : public ::testing::Test {
     cluster_->install_image("far", "/bin/echo", echo_image());
     cluster_->install_image("m2", "/bin/echo", echo_image());
     rpc::SystemOptions options;
-    options.manager_replicas = 3;
+    options.manager_replicas = group.replicas;
     options.replica_machines = {"m1", "m2"};
     options.heartbeat_ms = 10;
     options.election_base_ms = 40;
@@ -405,23 +406,31 @@ class MetaGroupTest : public ::testing::Test {
 };
 
 TEST_F(MetaGroupTest, GroupBootsReplicatesAndAgreesOnDigest) {
-  build({});
-  ASSERT_EQ(system_->manager_replica_addresses().size(), 3u);
-  auto session = system_->make_session("avs");
-  auto client = session->open_line(rpc::LineOptions{}.with_name("boot test"));
-  client->contact_schx("far", "/bin/echo");
-  auto proc = client->import_proc("echo", kEchoImport);
-  uts::ValueList out = proc->call(
-      {uts::Value::real(21.0), uts::Value::real(0.0)}, kLegacy)
-          .values_or_raise();
-  EXPECT_DOUBLE_EQ(out[1].as_real(), 42.0);
+  // A lone Manager is a one-member group: the same replica code path,
+  // committing each change as soon as it is proposed.
+  for (int replicas : {3, 1}) {
+    SCOPED_TRACE(testing::Message() << replicas << " replica(s)");
+    build({.replicas = replicas});
+    const auto& addresses = system_->manager_replica_addresses();
+    ASSERT_EQ(addresses.size(), static_cast<std::size_t>(replicas));
+    auto session = system_->make_session("avs");
+    auto client =
+        session->open_line(rpc::LineOptions{}.with_name("boot test"));
+    client->contact_schx("far", "/bin/echo");
+    auto proc = client->import_proc("echo", kEchoImport);
+    uts::ValueList out = proc->call(
+        {uts::Value::real(21.0), uts::Value::real(0.0)}, kLegacy)
+            .values_or_raise();
+    EXPECT_DOUBLE_EQ(out[1].as_real(), 42.0);
 
-  // Followers mirror the leader's state machine, byte for byte.
-  EXPECT_FALSE(converged_digest().empty());
-  rpc::ManagerStats stats = system_->stats();
-  EXPECT_GT(stats.log_appends, 0u);
-  EXPECT_EQ(stats.leader_elections, 0u);  // replica 0 leads term 1 as booted
-  client->quit();
+    // Followers mirror the leader's state machine, byte for byte.
+    EXPECT_FALSE(converged_digest().empty());
+    EXPECT_EQ(view_of(addresses[0]).leader, addresses[0]);
+    rpc::ManagerStats stats = system_->stats();
+    EXPECT_GT(stats.log_appends, 0u);
+    EXPECT_EQ(stats.leader_elections, 0u);  // replica 0 leads term 1 as booted
+    client->quit();
+  }
 }
 
 TEST_F(MetaGroupTest, LeaderKillFailsOverWithExportTableIntact) {
@@ -576,6 +585,86 @@ TEST_F(MetaGroupTest, PartitionedLeaderStepsDownAfterHeal) {
   EXPECT_FALSE(converged_digest().empty());
   EXPECT_EQ(wait_for_leader(), new_leader);
   client->quit();
+}
+
+TEST_F(MetaGroupTest, IsolatedLeaderNeverServesAnUncommittedExport) {
+  // A leader cut off from its followers can still propose an export but
+  // never commit it. Were it to serve lookups from that proposal, a
+  // client would be sent to a process the next leader has never heard
+  // of — an orphan no Manager can move or shut down.
+  build({});
+  const std::vector<std::string> replicas =
+      system_->manager_replica_addresses();
+  auto session = system_->make_session("avs");
+  auto exporter = session->open_line(rpc::LineOptions{}.with_name("exporter"));
+  auto reader = session->open_line(rpc::LineOptions{}.with_name("reader"));
+
+  const std::uint64_t booted = std::stoull(view_of(replicas[0]).applied);
+  cluster_->partition({"m0"}, {"m1", "m2"});
+  // Wait until the majority side has elected a leader and both of its
+  // replicas applied the new term's no-op barrier: from then on only the
+  // isolated leader appends to any log.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  bool settled = false;
+  while (!settled && std::chrono::steady_clock::now() < deadline) {
+    const ReplicaView v1 = view_of(replicas[1]);
+    const ReplicaView v2 = view_of(replicas[2]);
+    settled = !v1.leader.empty() && v1.leader != replicas[0] &&
+              std::stoull(v1.applied) > booted && v1.applied == v2.applied;
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  ASSERT_TRUE(settled) << "no new leader during partition";
+
+  // A shared start through the isolated leader: it spawns the process
+  // and proposes the export, which can never reach a majority.
+  sim::EndpointPtr ep = cluster_->create_endpoint("avs", "probe");
+  rpc::MessageIo io(*cluster_, ep);
+  const std::uint64_t appends = system_->stats().log_appends;
+  rpc::Message start;
+  start.kind = rpc::MessageKind::kStartRequest;
+  start.seq = io.next_seq();
+  start.line = exporter->id();
+  start.a = "far";
+  start.b = "/bin/echo";
+  start.n = 1;  // shared
+  io.send(replicas[0], std::move(start));
+  while (system_->stats().log_appends == appends &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_GT(system_->stats().log_appends, appends)
+      << "the isolated leader never proposed the export";
+
+  const auto lookup = [&](const std::string& manager) {
+    rpc::Message req;
+    req.kind = rpc::MessageKind::kLookup;
+    req.line = reader->id();
+    req.a = "echo";
+    req.b = kEchoImport;
+    return io.call_within(manager, std::move(req), 500,
+                          /*raise_errors=*/false);
+  };
+  const rpc::Message during = lookup(replicas[0]);
+  EXPECT_TRUE(during.is_error())
+      << "isolated leader handed out uncommitted address " << during.a;
+  EXPECT_EQ(static_cast<util::ErrorCode>(during.n),
+            util::ErrorCode::kLookupFailure);
+
+  // After the heal the export was never committed anywhere, so no
+  // leader resolves it either.
+  cluster_->heal();
+  EXPECT_FALSE(converged_digest().empty());
+  const std::string leader = wait_for_leader();
+  ASSERT_FALSE(leader.empty());
+  const rpc::Message after = lookup(leader);
+  EXPECT_TRUE(after.is_error())
+      << "leader resolved an export it never committed: " << after.a;
+  EXPECT_EQ(static_cast<util::ErrorCode>(after.n),
+            util::ErrorCode::kLookupFailure);
+  cluster_->retire_endpoint(ep->address());
+  exporter->quit();
+  reader->quit();
 }
 
 }  // namespace

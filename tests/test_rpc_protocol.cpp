@@ -191,6 +191,97 @@ TEST_F(RpcProtocolTest, SharedProcedureMoveUpdatesAllLines) {
   EXPECT_EQ(b2->stale_retries(), 1);
 }
 
+TEST(RpcMigration, FailedMoveLeavesTheProcedureOnItsMachine) {
+  // The replacement is started before the source is stopped, so a move
+  // to a machine without the image, or to no machine at all, fails
+  // while the procedure still answers from where it was, state intact.
+  for (int replicas : {1, 3}) {
+    SCOPED_TRACE(testing::Message() << replicas << " Manager replica(s)");
+    sim::Cluster cluster;
+    cluster.add_machine("host", "sun-sparc10", "lerc");
+    cluster.add_machine("m1", "sgi-4d480", "lerc");
+    cluster.add_machine("m2", "ibm-rs6000", "lerc");
+    auto state = std::make_shared<std::int64_t>(0);
+    cluster.install_image("m1", "/bin/counter", counter_image(state));
+    SystemOptions options;
+    options.manager_replicas = replicas;
+    SchoonerSystem system(cluster, "host", options);
+
+    auto session = system.make_session("host");
+    auto client = session->open_line(rpc::LineOptions{}.with_name("stay"));
+    const std::string home = client->contact_schx("m1", "/bin/counter").address;
+    auto bump = client->import_proc("bump", kCounterImport);
+    bump->call({Value::integer(5), Value::integer(0)}, kLegacy)
+        .values_or_raise();
+
+    EXPECT_THROW(client->move_proc("bump", "m2", "/bin/counter"),
+                 util::StartupError);
+    EXPECT_THROW(client->move_proc("bump", "nowhere"),
+                 util::NoSuchMachineError);
+
+    EXPECT_EQ(bump->call({Value::integer(1), Value::integer(0)}, kLegacy)
+                  .values_or_raise()[1]
+                  .as_integer(),
+              6);
+    EXPECT_EQ(bump->stale_retries(), 0);
+    EXPECT_TRUE(cluster.endpoint_alive(home));
+    client->quit();
+  }
+}
+
+TEST(RpcErrors, RelayedErrorsCarryOneCodePrefix) {
+  // A typed error keeps its code across every relay hop, and its message
+  // names the code once: the receiver re-adds the prefix what() carried.
+  const auto prefixes = [](const std::string& text, const std::string& code) {
+    std::size_t n = 0;
+    for (auto at = text.find(code + ": "); at != std::string::npos;
+         at = text.find(code + ": ", at + 1)) {
+      ++n;
+    }
+    return n;
+  };
+  sim::Cluster cluster;
+  cluster.add_machine("host", "sun-sparc10", "lerc");
+  cluster.add_machine("m1", "sgi-4d480", "lerc");
+  cluster.install_image(
+      "m1", "/bin/picky",
+      make_procedure_image(kCounterSpec, {{"bump", [](ProcCall& call) {
+                             throw util::RangeError(
+                                 "delta " +
+                                 std::to_string(call.integer("delta")) +
+                                 " out of range");
+                           }}}));
+  SchoonerSystem system(cluster, "host");
+  auto session = system.make_session("host");
+  auto client = session->open_line(rpc::LineOptions{}.with_name("errors"));
+  client->contact_schx("m1", "/bin/picky");
+
+  // From a Manager handler: the second export of one name in one line.
+  try {
+    client->contact_schx("m1", "/bin/picky");
+    ADD_FAILURE() << "duplicate export accepted";
+  } catch (const util::DuplicateNameError& e) {
+    EXPECT_EQ(prefixes(e.what(), "duplicate-name"), 1u) << e.what();
+  }
+  // Through the Manager from a Server: a start with no such image.
+  try {
+    client->contact_schx("m1", "/no/such/image");
+    ADD_FAILURE() << "start of a missing image succeeded";
+  } catch (const util::StartupError& e) {
+    EXPECT_EQ(prefixes(e.what(), "startup-failure"), 1u) << e.what();
+  }
+  // From a procedure handler, through its host.
+  auto bump = client->import_proc("bump", kCounterImport);
+  CallResult result =
+      bump->call({Value::integer(7), Value::integer(0)}, kLegacy);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status.code(), util::ErrorCode::kRangeError);
+  EXPECT_EQ(prefixes(result.status.to_string(), "range-error"), 1u)
+      << result.status.to_string();
+  EXPECT_THROW(result.values_or_raise(), util::RangeError);
+  client->quit();
+}
+
 TEST_F(RpcProtocolTest, ConcurrentLinesRunIndependently) {
   // Several lines calling same-named procedures from distinct host
   // threads: each line is sequential, lines interleave freely, and no
