@@ -8,10 +8,11 @@
 // records named counters, gauges, and fixed-bucket latency histograms
 // here, and a run report renders them after any simulation run.
 //
-// Concurrency: metric objects are lock-free (atomics); the registry map
-// itself takes a mutex only on first registration of a name. Handles
+// Concurrency: metric objects are lock-free (atomics). The registry map
+// takes its mutex on every look-up by name, first or not, so hot paths
+// hold handles and name look-ups are for registration and reads. Handles
 // returned by counter()/gauge()/histogram() stay valid for the registry's
-// lifetime, so hot paths cache them.
+// lifetime (reset() zeroes them in place).
 #pragma once
 
 #include <atomic>

@@ -53,12 +53,22 @@ SpanCollector& SpanCollector::global() {
 SpanCollector::SpanCollector(std::size_t capacity) : capacity_(capacity) {}
 
 void SpanCollector::record(SpanRecord rec) {
+  if (drop_if_full()) return;
   util::MutexLock lock(mu_);
   if (spans_.size() >= capacity_) {
-    ++dropped_;
+    dropped_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
   spans_.push_back(std::move(rec));
+  if (spans_.size() >= capacity_) {
+    full_.store(true, std::memory_order_relaxed);
+  }
+}
+
+bool SpanCollector::drop_if_full() noexcept {
+  if (!full_.load(std::memory_order_relaxed)) return false;
+  dropped_.fetch_add(1, std::memory_order_relaxed);
+  return true;
 }
 
 std::vector<SpanRecord> SpanCollector::snapshot() const {
@@ -85,14 +95,14 @@ std::size_t SpanCollector::size() const {
 }
 
 std::uint64_t SpanCollector::dropped() const {
-  util::MutexLock lock(mu_);
-  return dropped_;
+  return dropped_.load(std::memory_order_relaxed);
 }
 
 void SpanCollector::clear() {
   util::MutexLock lock(mu_);
   spans_.clear();
-  dropped_ = 0;
+  dropped_.store(0, std::memory_order_relaxed);
+  full_.store(false, std::memory_order_relaxed);
 }
 
 namespace {
@@ -197,6 +207,8 @@ Span::Span(std::string layer, std::string name, const TraceContext& remote) {
 Span::~Span() {
   if (!active_) return;
   t_current = prev_;
+  SpanCollector& collector = SpanCollector::global();
+  if (collector.drop_if_full()) return;
   SpanRecord rec;
   rec.trace_id = ctx_.trace_id;
   rec.span_id = ctx_.span_id;
@@ -206,7 +218,7 @@ Span::~Span() {
   rec.line = line_;
   rec.start_us = us_since_epoch(start_);
   rec.duration_us = elapsed_us();
-  SpanCollector::global().record(std::move(rec));
+  collector.record(std::move(rec));
 }
 
 double Span::elapsed_us() const noexcept {

@@ -10,6 +10,7 @@
 // unique within a run, which is all the in-process collector needs.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <string>
@@ -58,7 +59,7 @@ struct SpanRecord {
 /// Thread-safe sink for finished spans. Bounded: past `capacity()` spans
 /// new records are dropped (dropped() counts them) so a long transient
 /// cannot eat the heap; histograms in the Registry keep the aggregate
-/// view regardless.
+/// view regardless. Once full, dropping is lock-free until clear().
 class SpanCollector {
  public:
   static SpanCollector& global();
@@ -66,6 +67,10 @@ class SpanCollector {
   explicit SpanCollector(std::size_t capacity = 65536);
 
   void record(SpanRecord rec);
+  /// When the collector is full, count one dropped span and return true,
+  /// without taking the lock; a closing Span then skips building its
+  /// record.
+  bool drop_if_full() noexcept;
   std::vector<SpanRecord> snapshot() const;
   /// All spans of one trace, parents before children where possible.
   std::vector<SpanRecord> trace(std::uint64_t trace_id) const;
@@ -85,7 +90,10 @@ class SpanCollector {
   mutable util::Mutex mu_{"obs.SpanCollector"};
   std::size_t capacity_;
   std::vector<SpanRecord> spans_ SCHOONER_GUARDED_BY(mu_);
-  std::uint64_t dropped_ SCHOONER_GUARDED_BY(mu_) = 0;
+  /// Set under mu_ when spans_ reaches capacity_, cleared by clear();
+  /// read without it by drop_if_full().
+  std::atomic<bool> full_{false};
+  std::atomic<std::uint64_t> dropped_{0};
 };
 
 /// RAII span. Opening a span makes it the thread's current context;

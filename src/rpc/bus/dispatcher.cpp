@@ -12,6 +12,7 @@
 #include <cstring>
 
 #include "obs/metrics.hpp"
+#include "rpc/metrics.hpp"
 #include "util/log.hpp"
 
 namespace npss::rpc::bus {
@@ -34,26 +35,6 @@ namespace {
 void set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-}
-
-// Per-frame transport counters shared with the legacy blocking path
-// (test_obs and the run report read these names).
-struct WireMetrics {
-  obs::Counter& frames_sent;
-  obs::Counter& bytes_sent;
-  obs::Counter& frames_received;
-  obs::Counter& bytes_received;
-};
-
-WireMetrics& wire_metrics() {
-  static WireMetrics m = [] {
-    obs::Registry& reg = obs::Registry::global();
-    return WireMetrics{reg.counter("rpc.transport.frames_sent"),
-                       reg.counter("rpc.transport.bytes_sent"),
-                       reg.counter("rpc.transport.frames_received"),
-                       reg.counter("rpc.transport.bytes_received")};
-  }();
-  return m;
 }
 
 }  // namespace
@@ -87,7 +68,7 @@ bool BusConnection::send_frame(
     queued_bytes_.fetch_add(pending_.size() - mark,
                             std::memory_order_relaxed);
     if (obs::enabled()) {
-      WireMetrics& m = wire_metrics();
+      RpcMetrics& m = rpc_metrics();
       m.frames_sent.add();
       m.bytes_sent.add(pending_.size() - mark - 4);  // sans length prefix
     }
@@ -364,7 +345,7 @@ void BusDispatcher::read_ready(const std::shared_ptr<BusConnection>& c) {
       while (auto frame = c->decoder_.next()) {
         Message msg = decode_message(*frame);
         if (obs::enabled()) {
-          WireMetrics& m = wire_metrics();
+          RpcMetrics& m = rpc_metrics();
           m.frames_received.add();
           m.bytes_received.add(frame->size());
         }

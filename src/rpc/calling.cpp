@@ -6,6 +6,7 @@
 #include <cstdint>
 
 #include "obs/trace.hpp"
+#include "rpc/metrics.hpp"
 #include "sim/fiber.hpp"
 #include "util/log.hpp"
 
@@ -45,10 +46,6 @@ util::SimTime backoff_us(const BackoffPolicy& policy, int retry_index,
   return static_cast<util::SimTime>(std::max(delay, 0.0));
 }
 
-void count(const char* name) {
-  if (obs::enabled()) obs::Registry::global().counter(name).add();
-}
-
 }  // namespace
 
 std::string discover_manager_leader(MessageIo& io,
@@ -86,7 +83,7 @@ bool CallCore::rediscover_manager() const {
   if (leader != manager) {
     NPSS_LOG_INFO("rpc.call", "manager leader moved: ", manager, " -> ",
                   leader);
-    count("rpc.meta.rebinds_after_failover");
+    count(rpc_metrics().meta_rebinds_after_failover);
   }
   manager = leader;
   return true;
@@ -134,7 +131,7 @@ void CallCore::bind(const std::string& name, const std::string& import_text,
       // empty hint (election in progress) falls back to polling the group.
       if (!ack.b.empty() && ack.b != manager) {
         manager = ack.b;
-        count("rpc.meta.rebinds_after_failover");
+        count(rpc_metrics().meta_rebinds_after_failover);
       } else if (!rediscover_manager()) {
         ack.raise_if_error();
       }
@@ -144,7 +141,7 @@ void CallCore::bind(const std::string& name, const std::string& import_text,
     cache.address = ack.a;
     cache.resolved_name = ack.b;
     cache.lookups.add();
-    count("rpc.client.lookups");
+    count(rpc_metrics().client_lookups);
     return;
   }
 }
@@ -177,7 +174,7 @@ CallResult CallCore::invoke(const std::string& name,
   LineBudget* budget = opts.line_budget.get();
   if (budget) {
     if (budget->virtual_exhausted()) {
-      count("rpc.line.budget_exhausted");
+      count(rpc_metrics().line_budget_exhausted);
       result.status = util::Status(
           util::ErrorCode::kBudgetExhausted,
           "call to '" + name + "': line " + std::to_string(line) +
@@ -186,7 +183,7 @@ CallResult CallCore::invoke(const std::string& name,
       return result;
     }
     if (!budget->try_begin_call()) {
-      count("rpc.line.budget_exhausted");
+      count(rpc_metrics().line_budget_exhausted);
       result.status = util::Status(
           util::ErrorCode::kBudgetExhausted,
           "call to '" + name + "': line " + std::to_string(line) +
@@ -287,7 +284,7 @@ CallResult CallCore::invoke(const std::string& name,
           retryable = true;
           cache.address.clear();
           cache.stale_retries.add();
-          count("rpc.client.stale_retries");
+          count(rpc_metrics().client_stale_retries);
         }
       } else {
         if (compute) {
@@ -306,19 +303,18 @@ CallResult CallCore::invoke(const std::string& name,
         result.values = std::move(merged);
         result.virtual_us = clock ? clock->now() - virtual_start : 0;
         if (obs::enabled()) {
-          obs::Registry& reg = obs::Registry::global();
-          reg.counter("rpc.client.calls").add();
-          reg.counter("rpc.client.calls." + name).add();
-          reg.counter("rpc.client.bytes_marshaled")
-              .add(request_blob.size() + reply.blob.size());
-          reg.histogram("rpc.client.latency_us").record(span.elapsed_us());
+          RpcMetrics& m = rpc_metrics();
+          m.client_calls.add();
+          if (!cache.calls) cache.calls = &client_calls_counter(name);
+          cache.calls->add();
+          m.client_bytes_marshaled.add(request_blob.size() +
+                                       reply.blob.size());
+          m.client_latency_us.record(span.elapsed_us());
           if (clock) {
-            reg.histogram("rpc.client.virtual_latency_us")
-                .record(static_cast<double>(result.virtual_us));
+            m.client_virtual_latency_us.record(
+                static_cast<double>(result.virtual_us));
           }
-          if (attempt.number > 1) {
-            reg.counter("rpc.client.recovered_calls").add();
-          }
+          if (attempt.number > 1) m.client_recovered_calls.add();
         }
         return result;
       }
@@ -329,7 +325,7 @@ CallResult CallCore::invoke(const std::string& name,
       retryable = true;
       cache.address.clear();
       cache.stale_retries.add();
-      count("rpc.client.stale_retries");
+      count(rpc_metrics().client_stale_retries);
       NPSS_LOG_DEBUG("rpc.call", "stale address for '", name,
                      "', re-binding via manager");
     } catch (const util::DeadlineError& e) {
@@ -338,7 +334,7 @@ CallResult CallCore::invoke(const std::string& name,
       // there for it) so elapsed virtual time stays deterministic, then
       // retry only when the request is idempotent — it may have executed.
       attempt.status = util::Status::from(e);
-      count("rpc.client.timeouts");
+      count(rpc_metrics().client_timeouts);
       if (clock && deadline_abs > 0) {
         const util::SimTime budget =
             opts.attempt_timeout_us > 0
@@ -366,7 +362,7 @@ CallResult CallCore::invoke(const std::string& name,
     // A retry spends the *line's* budget too: once it is gone the line
     // stops storming and surfaces kBudgetExhausted instead.
     if (attempts_left > 0 && budget && !budget->charge_retry()) {
-      count("rpc.line.budget_exhausted");
+      count(rpc_metrics().line_budget_exhausted);
       result.status = util::Status(
           util::ErrorCode::kBudgetExhausted,
           "call to '" + name + "': line " + std::to_string(line) +
@@ -374,7 +370,7 @@ CallResult CallCore::invoke(const std::string& name,
               " is spent; last error: " + attempt.status.to_string());
       break;
     }
-    if (attempts_left > 0) count("rpc.client.retries");
+    if (attempts_left > 0) count(rpc_metrics().client_retries);
 
     // Migration-based failover: every retry found the process dead, so
     // ask the Manager to sch_move the procedure onto a healthy machine
@@ -415,7 +411,7 @@ CallResult CallCore::invoke(const std::string& name,
         cache.address = ack.a;
         result.failed_over = true;
         attempts_left = 1;  // the post-failover attempt
-        count("rpc.client.failovers");
+        count(rpc_metrics().client_failovers);
         continue;
       } catch (const util::Error& e) {
         NPSS_LOG_WARN("rpc.call", "failover of '", name,
@@ -446,7 +442,7 @@ CallResult CallCore::invoke(const std::string& name,
         "call to '" + name + "': no attempt possible within deadline");
   }
   result.virtual_us = clock ? clock->now() - virtual_start : 0;
-  count("rpc.client.failed_calls");
+  count(rpc_metrics().client_failed_calls);
   NPSS_LOG_DEBUG("rpc.call", "call to '", name,
                  "' failed: ", result.status.to_string(), " after ",
                  result.attempts.size(), " attempt(s)");

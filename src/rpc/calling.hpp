@@ -43,6 +43,9 @@ struct BindingCache {
   std::string resolved_name;  ///< exporter-cased name
   obs::Counter lookups;       ///< Manager queries performed
   obs::Counter stale_retries; ///< calls that hit a moved procedure
+  /// The registry's rpc.client.calls.<name>, resolved on the first
+  /// successful call so no later call builds the name or looks it up.
+  obs::Counter* calls = nullptr;
   /// Compiled marshal programs for the import signature, filled on the
   /// first call (or eagerly by RemoteProc) and reused for every
   /// steady-state call — the §4.1 stub-compiler specialization.

@@ -3,18 +3,11 @@
 #include <chrono>
 
 #include "rpc/manager.hpp"
+#include "rpc/metrics.hpp"
 #include "sim/fiber.hpp"
 #include "util/log.hpp"
 
 namespace npss::rpc {
-
-namespace {
-
-void count(const char* name) {
-  if (obs::enabled()) obs::Registry::global().counter(name).add();
-}
-
-}  // namespace
 
 // --- Session ---------------------------------------------------------------
 
@@ -37,7 +30,7 @@ void Session::note_leader(const std::string& leader) {
   util::MutexLock lock(mu_);
   if (leader == manager_) return;
   NPSS_LOG_INFO("client", "manager leader moved: ", manager_, " -> ", leader);
-  count("rpc.meta.rebinds_after_failover");
+  count(rpc_metrics().meta_rebinds_after_failover);
   manager_ = leader;
 }
 
@@ -128,7 +121,7 @@ Line::Line(Session& session, sim::EndpointPtr endpoint, LineOptions opts)
         // saying no. Virtual time advances in step so seeded runs stay
         // deterministic.
         if (attempt >= attempts) throw;
-        count("rpc.line.admission_backoffs");
+        count(rpc_metrics().line_admission_backoffs);
         if (opts.admission_backoff_ms > 0) {
           sim::sleep_for(std::chrono::milliseconds(opts.admission_backoff_ms));
           endpoint_->clock().advance(

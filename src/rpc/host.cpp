@@ -7,6 +7,7 @@
 #include "obs/trace.hpp"
 #include "rpc/calling.hpp"
 #include "rpc/manager.hpp"
+#include "rpc/metrics.hpp"
 #include "util/fair_queue.hpp"
 #include "util/log.hpp"
 #include "util/sha256.hpp"
@@ -201,17 +202,14 @@ class HostRuntime {
       rep.blob = std::move(blob);
       rep.trace = span.context();
       if (obs::enabled()) {
-        obs::Registry& reg = obs::Registry::global();
-        reg.counter("rpc.host.calls").add();
-        reg.counter("rpc.host.bytes_marshaled")
-            .add(msg.blob.size() + rep.blob.size());
-        reg.histogram("rpc.host.handler_us").record(span.elapsed_us());
+        RpcMetrics& m = rpc_metrics();
+        m.host_calls.add();
+        m.host_bytes_marshaled.add(msg.blob.size() + rep.blob.size());
+        m.host_handler_us.record(span.elapsed_us());
       }
       io_.send(in.from, std::move(rep));
     } catch (const util::Error& e) {
-      if (obs::enabled()) {
-        obs::Registry::global().counter("rpc.host.errors").add();
-      }
+      count(rpc_metrics().host_errors);
       io_.send(in.from, Message::error_reply(msg, e));
     }
   }

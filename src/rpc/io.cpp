@@ -3,20 +3,19 @@
 #include <algorithm>
 #include <chrono>
 
-#include "obs/metrics.hpp"
+#include "rpc/metrics.hpp"
 #include "util/log.hpp"
 
 namespace npss::rpc {
 
 namespace {
 
-// Shared transport tallies (the TCP transport records under the same
-// names, so "transport" means whichever fabric carried the frame).
+/// Decode one received frame, counting it as transport traffic.
 Message decode_counted(std::span<const std::uint8_t> payload) {
   if (obs::enabled()) {
-    obs::Registry& reg = obs::Registry::global();
-    reg.counter("rpc.transport.frames_received").add();
-    reg.counter("rpc.transport.bytes_received").add(payload.size());
+    RpcMetrics& m = rpc_metrics();
+    m.frames_received.add();
+    m.bytes_received.add(payload.size());
   }
   return decode_message(payload);
 }
@@ -69,9 +68,9 @@ void MessageIo::send(const std::string& to, Message msg) {
                  " seq=", msg.seq, " -> ", to);
   util::Bytes frame = encode_message(msg);
   if (obs::enabled()) {
-    obs::Registry& reg = obs::Registry::global();
-    reg.counter("rpc.transport.frames_sent").add();
-    reg.counter("rpc.transport.bytes_sent").add(frame.size());
+    RpcMetrics& m = rpc_metrics();
+    m.frames_sent.add();
+    m.bytes_sent.add(frame.size());
   }
   cluster_->send(*endpoint_, to, std::move(frame));
 }
@@ -191,11 +190,7 @@ util::SimTime MessageIo::ping(const std::string& to) {
   msg.kind = MessageKind::kPing;
   call(to, std::move(msg));
   const util::SimTime rtt = endpoint_->clock().now() - before;
-  if (obs::enabled()) {
-    obs::Registry::global()
-        .histogram("rpc.transport.rtt_us")
-        .record(static_cast<double>(rtt));
-  }
+  if (obs::enabled()) rpc_metrics().rtt_us.record(static_cast<double>(rtt));
   return rtt;
 }
 

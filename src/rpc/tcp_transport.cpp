@@ -15,10 +15,10 @@
 #include <cstring>
 #include <thread>
 
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "rpc/bus/frame.hpp"
 #include "rpc/manager.hpp"
+#include "rpc/metrics.hpp"
 #include "util/log.hpp"
 
 namespace npss::rpc {
@@ -26,43 +26,6 @@ namespace npss::rpc {
 using util::CallError;
 
 namespace {
-
-// Metric handles resolved once: registry handles stay valid (and reset()
-// zeroes without invalidating them), so the per-call cost is an atomic
-// add, not a mutex-guarded map lookup.
-struct TcpMetrics {
-  obs::Counter& frames_sent;
-  obs::Counter& bytes_sent;
-  obs::Counter& frames_received;
-  obs::Counter& bytes_received;
-  obs::Counter& host_calls;
-  obs::Counter& host_bytes_marshaled;
-  obs::Histogram& host_handler_us;
-  obs::Counter& host_errors;
-  obs::Counter& client_calls;
-  obs::Counter& client_bytes_marshaled;
-  obs::Histogram& client_latency_us;
-  obs::Histogram& rtt_us;
-};
-
-TcpMetrics& tcp_metrics() {
-  static TcpMetrics m = [] {
-    obs::Registry& reg = obs::Registry::global();
-    return TcpMetrics{reg.counter("rpc.transport.frames_sent"),
-                      reg.counter("rpc.transport.bytes_sent"),
-                      reg.counter("rpc.transport.frames_received"),
-                      reg.counter("rpc.transport.bytes_received"),
-                      reg.counter("rpc.host.calls"),
-                      reg.counter("rpc.host.bytes_marshaled"),
-                      reg.histogram("rpc.host.handler_us"),
-                      reg.counter("rpc.host.errors"),
-                      reg.counter("rpc.client.calls"),
-                      reg.counter("rpc.client.bytes_marshaled"),
-                      reg.histogram("rpc.client.latency_us"),
-                      reg.histogram("rpc.transport.rtt_us")};
-  }();
-  return m;
-}
 
 /// Frame bytes that are not argument blob: prefix, fixed fields, string
 /// lengths, empty table, optional trace extension. Lets the client count
@@ -138,8 +101,8 @@ bool TcpConnection::read_all(std::uint8_t* data, std::size_t size) {
 void TcpConnection::send(const Message& msg) {
   util::Bytes frame = encode_message(msg);
   if (obs::enabled()) {
-    tcp_metrics().frames_sent.add();
-    tcp_metrics().bytes_sent.add(frame.size());
+    rpc_metrics().frames_sent.add();
+    rpc_metrics().bytes_sent.add(frame.size());
   }
   std::uint8_t prefix[4];
   const std::uint32_t len = static_cast<std::uint32_t>(frame.size());
@@ -162,8 +125,8 @@ bool TcpConnection::receive(Message& msg) {
   util::Bytes frame(len);
   if (!read_all(frame.data(), len)) return false;
   if (obs::enabled()) {
-    tcp_metrics().frames_received.add();
-    tcp_metrics().bytes_received.add(frame.size());
+    rpc_metrics().frames_received.add();
+    rpc_metrics().bytes_received.add(frame.size());
   }
   msg = decode_message(frame);
   return true;
@@ -318,13 +281,13 @@ void TcpProcedureHost::handle(const std::shared_ptr<bus::BusConnection>& conn,
       serve_us = span.elapsed_us();
     }, reply_hint());
     if (obs::enabled()) {
-      TcpMetrics& m = tcp_metrics();
+      RpcMetrics& m = rpc_metrics();
       m.host_calls.add();
       m.host_bytes_marshaled.add(msg.blob.size() + reply_frame_bytes);
       m.host_handler_us.record(serve_us);
     }
   } catch (const util::Error& e) {
-    if (obs::enabled()) tcp_metrics().host_errors.add();
+    count(rpc_metrics().host_errors);
     conn->send_message(Message::error_reply(msg, e),
                        reply_hint());
   }
@@ -360,7 +323,7 @@ TcpRemoteProc::TcpRemoteProc(const std::string& host, int port,
   request_plan_ = uts::compile_plan(decl_.signature, uts::Direction::kRequest);
   reply_plan_ = uts::compile_plan(decl_.signature, uts::Direction::kReply);
   span_label_ = "tcp call " + name_;
-  calls_by_name_ = &obs::Registry::global().counter("rpc.client.calls." + name_);
+  calls_by_name_ = &client_calls_counter(name_);
 }
 
 std::shared_ptr<bus::BusChannel>& TcpRemoteProc::live_channel() {
@@ -506,7 +469,7 @@ void TcpRemoteProc::finish(PendingTcpCall& pending) {
           util::Status(static_cast<util::ErrorCode>(reply.n), reply.a);
     } else {
       if (obs::enabled()) {
-        TcpMetrics& m = tcp_metrics();
+        RpcMetrics& m = rpc_metrics();
         m.client_calls.add();
         calls_by_name_->add();
         m.client_bytes_marshaled.add(pending.request_bytes_ +
@@ -549,7 +512,7 @@ double TcpRemoteProc::ping_us() {
       std::chrono::duration<double, std::micro>(
           std::chrono::steady_clock::now() - before)
           .count();
-  if (obs::enabled()) tcp_metrics().rtt_us.record(rtt_us);
+  if (obs::enabled()) rpc_metrics().rtt_us.record(rtt_us);
   return rtt_us;
 }
 

@@ -14,12 +14,29 @@ double clampd(double v, double lo, double hi) {
   return std::clamp(v, lo, hi);
 }
 
-void record_iterations(const char* name, double iterations) {
-  if (!obs::enabled()) return;
-  obs::Registry::global()
-      .histogram(std::string("tess.engine.") + name,
-                 obs::default_iteration_bounds())
-      .record(iterations);
+// The engine drivers' metric handles, resolved once.
+struct EngineMetrics {
+  obs::Histogram& balance_iterations;
+  obs::Histogram& step_flow_iterations;
+  obs::Counter& transient_steps;
+  obs::Counter& rhs_evaluations;
+};
+
+EngineMetrics& engine_metrics() {
+  static EngineMetrics m = [] {
+    obs::Registry& reg = obs::Registry::global();
+    const std::vector<double>& bounds = obs::default_iteration_bounds();
+    return EngineMetrics{
+        reg.histogram("tess.engine.balance_iterations", bounds),
+        reg.histogram("tess.engine.step_flow_iterations", bounds),
+        reg.counter("tess.engine.transient_steps"),
+        reg.counter("tess.engine.rhs_evaluations")};
+  }();
+  return m;
+}
+
+void record_iterations(obs::Histogram& histogram, double iterations) {
+  if (obs::enabled()) histogram.record(iterations);
 }
 
 /// Engine evaluations of one driver run at one flight condition, reusing
@@ -108,7 +125,7 @@ SteadyResult EngineModel::balance(double wf, const FlightCondition& flight,
     result.performance = std::move(last);
     result.iterations = nr.iterations;
     result.residual = nr.residual_norm;
-    record_iterations("balance_iterations", result.iterations);
+    record_iterations(engine_metrics().balance_iterations, result.iterations);
     return result;
   }
 
@@ -137,7 +154,7 @@ SteadyResult EngineModel::balance(double wf, const FlightCondition& flight,
       result.performance = perf;
       result.iterations = steps;
       result.residual = worst;
-      record_iterations("balance_iterations", result.iterations);
+      record_iterations(engine_metrics().balance_iterations, result.iterations);
       return result;
     }
     states = integrator->step(rhs, steps * dt, states, dt);
@@ -162,19 +179,17 @@ TransientResult EngineModel::transient(const std::vector<double>& initial_speeds
       TransientSample{0.0, eval(initial_speeds, schedule(0.0))});
   auto observer = [&](double t, const std::vector<double>& y) {
     Performance p = eval(y, schedule(t));
-    record_iterations("step_flow_iterations", p.flow_iterations);
-    if (obs::enabled()) {
-      obs::Registry::global().counter("tess.engine.transient_steps").add();
-    }
+    record_iterations(engine_metrics().step_flow_iterations,
+                      p.flow_iterations);
+    if (obs::enabled()) engine_metrics().transient_steps.add();
     result.history.push_back(TransientSample{t, std::move(p)});
   };
   solvers::integrate(*integrator, rhs, 0.0, t_end, dt, initial_speeds,
                      observer);
   result.rhs_evaluations = integrator->evaluations();
   if (obs::enabled()) {
-    obs::Registry::global()
-        .counter("tess.engine.rhs_evaluations")
-        .add(static_cast<std::uint64_t>(result.rhs_evaluations));
+    engine_metrics().rhs_evaluations.add(
+        static_cast<std::uint64_t>(result.rhs_evaluations));
   }
   return result;
 }

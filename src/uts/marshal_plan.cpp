@@ -44,10 +44,11 @@ std::uint32_t scalar_width(PlanOp op) {
 
 void count_hit(bool fast) {
   if (!obs::enabled()) return;
-  obs::Registry::global()
-      .counter(fast ? "uts.marshal.fast_path_hits"
-                    : "uts.marshal.fallback_hits")
-      .add();
+  static obs::Counter& fast_hits =
+      obs::Registry::global().counter("uts.marshal.fast_path_hits");
+  static obs::Counter& fallback_hits =
+      obs::Registry::global().counter("uts.marshal.fallback_hits");
+  (fast ? fast_hits : fallback_hits).add();
 }
 
 // --- scalar leaf codecs ----------------------------------------------------

@@ -1,7 +1,8 @@
 // Tests of the observability subsystem: histogram bucket edge cases,
-// registry exports, span nesting, trace-context propagation on the wire
-// (both the byte format and a live kCall over real TCP), and the
-// end-to-end run report for an F100 transient with a remote module —
+// registry exports, span nesting, the bounded span collector's drop
+// path, the RPC layer's cached metric handles, trace-context propagation
+// on the wire (both the byte format and a live kCall over real TCP), and
+// the end-to-end run report for an F100 transient with a remote module —
 // the software replacement for the paper's hand-timed Tables 1 and 2.
 #include <gtest/gtest.h>
 
@@ -208,6 +209,134 @@ TEST(ObsWire, TraceIdPropagatesAcrossRealTcpCall) {
   EXPECT_GE(reg.find_counter("rpc.transport.frames_sent").value(), 2u);
   EXPECT_GE(reg.find_counter("rpc.client.calls").value(), 1u);
   EXPECT_GT(reg.find_histogram("rpc.client.latency_us").count(), 0u);
+}
+
+/// The registry readings one lock-step sim call moves.
+struct CallTallies {
+  std::uint64_t client_calls = 0, client_calls_inc = 0, host_calls = 0;
+  std::uint64_t frames_sent = 0, frames_received = 0;
+  std::uint64_t client_latency = 0, client_virtual_latency = 0;
+  std::uint64_t host_handler = 0, marshal_hits = 0;
+};
+
+CallTallies read_call_tallies() {
+  obs::Registry& reg = obs::Registry::global();
+  CallTallies t;
+  t.client_calls = reg.find_counter("rpc.client.calls").value();
+  t.client_calls_inc = reg.find_counter("rpc.client.calls.inc").value();
+  t.host_calls = reg.find_counter("rpc.host.calls").value();
+  t.frames_sent = reg.find_counter("rpc.transport.frames_sent").value();
+  t.frames_received =
+      reg.find_counter("rpc.transport.frames_received").value();
+  t.client_latency = reg.find_histogram("rpc.client.latency_us").count();
+  t.client_virtual_latency =
+      reg.find_histogram("rpc.client.virtual_latency_us").count();
+  t.host_handler = reg.find_histogram("rpc.host.handler_us").count();
+  t.marshal_hits = reg.find_counter("uts.marshal.fast_path_hits").value() +
+                   reg.find_counter("uts.marshal.fallback_hits").value();
+  return t;
+}
+
+void expect_k_calls(const CallTallies& before, const CallTallies& after,
+                    std::uint64_t k) {
+  EXPECT_EQ(after.client_calls - before.client_calls, k);
+  EXPECT_EQ(after.client_calls_inc - before.client_calls_inc, k);
+  EXPECT_EQ(after.host_calls - before.host_calls, k);
+  EXPECT_EQ(after.frames_sent - before.frames_sent, 2 * k);
+  EXPECT_EQ(after.frames_received - before.frames_received, 2 * k);
+  EXPECT_EQ(after.client_latency - before.client_latency, k);
+  EXPECT_EQ(after.client_virtual_latency - before.client_virtual_latency, k);
+  EXPECT_EQ(after.host_handler - before.host_handler, k);
+  // Client request marshal, host request unmarshal, host reply marshal,
+  // client reply unmarshal.
+  EXPECT_EQ(after.marshal_hits - before.marshal_hits, 4 * k);
+}
+
+TEST(ObsHandles, SimCallsRecordExactlyOncePerEventAcrossAReset) {
+  sim::Cluster cluster;
+  cluster.add_machine("sparc", "sun-sparc10", "lerc");
+  cluster.add_machine("cray", "cray-ymp", "lerc");
+  cluster.install_image(
+      "cray", "/bin/inc",
+      rpc::make_procedure_image(
+          "export inc prog(\"x\" val integer, \"y\" res integer)",
+          {{"inc", [](rpc::ProcCall& c) {
+              c.set("y", Value::integer(c.integer("x") + 1));
+            }}}));
+  rpc::SchoonerSystem system(cluster, "sparc");
+  auto session = system.make_session("sparc");
+  auto line = session->open_line(rpc::LineOptions{}.with_name("handles"));
+  line->contact_schx("cray", "/bin/inc");
+  auto inc = line->import_proc(
+      "inc", "import inc prog(\"x\" val integer, \"y\" res integer)");
+  auto call_k = [&](int k) {
+    for (int i = 0; i < k; ++i) {
+      uts::ValueList out =
+          inc->call({Value::integer(i), Value::integer(0)}, kLegacy)
+              .values_or_raise();
+      ASSERT_EQ(out[1].as_integer(), i + 1);
+    }
+  };
+  call_k(1);  // bind: the per-procedure handle is resolved here
+
+  const int kCalls = 25;
+  const CallTallies before = read_call_tallies();
+  call_k(kCalls);
+  expect_k_calls(before, read_call_tallies(), kCalls);
+
+  // A reset zeroes every metric without invalidating a cached handle:
+  // the same handles count the next calls from zero.
+  obs::reset_run();
+  call_k(kCalls);
+  expect_k_calls(CallTallies{}, read_call_tallies(), kCalls);
+  line->quit();
+}
+
+TEST(ObsTrace, FullCollectorCountsDropsUntilCleared) {
+  obs::SpanCollector small(4);
+  for (int i = 0; i < 10; ++i) {
+    small.record(obs::SpanRecord{.trace_id = 1,
+                                 .span_id = static_cast<std::uint64_t>(i + 1)});
+  }
+  EXPECT_EQ(small.size(), 4u);
+  EXPECT_EQ(small.dropped(), 6u);
+  small.clear();
+  EXPECT_EQ(small.dropped(), 0u);
+  small.record(obs::SpanRecord{.trace_id = 2, .span_id = 11});
+  EXPECT_EQ(small.size(), 1u);
+  EXPECT_EQ(small.dropped(), 0u);
+
+  // Closing a Span into the full global collector: counted, not kept.
+  obs::reset_run();
+  obs::SpanCollector& global = obs::SpanCollector::global();
+  while (global.size() < global.capacity()) obs::Span fill("test", "fill");
+  for (int i = 0; i < 10; ++i) obs::Span late("test", "late");
+  EXPECT_EQ(global.size(), global.capacity());
+  EXPECT_EQ(global.dropped(), 10u);
+  obs::reset_run();
+  { obs::Span again("test", "again"); }
+  EXPECT_EQ(global.size(), 1u);
+  EXPECT_EQ(global.dropped(), 0u);
+}
+
+TEST(ObsTrace, ConcurrentRecordsFillOnceAndCountEveryDrop) {
+  // Threads race the collector past full: the lock-free drop path must
+  // neither lose a drop nor let a record in past capacity.
+  obs::SpanCollector collector(64);
+  const int kThreads = 4, kEach = 500;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&collector, t] {
+      for (int i = 0; i < kEach; ++i) {
+        collector.record(obs::SpanRecord{
+            .trace_id = static_cast<std::uint64_t>(t + 1),
+            .span_id = static_cast<std::uint64_t>(i + 1)});
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(collector.size(), 64u);
+  EXPECT_EQ(collector.dropped(), std::uint64_t{kThreads * kEach - 64});
 }
 
 TEST(ObsReport, F100RemoteTransientShowsInstrumentedLayers) {
