@@ -17,7 +17,7 @@ constexpr int kCrayMantissaBits = 48;
 constexpr int kIbmBias = 64;
 
 void check_width(std::span<const std::uint8_t> word, std::size_t expected,
-                 const char* what) {
+                 std::string_view what) {
   if (word.size() != expected) {
     throw EncodingError(std::string(what) + ": expected " +
                         std::to_string(expected) + " bytes, got " +
@@ -39,21 +39,19 @@ std::uint64_t be_word(std::span<const std::uint8_t> bytes) {
   return word;
 }
 
-Bytes encode_ieee64(double value) {
+std::uint64_t encode_ieee64(double value) {
   std::uint64_t bits;
   std::memcpy(&bits, &value, sizeof bits);
-  return be_bytes(bits, 8);
+  return bits;
 }
 
-double decode_ieee64(std::span<const std::uint8_t> word) {
-  check_width(word, 8, "ieee64");
-  std::uint64_t bits = be_word(word);
+double decode_ieee64(std::uint64_t bits) {
   double value;
   std::memcpy(&value, &bits, sizeof value);
   return value;
 }
 
-Bytes encode_ieee32(double value) {
+std::uint64_t encode_ieee32(double value) {
   if (std::isfinite(value) &&
       std::abs(value) > static_cast<double>(std::numeric_limits<float>::max())) {
     throw RangeError("value " + std::to_string(value) +
@@ -62,22 +60,21 @@ Bytes encode_ieee32(double value) {
   float f = static_cast<float>(value);
   std::uint32_t bits;
   std::memcpy(&bits, &f, sizeof bits);
-  return be_bytes(bits, 4);
+  return bits;
 }
 
-double decode_ieee32(std::span<const std::uint8_t> word) {
-  check_width(word, 4, "ieee32");
-  std::uint32_t bits = static_cast<std::uint32_t>(be_word(word));
+double decode_ieee32(std::uint64_t word) {
+  const auto bits = static_cast<std::uint32_t>(word);
   float value;
   std::memcpy(&value, &bits, sizeof value);
   return static_cast<double>(value);
 }
 
-Bytes encode_cray64(double value) {
+std::uint64_t encode_cray64(double value) {
   if (!std::isfinite(value)) {
     throw RangeError("Cray format has no representation for inf/nan");
   }
-  if (value == 0.0) return Bytes(8, 0);
+  if (value == 0.0) return 0;
   bool negative = std::signbit(value);
   int exp2 = 0;
   double mant = std::frexp(std::abs(value), &exp2);  // mant in [0.5, 1)
@@ -90,18 +87,15 @@ Bytes encode_cray64(double value) {
     ++exp2;
   }
   long biased = exp2 + kCrayBias;
-  if (biased < 0) return Bytes(8, 0);  // underflow flushes to zero
+  if (biased < 0) return 0;  // underflow flushes to zero
   if (biased > 0x7fff) {
     throw RangeError("value overflows Cray 64-bit float");
   }
-  std::uint64_t word = (static_cast<std::uint64_t>(negative) << 63) |
-                       (static_cast<std::uint64_t>(biased) << 48) | mantissa;
-  return be_bytes(word, 8);
+  return (static_cast<std::uint64_t>(negative) << 63) |
+         (static_cast<std::uint64_t>(biased) << 48) | mantissa;
 }
 
-double decode_cray64(std::span<const std::uint8_t> bytes) {
-  check_width(bytes, 8, "cray64");
-  std::uint64_t word = be_word(bytes);
+double decode_cray64(std::uint64_t word) {
   bool negative = (word >> 63) != 0;
   int biased = static_cast<int>((word >> 48) & 0x7fff);
   std::uint64_t mantissa = word & ((1ull << kCrayMantissaBits) - 1);
@@ -121,13 +115,13 @@ double decode_cray64(std::span<const std::uint8_t> bytes) {
   return negative ? -value : value;
 }
 
-Bytes encode_ibm_hex(double value, int frac_bits) {
+std::uint64_t encode_ibm_hex(double value, int frac_bits) {
   const std::size_t width = static_cast<std::size_t>(frac_bits) / 8 + 1;
   if (!std::isfinite(value)) {
     throw RangeError("IBM hexadecimal format has no representation for "
                      "inf/nan");
   }
-  if (value == 0.0) return Bytes(width, 0);
+  if (value == 0.0) return 0;
   bool negative = std::signbit(value);
   int exp2 = 0;
   std::frexp(std::abs(value), &exp2);
@@ -141,21 +135,17 @@ Bytes encode_ibm_hex(double value, int frac_bits) {
     ++exp16;
   }
   int biased = exp16 + kIbmBias;
-  if (biased < 0) return Bytes(width, 0);  // underflow flushes to zero
+  if (biased < 0) return 0;  // underflow flushes to zero
   if (biased > 0x7f) {
     throw RangeError("value overflows IBM hexadecimal float (16^" +
                      std::to_string(exp16) + ")");
   }
-  std::uint64_t word = (static_cast<std::uint64_t>(negative) << (width * 8 - 1)) |
-                       (static_cast<std::uint64_t>(biased) << frac_bits) |
-                       frac_int;
-  return be_bytes(word, width);
+  return (static_cast<std::uint64_t>(negative) << (width * 8 - 1)) |
+         (static_cast<std::uint64_t>(biased) << frac_bits) | frac_int;
 }
 
-double decode_ibm_hex(std::span<const std::uint8_t> bytes, int frac_bits) {
+double decode_ibm_hex(std::uint64_t word, int frac_bits) {
   const std::size_t width = static_cast<std::size_t>(frac_bits) / 8 + 1;
-  check_width(bytes, width, "ibm-hex");
-  std::uint64_t word = be_word(bytes);
   bool negative = (word >> (width * 8 - 1)) != 0;
   int biased = static_cast<int>((word >> frac_bits) & 0x7f);
   std::uint64_t frac_int = word & ((1ull << frac_bits) - 1);
@@ -203,7 +193,7 @@ std::size_t float_format_width(FloatFormatKind kind) {
   return 0;
 }
 
-util::Bytes float_encode(FloatFormatKind kind, double value) {
+std::uint64_t float_encode_word(FloatFormatKind kind, double value) {
   switch (kind) {
     case FloatFormatKind::kIeee32: return encode_ieee32(value);
     case FloatFormatKind::kIeee64: return encode_ieee64(value);
@@ -214,8 +204,7 @@ util::Bytes float_encode(FloatFormatKind kind, double value) {
   throw EncodingError("unknown float format");
 }
 
-double float_decode(FloatFormatKind kind,
-                    std::span<const std::uint8_t> word) {
+double float_decode_word(FloatFormatKind kind, std::uint64_t word) {
   switch (kind) {
     case FloatFormatKind::kIeee32: return decode_ieee32(word);
     case FloatFormatKind::kIeee64: return decode_ieee64(word);
@@ -224,6 +213,16 @@ double float_decode(FloatFormatKind kind,
     case FloatFormatKind::kIbmHex64: return decode_ibm_hex(word, 56);
   }
   throw EncodingError("unknown float format");
+}
+
+util::Bytes float_encode(FloatFormatKind kind, double value) {
+  return be_bytes(float_encode_word(kind, value), float_format_width(kind));
+}
+
+double float_decode(FloatFormatKind kind,
+                    std::span<const std::uint8_t> word) {
+  check_width(word, float_format_width(kind), float_format_name(kind));
+  return float_decode_word(kind, be_word(word));
 }
 
 bool float_range_subsumes(FloatFormatKind to, FloatFormatKind from) {

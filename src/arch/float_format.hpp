@@ -45,15 +45,24 @@ std::string_view float_format_name(FloatFormatKind kind);
 /// Storage width in bytes of a format.
 std::size_t float_format_width(FloatFormatKind kind);
 
-/// Encode a binary64 host value into the format's canonical big-endian word.
-/// Throws util::RangeError if |value| overflows the target format; values
-/// below the target's smallest normal magnitude flush to zero (the behaviour
-/// of the original hardware for Cray, and of the UTS conversion library).
+/// Encode a binary64 host value into the format's word, right-aligned in
+/// the returned integer (its float_format_width() low bytes, written
+/// big-endian, are the stored bytes). Throws util::RangeError if |value|
+/// overflows the target format; values below the target's smallest
+/// normal magnitude flush to zero (the behaviour of the original hardware
+/// for Cray, and of the UTS conversion library).
+std::uint64_t float_encode_word(FloatFormatKind kind, double value);
+
+/// Decode a right-aligned word in the given format back to binary64.
+/// Throws util::RangeError if the stored magnitude exceeds binary64 range
+/// (possible for Cray64).
+double float_decode_word(FloatFormatKind kind, std::uint64_t word);
+
+/// float_encode_word as the format's big-endian bytes.
 util::Bytes float_encode(FloatFormatKind kind, double value);
 
-/// Decode a big-endian word in the given format back to binary64.
-/// Throws util::RangeError if the stored magnitude exceeds binary64 range
-/// (possible for Cray64) and util::EncodingError on malformed input size.
+/// float_decode_word over big-endian bytes; also throws
+/// util::EncodingError on malformed input size.
 double float_decode(FloatFormatKind kind, std::span<const std::uint8_t> word);
 
 /// True if every finite value of `from` is representable (to within

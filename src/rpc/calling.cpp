@@ -210,8 +210,12 @@ CallResult CallCore::invoke(const std::string& name,
   const int grace_ms = deadlined ? std::max(opts.host_grace_ms, 1) : 0;
   const int max_attempts = std::max(opts.max_attempts, 1);
 
-  // Marshal exactly once; every attempt re-sends the same blob.
-  util::Bytes request_blob;
+  // Marshal exactly once, into the binding's kept request; every attempt
+  // re-sends that same Message.
+  Message& request = cache.request;
+  request.kind = MessageKind::kCall;
+  request.line = line;
+  if (request.b != import_text) request.b = import_text;
   bool marshaled = false;
 
   int attempts_left = max_attempts;
@@ -251,9 +255,12 @@ CallResult CallCore::invoke(const std::string& name,
           cache.request_plan = uts::compile_plan(sig, uts::Direction::kRequest);
           cache.reply_plan = uts::compile_plan(sig, uts::Direction::kReply);
         }
-        request_blob = cache.request_plan->marshal(*arch, args);
+        util::ByteWriter blob(std::move(request.blob));
+        blob.truncate(0);  // keep the buffer, drop the last call's bytes
+        cache.request_plan->marshal_into(*arch, args, blob);
+        request.blob = std::move(blob).take();
         if (compute) {
-          compute(static_cast<double>(request_blob.size()) *
+          compute(static_cast<double>(request.blob.size()) *
                   kMarshalUsPerByte);
         }
         marshaled = true;
@@ -262,17 +269,12 @@ CallResult CallCore::invoke(const std::string& name,
 
       obs::Span attempt_span(
           "rpc.client", "attempt " + std::to_string(attempt.number));
-      Message call_msg;
-      call_msg.kind = MessageKind::kCall;
-      call_msg.line = line;
-      call_msg.a = cache.resolved_name;
-      call_msg.b = import_text;
-      call_msg.blob = request_blob;
-      call_msg.trace = attempt_span.context();
+      request.a = cache.resolved_name;  // a rebind may have re-cased it
+      request.trace = attempt_span.context();
       Message reply = grace_ms > 0
-                          ? io->call_within(cache.address, std::move(call_msg),
-                                            grace_ms, /*raise_errors=*/false)
-                          : io->call(cache.address, std::move(call_msg),
+                          ? io->call_within(cache.address, request, grace_ms,
+                                            /*raise_errors=*/false)
+                          : io->call(cache.address, request,
                                      /*raise_errors=*/false);
 
       if (reply.is_error()) {
@@ -290,31 +292,29 @@ CallResult CallCore::invoke(const std::string& name,
         if (compute) {
           compute(static_cast<double>(reply.blob.size()) * kMarshalUsPerByte);
         }
-        uts::ValueList merged = cache.reply_plan->unmarshal(*arch, reply.blob);
-        for (std::size_t i = 0; i < sig.size(); ++i) {
-          if (!uts::param_travels(sig[i].mode, uts::Direction::kReply)) {
-            merged[i] = std::move(args[i]);
-          }
-        }
+        // Results land in the caller's own list: val slots keep the
+        // arguments, res/var slots take the reply.
+        cache.reply_plan->unmarshal_into(*arch, reply.blob, args);
         attempt.status = util::Status::ok();
         attempt.virtual_us = clock ? clock->now() - attempt_start : 0;
-        result.attempts.push_back(attempt);
+        const int attempt_number = attempt.number;
+        result.attempts.push_back(std::move(attempt));
         result.status = util::Status::ok();
-        result.values = std::move(merged);
+        result.values = std::move(args);
         result.virtual_us = clock ? clock->now() - virtual_start : 0;
         if (obs::enabled()) {
           RpcMetrics& m = rpc_metrics();
           m.client_calls.add();
           if (!cache.calls) cache.calls = &client_calls_counter(name);
           cache.calls->add();
-          m.client_bytes_marshaled.add(request_blob.size() +
+          m.client_bytes_marshaled.add(request.blob.size() +
                                        reply.blob.size());
           m.client_latency_us.record(span.elapsed_us());
           if (clock) {
             m.client_virtual_latency_us.record(
                 static_cast<double>(result.virtual_us));
           }
-          if (attempt.number > 1) m.client_recovered_calls.add();
+          if (attempt_number > 1) m.client_recovered_calls.add();
         }
         return result;
       }
@@ -355,8 +355,8 @@ CallResult CallCore::invoke(const std::string& name,
 
     last_code = attempt.status.code();
     attempt.virtual_us = clock ? clock->now() - attempt_start : 0;
-    result.attempts.push_back(attempt);
     result.status = attempt.status;
+    result.attempts.push_back(std::move(attempt));
     --attempts_left;
     if (!retryable) break;
     // A retry spends the *line's* budget too: once it is gone the line
@@ -367,7 +367,7 @@ CallResult CallCore::invoke(const std::string& name,
           util::ErrorCode::kBudgetExhausted,
           "call to '" + name + "': line " + std::to_string(line) +
               " retry budget of " + std::to_string(budget->limits().retries) +
-              " is spent; last error: " + attempt.status.to_string());
+              " is spent; last error: " + result.status.to_string());
       break;
     }
     if (attempts_left > 0) count(rpc_metrics().client_retries);

@@ -51,6 +51,10 @@ struct BindingCache {
   /// steady-state call — the §4.1 stub-compiler specialization.
   std::shared_ptr<const uts::MarshalPlan> request_plan;
   std::shared_ptr<const uts::MarshalPlan> reply_plan;
+  /// The kCall request, kept from call to call: each call marshals into
+  /// its blob's buffer and every attempt re-sends it, so a steady-state
+  /// call builds no new Message and copies no import text or blob.
+  Message request;
 };
 
 // --- The fault-tolerant call surface ----------------------------------------

@@ -32,6 +32,7 @@ void Session::note_leader(const std::string& leader) {
   NPSS_LOG_INFO("client", "manager leader moved: ", manager_, " -> ", leader);
   count(rpc_metrics().meta_rebinds_after_failover);
   manager_ = leader;
+  leader_epoch_.fetch_add(1, std::memory_order_release);
 }
 
 void Session::rebind_to_leader(MessageIo& io) {
@@ -46,16 +47,15 @@ void Session::rebind_to_leader(MessageIo& io) {
 Message Session::manager_call(MessageIo& io, Message msg) {
   for (int attempt = 0;; ++attempt) {
     const std::string target = leader();
-    Message copy = msg;
     Message ack;
     try {
       // With a replica group a hung leader (e.g. partitioned away) must
       // not block the client forever; a one-member group keeps the legacy
-      // block-until-reply semantics.
+      // block-until-reply semantics. A re-issue re-sends `msg` under a
+      // fresh seq.
       ack = replicas_.empty()
-                ? io.call(target, std::move(copy), /*raise_errors=*/false)
-                : io.call_within(target, std::move(copy),
-                                 /*host_grace_ms=*/500,
+                ? io.call(target, msg, /*raise_errors=*/false)
+                : io.call_within(target, msg, /*host_grace_ms=*/500,
                                  /*raise_errors=*/false);
     } catch (const util::NoRouteError&) {
       if (replicas_.empty() || attempt >= 3) throw;
@@ -101,6 +101,17 @@ Line::Line(Session& session, sim::EndpointPtr endpoint, LineOptions opts)
       io_(*session.cluster_, endpoint_),
       name_(std::move(opts.name)),
       budget_(std::make_shared<LineBudget>(opts.budget)) {
+  core_epoch_ = session_->leader_epoch();
+  core_.io = &io_;
+  core_.manager = session_->leader();
+  core_.manager_replicas = session_->replicas_;
+  core_.arch = &endpoint_->arch();
+  core_.compute = [this](double us) {
+    endpoint_->clock().advance(static_cast<util::SimTime>(
+        us / std::max(endpoint_->arch().cpu_speed, 1e-6)));
+  };
+  core_.clock = &endpoint_->clock();
+  core_.sleep = [this](util::SimTime us) { endpoint_->clock().advance(us); };
   const int attempts = std::max(opts.admission_attempts, 1);
   try {
     for (int attempt = 1;; ++attempt) {
@@ -110,6 +121,7 @@ Line::Line(Session& session, sim::EndpointPtr endpoint, LineOptions opts)
       try {
         Message ack = session_->manager_call(io_, std::move(msg));
         line_ = ack.line;
+        core_.line = line_;
         // The Manager grants a per-line outstanding-call quota in ack.n
         // (0 = unlimited); the smaller of it and the caller's cap wins.
         budget_->restrict_outstanding(static_cast<int>(ack.n));
@@ -219,20 +231,15 @@ void Line::quit() {
   line_ = kNoLine;
 }
 
-CallCore Line::call_core() {
-  CallCore core;
-  core.io = &io_;
-  core.manager = session_->leader();
-  core.manager_replicas = session_->replicas_;
-  core.line = line_;
-  core.arch = &endpoint_->arch();
-  core.compute = [this](double us) {
-    endpoint_->clock().advance(static_cast<util::SimTime>(
-        us / std::max(endpoint_->arch().cpu_speed, 1e-6)));
-  };
-  core.clock = &endpoint_->clock();
-  core.sleep = [this](util::SimTime us) { endpoint_->clock().advance(us); };
-  return core;
+const CallCore& Line::call_core() {
+  // Epoch before leader: a change racing this read bumps the epoch again,
+  // and the next call copies the leader again.
+  const std::uint64_t epoch = session_->leader_epoch();
+  if (epoch != core_epoch_) {
+    core_epoch_ = epoch;
+    core_.manager = session_->leader();
+  }
+  return core_;
 }
 
 CallOptions Line::with_budget(const CallOptions& opts) const {

@@ -185,7 +185,9 @@ class Line {
   /// The synchronous invoke path; stamps the line budget into opts.
   CallResult invoke(RemoteProc& proc, uts::ValueList args,
                     const CallOptions& opts);
-  CallCore call_core();
+  /// The line's call engine, first re-pointed at the Session's leader if
+  /// the Session has seen a new one since the last call.
+  const CallCore& call_core();
   /// Find-or-create the binding cache for a (name, import) pair,
   /// compiling the marshal plans on first sight. References are stable
   /// (map nodes) for the life of the Line.
@@ -200,6 +202,10 @@ class Line {
   std::string name_;
   LineId line_ = kNoLine;
   std::shared_ptr<LineBudget> budget_;
+  /// Built once at admission and reused by every call on this line.
+  CallCore core_;
+  /// The Session's leader_epoch_ that core_.manager was copied at.
+  std::uint64_t core_epoch_ = 0;
   /// Per-line binding caches, keyed "name\n<import text>" — the §4.2
   /// name cache, hoisted out of the stubs so re-imports share bindings.
   /// Thread-confined: a Line has one owning caller by contract
@@ -255,6 +261,11 @@ class Session {
   void rebind_to_leader(MessageIo& io);
   std::string leader() const;
   void note_leader(const std::string& leader);
+  /// Bumped on every leader change, so a Line can tell without the lock
+  /// (or a string copy) whether its CallCore's Manager is current.
+  std::uint64_t leader_epoch() const {
+    return leader_epoch_.load(std::memory_order_acquire);
+  }
 
   sim::Cluster* cluster_;
   std::string machine_;
@@ -263,6 +274,7 @@ class Session {
   /// before util.Logger in the hierarchy (lock_hierarchy.md).
   mutable util::Mutex mu_{"rpc.Session.leader"};
   std::string manager_ SCHOONER_GUARDED_BY(mu_);
+  std::atomic<std::uint64_t> leader_epoch_{0};
   std::vector<std::string> replicas_;
   std::atomic<long> lines_opened_{0};
   std::atomic<long> line_seq_{0};  ///< endpoint-label suffix for open_line

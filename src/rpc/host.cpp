@@ -143,7 +143,7 @@ class HostRuntime {
           rep.kind = MessageKind::kStateReply;
           rep.seq = msg.seq;
           if (options_.save_state) rep.blob = options_.save_state();
-          io_.send(in->from, std::move(rep));
+          io_.send(in->from(), std::move(rep));
           break;
         }
         case MessageKind::kStateInstall: {
@@ -153,11 +153,11 @@ class HostRuntime {
           if (options_.restore_state) {
             options_.restore_state(msg.blob);
           }
-          io_.send(in->from, std::move(rep));
+          io_.send(in->from(), std::move(rep));
           break;
         }
         case MessageKind::kPing:
-          io_.send(in->from,
+          io_.send(in->from(),
                    Message{.kind = MessageKind::kPong, .seq = msg.seq});
           break;
         case MessageKind::kShutdownProc:
@@ -168,7 +168,7 @@ class HostRuntime {
           drain_and_exit(msg.a);
           return;
         default:
-          io_.send(in->from,
+          io_.send(in->from(),
                    Message::error_reply(msg, util::ErrorCode::kProtocolError,
                                         "procedure host: unexpected " +
                                             std::string(message_kind_name(
@@ -207,10 +207,10 @@ class HostRuntime {
         m.host_bytes_marshaled.add(msg.blob.size() + rep.blob.size());
         m.host_handler_us.record(span.elapsed_us());
       }
-      io_.send(in.from, std::move(rep));
+      io_.send(in.from(), std::move(rep));
     } catch (const util::Error& e) {
       count(rpc_metrics().host_errors);
-      io_.send(in.from, Message::error_reply(msg, e));
+      io_.send(in.from(), Message::error_reply(msg, e));
     }
   }
 
@@ -222,7 +222,7 @@ class HostRuntime {
       if (in->msg.kind == MessageKind::kCall ||
           in->msg.kind == MessageKind::kStateRequest) {
         try {
-          io_.send(in->from,
+          io_.send(in->from(),
                    Message::error_reply(in->msg,
                                         util::ErrorCode::kStaleBinding,
                                         "procedure shut down: " + reason));
@@ -272,15 +272,14 @@ ExportTable::ExportTable(const std::string& spec_text,
 
 const PreparedImport& ExportTable::prepare(const std::string& name,
                                            const std::string& import_text) {
-  const std::string lowered = lower(name);
-  std::string key = lowered + '\n' + import_text;
   // Map nodes are reference-stable, so callers keep the entry past the
   // lock.
   util::MutexLock lock(mu_);
-  auto it = prepared_.find(key);
+  auto it = prepared_.find(
+      std::pair<std::string_view, std::string_view>(name, import_text));
   if (it != prepared_.end()) return it->second;
 
-  auto target = exports_.find(lowered);
+  auto target = exports_.find(lower(name));
   if (target == exports_.end()) {
     throw util::LookupError("no procedure '" + name + "' in this process");
   }
@@ -295,14 +294,22 @@ const PreparedImport& ExportTable::prepare(const std::string& name,
     throw util::TypeMismatchError("call to '" + name + "': " + why);
   }
   prep.slot_of_import.resize(import_sig.size());
+  std::vector<bool> filled(export_sig.size(), false);
   std::size_t epos = 0;
   for (std::size_t i = 0; i < import_sig.size(); ++i) {
     while (export_sig[epos].name != import_sig[i].name) ++epos;
+    filled[epos] =
+        uts::param_travels(import_sig[i].mode, uts::Direction::kRequest);
     prep.slot_of_import[i] = epos++;
+  }
+  for (std::size_t slot = 0; slot < export_sig.size(); ++slot) {
+    if (!filled[slot]) prep.default_slots.push_back(slot);
   }
   prep.request_plan = uts::compile_plan(import_sig, uts::Direction::kRequest);
   prep.reply_plan = uts::compile_plan(import_sig, uts::Direction::kReply);
-  return prepared_.emplace(std::move(key), std::move(prep)).first->second;
+  return prepared_
+      .emplace(util::StringPair(name, import_text), std::move(prep))
+      .first->second;
 }
 
 uts::ValueList run_prepared(const PreparedImport& prep,
@@ -310,21 +317,24 @@ uts::ValueList run_prepared(const PreparedImport& prep,
                             std::span<const std::uint8_t> request,
                             HostRuntime* host) {
   const uts::Signature& import_sig = prep.import_decl.signature;
-  uts::ValueList import_values = prep.request_plan->unmarshal(arch, request);
-  uts::ValueList values = prep.target->defaults;
-  for (std::size_t i = 0; i < import_sig.size(); ++i) {
-    if (uts::param_travels(import_sig[i].mode, uts::Direction::kRequest)) {
-      values[prep.slot_of_import[i]] = std::move(import_values[i]);
-    }
+  // Request values decode straight into their export slots; only the
+  // slots nothing fills copy a default.
+  uts::ValueList values(prep.target->decl.signature.size());
+  for (std::size_t slot : prep.default_slots) {
+    values[slot] = prep.target->defaults[slot];
   }
+  prep.request_plan->unmarshal_into(arch, request, values,
+                                    prep.slot_of_import);
 
   ProcCall call(prep.target->decl.signature, std::move(values), host);
   prep.target->handler(call);
 
+  // Each export slot is read once (slot_of_import is strictly
+  // increasing), so the reply takes the handler's values by move.
   uts::ValueList reply_values;
   reply_values.reserve(import_sig.size());
   for (std::size_t i = 0; i < import_sig.size(); ++i) {
-    reply_values.push_back(call.values()[prep.slot_of_import[i]]);
+    reply_values.push_back(std::move(call.values()[prep.slot_of_import[i]]));
   }
   return reply_values;
 }

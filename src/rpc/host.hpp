@@ -24,6 +24,7 @@
 #include "rpc/message.hpp"
 #include "sim/cluster.hpp"
 #include "util/mutex.hpp"
+#include "util/string_pair.hpp"
 #include "util/thread_annotations.hpp"
 #include "uts/canonical.hpp"
 #include "uts/marshal_plan.hpp"
@@ -126,6 +127,9 @@ struct PreparedImport {
   const HostedExport* target = nullptr;
   uts::ProcDecl import_decl;
   std::vector<std::size_t> slot_of_import;
+  /// Export slots no request value fills: each call starts them at the
+  /// export's default.
+  std::vector<std::size_t> default_slots;
   std::shared_ptr<const uts::MarshalPlan> request_plan;
   std::shared_ptr<const uts::MarshalPlan> reply_plan;
 };
@@ -158,7 +162,11 @@ class ExportTable {
   /// compiling an entry takes only the uts.PlanCache below this lock
   /// (lock_hierarchy.md).
   util::Mutex mu_{"rpc.Host.import_cache"};
-  std::map<std::string, PreparedImport> prepared_ SCHOONER_GUARDED_BY(mu_);
+  /// Keyed by (name as called, import text), both exactly as on the
+  /// wire, so a call finds its entry without lower-casing or joining
+  /// them; differently-cased names of one export get entries of their own.
+  std::map<util::StringPair, PreparedImport, util::StringPairLess> prepared_
+      SCHOONER_GUARDED_BY(mu_);
 };
 
 /// Serve one call: unmarshal `request` through the prepared plan, scatter

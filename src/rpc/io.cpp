@@ -46,24 +46,35 @@ bool is_reply_kind(MessageKind kind) {
   }
 }
 
-constexpr std::size_t kMaxAbandoned = 4096;
-
 }  // namespace
+
+void SeqWindow::mark(std::uint64_t seq) {
+  if (seq > newest_) {
+    // Slide the window up to `seq`: the slots it enters held seqs that
+    // now fall out. A jump wider than the window empties it at once.
+    if (seq - newest_ >= kSpan) {
+      bits_.fill(0);
+    } else {
+      for (std::uint64_t s = newest_ + 1; s < seq; ++s) assign(s, false);
+    }
+    newest_ = seq;
+  } else if (newest_ - seq >= kSpan) {
+    return;  // already outside the window
+  }
+  assign(seq, true);
+}
+
+bool SeqWindow::contains(std::uint64_t seq) const {
+  if (seq == 0 || seq > newest_ || newest_ - seq >= kSpan) return false;
+  const std::uint64_t slot = seq % kSpan;
+  return (bits_[slot / 64] >> (slot % 64)) & 1;
+}
 
 bool MessageIo::abandoned_reply(const Message& msg) const {
   return is_reply_kind(msg.kind) && abandoned_.contains(msg.seq);
 }
 
-void MessageIo::mark_abandoned(std::uint64_t seq) {
-  abandoned_.insert(seq);
-  // Seqs are monotone, so the smallest entry is the oldest exchange; a
-  // straggler for it would long since have arrived.
-  while (abandoned_.size() > kMaxAbandoned) {
-    abandoned_.erase(abandoned_.begin());
-  }
-}
-
-void MessageIo::send(const std::string& to, Message msg) {
+void MessageIo::send(const std::string& to, const Message& msg) {
   NPSS_LOG_TRACE("rpc.io", address(), " send ", message_kind_name(msg.kind),
                  " seq=", msg.seq, " -> ", to);
   util::Bytes frame = encode_message(msg);
@@ -86,7 +97,7 @@ std::optional<Incoming> MessageIo::receive() {
     if (!env) return std::nullopt;
     Message msg = decode_counted(env->payload);
     if (abandoned_reply(msg)) continue;
-    return Incoming{env->from, std::move(msg)};
+    return Incoming{std::move(env->from), std::move(msg)};
   }
 }
 
@@ -102,7 +113,7 @@ std::optional<Incoming> MessageIo::receive_for(int host_ms) {
     if (!env) return std::nullopt;
     Message msg = decode_counted(env->payload);
     if (abandoned_reply(msg)) continue;
-    return Incoming{env->from, std::move(msg)};
+    return Incoming{std::move(env->from), std::move(msg)};
   }
 }
 
@@ -117,26 +128,25 @@ std::optional<Incoming> MessageIo::try_receive() {
     if (!env) return std::nullopt;
     Message msg = decode_counted(env->payload);
     if (abandoned_reply(msg)) continue;
-    return Incoming{env->from, std::move(msg)};
+    return Incoming{std::move(env->from), std::move(msg)};
   }
 }
 
-Message MessageIo::call(const std::string& to, Message request,
+Message MessageIo::call(const std::string& to, Message& request,
                         bool raise_errors) {
-  return call_impl(to, std::move(request), raise_errors, /*host_grace_ms=*/0);
+  return call_impl(to, request, raise_errors, /*host_grace_ms=*/0);
 }
 
-Message MessageIo::call_within(const std::string& to, Message request,
+Message MessageIo::call_within(const std::string& to, Message& request,
                                int host_grace_ms, bool raise_errors) {
-  return call_impl(to, std::move(request), raise_errors,
-                   std::max(host_grace_ms, 1));
+  return call_impl(to, request, raise_errors, std::max(host_grace_ms, 1));
 }
 
-Message MessageIo::call_impl(const std::string& to, Message request,
+Message MessageIo::call_impl(const std::string& to, Message& request,
                              bool raise_errors, int host_grace_ms) {
   request.seq = next_seq();
   const std::uint64_t want = request.seq;
-  send(to, std::move(request));
+  send(to, request);
   while (true) {
     auto env = host_grace_ms > 0
                    ? endpoint_->receive_for(
@@ -147,7 +157,7 @@ Message MessageIo::call_impl(const std::string& to, Message request,
         // Nothing arrived inside the grace window: the request or its
         // reply was lost (or the peer died mid-call). Abandon the seq so
         // a straggler reply cannot be mistaken for later traffic.
-        mark_abandoned(want);
+        abandoned_.mark(want);
         throw util::DeadlineError("no reply from '" + to + "' for seq " +
                                   std::to_string(want) + " within " +
                                   std::to_string(host_grace_ms) +
@@ -163,7 +173,7 @@ Message MessageIo::call_impl(const std::string& to, Message request,
       continue;
     }
     if (msg.seq == want &&
-        (msg.kind == MessageKind::kError || env->from == to ||
+        (msg.kind == MessageKind::kError || *env->from == to ||
          msg.kind != MessageKind::kCall)) {
       // Replies echo the request seq. A concurrent *request* from a peer
       // could coincidentally carry the same seq, so requests that we could
@@ -172,15 +182,15 @@ Message MessageIo::call_impl(const std::string& to, Message request,
       if (is_reply_kind(msg.kind)) {
         // Mark the finished seq abandoned too: a *duplicated* reply frame
         // (fault injection) must not linger in the stash.
-        mark_abandoned(want);
+        abandoned_.mark(want);
         if (raise_errors) msg.raise_if_error();
         return msg;
       }
     }
     NPSS_LOG_TRACE("rpc.io", address(), " stash ",
                    message_kind_name(msg.kind), " seq=", msg.seq, " from ",
-                   env->from);
-    stash_.push_back(Incoming{env->from, std::move(msg)});
+                   *env->from);
+    stash_.push_back(Incoming{std::move(env->from), std::move(msg)});
   }
 }
 

@@ -136,7 +136,7 @@ class ManagerState {
   }
 
  private:
-  void reply(const Incoming& in, Message msg) { io_.send(in.from, msg); }
+  void reply(const Incoming& in, Message msg) { io_.send(in.from(), msg); }
 
   /// Append `rec` to the changelog; `done` runs once it commits. A
   /// one-member group commits inside propose(), so its ack still goes out
@@ -185,7 +185,7 @@ class ManagerState {
       reg.gauge("rpc.line.active").add(1);
     }
     NPSS_LOG_DEBUG("manager", "line ", id, " registered for '", in.msg.a,
-                   "' (", in.from, ")");
+                   "' (", in.from(), ")");
     // The ack grants the per-line outstanding-call quota in .n; the
     // client folds it into the line's LineBudget. It waits for quorum
     // commit — the acked-registration-can-be-lost hole meta_check exposed.
@@ -194,7 +194,7 @@ class ManagerState {
     rec.line = id;
     rec.note = in.msg.a;
     rec.quota = quota;
-    propose(std::move(rec), [this, from = in.from, seq = in.msg.seq, id,
+    propose(std::move(rec), [this, from = in.from(), seq = in.msg.seq, id,
                              quota] {
       io_.send(from, Message{.kind = MessageKind::kLineAck, .seq = seq,
                              .line = id, .n = quota});
@@ -243,7 +243,7 @@ class ManagerState {
     if (!shared) require_line(msg.line);
     std::string address = spawn_process(msg.a, msg.b, msg.line, shared);
     PendingStart pending;
-    pending.requester = in.from;
+    pending.requester = in.from();
     pending.requester_seq = msg.seq;
     pending.ack_kind = MessageKind::kStartAck;
     pending.line = shared ? kNoLine : msg.line;
@@ -263,7 +263,7 @@ class ManagerState {
     // line" mode) in which case they are registered directly.
     auto pending_it =
         std::find_if(pending_.begin(), pending_.end(), [&](const auto& p) {
-          return p.spawned_address == in.from;
+          return p.spawned_address == in.from();
         });
     const bool shared =
         (msg.n & 1) != 0 ||
@@ -283,7 +283,7 @@ class ManagerState {
       ++stats_->stale_manifest_warnings;
       bump("static_check_stale");
       NPSS_LOG_WARN("manager", "stale manifest: spec hash ", msg.c,
-                    " of exporter ", in.from,
+                    " of exporter ", in.from(),
                     " is not in the uts_check manifest; re-run uts_check");
     }
 
@@ -335,7 +335,7 @@ class ManagerState {
       // Dismiss the new process and fail the start/move request that
       // caused it — *not* just the exporter, or the original requester
       // would wait forever. Nothing was proposed, so nothing rolls back.
-      shutdown_process(in.from, std::string("export rejected: ") + e.what());
+      shutdown_process(in.from(), std::string("export rejected: ") + e.what());
       if (pending_it != pending_.end()) {
         Message original;
         original.seq = pending_it->requester_seq;
@@ -359,12 +359,12 @@ class ManagerState {
     rec.kind = meta::RecordKind::kExport;
     rec.line = line;
     rec.shared = shared;
-    rec.address = in.from;
+    rec.address = in.from();
     rec.machine = pending ? pending->machine : msg.b;
     rec.path = msg.a;
     rec.spec_hash = msg.c;
     rec.procs = msg.table;
-    propose(std::move(rec), [this, from = in.from, seq = msg.seq,
+    propose(std::move(rec), [this, from = in.from(), seq = msg.seq,
                              pending = std::move(pending),
                              procs = msg.table]() mutable {
       io_.send(from, Message{.kind = MessageKind::kExportAck, .seq = seq});
@@ -490,7 +490,7 @@ class ManagerState {
 
   void on_quit(const Incoming& in) {
     const Message& msg = in.msg;
-    Completion ack = [this, from = in.from, seq = msg.seq,
+    Completion ack = [this, from = in.from(), seq = msg.seq,
                       line = msg.line] {
       io_.send(from, Message{.kind = MessageKind::kQuitAck, .seq = seq,
                              .line = line});
@@ -581,7 +581,7 @@ class ManagerState {
 
     // 4. Wait for the replacement's export.
     PendingStart pending;
-    pending.requester = in.from;
+    pending.requester = in.from();
     pending.requester_seq = msg.seq;
     pending.ack_kind = MessageKind::kMoveAck;
     pending.line = line;
@@ -728,7 +728,7 @@ class ReplicaDriver {
                                     : meta::Role::kFollower,
                      /*term=*/1, /*leader_index=*/0);
         if (my_index_ == 0) manager_.lead(*core_);
-        io_.send(in->from, Message{.kind = MessageKind::kMetaConfigAck,
+        io_.send(in->from(), Message{.kind = MessageKind::kMetaConfigAck,
                                    .seq = msg.seq});
         NPSS_LOG_INFO("manager", "replica ", my_index_, "/", peers_.size(),
                       " at ", io_.address(), " configured as ",
@@ -737,7 +737,7 @@ class ReplicaDriver {
       }
       if (msg.kind == MessageKind::kMetaConfigAck) continue;
       if (msg.kind == MessageKind::kManagerStop) {
-        io_.send(in->from,
+        io_.send(in->from(),
                  Message{.kind = MessageKind::kQuitAck, .seq = msg.seq});
         running_ = false;
         return false;
@@ -849,21 +849,21 @@ class ReplicaDriver {
         return;
       case MessageKind::kMetaConfig:
         // Duplicate handshake delivery: re-ack, the table is unchanged.
-        reply_to(in.from, Message{.kind = MessageKind::kMetaConfigAck,
+        reply_to(in.from(), Message{.kind = MessageKind::kMetaConfigAck,
                                   .seq = msg.seq});
         return;
       case MessageKind::kMetaWhoIsLeader:
         answer_who_is_leader(in);
         return;
       case MessageKind::kPing:
-        reply_to(in.from, Message{.kind = MessageKind::kPong,
+        reply_to(in.from(), Message{.kind = MessageKind::kPong,
                                   .seq = msg.seq});
         return;
       case MessageKind::kManagerStop:
         if (core_->role() == meta::Role::kLeader) {
           if (!manager_.handle(in)) running_ = false;
         } else {
-          reply_to(in.from, Message{.kind = MessageKind::kQuitAck,
+          reply_to(in.from(), Message{.kind = MessageKind::kQuitAck,
                                     .seq = msg.seq});
           running_ = false;
         }
@@ -937,7 +937,7 @@ class ReplicaDriver {
   std::optional<meta::Msg> from_wire(const Incoming& in) {
     const Message& msg = in.msg;
     meta::Msg m;
-    m.from = addr_index(in.from);
+    m.from = addr_index(in.from());
     if (m.from < 0) return std::nullopt;  // not a member of this group
     m.term = msg.n < 0 ? 0 : static_cast<std::uint64_t>(msg.n);
     const auto u64 = [](const std::string& s) {
@@ -1012,20 +1012,20 @@ class ReplicaDriver {
     ack.n = static_cast<std::int64_t>(core_->term());
     ack.b = core_->state().digest();
     ack.c = std::to_string(core_->state().last_applied());
-    reply_to(in.from, std::move(ack));
+    reply_to(in.from(), std::move(ack));
   }
 
   /// Non-leader answer to a client request: kNotLeader with the best known
   /// leader hint in .b, so CallCore can re-bind without a discovery scan.
   void redirect(const Incoming& in) {
     if (in.msg.kind == MessageKind::kPing) {
-      reply_to(in.from,
+      reply_to(in.from(),
                Message{.kind = MessageKind::kPong, .seq = in.msg.seq});
       return;
     }
     if (!is_client_kind(in.msg.kind)) {
       NPSS_LOG_DEBUG("manager", "replica ", my_index_, " ignoring ",
-                     message_kind_name(in.msg.kind), " from ", in.from);
+                     message_kind_name(in.msg.kind), " from ", in.from());
       return;
     }
     Message err = Message::error_reply(
@@ -1034,7 +1034,7 @@ class ReplicaDriver {
             io_.address() + " is not the leader");
     const int leader = core_ ? core_->leader_index() : -1;
     err.b = leader >= 0 ? addr_of(leader) : std::string();
-    reply_to(in.from, std::move(err));
+    reply_to(in.from(), std::move(err));
   }
 
   void reply_to(const std::string& to, Message msg) {

@@ -68,8 +68,26 @@ void Message::raise_if_error() const {
   util::raise_error(static_cast<util::ErrorCode>(n), a);
 }
 
+namespace {
+
+/// The exact length encode_message_into writes for `msg`: kind, seq,
+/// line, three length-prefixed strings, n, the blob, the table and the
+/// optional trace extension, field for field.
+std::size_t encoded_size(const Message& msg) {
+  std::size_t size = 1 + 8 + 8 + (4 + msg.a.size()) + (4 + msg.b.size()) +
+                     (4 + msg.c.size()) + 8 + (4 + msg.blob.size()) + 4;
+  for (const auto& [key, value] : msg.table) {
+    size += 4 + key.size() + 4 + value.size();
+  }
+  if (msg.trace.active()) size += 1 + 3 * 8;
+  return size;
+}
+
+}  // namespace
+
 util::Bytes encode_message(const Message& msg) {
   ByteWriter out;
+  out.reserve(encoded_size(msg));
   encode_message_into(out, msg);
   return std::move(out).take();
 }

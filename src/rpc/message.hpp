@@ -132,6 +132,7 @@ struct Message {
   void raise_if_error() const;
 };
 
+/// The frame of `msg`, in a buffer sized once to its exact length.
 util::Bytes encode_message(const Message& msg);
 /// Append the encoding of `msg` to `out` (no intermediate buffer); the
 /// bytes appended are identical to encode_message(msg).

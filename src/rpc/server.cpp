@@ -29,25 +29,25 @@ void server_main(sim::ProcessContext& ctx) {
           ack.kind = MessageKind::kSpawnAck;
           ack.seq = msg.seq;
           ack.a = ep->address();
-          io.send(in->from, std::move(ack));
+          io.send(in->from(), std::move(ack));
           NPSS_LOG_DEBUG("server", machine, ": spawned ", msg.a, " as ",
                          ep->address());
         } catch (const util::Error& e) {
-          io.send(in->from,
+          io.send(in->from(),
                   Message::error_reply(msg, util::ErrorCode::kStartupFailure,
                                        e.what()));
         }
         break;
       }
       case MessageKind::kPing:
-        io.send(in->from,
+        io.send(in->from(),
                 Message{.kind = MessageKind::kPong, .seq = msg.seq});
         break;
       case MessageKind::kShutdownProc:
         NPSS_LOG_INFO("server", machine, ": stopping");
         return;
       default:
-        io.send(in->from,
+        io.send(in->from(),
                 Message::error_reply(msg, util::ErrorCode::kProtocolError,
                                      "server: unexpected message"));
     }

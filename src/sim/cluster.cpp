@@ -136,9 +136,21 @@ void ProcessContext::send(const std::string& to, util::Bytes payload) {
   cluster_->send(*self_, to, std::move(payload));
 }
 
-Cluster::Cluster()
-    : intra_site_(link_profile("ethernet-lan")),
-      intra_machine_(link_profile("loopback")) {}
+namespace {
+
+/// A site pair in its canonical (ordered) form, as views.
+std::pair<std::string_view, std::string_view> site_key(std::string_view a,
+                                                       std::string_view b) {
+  return a < b ? std::make_pair(a, b) : std::make_pair(b, a);
+}
+
+}  // namespace
+
+Cluster::Cluster() {
+  util::MutexLock lock(mu_);
+  intra_site_ = make_link(link_profile("ethernet-lan"));
+  intra_machine_ = make_link(link_profile("loopback"));
+}
 
 Cluster::~Cluster() { shutdown(); }
 
@@ -176,42 +188,45 @@ std::vector<std::string> Cluster::machine_names() const {
   return names;
 }
 
+Cluster::Link Cluster::make_link(const LinkProfile& profile) {
+  return Link{profile, &traffic_by_link_[profile.name]};
+}
+
 void Cluster::set_site_link(const std::string& site_a,
                             const std::string& site_b,
                             const LinkProfile& profile) {
   util::MutexLock lock(mu_);
-  site_links_[{std::min(site_a, site_b), std::max(site_a, site_b)}] = profile;
+  site_links_[{std::min(site_a, site_b), std::max(site_a, site_b)}] =
+      make_link(profile);
 }
 
 void Cluster::set_link_up(const std::string& site_a,
                           const std::string& site_b, bool up) {
   util::MutexLock lock(mu_);
-  auto key = std::make_pair(std::min(site_a, site_b),
-                            std::max(site_a, site_b));
+  SitePair key{std::min(site_a, site_b), std::max(site_a, site_b)};
   if (up) {
     links_down_.erase(key);
   } else {
-    links_down_.insert(key);
+    links_down_.insert(std::move(key));
   }
 }
 
 void Cluster::set_intra_site_link(const LinkProfile& profile) {
   util::MutexLock lock(mu_);
-  intra_site_ = profile;
+  intra_site_ = make_link(profile);
 }
 
 void Cluster::set_intra_machine_link(const LinkProfile& profile) {
   util::MutexLock lock(mu_);
-  intra_machine_ = profile;
+  intra_machine_ = make_link(profile);
 }
 
-LinkProfile Cluster::route(const Machine& from, const Machine& to) const {
-  util::MutexLock lock(mu_);
+const Cluster::Link& Cluster::link_between(const Machine& from,
+                                           const Machine& to) const {
   if (from.name == to.name) return intra_machine_;
   if (from.site == to.site) return intra_site_;
-  auto key = std::make_pair(std::min(from.site, to.site),
-                            std::max(from.site, to.site));
-  if (links_down_.contains(key)) {
+  const auto key = site_key(from.site, to.site);
+  if (!links_down_.empty() && links_down_.contains(key)) {
     throw NoRouteError("link between sites '" + from.site + "' and '" +
                        to.site + "' is down");
   }
@@ -221,6 +236,21 @@ LinkProfile Cluster::route(const Machine& from, const Machine& to) const {
                        "' and '" + to.site + "'");
   }
   return it->second;
+}
+
+bool Cluster::partitioned(const Machine& from, const Machine& to) const {
+  for (const auto& [group_a, group_b] : partitions_) {
+    if ((group_a.contains(from.name) && group_b.contains(to.name)) ||
+        (group_b.contains(from.name) && group_a.contains(to.name))) {
+      return true;
+    }
+  }
+  return false;
+}
+
+LinkProfile Cluster::route(const Machine& from, const Machine& to) const {
+  util::MutexLock lock(mu_);
+  return link_between(from, to).profile;
 }
 
 void Cluster::install_image(const std::string& machine,
@@ -333,49 +363,49 @@ bool Cluster::endpoint_alive(const std::string& address) const {
 
 void Cluster::send(Endpoint& from, const std::string& to,
                    util::Bytes payload) {
+  const std::size_t size = payload.size();
   EndpointPtr dest;
+  util::SimTime stamp = 0;
+  FaultAction action = FaultAction::kDeliver;
   {
+    // One acquisition resolves the destination and its route, stamps the
+    // frame and does the accounting; the link is read in place, since
+    // the routing table cannot change under the lock.
     util::MutexLock lock(mu_);
     auto it = endpoints_.find(to);
     if (it == endpoints_.end()) {
       throw NoRouteError("no endpoint at address '" + to + "'");
     }
     dest = it->second;
-  }
-  // By value: the profile is read outside the lock below, and the
-  // routing table may be reconfigured concurrently.
-  const LinkProfile link = route(from.machine(), dest->machine());
-  const std::size_t size = payload.size();
-  util::SimTime stamp = from.clock().now() + link.transfer_time(size);
-  FaultAction action = FaultAction::kDeliver;
-  {
-    util::MutexLock lock(mu_);
+    const Link& link = link_between(from.machine(), dest->machine());
+    stamp = from.clock().now() + link.profile.transfer_time(size);
     // A partition swallows the frame silently: the sender gets no error
     // (unlike a link taken down), the receiver gets nothing — peers can
     // only notice through heartbeat/reply timeouts.
-    for (const auto& [group_a, group_b] : partitions_) {
-      const std::string& fm = from.machine().name;
-      const std::string& tm = dest->machine().name;
-      if ((group_a.contains(fm) && group_b.contains(tm)) ||
-          (group_b.contains(fm) && group_a.contains(tm))) {
-        ++partition_drops_;
-        NPSS_LOG_DEBUG("sim", from.address(), " -> ", to,
-                       " DROPPED by partition");
-        if (obs::enabled()) {
-          obs::Registry::global().counter("sim.fault.partition_drop").add();
-        }
-        return;
+    if (!partitions_.empty() && partitioned(from.machine(), dest->machine())) {
+      ++partition_drops_;
+      NPSS_LOG_DEBUG("sim", from.address(), " -> ", to,
+                     " DROPPED by partition");
+      if (obs::enabled()) {
+        obs::Registry::global().counter("sim.fault.partition_drop").add();
       }
+      return;
     }
     ++traffic_.messages;
     traffic_.bytes += size;
-    Traffic& per_link = traffic_by_link_[link.name];
-    ++per_link.messages;
-    per_link.bytes += size;
+    ++link.traffic->messages;
+    link.traffic->bytes += size;
     if (faults_.active()) {
       util::SimTime extra = 0;
-      action = faults_.next(link.name, &extra);
+      action = faults_.next(link.profile.name, &extra);
       if (action == FaultAction::kDelay) stamp += extra;
+    }
+    if (action == FaultAction::kDrop) {
+      NPSS_LOG_DEBUG("sim", from.address(), " -> ", to, " DROPPED on ",
+                     link.profile.name);
+    } else {
+      NPSS_LOG_TRACE("sim", from.address(), " -> ", to, " (", size,
+                     " bytes via ", link.profile.name, ")");
     }
   }
   if (action != FaultAction::kDeliver && obs::enabled()) {
@@ -384,19 +414,14 @@ void Cluster::send(Endpoint& from, const std::string& to,
                  std::string(fault_action_name(action)))
         .add();
   }
-  if (action == FaultAction::kDrop) {
-    // The frame vanishes on the wire: the sender paid the send, the
-    // receiver never hears about it. Callers recover via deadlines.
-    NPSS_LOG_DEBUG("sim", from.address(), " -> ", to, " DROPPED on ",
-                   link.name);
-    return;
-  }
-  NPSS_LOG_TRACE("sim", from.address(), " -> ", to, " (", size, " bytes via ",
-                 link.name, ")");
+  // The frame vanishes on the wire: the sender paid the send, the
+  // receiver never hears about it. Callers recover via deadlines.
+  if (action == FaultAction::kDrop) return;
+  // Pushed outside the lock: sim.Cluster is never held into sim.Mailbox.
   if (action == FaultAction::kDuplicate) {
-    dest->push(Envelope{from.address(), to, stamp, payload});
+    dest->push(Envelope{from.address_, stamp, payload});
   }
-  if (!dest->push(Envelope{from.address(), to, stamp, std::move(payload)})) {
+  if (!dest->push(Envelope{from.address_, stamp, std::move(payload)})) {
     throw NoRouteError("endpoint '" + to + "' is closed");
   }
 }
@@ -420,13 +445,17 @@ Cluster::Traffic Cluster::traffic() const {
 
 std::map<std::string, Cluster::Traffic> Cluster::traffic_by_link() const {
   util::MutexLock lock(mu_);
-  return traffic_by_link_;
+  std::map<std::string, Traffic> carried;
+  for (const auto& [name, t] : traffic_by_link_) {
+    if (t.messages > 0) carried.emplace(name, t);
+  }
+  return carried;
 }
 
 void Cluster::reset_traffic() {
   util::MutexLock lock(mu_);
   traffic_ = {};
-  traffic_by_link_.clear();
+  for (auto& [name, t] : traffic_by_link_) t = {};
 }
 
 void Cluster::partition(const std::vector<std::string>& group_a,

@@ -30,6 +30,7 @@
 #include "util/clock.hpp"
 #include "util/mutex.hpp"
 #include "util/status.hpp"
+#include "util/string_pair.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace npss::sim {
@@ -41,8 +42,9 @@ struct Machine {
 };
 
 struct Envelope {
-  std::string from;
-  std::string to;
+  /// The sender's address, shared with its Endpoint: a frame carries a
+  /// reference to it rather than a copy.
+  std::shared_ptr<const std::string> from;
   util::SimTime stamp = 0;
   util::Bytes payload;
 };
@@ -57,9 +59,11 @@ class Cluster;
 class Endpoint {
  public:
   Endpoint(Scheduler& sched, const Machine& machine, std::string address)
-      : sched_(&sched), machine_(&machine), address_(std::move(address)) {}
+      : sched_(&sched),
+        machine_(&machine),
+        address_(std::make_shared<const std::string>(std::move(address))) {}
 
-  const std::string& address() const { return address_; }
+  const std::string& address() const { return *address_; }
   const Machine& machine() const { return *machine_; }
   const arch::ArchDescriptor& arch() const { return *machine_->arch; }
   util::VirtualClock& clock() { return clock_; }
@@ -96,7 +100,7 @@ class Endpoint {
 
   Scheduler* sched_;
   const Machine* machine_;
-  std::string address_;
+  std::shared_ptr<const std::string> address_;
   util::VirtualClock clock_;
   /// Leaf except for sim.Scheduler, taken to wake a parked owner.
   mutable util::Mutex mu_{"sim.Mailbox"};
@@ -167,7 +171,8 @@ class Cluster {
   /// The link profile a frame between these machines would ride. By
   /// value: the routing table may be reconfigured (set_link,
   /// set_link_up) while senders are in flight, so a reference into it
-  /// would be read off-lock.
+  /// would be read off-lock. send() reads the route under its own lock
+  /// instead and copies nothing.
   LinkProfile route(const Machine& from, const Machine& to) const;
 
   // --- Program images (simulated executables) ----------------------------
@@ -257,6 +262,26 @@ class Cluster {
   std::uint64_t crashes() const;
 
  private:
+  /// A configured route: its profile and the per-link-name traffic slot
+  /// it counts into, so a send finds both without hashing the name.
+  struct Link {
+    LinkProfile profile;
+    Traffic* traffic = nullptr;  ///< a node of traffic_by_link_
+  };
+  /// (site, site), the lesser name first.
+  using SitePair = util::StringPair;
+
+  /// Bind `profile` to its traffic slot, creating the slot on first use.
+  Link make_link(const LinkProfile& profile) SCHOONER_REQUIRES(mu_);
+  /// The link between two machines; throws NoRouteError when the sites
+  /// are unlinked or their link is down. The reference is only good
+  /// while mu_ is held.
+  const Link& link_between(const Machine& from, const Machine& to) const
+      SCHOONER_REQUIRES(mu_);
+  /// True when an active partition separates the two machines.
+  bool partitioned(const Machine& from, const Machine& to) const
+      SCHOONER_REQUIRES(mu_);
+
   /// One coarse lock over all cluster state. Standalone in the lock
   /// hierarchy except for the util.Logger / obs.Registry leaves taken by
   /// logging and drop accounting; critically, send() never holds it
@@ -265,18 +290,19 @@ class Cluster {
   /// (lock_hierarchy.md).
   mutable util::Mutex mu_{"sim.Cluster"};
   std::map<std::string, Machine> machines_ SCHOONER_GUARDED_BY(mu_);
-  std::map<std::pair<std::string, std::string>, LinkProfile> site_links_
+  std::map<SitePair, Link, util::StringPairLess> site_links_
       SCHOONER_GUARDED_BY(mu_);
-  std::set<std::pair<std::string, std::string>> links_down_
-      SCHOONER_GUARDED_BY(mu_);
-  LinkProfile intra_site_ SCHOONER_GUARDED_BY(mu_);
-  LinkProfile intra_machine_ SCHOONER_GUARDED_BY(mu_);
+  std::set<SitePair, util::StringPairLess> links_down_ SCHOONER_GUARDED_BY(mu_);
+  Link intra_site_ SCHOONER_GUARDED_BY(mu_);
+  Link intra_machine_ SCHOONER_GUARDED_BY(mu_);
   std::unordered_map<std::string, EndpointPtr> endpoints_
       SCHOONER_GUARDED_BY(mu_);
   std::map<std::pair<std::string, std::string>, ProgramImage> images_
       SCHOONER_GUARDED_BY(mu_);
   std::uint64_t next_pid_ SCHOONER_GUARDED_BY(mu_) = 1;
   Traffic traffic_ SCHOONER_GUARDED_BY(mu_);
+  /// One slot per link-profile name ever configured; reset_traffic()
+  /// zeroes the slots but keeps them, since Links point at them.
   std::map<std::string, Traffic> traffic_by_link_ SCHOONER_GUARDED_BY(mu_);
   FaultInjector faults_ SCHOONER_GUARDED_BY(mu_);
   std::uint64_t crashes_ SCHOONER_GUARDED_BY(mu_) = 0;

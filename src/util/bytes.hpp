@@ -23,22 +23,9 @@ class ByteWriter {
 
   void u8(std::uint8_t v) { buf_.push_back(v); }
 
-  void u16(std::uint16_t v) {
-    buf_.push_back(static_cast<std::uint8_t>(v >> 8));
-    buf_.push_back(static_cast<std::uint8_t>(v));
-  }
-
-  void u32(std::uint32_t v) {
-    for (int shift = 24; shift >= 0; shift -= 8) {
-      buf_.push_back(static_cast<std::uint8_t>(v >> shift));
-    }
-  }
-
-  void u64(std::uint64_t v) {
-    for (int shift = 56; shift >= 0; shift -= 8) {
-      buf_.push_back(static_cast<std::uint8_t>(v >> shift));
-    }
-  }
+  void u16(std::uint16_t v) { put_be(v); }
+  void u32(std::uint32_t v) { put_be(v); }
+  void u64(std::uint64_t v) { put_be(v); }
 
   void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
@@ -71,7 +58,8 @@ class ByteWriter {
     raw(data);
   }
 
-  /// Pre-size the buffer (compiled marshal plans know the wire size).
+  /// Pre-size the buffer (compiled marshal plans and encode_message know
+  /// the wire size).
   void reserve(std::size_t n) { buf_.reserve(n); }
 
   /// Overwrite 4 bytes at `pos` with `v` (big-endian). Used for length
@@ -94,6 +82,17 @@ class ByteWriter {
   Bytes take() && { return std::move(buf_); }
 
  private:
+  /// Grow by sizeof(v) once and store `v` big-endian in place.
+  template <typename T>
+  void put_be(T v) {
+    const std::size_t at = buf_.size();
+    buf_.resize(at + sizeof v);
+    std::uint8_t* p = buf_.data() + at;
+    for (std::size_t i = 0; i < sizeof v; ++i) {
+      p[i] = static_cast<std::uint8_t>(v >> (8 * (sizeof v - 1 - i)));
+    }
+  }
+
   Bytes buf_;
 };
 

@@ -23,10 +23,11 @@ Logger& Logger::instance() {
   return logger;
 }
 
-void Logger::write(LogLevel level, const std::string& component,
+void Logger::write(LogLevel level, std::string_view component,
                    const std::string& message) {
   MutexLock lock(mu_);
-  std::fprintf(stderr, "[%s] %-10s %s\n", level_tag(level), component.c_str(),
+  std::fprintf(stderr, "[%s] %-10.*s %s\n", level_tag(level),
+               static_cast<int>(component.size()), component.data(),
                message.c_str());
 }
 

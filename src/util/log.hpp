@@ -6,6 +6,7 @@
 #include <atomic>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "util/mutex.hpp"
 
@@ -28,7 +29,7 @@ class Logger {
     return level >= level_.load(std::memory_order_relaxed);
   }
 
-  void write(LogLevel level, const std::string& component,
+  void write(LogLevel level, std::string_view component,
              const std::string& message);
 
  private:
@@ -50,8 +51,10 @@ void log_fmt(std::ostringstream& os, T&& first, Rest&&... rest) {
 }
 }  // namespace detail
 
+/// `component` is a view so a call site's literal builds no string; the
+/// message is only formatted for a line that is written.
 template <typename... Args>
-void log(LogLevel level, const std::string& component, Args&&... args) {
+void log(LogLevel level, std::string_view component, Args&&... args) {
   Logger& logger = Logger::instance();
   if (!logger.enabled(level)) return;
   std::ostringstream os;

@@ -9,16 +9,15 @@ using arch::ArchDescriptor;
 using arch::FloatFormatKind;
 using util::ByteReader;
 using util::ByteWriter;
-using util::Bytes;
 using util::RangeError;
 
 namespace detail {
 
 double quantize(const ArchDescriptor& arch, FloatFormatKind format,
                 double value) {
-  Bytes native = arch::float_encode(format, value);
   (void)arch;
-  return arch::float_decode(format, native);
+  return arch::float_decode_word(format,
+                                 arch::float_encode_word(format, value));
 }
 
 std::int32_t to_canonical_integer(const ArchDescriptor& arch,
@@ -67,14 +66,13 @@ void encode_canonical(const ArchDescriptor& source, const Type& type,
       double q = quantize_single(source, value.as_real());
       // Canonical binary32; a value whose magnitude fits the source format
       // (e.g. Cray) but not binary32 is rejected here.
-      Bytes canon = arch::float_encode(FloatFormatKind::kIeee32, q);
-      out.raw(canon);
+      out.u32(static_cast<std::uint32_t>(
+          arch::float_encode_word(FloatFormatKind::kIeee32, q)));
       return;
     }
     case TypeKind::kDouble: {
       double q = quantize_double(source, value.as_real());
-      Bytes canon = arch::float_encode(FloatFormatKind::kIeee64, q);
-      out.raw(canon);
+      out.u64(arch::float_encode_word(FloatFormatKind::kIeee64, q));
       return;
     }
     case TypeKind::kInteger:
@@ -108,13 +106,11 @@ Value decode_canonical(const ArchDescriptor& target, const Type& type,
                        ByteReader& in) {
   switch (type.kind()) {
     case TypeKind::kFloat: {
-      double canon =
-          arch::float_decode(FloatFormatKind::kIeee32, in.raw(4));
+      double canon = arch::float_decode_word(FloatFormatKind::kIeee32, in.u32());
       return Value::real(quantize_single(target, canon));
     }
     case TypeKind::kDouble: {
-      double canon =
-          arch::float_decode(FloatFormatKind::kIeee64, in.raw(8));
+      double canon = arch::float_decode_word(FloatFormatKind::kIeee64, in.u64());
       return Value::real(quantize_double(target, canon));
     }
     case TypeKind::kInteger: {

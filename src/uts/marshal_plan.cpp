@@ -57,8 +57,8 @@ void count_hit(bool fast) {
 // identity (binary64) or exactly the overflow-check + float cast that
 // encode_ieee32 performs (binary32) — so bytes and error text match the
 // interpreted codec bit for bit. The slow variants call the *same*
-// detail::quantize / float_encode / float_decode the interpreted codec
-// uses, which makes equivalence trivial for Cray / IBM-hex formats.
+// detail::quantize / float_encode_word / float_decode_word the interpreted
+// codec uses, which makes equivalence trivial for Cray / IBM-hex formats.
 
 void encode_double_leaf(const ArchDescriptor& source, bool fast,
                         const Value& v, ByteWriter& out) {
@@ -70,7 +70,7 @@ void encode_double_leaf(const ArchDescriptor& source, bool fast,
     return;
   }
   const double q = detail::quantize(source, source.float_double, d);
-  out.raw(arch::float_encode(FloatFormatKind::kIeee64, q));
+  out.u64(arch::float_encode_word(FloatFormatKind::kIeee64, q));
 }
 
 void encode_float_leaf(const ArchDescriptor& source, bool fast,
@@ -92,20 +92,23 @@ void encode_float_leaf(const ArchDescriptor& source, bool fast,
     return;
   }
   const double q = detail::quantize(source, source.float_single, d);
-  out.raw(arch::float_encode(FloatFormatKind::kIeee32, q));
+  out.u32(static_cast<std::uint32_t>(
+      arch::float_encode_word(FloatFormatKind::kIeee32, q)));
 }
 
 Value decode_double_leaf(const ArchDescriptor& target, bool fast,
                          ByteReader& in) {
   if (fast) return Value::real(in.f64());
-  const double canon = arch::float_decode(FloatFormatKind::kIeee64, in.raw(8));
+  const double canon =
+      arch::float_decode_word(FloatFormatKind::kIeee64, in.u64());
   return Value::real(detail::quantize(target, target.float_double, canon));
 }
 
 Value decode_float_leaf(const ArchDescriptor& target, bool fast,
                         ByteReader& in) {
   if (fast) return Value::real(static_cast<double>(in.f32()));
-  const double canon = arch::float_decode(FloatFormatKind::kIeee32, in.raw(4));
+  const double canon =
+      arch::float_decode_word(FloatFormatKind::kIeee32, in.u32());
   return Value::real(detail::quantize(target, target.float_single, canon));
 }
 
@@ -233,9 +236,12 @@ void MarshalPlan::encode_param(const ParamProgram& p,
   // error, which is what the interpreted codec throws after its check
   // pass (out-of-byte-range, binary32 overflow, wide integer).
   try {
-    std::vector<EncodeFrame> frames;
-    frames.reserve(8);
-    auto settle = [&frames] {
+    // The traversal stack is kept per thread from call to call (nothing
+    // below re-enters the codec), so a steady-state marshal allocates
+    // nothing for it.
+    thread_local std::vector<EncodeFrame> frames;
+    frames.clear();
+    auto settle = [] {
       while (!frames.empty() &&
              frames.back().next == frames.back().list->size()) {
         frames.pop_back();
@@ -331,13 +337,15 @@ Value MarshalPlan::decode_param(const ParamProgram& p,
     throw util::EncodingError("unknown plan op");
   }
 
-  std::vector<BuildFrame> frames;
-  frames.reserve(8);
+  // Kept per thread like the encode stack; each frame's items still move
+  // out into the composite Value it builds.
+  thread_local std::vector<BuildFrame> frames;
+  frames.clear();
   Value result;
   // Append a finished value into the innermost open frame, cascading
   // closures: a frame that reaches its declared arity wraps into its
   // composite Value and is itself appended one level up.
-  auto append = [&frames, &result](Value v) {
+  auto append = [&result](Value v) {
     while (true) {
       if (frames.empty()) {
         result = std::move(v);
@@ -431,21 +439,37 @@ void MarshalPlan::marshal_into(const ArchDescriptor& source,
 
 ValueList MarshalPlan::unmarshal(const ArchDescriptor& target,
                                  std::span<const std::uint8_t> bytes) const {
+  ValueList values(signature_.size());
+  for (const ParamProgram& p : params_) {
+    if (!param_travels(signature_[p.param].mode, direction_)) {
+      values[p.param] = p.default_slot;
+    }
+  }
+  unmarshal_into(target, bytes, values);
+  return values;
+}
+
+void MarshalPlan::unmarshal_into(const ArchDescriptor& target,
+                                 std::span<const std::uint8_t> bytes,
+                                 ValueList& values,
+                                 std::span<const std::size_t> slots) const {
+  const bool mapped = !slots.empty();
+  const std::size_t given = mapped ? slots.size() : values.size();
+  if (given != signature_.size()) {
+    throw util::TypeMismatchError(
+        "unmarshal: " + std::to_string(given) + " slots for " +
+        std::to_string(signature_.size()) + " parameters");
+  }
   const bool fast = same_representation(target);
   ByteReader in(bytes);
-  ValueList values;
-  values.reserve(signature_.size());
   for (const ParamProgram& p : params_) {
-    if (param_travels(signature_[p.param].mode, direction_)) {
-      try {
-        values.push_back(decode_param(p, target, in, fast));
-      } catch (const util::Error& e) {
-        throw util::Error(e.code(), "parameter \"" +
-                                        signature_[p.param].name +
-                                        "\": " + e.what());
-      }
-    } else {
-      values.push_back(p.default_slot);
+    if (!param_travels(signature_[p.param].mode, direction_)) continue;
+    try {
+      values[mapped ? slots[p.param] : p.param] =
+          decode_param(p, target, in, fast);
+    } catch (const util::Error& e) {
+      throw util::Error(e.code(), "parameter \"" + signature_[p.param].name +
+                                      "\": " + e.what());
     }
   }
   if (!in.exhausted()) {
@@ -453,7 +477,6 @@ ValueList MarshalPlan::unmarshal(const ArchDescriptor& target,
                               " trailing bytes");
   }
   count_hit(fast);
-  return values;
 }
 
 std::string MarshalPlan::describe() const {

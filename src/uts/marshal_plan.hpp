@@ -11,14 +11,15 @@
 // Two execution modes per scalar run:
 //  * same-representation fast path — when the architecture's native float
 //    formats ARE the canonical formats (IEEE binary32/binary64), the
-//    quantize round trip through float_encode/float_decode is the identity,
-//    so runs reduce to bulk big-endian bit moves (no per-element heap
-//    allocation). binary32 keeps the finite-overflow RangeError with text
-//    identical to arch::encode_ieee32.
+//    quantize round trip through the float format words is the identity,
+//    so runs reduce to bulk big-endian bit moves. binary32 keeps the
+//    finite-overflow RangeError with text identical to
+//    arch::encode_ieee32.
 //  * fallback — Cray / IBM-hex architectures go through exactly the same
-//    detail::quantize / float_encode calls as the interpreted codec, so
-//    wire bytes, precision loss, flush-to-zero and RangeError text are
-//    bit-for-bit unchanged (test_marshal_plan fuzzes this equivalence).
+//    detail::quantize / float_encode_word calls as the interpreted codec
+//    (words in registers, no per-element heap allocation), so wire bytes,
+//    precision loss, flush-to-zero and RangeError text are bit-for-bit
+//    unchanged (test_marshal_plan fuzzes this equivalence).
 //
 // Plans are architecture-independent: one plan serves every arch, choosing
 // fast or fallback per marshal()/unmarshal() call.
@@ -76,6 +77,15 @@ class MarshalPlan {
                     const ValueList& values, util::ByteWriter& out) const;
   ValueList unmarshal(const arch::ArchDescriptor& target,
                       std::span<const std::uint8_t> bytes) const;
+  /// Decode each travelling parameter i into values[slots[i]] (into
+  /// values[i] when `slots` is empty) and leave every other slot as it
+  /// is — identical errors. A client decodes its reply into its own
+  /// argument list this way, so val slots keep the caller's values
+  /// without a merge; a host decodes a request straight into the export's
+  /// parameter list. On error, some slots may already hold decoded values.
+  void unmarshal_into(const arch::ArchDescriptor& target,
+                      std::span<const std::uint8_t> bytes, ValueList& values,
+                      std::span<const std::size_t> slots = {}) const;
 
   /// True when `arch`'s native formats are already the canonical IEEE
   /// formats, so scalar runs take the bulk fast path.

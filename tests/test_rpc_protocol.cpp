@@ -7,6 +7,7 @@
 #include <thread>
 
 #include "rpc/schooner.hpp"
+#include "util/sha256.hpp"
 
 namespace npss::rpc {
 namespace {
@@ -65,6 +66,210 @@ TEST(MessageCodec, ErrorReplyEchoesSeqAndRaisesTyped) {
   Message ok;
   ok.kind = MessageKind::kPong;
   EXPECT_NO_THROW(ok.raise_if_error());
+}
+
+/// Lower-case hex of a byte string, two digits per byte.
+std::string hex(std::span<const std::uint8_t> bytes) {
+  static const char* kDigits = "0123456789abcdef";
+  std::string out;
+  for (std::uint8_t b : bytes) {
+    out.push_back(kDigits[b >> 4]);
+    out.push_back(kDigits[b & 0xf]);
+  }
+  return out;
+}
+
+constexpr int kKindCount = 36;  ///< kRegisterLine (1) .. kMetaAppendAck (36)
+
+/// One message per MessageKind, its fields derived from the kind: every
+/// other one carries the trace extension, every third has table rows,
+/// blobs and strings vary in length (empty included).
+std::vector<Message> codec_corpus() {
+  std::vector<Message> corpus;
+  for (int k = 1; k <= kKindCount; ++k) {
+    Message m;
+    m.kind = static_cast<MessageKind>(k);
+    m.seq = 0x0102030405060708ull * static_cast<std::uint64_t>(k);
+    m.line = k % 3 == 0 ? kNoLine : 11 * k;
+    m.a = "a" + std::to_string(k);
+    m.b = k % 2 ? "import shaft prog(\"x\" val float)" : "";
+    m.c = std::string(static_cast<std::size_t>(k % 5), 'c');
+    m.n = -k;
+    for (int i = 0; i < k % 7; ++i) {
+      m.blob.push_back(static_cast<std::uint8_t>(37 * k + i));
+    }
+    if (k % 3 == 1) m.table = {{"row", std::to_string(k)}, {"", "v"}};
+    if (k % 2 == 0) {
+      m.trace = obs::TraceContext{.trace_id = 1000u + k,
+                                  .span_id = 2000u + k,
+                                  .parent_span_id = 3000u + k};
+    }
+    corpus.push_back(std::move(m));
+  }
+  return corpus;
+}
+
+TEST(MessageCodec, CorpusCoversEveryKind) {
+  for (int k = 1; k <= kKindCount; ++k) {
+    EXPECT_NE(message_kind_name(static_cast<MessageKind>(k)), "?") << k;
+  }
+  // A kind appended to the enum must join the corpus above.
+  EXPECT_EQ(message_kind_name(static_cast<MessageKind>(kKindCount + 1)), "?");
+}
+
+TEST(MessageCodec, FramesMatchTheGoldenBytesAndAreSizedOnce) {
+  std::string all;
+  std::vector<std::string> frames;
+  for (const Message& m : codec_corpus()) {
+    const util::Bytes bytes = encode_message(m);
+    // Sized exactly once: the buffer never grew past what it holds.
+    EXPECT_EQ(bytes.capacity(), bytes.size())
+        << message_kind_name(m.kind);
+    frames.push_back(hex(bytes));
+    all += frames.back();
+  }
+  // Golden bytes captured from the field-by-field encoder this one
+  // replaced: a register-line frame with table rows and no trace, and a
+  // line-ack frame with the trace extension, in full; every frame of the
+  // corpus through its digest.
+  EXPECT_EQ(frames[0],
+            "010102030405060708000000000000000b00000002613100000020696d706f"
+            "72742073686166742070726f67282278222076616c20666c6f617429000000"
+            "0163ffffffffffffffff00000001250000000200000003726f770000000131"
+            "000000000000000176");
+  EXPECT_EQ(frames[1],
+            "02020406080a0c0e1000000000000000160000000261320000000000000002"
+            "6363fffffffffffffffe000000024a4b000000005400000000000003ea0000"
+            "0000000007d20000000000000bba");
+  EXPECT_EQ(util::sha256_hex(all),
+            "3a642752c37c5432a0fcc7b5ff746b2d13d8113d83dc0a741dda68185833389b");
+}
+
+TEST(MessageCodec, EveryFrameRoundTrips) {
+  for (const Message& m : codec_corpus()) {
+    const Message back = decode_message(encode_message(m));
+    EXPECT_EQ(back.kind, m.kind);
+    EXPECT_EQ(back.seq, m.seq);
+    EXPECT_EQ(back.line, m.line);
+    EXPECT_EQ(back.a, m.a);
+    EXPECT_EQ(back.b, m.b);
+    EXPECT_EQ(back.c, m.c);
+    EXPECT_EQ(back.n, m.n);
+    EXPECT_EQ(back.blob, m.blob);
+    EXPECT_EQ(back.table, m.table);
+    EXPECT_EQ(back.trace.trace_id, m.trace.trace_id);
+    EXPECT_EQ(back.trace.span_id, m.trace.span_id);
+    EXPECT_EQ(back.trace.parent_span_id, m.trace.parent_span_id);
+  }
+}
+
+// --- Abandoned-seq window -------------------------------------------------------
+
+TEST(SeqWindow, KeepsTheNewestSpanOfSeqs) {
+  SeqWindow w;
+  EXPECT_FALSE(w.contains(0));
+  w.mark(10);
+  EXPECT_TRUE(w.contains(10));
+  EXPECT_FALSE(w.contains(9));
+  EXPECT_FALSE(w.contains(11));
+  w.mark(10 + SeqWindow::kSpan - 1);  // 10 is now the oldest seq in view
+  EXPECT_TRUE(w.contains(10));
+  w.mark(10 + SeqWindow::kSpan);  // ...and falls out here
+  EXPECT_FALSE(w.contains(10));
+  EXPECT_TRUE(w.contains(10 + SeqWindow::kSpan - 1));
+  EXPECT_TRUE(w.contains(10 + SeqWindow::kSpan));
+  // Marking a seq that is already out of view changes nothing.
+  w.mark(10);
+  EXPECT_FALSE(w.contains(10));
+}
+
+TEST(SeqWindow, ASlideClearsTheSlotsItReuses) {
+  SeqWindow w;
+  w.mark(3);
+  w.mark(3 + SeqWindow::kSpan - 1);
+  // Sliding by two hands 3's slot to 3 + kSpan, which was never marked.
+  w.mark(3 + SeqWindow::kSpan + 1);
+  EXPECT_FALSE(w.contains(3 + SeqWindow::kSpan));
+  EXPECT_FALSE(w.contains(3));
+  EXPECT_TRUE(w.contains(3 + SeqWindow::kSpan + 1));
+}
+
+TEST(SeqWindow, AJumpWiderThanTheWindowEmptiesItWithoutAPerSeqLoop) {
+  SeqWindow w;
+  for (std::uint64_t seq = 1; seq <= 100; ++seq) w.mark(seq);
+  // A slide that stepped through every skipped seq would not finish.
+  const std::uint64_t far = 100 + (std::uint64_t{1} << 40);
+  w.mark(far);
+  EXPECT_TRUE(w.contains(far));
+  EXPECT_FALSE(w.contains(far - 1));
+  for (std::uint64_t seq = 1; seq <= 100; ++seq) EXPECT_FALSE(w.contains(seq));
+}
+
+/// A caller's MessageIo and a peer endpoint the test speaks for.
+class SeqFilterTest : public ::testing::Test {
+ protected:
+  SeqFilterTest() {
+    cluster_.add_machine("a", "sun-sparc10", "lerc");
+    cluster_.add_machine("b", "sgi-4d480", "lerc");
+    io_ = std::make_unique<MessageIo>(cluster_,
+                                      cluster_.create_endpoint("a", "caller"));
+  }
+
+  /// Deliver `msg` to the caller as if `peer` had sent it.
+  void deliver(sim::Endpoint& peer, const Message& msg) {
+    cluster_.send(peer, io_->address(), encode_message(msg));
+  }
+
+  sim::Cluster cluster_;
+  std::unique_ptr<MessageIo> io_;
+};
+
+TEST_F(SeqFilterTest, LateReplyIsDroppedButARequestWithThatSeqIsDelivered) {
+  sim::EndpointPtr peer = cluster_.create_endpoint("b", "silent");
+  Message ping{.kind = MessageKind::kPing};
+  EXPECT_THROW(io_->call_within(peer->address(), ping, /*host_grace_ms=*/1),
+               util::DeadlineError);
+  const std::uint64_t abandoned = ping.seq;  // stamped by call_within
+  ASSERT_NE(abandoned, 0u);
+
+  deliver(*peer, Message{.kind = MessageKind::kPong, .seq = abandoned});
+  EXPECT_FALSE(io_->try_receive().has_value());
+
+  // Requests carry the *sender's* seq: the same number must not filter it.
+  deliver(*peer, Message{.kind = MessageKind::kPing, .seq = abandoned});
+  std::optional<Incoming> in = io_->try_receive();
+  ASSERT_TRUE(in.has_value());
+  EXPECT_EQ(in->msg.kind, MessageKind::kPing);
+  EXPECT_EQ(in->msg.seq, abandoned);
+  EXPECT_EQ(in->from(), peer->address());
+}
+
+TEST_F(SeqFilterTest, DuplicatedRepliesAreDroppedNeverStashed) {
+  sim::EndpointPtr echo =
+      cluster_.spawn("b", "echo", [](sim::ProcessContext& ctx) {
+        MessageIo io(ctx.cluster(), ctx.self_ptr());
+        while (auto in = io.receive()) {
+          io.send(in->from(),
+                  Message{.kind = MessageKind::kPong, .seq = in->msg.seq});
+        }
+      });
+  sim::FaultSpec twice;
+  twice.duplicate_rate = 1.0;
+  cluster_.set_link_faults("ethernet-lan", twice);
+
+  Message ping{.kind = MessageKind::kPing};
+  Message pong = io_->call(echo->address(), ping);
+  EXPECT_EQ(pong.kind, MessageKind::kPong);
+  EXPECT_EQ(pong.seq, ping.seq);
+  // The ping arrived twice and each answer twice: three more copies of
+  // the finished reply reach the caller, and none of them is kept.
+  EXPECT_GE(cluster_.fault_stats().duplicated, 3u);
+  EXPECT_FALSE(io_->receive_for(20).has_value());
+
+  cluster_.clear_faults();
+  Message next{.kind = MessageKind::kPing};
+  EXPECT_EQ(io_->call(echo->address(), next).seq, next.seq);
+  EXPECT_FALSE(io_->try_receive().has_value());
 }
 
 // --- Runtime fixtures ---------------------------------------------------------------

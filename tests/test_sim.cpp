@@ -317,7 +317,7 @@ TEST_F(ClusterTest, FiberParkedInsideCatchKeepsItsOwnException) {
       } catch (const std::exception& e) {
         first = e.what();
       }
-      ctx.send(from_two->from, util::Bytes{1});
+      ctx.send(*from_two->from, util::Bytes{1});
     }
   });
   cluster_.spawn("b", "two", [&](ProcessContext& ctx) {
