@@ -145,9 +145,9 @@ OverlapResult run_overlap_half(int work_ms) {
   }
   {
     const auto t0 = clock_type::now();
-    std::vector<std::future<rpc::CallResult>> pending;
+    std::vector<rpc::PendingCall> pending;
     for (auto& p : procs) pending.push_back(p->call_async(args, legacy));
-    for (auto& f : pending) f.get().values_or_raise();
+    for (auto& call : pending) call.get().values_or_raise();
     r.overlapped_ms = elapsed_ms(t0);
   }
   for (auto& c : clients) c->quit();

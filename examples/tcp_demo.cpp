@@ -145,7 +145,7 @@ int main() {
   // reading any reply. All of them ride the one pooled connection as
   // sequence-tagged in-flight frames, so the per-call cost drops from a
   // full round trip to a share of the coalesced writes.
-  std::vector<rpc::PendingTcpCall> pending;
+  std::vector<rpc::PendingCall> pending;
   pending.reserve(reps);
   util::Stopwatch pipelined_watch;
   for (int i = 0; i < reps; ++i) {
@@ -156,7 +156,7 @@ int main() {
          Value::integer(1), Value::real(0.99), Value::real(10400.0),
          Value::real(40.0), Value::real(0)}));
   }
-  for (rpc::PendingTcpCall& call : pending) {
+  for (rpc::PendingCall& call : pending) {
     if (!call.get().ok()) {
       std::printf("pipelined call failed: %s\n",
                   call.get().status.to_string().c_str());

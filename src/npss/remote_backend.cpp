@@ -210,8 +210,9 @@ tess::ComponentHooks RemoteBackend::hooks() {
   return hooks;
 }
 
-std::future<uts::ValueList> RemoteBackend::call_async(
-    AdaptedComponent component, int instance, uts::ValueList args) {
+rpc::PendingCall RemoteBackend::call_async(AdaptedComponent component,
+                                           int instance,
+                                           uts::ValueList args) {
   Instance* inst = find(component, instance);
   if (!inst) {
     throw util::LookupError("call_async: " +
@@ -219,13 +220,7 @@ std::future<uts::ValueList> RemoteBackend::call_async(
                             "[" + std::to_string(instance) +
                             "] is not placed remotely");
   }
-  std::future<rpc::CallResult> inner =
-      inst->primary->call_async(std::move(args), options_);
-  return std::async(std::launch::deferred,
-                    [inner = std::move(inner)]() mutable {
-                      rpc::CallResult result = inner.get();
-                      return std::move(result.values_or_raise());
-                    });
+  return inst->primary->call_async(std::move(args), options_);
 }
 
 std::string RemoteBackend::move(AdaptedComponent component, int instance,

@@ -12,7 +12,6 @@
 // components can be remote, as in the paper's module-by-module tests.
 #pragma once
 
-#include <future>
 #include <map>
 #include <memory>
 #include <set>
@@ -73,13 +72,14 @@ class RemoteBackend {
   /// Calls recovered by migration-based failover across all stubs.
   int failovers() const { return failovers_; }
 
-  /// Async call seam: fire instance's primary procedure without blocking,
-  /// so calls on *different* placed instances (each owns its line)
-  /// overlap on the wire. Args follow the import signature of the placed
-  /// component's primary procedure. Throws util::LookupError when the
-  /// instance is not placed remotely.
-  std::future<uts::ValueList> call_async(AdaptedComponent component,
-                                         int instance, uts::ValueList args);
+  /// Async call seam: issue instance's primary procedure with the
+  /// backend's CallOptions and return it in flight, so calls on
+  /// different placed instances (each owns its line) overlap on the
+  /// wire. Args follow the import signature of the placed component's
+  /// primary procedure. Throws util::LookupError when the instance is not
+  /// placed remotely.
+  rpc::PendingCall call_async(AdaptedComponent component, int instance,
+                              uts::ValueList args);
 
   /// sch_move: migrate a placed instance's process to another machine
   /// (§4.2). Moving any procedure of the process moves its siblings too

@@ -34,9 +34,11 @@ class BusChannel : public std::enable_shared_from_this<BusChannel> {
   BusChannel(const BusChannel&) = delete;
   BusChannel& operator=(const BusChannel&) = delete;
 
-  /// A fresh sequence number, unique within this channel.
+  /// A fresh sequence number, unique in the process: unique within this
+  /// channel, and never reused by the channel that replaces it.
   std::uint64_t next_seq() {
-    return seq_.fetch_add(1, std::memory_order_relaxed) + 1;
+    static std::atomic<std::uint64_t> seq{0};
+    return seq.fetch_add(1, std::memory_order_relaxed) + 1;
   }
 
   /// Register a waiter for `seq`, then append the frame via `framer`
@@ -76,7 +78,6 @@ class BusChannel : public std::enable_shared_from_this<BusChannel> {
 
   std::shared_ptr<BusConnection> conn_;
   std::size_t max_frame_bytes_ = 0;
-  std::atomic<std::uint64_t> seq_{0};
 
   mutable util::Mutex mu_{"bus.BusChannel"};
   std::map<std::uint64_t, std::promise<Message>> waiting_

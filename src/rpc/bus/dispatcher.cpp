@@ -247,7 +247,15 @@ void BusDispatcher::stop() {
   }
   wake();
   if (thread_.joinable()) thread_.join();
-  // The loop is dead; drain its state on this thread.
+  // The loop is dead; drain its state on this thread. Control ops first:
+  // one the loop never ran may still register a listener, which must be
+  // closed with the rest.
+  std::vector<std::function<void()>> ops;
+  {
+    util::MutexLock lock(ctl_mu_);
+    ops.swap(ctl_);
+  }
+  for (auto& op : ops) op();
   for (Listener& l : listeners_) ::close(l.fd);
   listeners_.clear();
   std::vector<std::shared_ptr<BusConnection>> conns;
@@ -256,12 +264,6 @@ void BusDispatcher::stop() {
     close_conn(c, util::Status(util::ErrorCode::kShutdown,
                                "bus dispatcher stopped"));
   }
-  std::vector<std::function<void()>> ops;
-  {
-    util::MutexLock lock(ctl_mu_);
-    ops.swap(ctl_);
-  }
-  for (auto& op : ops) op();
 }
 
 void BusDispatcher::stop_requested_close(

@@ -64,7 +64,7 @@ class BusConnection : public std::enable_shared_from_this<BusConnection> {
   BusConnection& operator=(const BusConnection&) = delete;
 
   /// Append one complete frame via `framer` (which must write exactly
-  /// one length-prefixed frame, e.g. through append_call_frame) and
+  /// one length-prefixed frame, e.g. through append_reply_frame) and
   /// schedule a flush. With kWriteThrough, when the frame is the whole
   /// backlog and no thread is writing, it is written right here instead.
   /// Thread-safe. Returns false when the connection is closed — the

@@ -28,26 +28,23 @@ void append_frame(ByteWriter& out, const Message& msg,
   end_frame(out, mark, max_frame_bytes);
 }
 
-namespace {
-
-/// The shared shape of kCall/kReply frames: the fixed Message fields,
-/// then the blob encoded in place through the compiled plan (a nested
-/// length placeholder patched once the batch is written), then an empty
-/// table and the optional trace extension. Byte-identical to
-/// encode_message over a Message whose blob is plan.marshal(...).
-void append_rpc_frame(ByteWriter& out, MessageKind kind, std::uint64_t seq,
-                      const std::string& a, const std::string& b,
-                      const uts::MarshalPlan& plan,
-                      const arch::ArchDescriptor& arch,
-                      const uts::ValueList& values,
-                      const obs::TraceContext& trace,
-                      std::size_t max_frame_bytes) {
+void append_reply_frame(ByteWriter& out, std::uint64_t seq,
+                        const uts::MarshalPlan& plan,
+                        const arch::ArchDescriptor& arch,
+                        const uts::ValueList& values,
+                        const obs::TraceContext& trace,
+                        std::size_t max_frame_bytes) {
+  // The fixed Message fields, then the blob encoded in place through the
+  // compiled plan (a nested length placeholder patched once the batch is
+  // written), then an empty table and the optional trace extension.
+  // Byte-identical to encode_message over a kReply Message whose blob is
+  // plan.marshal(...).
   const std::size_t mark = begin_frame(out);
-  out.u8(static_cast<std::uint8_t>(kind));
+  out.u8(static_cast<std::uint8_t>(MessageKind::kReply));
   out.u64(seq);
   out.i64(kNoLine);
-  out.str(a);
-  out.str(b);
+  out.str(std::string_view{});  // a
+  out.str(std::string_view{});  // b
   out.str(std::string_view{});  // c
   out.i64(0);                   // n
   const std::size_t blob_mark = out.size();
@@ -63,31 +60,6 @@ void append_rpc_frame(ByteWriter& out, MessageKind kind, std::uint64_t seq,
     out.u64(trace.parent_span_id);
   }
   end_frame(out, mark, max_frame_bytes);
-}
-
-}  // namespace
-
-void append_call_frame(ByteWriter& out, std::uint64_t seq,
-                       const std::string& name,
-                       const std::string& import_text,
-                       const uts::MarshalPlan& plan,
-                       const arch::ArchDescriptor& arch,
-                       const uts::ValueList& args,
-                       const obs::TraceContext& trace,
-                       std::size_t max_frame_bytes) {
-  append_rpc_frame(out, MessageKind::kCall, seq, name, import_text, plan,
-                   arch, args, trace, max_frame_bytes);
-}
-
-void append_reply_frame(ByteWriter& out, std::uint64_t seq,
-                        const uts::MarshalPlan& plan,
-                        const arch::ArchDescriptor& arch,
-                        const uts::ValueList& values,
-                        const obs::TraceContext& trace,
-                        std::size_t max_frame_bytes) {
-  append_rpc_frame(out, MessageKind::kReply, seq, std::string(),
-                   std::string(), plan, arch, values, trace,
-                   max_frame_bytes);
 }
 
 void FrameDecoder::feed(std::span<const std::uint8_t> data) {

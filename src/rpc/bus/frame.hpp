@@ -3,11 +3,12 @@
 // consumed incrementally.
 //
 // Producing: frames are appended *in place* to a connection's pending
-// output buffer — append_call_frame/append_reply_frame write the message
-// fields directly and marshal the UTS value batch through a compiled
-// MarshalPlan straight into the same buffer, so a small call reaches the
-// socket with zero intermediate copies (no Message::blob, no
-// encode_message temporary, no prefix copy).
+// output buffer — append_reply_frame writes the message fields directly
+// and marshals the UTS value batch through a compiled MarshalPlan straight
+// into the same buffer, so a small reply reaches the socket with zero
+// intermediate copies (no Message::blob, no encode_message temporary, no
+// prefix copy). Calls leave through append_frame over the client's kept
+// request, whose blob buffer is reused from call to call.
 //
 // Consuming: FrameDecoder buffers whatever recv() produced and yields
 // complete frames — it tolerates partial reads (a frame split across
@@ -41,17 +42,6 @@ void end_frame(util::ByteWriter& out, std::size_t mark,
 /// ping/pong, errors — paths where zero-copy does not matter).
 void append_frame(util::ByteWriter& out, const Message& msg,
                   std::size_t max_frame_bytes);
-
-/// Append a kCall frame, marshaling `args` through `plan` (the compiled
-/// request plan for the import signature) directly into `out`.
-void append_call_frame(util::ByteWriter& out, std::uint64_t seq,
-                       const std::string& name,
-                       const std::string& import_text,
-                       const uts::MarshalPlan& plan,
-                       const arch::ArchDescriptor& arch,
-                       const uts::ValueList& args,
-                       const obs::TraceContext& trace,
-                       std::size_t max_frame_bytes);
 
 /// Append a kReply frame, marshaling `values` through `plan` (the
 /// compiled reply plan) directly into `out`.

@@ -149,319 +149,384 @@ void CallCore::bind(const std::string& name, const std::string& import_text,
 CallResult CallCore::invoke(const std::string& name,
                             const uts::ProcDecl& import_decl,
                             const std::string& import_text, uts::ValueList args,
-                            BindingCache& cache,
-                            const CallOptions& opts) const {
-  CallResult result;
-  const uts::Signature& sig = import_decl.signature;
-  if (args.size() != sig.size()) {
-    result.status = util::Status(
-        util::ErrorCode::kTypeMismatch,
-        "call to '" + name + "': " + std::to_string(args.size()) +
-            " arguments for " + std::to_string(sig.size()) + " parameters");
-    return result;
-  }
-
+                            BindingCache& cache, CallOptions opts) const {
   // One span covers the whole fault-tolerant call; each attempt opens a
   // child below so a trace shows retries as siblings, not fresh roots.
   // The line tag lets a multi-tenant run's traces be sliced per line.
-  obs::Span span("rpc.client", "call " + name);
+  if (cache.span_label.empty()) cache.span_label = "call " + name;
+  obs::Span span("rpc.client", cache.span_label);
   span.set_line(line);
-  const util::SimTime virtual_start = clock ? clock->now() : 0;
+  PendingCall call(*this, name, import_decl, import_text, std::move(args),
+                   cache, std::move(opts));
+  call.drive(/*span_attempts=*/true);
+  return std::move(call.result_);
+}
+
+PendingCall CallCore::issue(const std::string& name,
+                            const uts::ProcDecl& import_decl,
+                            const std::string& import_text,
+                            uts::ValueList args, BindingCache& cache,
+                            CallOptions opts) const {
+  PendingCall call(*this, name, import_decl, import_text, std::move(args),
+                   cache, std::move(opts));
+  if (!call.done_) call.send_attempt(nullptr);
+  return call;
+}
+
+// --- PendingCall: the attempt loop -------------------------------------------
+
+PendingCall::PendingCall(const CallCore& core, const std::string& name,
+                         const uts::ProcDecl& decl,
+                         const std::string& import_text, uts::ValueList args,
+                         BindingCache& cache, CallOptions opts)
+    : core_(&core),
+      name_(&name),
+      signature_(&decl.signature),
+      import_text_(&import_text),
+      cache_(&cache),
+      opts_(std::move(opts)),
+      args_(std::move(args)) {
+  if (args_.size() != signature_->size()) {
+    result_.status = util::Status(
+        util::ErrorCode::kTypeMismatch,
+        "call to '" + name + "': " + std::to_string(args_.size()) +
+            " arguments for " + std::to_string(signature_->size()) +
+            " parameters");
+    done_ = true;
+    return;
+  }
+  start_ = core.transport->now();
+  if (obs::enabled()) issued_ = std::chrono::steady_clock::now();
 
   // Line-budget gates: a line that has spent its virtual budget, or holds
   // its full outstanding-call quota, fails fast — its failure mode stays
   // its own instead of becoming queue depth for its neighbors.
-  LineBudget* budget = opts.line_budget.get();
-  if (budget) {
-    if (budget->virtual_exhausted()) {
+  if (LineBudget* budget = opts_.line_budget.get()) {
+    const bool spent = budget->virtual_exhausted();
+    if (spent || !budget->try_begin_call()) {
       count(rpc_metrics().line_budget_exhausted);
-      result.status = util::Status(
+      result_.status = util::Status(
           util::ErrorCode::kBudgetExhausted,
-          "call to '" + name + "': line " + std::to_string(line) +
-              " virtual budget of " +
-              std::to_string(budget->limits().virtual_us) + "us is spent");
-      return result;
+          "call to '" + name + "': line " + std::to_string(core.line) +
+              (spent ? " virtual budget of " +
+                           std::to_string(budget->limits().virtual_us) +
+                           "us is spent"
+                     : " outstanding-call quota of " +
+                           std::to_string(budget->limits().outstanding) +
+                           " is full"));
+      done_ = true;
+      return;
     }
-    if (!budget->try_begin_call()) {
-      count(rpc_metrics().line_budget_exhausted);
-      result.status = util::Status(
-          util::ErrorCode::kBudgetExhausted,
-          "call to '" + name + "': line " + std::to_string(line) +
-              " outstanding-call quota of " +
-              std::to_string(budget->limits().outstanding) + " is full");
-      return result;
-    }
+    holds_slot_ = true;
   }
-  // Release the in-flight slot and bill the line's virtual spend on every
-  // exit path (success, failure, or a throw from marshal/bind).
-  struct BudgetGuard {
-    LineBudget* budget;
-    const util::VirtualClock* clock;
-    util::SimTime start;
-    ~BudgetGuard() {
-      if (!budget) return;
-      budget->end_call();
-      if (clock) budget->charge_virtual(clock->now() - start);
-    }
-  } budget_guard{budget, clock, virtual_start};
-  const bool deadlined = opts.deadline_us > 0;
-  const util::SimTime deadline_abs =
-      deadlined && clock ? virtual_start + opts.deadline_us : 0;
-  const int grace_ms = deadlined ? std::max(opts.host_grace_ms, 1) : 0;
-  const int max_attempts = std::max(opts.max_attempts, 1);
-
-  // Marshal exactly once, into the binding's kept request; every attempt
-  // re-sends that same Message.
-  Message& request = cache.request;
-  request.kind = MessageKind::kCall;
-  request.line = line;
-  if (request.b != import_text) request.b = import_text;
-  bool marshaled = false;
-
-  int attempts_left = max_attempts;
-  bool failover_tried = false;
-  util::ErrorCode last_code = util::ErrorCode::kUnknown;
-
-  while (attempts_left > 0) {
-    CallAttempt attempt;
-    attempt.number = static_cast<int>(result.attempts.size()) + 1;
-    const util::SimTime attempt_start = clock ? clock->now() : 0;
-
-    // Deadline gate: out of virtual budget means no more attempts, even
-    // if the retry budget says otherwise.
-    if (deadline_abs > 0 && clock && clock->now() >= deadline_abs) {
-      result.status = util::Status(
-          util::ErrorCode::kDeadlineExceeded,
-          "call to '" + name + "': deadline of " +
-              std::to_string(opts.deadline_us) + "us exhausted after " +
-              std::to_string(result.attempts.size()) + " attempt(s)");
-      break;
-    }
-
-    // Backoff before retries (never the first attempt, and never after a
-    // stale-binding redirect — the Manager already told us where to go).
-    if (attempt.number > 1 && last_code != util::ErrorCode::kStaleBinding) {
-      attempt.backoff_us =
-          backoff_us(opts.backoff, attempt.number - 1, attempt_start);
-      if (attempt.backoff_us > 0 && sleep) sleep(attempt.backoff_us);
-    }
-
-    // Bind (or rebind after a failure cleared the cache).
-    bool retryable = false;
-    try {
-      if (cache.address.empty()) bind(name, import_text, cache, grace_ms);
-      if (!marshaled) {
-        if (!cache.request_plan) {
-          cache.request_plan = uts::compile_plan(sig, uts::Direction::kRequest);
-          cache.reply_plan = uts::compile_plan(sig, uts::Direction::kReply);
-        }
-        util::ByteWriter blob(std::move(request.blob));
-        blob.truncate(0);  // keep the buffer, drop the last call's bytes
-        cache.request_plan->marshal_into(*arch, args, blob);
-        request.blob = std::move(blob).take();
-        if (compute) {
-          compute(static_cast<double>(request.blob.size()) *
-                  kMarshalUsPerByte);
-        }
-        marshaled = true;
-      }
-      attempt.address = cache.address;
-
-      obs::Span attempt_span(
-          "rpc.client", "attempt " + std::to_string(attempt.number));
-      request.a = cache.resolved_name;  // a rebind may have re-cased it
-      request.trace = attempt_span.context();
-      Message reply = grace_ms > 0
-                          ? io->call_within(cache.address, request, grace_ms,
-                                            /*raise_errors=*/false)
-                          : io->call(cache.address, request,
-                                     /*raise_errors=*/false);
-
-      if (reply.is_error()) {
-        const auto code = static_cast<util::ErrorCode>(reply.n);
-        attempt.status = util::Status(code, reply.a);
-        if (code == util::ErrorCode::kStaleBinding) {
-          // The peer exists but no longer hosts the proc: rebind and go
-          // again immediately — the request never executed.
-          retryable = true;
-          cache.address.clear();
-          cache.stale_retries.add();
-          count(rpc_metrics().client_stale_retries);
-        }
-      } else {
-        if (compute) {
-          compute(static_cast<double>(reply.blob.size()) * kMarshalUsPerByte);
-        }
-        // Results land in the caller's own list: val slots keep the
-        // arguments, res/var slots take the reply.
-        cache.reply_plan->unmarshal_into(*arch, reply.blob, args);
-        attempt.status = util::Status::ok();
-        attempt.virtual_us = clock ? clock->now() - attempt_start : 0;
-        const int attempt_number = attempt.number;
-        result.attempts.push_back(std::move(attempt));
-        result.status = util::Status::ok();
-        result.values = std::move(args);
-        result.virtual_us = clock ? clock->now() - virtual_start : 0;
-        if (obs::enabled()) {
-          RpcMetrics& m = rpc_metrics();
-          m.client_calls.add();
-          if (!cache.calls) cache.calls = &client_calls_counter(name);
-          cache.calls->add();
-          m.client_bytes_marshaled.add(request.blob.size() +
-                                       reply.blob.size());
-          m.client_latency_us.record(span.elapsed_us());
-          if (clock) {
-            m.client_virtual_latency_us.record(
-                static_cast<double>(result.virtual_us));
-          }
-          if (attempt_number > 1) m.client_recovered_calls.add();
-        }
-        return result;
-      }
-    } catch (const util::NoRouteError& e) {
-      // Dead address: the send itself failed, so the request never ran —
-      // always safe to rebind and retry.
-      attempt.status = util::Status::from(e);
-      retryable = true;
-      cache.address.clear();
-      cache.stale_retries.add();
-      count(rpc_metrics().client_stale_retries);
-      NPSS_LOG_DEBUG("rpc.call", "stale address for '", name,
-                     "', re-binding via manager");
-    } catch (const util::DeadlineError& e) {
-      // The transport wait gave up: a frame was dropped or the peer died
-      // mid-call. Charge the attempt's virtual budget (the caller *sat*
-      // there for it) so elapsed virtual time stays deterministic, then
-      // retry only when the request is idempotent — it may have executed.
-      attempt.status = util::Status::from(e);
-      count(rpc_metrics().client_timeouts);
-      if (clock && deadline_abs > 0) {
-        const util::SimTime budget =
-            opts.attempt_timeout_us > 0
-                ? opts.attempt_timeout_us
-                : std::max<util::SimTime>(
-                      (deadline_abs - attempt_start) /
-                          std::max(attempts_left, 1),
-                      1);
-        if (sleep) sleep(budget);
-      }
-      retryable = opts.idempotent;
-      cache.address.clear();  // the peer may be gone; rebind on retry
-    } catch (const util::Error& e) {
-      // Bind/lookup/marshal failures and endpoint shutdown are terminal.
-      attempt.status = util::Status::from(e);
-      retryable = false;
-    }
-
-    last_code = attempt.status.code();
-    attempt.virtual_us = clock ? clock->now() - attempt_start : 0;
-    result.status = attempt.status;
-    result.attempts.push_back(std::move(attempt));
-    --attempts_left;
-    if (!retryable) break;
-    // A retry spends the *line's* budget too: once it is gone the line
-    // stops storming and surfaces kBudgetExhausted instead.
-    if (attempts_left > 0 && budget && !budget->charge_retry()) {
-      count(rpc_metrics().line_budget_exhausted);
-      result.status = util::Status(
-          util::ErrorCode::kBudgetExhausted,
-          "call to '" + name + "': line " + std::to_string(line) +
-              " retry budget of " + std::to_string(budget->limits().retries) +
-              " is spent; last error: " + result.status.to_string());
-      break;
-    }
-    if (attempts_left > 0) count(rpc_metrics().client_retries);
-
-    // Migration-based failover: every retry found the process dead, so
-    // ask the Manager to sch_move the procedure onto a healthy machine
-    // and spend one final attempt on the new placement.
-    if (attempts_left == 0 && !failover_tried &&
-        !opts.failover_machine.empty() &&
-        (last_code == util::ErrorCode::kNoRoute ||
-         last_code == util::ErrorCode::kDeadlineExceeded)) {
-      failover_tried = true;
-      NPSS_LOG_WARN("rpc.call", "failing over '", name, "' to machine '",
-                    opts.failover_machine, "' via sch_move");
-      auto send_move = [&]() {
-        Message mv;
-        mv.kind = MessageKind::kMove;
-        mv.line = line;
-        mv.a = cache.resolved_name.empty() ? name : cache.resolved_name;
-        mv.b = opts.failover_machine;
-        mv.trace = span.context();
-        return grace_ms > 0
-                   ? io->call_within(manager, std::move(mv),
-                                     std::max(grace_ms * 10, 500))
-                   : io->call(manager, std::move(mv));
-      };
-      try {
-        Message ack;
-        try {
-          ack = send_move();
-        } catch (const util::NoRouteError&) {
-          // The Manager died with the procedure's machine. Re-bind to the
-          // new leader (which rebuilt the export table, spec hashes
-          // included, from the replicated log) and retry the move there.
-          if (!rediscover_manager()) throw;
-          ack = send_move();
-        } catch (const util::NotLeaderError&) {
-          if (!rediscover_manager()) throw;
-          ack = send_move();
-        }
-        cache.address = ack.a;
-        result.failed_over = true;
-        attempts_left = 1;  // the post-failover attempt
-        count(rpc_metrics().client_failovers);
-        continue;
-      } catch (const util::Error& e) {
-        NPSS_LOG_WARN("rpc.call", "failover of '", name,
-                      "' failed: ", e.what());
-        // Record the refused sch_move as its own attempt so the trace
-        // shows *why* the failover died (e.g. the Manager's compat gate
-        // rejecting an incompatible replacement replica).
-        CallAttempt move_attempt;
-        move_attempt.number = static_cast<int>(result.attempts.size()) + 1;
-        move_attempt.address = "sch_move -> " + opts.failover_machine;
-        move_attempt.status = util::Status::from(e);
-        result.attempts.push_back(std::move(move_attempt));
-        result.status = util::Status(
-            util::ErrorCode::kUnavailable,
-            "call to '" + name + "': " + result.status.message() +
-                "; failover to '" + opts.failover_machine +
-                "' failed: " + util::Status::from(e).message());
-        break;
-      }
-    }
-  }
-
-  if (result.status.is_ok()) {
-    // Retry budget exhausted without ever reaching the attempt loop body
-    // (deadline gate fired before the first attempt).
-    result.status = util::Status(
-        util::ErrorCode::kDeadlineExceeded,
-        "call to '" + name + "': no attempt possible within deadline");
-  }
-  result.virtual_us = clock ? clock->now() - virtual_start : 0;
-  count(rpc_metrics().client_failed_calls);
-  NPSS_LOG_DEBUG("rpc.call", "call to '", name,
-                 "' failed: ", result.status.to_string(), " after ",
-                 result.attempts.size(), " attempt(s)");
-  return result;
+  deadline_abs_ = opts_.deadline_us > 0 ? start_ + opts_.deadline_us : 0;
+  attempts_left_ = std::max(opts_.max_attempts, 1);
 }
 
-std::future<CallResult> CallCore::invoke_async(
-    const std::string& name, const uts::ProcDecl& import_decl,
-    const std::string& import_text, uts::ValueList args, BindingCache& cache,
-    const CallOptions& opts) const {
-  // std::launch::async: the call must make progress without the caller
-  // blocking on get() — that is the whole point of overlapping.
-  return std::async(
-      std::launch::async,
-      [core = *this, name, import_decl, import_text, args = std::move(args),
-       &cache, opts]() mutable {
-        return core.invoke(name, import_decl, import_text, std::move(args),
-                           cache, opts);
-      });
+PendingCall::~PendingCall() {
+  if (!core_) return;
+  if (in_flight_.seq != 0) core_->transport->abandon(in_flight_);
+  finish();
+}
+
+CallResult& PendingCall::get() {
+  drive(/*span_attempts=*/false);
+  return result_;
+}
+
+void PendingCall::drive(bool span_attempts) {
+  while (!done_) {
+    std::optional<obs::Span> attempt_span;
+    if (in_flight_.seq != 0 ||
+        send_attempt(span_attempts ? &attempt_span : nullptr)) {
+      await_attempt();
+    }
+  }
+}
+
+void PendingCall::unbind() {
+  if (!core_->manager.empty()) cache_->address.clear();
+}
+
+bool PendingCall::send_attempt(std::optional<obs::Span>* attempt_span) {
+  const CallCore& core = *core_;
+  BindingCache& cache = *cache_;
+  attempt_ = CallAttempt{};
+  attempt_.number = result_.attempt_count() + 1;
+  attempt_start_ = core.transport->now();
+
+  // Deadline gate: out of budget means no more attempts, even if the
+  // retry budget says otherwise.
+  if (deadline_abs_ > 0 && attempt_start_ >= deadline_abs_) {
+    result_.status = util::Status(
+        util::ErrorCode::kDeadlineExceeded,
+        "call to '" + *name_ + "': deadline of " +
+            std::to_string(opts_.deadline_us) + "us exhausted after " +
+            std::to_string(result_.attempts.size()) + " attempt(s)");
+    finish_failed();
+    return false;
+  }
+
+  // Backoff before retries (never the first attempt, and never after a
+  // stale-binding redirect — the Manager already told us where to go).
+  if (attempt_.number > 1 && last_code_ != util::ErrorCode::kStaleBinding) {
+    attempt_.backoff_us =
+        backoff_us(opts_.backoff, attempt_.number - 1, attempt_start_);
+    if (attempt_.backoff_us > 0) core.transport->sleep(attempt_.backoff_us);
+  }
+
+  try {
+    if (cache.address.empty()) {
+      core.bind(*name_, *import_text_, cache, grace_ms());
+    }
+    if (!cache.request_plan) {
+      cache.request_plan =
+          uts::compile_plan(*signature_, uts::Direction::kRequest);
+      cache.reply_plan = uts::compile_plan(*signature_, uts::Direction::kReply);
+    }
+    // Every attempt marshals into the binding's kept request (another
+    // call on the binding may have used it since); the caller's CPU is
+    // billed for the first.
+    Message& request = cache.request;
+    request.kind = MessageKind::kCall;
+    request.line = core.line;
+    request.a = cache.resolved_name;  // a rebind may have re-cased it
+    if (request.b != *import_text_) request.b = *import_text_;
+    const bool billed = request_bytes_ > 0;
+    util::ByteWriter blob(std::move(request.blob));
+    blob.truncate(0);  // keep the buffer, drop the last call's bytes
+    cache.request_plan->marshal_into(*core.arch, args_, blob);
+    request.blob = std::move(blob).take();
+    request_bytes_ = request.blob.size();
+    if (!billed && core.compute) {
+      core.compute(static_cast<double>(request_bytes_) * kMarshalUsPerByte);
+    }
+    attempt_.address = cache.address;
+    if (attempt_span) {
+      attempt_span->emplace("rpc.client",
+                            "attempt " + std::to_string(attempt_.number));
+      request.trace = (*attempt_span)->context();
+    } else {
+      request.trace = obs::current_trace();
+    }
+    in_flight_ = core.transport->issue(cache.address, request);
+    return true;
+  } catch (const util::NoRouteError& e) {
+    // Dead address: the send itself failed, so the request never ran —
+    // always safe to rebind and retry. A fixed binding just reconnects:
+    // no procedure moved, so no stale binding is counted.
+    attempt_.status = util::Status::from(e);
+    if (!core.manager.empty()) {
+      unbind();
+      cache.stale_retries.add();
+      count(rpc_metrics().client_stale_retries);
+      NPSS_LOG_DEBUG("rpc.call", "stale address for '", *name_,
+                     "', re-binding via manager");
+    }
+    end_attempt(/*retryable=*/true);
+  } catch (const util::DeadlineError& e) {
+    // The Manager did not answer the bind: billed like a lost reply.
+    core.io->sleep(attempt_budget());
+    end_attempt(timed_out(e));
+  } catch (const util::Error& e) {
+    // Lookup and marshal failures and endpoint shutdown are terminal.
+    attempt_.status = util::Status::from(e);
+    end_attempt(/*retryable=*/false);
+  }
+  return false;
+}
+
+util::SimTime PendingCall::attempt_budget() const {
+  if (deadline_abs_ == 0) return 0;
+  if (opts_.attempt_timeout_us > 0) return opts_.attempt_timeout_us;
+  return std::max<util::SimTime>(
+      (deadline_abs_ - attempt_start_) / attempts_left_, 1);
+}
+
+bool PendingCall::timed_out(const util::DeadlineError& e) {
+  // A frame was dropped or the peer died mid-call. Retry only when the
+  // request is idempotent — it may have executed.
+  attempt_.status = util::Status::from(e);
+  count(rpc_metrics().client_timeouts);
+  unbind();  // the peer may be gone; rebind on retry
+  return opts_.idempotent;
+}
+
+void PendingCall::await_attempt() {
+  const AwaitBound bound{
+      .budget_us = attempt_budget(),
+      .since = attempt_start_,
+      .host_grace_ms = grace_ms()};
+  bool retryable = false;
+  try {
+    Message reply = core_->transport->await(in_flight_, bound);
+    in_flight_.seq = 0;
+    if (!reply.is_error()) return succeed(reply);
+    const auto code = static_cast<util::ErrorCode>(reply.n);
+    attempt_.status = util::Status(code, reply.a);
+    if (code == util::ErrorCode::kStaleBinding) {
+      // The peer exists but no longer hosts the proc: rebind and go
+      // again immediately — the request never executed.
+      retryable = true;
+      unbind();
+      cache_->stale_retries.add();
+      count(rpc_metrics().client_stale_retries);
+    }
+  } catch (const util::DeadlineError& e) {
+    // The transport billed a virtual clock for the wait.
+    retryable = timed_out(e);
+  } catch (const util::CallError& e) {
+    // TCP: the connection died under the request, which may have run;
+    // like a timeout, retried (over a fresh connection) only when
+    // idempotent.
+    attempt_.status = util::Status::from(e);
+    retryable = opts_.idempotent;
+  } catch (const util::Error& e) {
+    // Endpoint shutdown and reply unmarshal failures are terminal.
+    attempt_.status = util::Status::from(e);
+  }
+  in_flight_.seq = 0;
+  end_attempt(retryable);
+}
+
+void PendingCall::succeed(const Message& reply) {
+  const CallCore& core = *core_;
+  if (core.compute) {
+    core.compute(static_cast<double>(reply.blob.size()) * kMarshalUsPerByte);
+  }
+  // Results land in the caller's own list: val slots keep the arguments,
+  // res/var slots take the reply.
+  cache_->reply_plan->unmarshal_into(*core.arch, reply.blob, args_);
+  const util::SimTime now = core.transport->now();
+  attempt_.status = util::Status::ok();
+  attempt_.virtual_us = now - attempt_start_;
+  result_.attempts.push_back(std::move(attempt_));
+  result_.status = util::Status::ok();
+  result_.values = std::move(args_);
+  result_.virtual_us = now - start_;
+  if (obs::enabled()) {
+    RpcMetrics& m = rpc_metrics();
+    m.client_calls.add();
+    if (!cache_->calls) cache_->calls = &client_calls_counter(*name_);
+    cache_->calls->add();
+    m.client_bytes_marshaled.add(request_bytes_ + reply.blob.size());
+    m.client_latency_us.record(std::chrono::duration<double, std::micro>(
+                                   std::chrono::steady_clock::now() - issued_)
+                                   .count());
+    m.client_virtual_latency_us.record(static_cast<double>(result_.virtual_us));
+    if (result_.attempt_count() > 1) m.client_recovered_calls.add();
+  }
+  finish();
+}
+
+void PendingCall::end_attempt(bool retryable) {
+  last_code_ = attempt_.status.code();
+  attempt_.virtual_us = core_->transport->now() - attempt_start_;
+  result_.status = attempt_.status;
+  result_.attempts.push_back(std::move(attempt_));
+  --attempts_left_;
+  if (!retryable) return finish_failed();
+  // A retry spends the *line's* budget too: once it is gone the line
+  // stops storming and surfaces kBudgetExhausted instead.
+  LineBudget* budget = opts_.line_budget.get();
+  if (attempts_left_ > 0 && budget && !budget->charge_retry()) {
+    count(rpc_metrics().line_budget_exhausted);
+    result_.status = util::Status(
+        util::ErrorCode::kBudgetExhausted,
+        "call to '" + *name_ + "': line " + std::to_string(core_->line) +
+            " retry budget of " + std::to_string(budget->limits().retries) +
+            " is spent; last error: " + result_.status.to_string());
+    return finish_failed();
+  }
+  if (attempts_left_ > 0) return count(rpc_metrics().client_retries);
+
+  // Migration-based failover: every retry found the process dead, so
+  // ask the Manager to sch_move the procedure onto a healthy machine
+  // and spend one final attempt on the new placement.
+  if (!failover_tried_ && !opts_.failover_machine.empty() &&
+      !core_->manager.empty() &&
+      (last_code_ == util::ErrorCode::kNoRoute ||
+       last_code_ == util::ErrorCode::kDeadlineExceeded)) {
+    failover_tried_ = true;
+    if (fail_over()) {
+      attempts_left_ = 1;  // the post-failover attempt
+      return;
+    }
+  }
+  finish_failed();
+}
+
+bool PendingCall::fail_over() {
+  const CallCore& core = *core_;
+  NPSS_LOG_WARN("rpc.call", "failing over '", *name_, "' to machine '",
+                opts_.failover_machine, "' via sch_move");
+  const int grace_ms = this->grace_ms();
+  auto send_move = [&]() {
+    Message mv;
+    mv.kind = MessageKind::kMove;
+    mv.line = core.line;
+    mv.a = cache_->resolved_name.empty() ? *name_ : cache_->resolved_name;
+    mv.b = opts_.failover_machine;
+    mv.trace = obs::current_trace();
+    return grace_ms > 0 ? core.io->call_within(core.manager, std::move(mv),
+                                               std::max(grace_ms * 10, 500))
+                        : core.io->call(core.manager, std::move(mv));
+  };
+  try {
+    Message ack;
+    try {
+      ack = send_move();
+    } catch (const util::NoRouteError&) {
+      // The Manager died with the procedure's machine. Re-bind to the
+      // new leader (which rebuilt the export table, spec hashes
+      // included, from the replicated log) and retry the move there.
+      if (!core.rediscover_manager()) throw;
+      ack = send_move();
+    } catch (const util::NotLeaderError&) {
+      if (!core.rediscover_manager()) throw;
+      ack = send_move();
+    }
+    cache_->address = ack.a;
+    result_.failed_over = true;
+    count(rpc_metrics().client_failovers);
+    return true;
+  } catch (const util::Error& e) {
+    NPSS_LOG_WARN("rpc.call", "failover of '", *name_, "' failed: ", e.what());
+    // Record the refused sch_move as its own attempt so the trace shows
+    // *why* the failover died (e.g. the Manager's compat gate rejecting
+    // an incompatible replacement replica).
+    CallAttempt move_attempt;
+    move_attempt.number = result_.attempt_count() + 1;
+    move_attempt.address = "sch_move -> " + opts_.failover_machine;
+    move_attempt.status = util::Status::from(e);
+    result_.attempts.push_back(std::move(move_attempt));
+    result_.status = util::Status(
+        util::ErrorCode::kUnavailable,
+        "call to '" + *name_ + "': " + result_.status.message() +
+            "; failover to '" + opts_.failover_machine +
+            "' failed: " + util::Status::from(e).message());
+    return false;
+  }
+}
+
+void PendingCall::finish_failed() {
+  result_.virtual_us = core_->transport->now() - start_;
+  count(rpc_metrics().client_failed_calls);
+  NPSS_LOG_DEBUG("rpc.call", "call to '", *name_,
+                 "' failed: ", result_.status.to_string(), " after ",
+                 result_.attempts.size(), " attempt(s)");
+  finish();
+}
+
+void PendingCall::finish() {
+  done_ = true;
+  // Release the in-flight slot and bill the line's spend on every exit:
+  // success, failure, or a call dropped unawaited.
+  if (!holds_slot_) return;
+  holds_slot_ = false;
+  LineBudget& budget = *opts_.line_budget;
+  budget.end_call();
+  budget.charge_virtual(core_->transport->now() - start_);
 }
 
 }  // namespace npss::rpc

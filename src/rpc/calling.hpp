@@ -1,18 +1,21 @@
-// The client-side call core shared by Line stubs and nested
-// server-side calls: bind (Manager lookup with type check), marshal through
-// the caller's native formats, invoke, and recover from stale bindings by
-// re-querying the Manager — the §4.2 cache-update path used after a
-// procedure migrates.
+// The client-side call engine shared by Line stubs, nested server-side
+// calls and TCP stubs: bind (Manager lookup with type check), marshal
+// through the caller's native formats, issue and await over the fabric's
+// CallTransport, and recover from stale bindings by re-querying the
+// Manager — the §4.2 cache-update path used after a procedure migrates.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <functional>
-#include <future>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "rpc/io.hpp"
 #include "rpc/message.hpp"
 #include "util/clock.hpp"
@@ -46,14 +49,17 @@ struct BindingCache {
   /// The registry's rpc.client.calls.<name>, resolved on the first
   /// successful call so no later call builds the name or looks it up.
   obs::Counter* calls = nullptr;
+  /// The call span's name: "call <name>", built on the first call, or
+  /// the label a stub sets up front.
+  std::string span_label;
   /// Compiled marshal programs for the import signature, filled on the
   /// first call (or eagerly by RemoteProc) and reused for every
   /// steady-state call — the §4.1 stub-compiler specialization.
   std::shared_ptr<const uts::MarshalPlan> request_plan;
   std::shared_ptr<const uts::MarshalPlan> reply_plan;
-  /// The kCall request, kept from call to call: each call marshals into
-  /// its blob's buffer and every attempt re-sends it, so a steady-state
-  /// call builds no new Message and copies no import text or blob.
+  /// The kCall request, kept from call to call: each attempt marshals
+  /// into its blob's buffer and issues it, so a steady-state call builds
+  /// no new Message and copies no import text or blob.
   Message request;
 };
 
@@ -77,7 +83,7 @@ struct BackoffPolicy {
 
 /// Per-line fault budget — the isolation half of the multi-tenant session
 /// layer (DESIGN.md §15). One LineBudget is shared by every stub on a
-/// Line; CallCore::invoke charges it, so a line whose peer dies or whose
+/// Line; CallCore charges it, so a line whose peer dies or whose
 /// deadline storms retries burns through *its own* budget and starts
 /// failing fast (kBudgetExhausted) instead of holding transport slots and
 /// Manager attention its neighbors need. All counters are atomics: stubs
@@ -170,12 +176,13 @@ class LineBudget {
 };
 
 struct CallOptions {
-  /// Total virtual-time budget for the call, binding and retries
-  /// included. 0 = no deadline: every transport wait blocks forever, as
-  /// the pre-fault-tolerance runtime did.
+  /// Total budget for the call in the fabric's microseconds (virtual on
+  /// the fiber fabric, real on TCP), binding and retries included. 0 = no
+  /// deadline: every transport wait blocks forever, as the
+  /// pre-fault-tolerance runtime did.
   util::SimTime deadline_us = 0;
-  /// Per-attempt virtual budget; 0 splits the remaining deadline evenly
-  /// over the remaining attempts.
+  /// Per-attempt budget; 0 splits the remaining deadline evenly over the
+  /// remaining attempts.
   util::SimTime attempt_timeout_us = 0;
   /// Attempts in total (first try included). The engine always re-tries
   /// dead-address and stale-binding failures (the request never ran);
@@ -188,12 +195,13 @@ struct CallOptions {
   /// When set and every attempt found the procedure's process dead, ask
   /// the Manager to sch_move the procedure to this machine and try once
   /// more — migration-based failover (§4.2's extension turned recovery).
+  /// Ignored on a fixed binding (no Manager).
   std::string failover_machine;
-  /// Host-time wait per transport exchange used to *detect* lost frames;
-  /// only meaningful when deadline_us > 0. Virtual-time accounting stays
-  /// deterministic regardless of this value.
+  /// Fiber fabric: host-time wait per transport exchange used to *detect*
+  /// lost frames; only meaningful when deadline_us > 0. Virtual-time
+  /// accounting stays deterministic regardless of this value.
   int host_grace_ms = 50;
-  /// The owning line's shared fault budget; charged by CallCore::invoke.
+  /// The owning line's shared fault budget; charged by CallCore.
   /// Empty = unbudgeted (nested host calls, manager-internal calls). Set
   /// automatically on every stub created through rpc::Line.
   std::shared_ptr<LineBudget> line_budget;
@@ -209,7 +217,7 @@ struct CallAttempt {
   std::string address;        ///< binding the attempt was sent to
   util::Status status;
   util::SimTime backoff_us = 0;  ///< backoff slept before this attempt
-  util::SimTime virtual_us = 0;  ///< virtual time the attempt consumed
+  util::SimTime virtual_us = 0;  ///< fabric time the attempt consumed
 };
 
 /// What a call produced: a Status instead of a throw, the values on
@@ -221,7 +229,7 @@ struct CallResult {
   uts::ValueList values;
   std::vector<CallAttempt> attempts;
   bool failed_over = false;      ///< migration-based failover was used
-  util::SimTime virtual_us = 0;  ///< total virtual time of the call
+  util::SimTime virtual_us = 0;  ///< total fabric time of the call
 
   bool ok() const { return status.is_ok(); }
   int attempt_count() const { return static_cast<int>(attempts.size()); }
@@ -242,10 +250,94 @@ std::string discover_manager_leader(MessageIo& io,
                                     const std::vector<std::string>& replicas,
                                     int rounds = 50);
 
+struct CallCore;
+
+/// A call in flight, the engine's one pending-call type on both fabrics:
+/// CallCore::issue sends the first attempt, and get() awaits its reply
+/// and drives whatever attempts remain — the loop a lock-step call runs.
+/// get() runs on the caller's own thread and is idempotent. Dropping an
+/// un-got call abandons its seq (the late reply is discarded) and
+/// releases its line-budget slot. Must not outlive the stub that issued
+/// it.
+class PendingCall {
+ public:
+  PendingCall(PendingCall&&) noexcept = default;
+  ~PendingCall();
+
+  CallResult& get();
+
+ private:
+  friend struct CallCore;
+  /// Runs the line-budget gates; a refused call is born done.
+  PendingCall(const CallCore& core, const std::string& name,
+              const uts::ProcDecl& decl, const std::string& import_text,
+              uts::ValueList args, BindingCache& cache, CallOptions opts);
+
+  /// Attempts until the call is done; a lock-step call opens a span per
+  /// attempt.
+  void drive(bool span_attempts);
+  /// An attempt's first half: deadline gate, backoff, bind, marshal and
+  /// issue. False when the attempt ended before its request was in
+  /// flight.
+  bool send_attempt(std::optional<obs::Span>* attempt_span);
+  /// Its second half: await the reply and settle the attempt.
+  void await_attempt();
+  void succeed(const Message& reply);
+  /// Record the failed attempt; retry, fail over or give up.
+  void end_attempt(bool retryable);
+  /// sch_move the procedure to opts_.failover_machine; false (with the
+  /// refusal recorded) when the move failed.
+  bool fail_over();
+  void finish_failed();
+  /// Leave the call done, its line-budget slot released.
+  void finish();
+  /// Forget a binding a failure made suspect (not a fixed one).
+  void unbind();
+  /// Settle a timed-out attempt; true when it may be retried.
+  bool timed_out(const util::DeadlineError& e);
+  /// The attempt's share of the deadline (0 = none).
+  util::SimTime attempt_budget() const;
+  /// Fiber fabric: the host-time window that detects a lost frame.
+  int grace_ms() const {
+    return opts_.deadline_us > 0 ? std::max(opts_.host_grace_ms, 1) : 0;
+  }
+
+  /// The engine; a move leaves it null, so only the moved-to call
+  /// abandons or releases anything.
+  struct Unowned {
+    void operator()(const CallCore*) const noexcept {}
+  };
+  std::unique_ptr<const CallCore, Unowned> core_;
+  const std::string* name_;
+  const uts::Signature* signature_;
+  const std::string* import_text_;
+  BindingCache* cache_;
+  CallOptions opts_;
+  /// The caller's arguments; the reply's res/var slots land here.
+  uts::ValueList args_;
+  CallResult result_;
+  CallAttempt attempt_;  ///< the attempt under way
+  Issued in_flight_;
+  util::SimTime start_ = 0, deadline_abs_ = 0, attempt_start_ = 0;
+  std::chrono::steady_clock::time_point issued_;  ///< for latency_us
+  std::size_t request_bytes_ = 0;
+  int attempts_left_ = 0;
+  util::ErrorCode last_code_ = util::ErrorCode::kUnknown;
+  bool failover_tried_ = false;
+  bool holds_slot_ = false;  ///< of opts_.line_budget's outstanding cap
+  bool done_ = false;
+};
+
 struct CallCore {
+  /// The data plane: issue/await by seq and the fabric's clock.
+  CallTransport* transport = nullptr;
+  /// The control plane: Manager traffic (bind, sch_move, leader
+  /// discovery). Unused on a fixed binding.
   MessageIo* io = nullptr;
   /// Current Manager (leader) address. Mutable: when the leader dies the
-  /// const call paths rediscover and re-point mid-flight.
+  /// const call paths rediscover and re-point mid-flight. Empty = a fixed
+  /// binding (a TCP stub): the cache's address is the procedure's for
+  /// good, so a dead connection is retried on the same address.
   mutable std::string manager;
   /// Every Manager replica address; empty = a one-member group (a dead
   /// Manager is then terminal, as before).
@@ -254,33 +346,24 @@ struct CallCore {
   const arch::ArchDescriptor* arch = nullptr;
   /// Bills simulated marshal CPU time (may be empty).
   std::function<void(double)> compute;
-  /// The caller's virtual clock; when set, per-call simulated latency is
-  /// recorded into the rpc.client.virtual_latency_us histogram.
-  const util::VirtualClock* clock = nullptr;
-  /// Virtual-time sleep billed for backoff waits and timed-out transport
-  /// waits (may be empty; typically advances the caller's clock).
-  std::function<void(util::SimTime)> sleep;
 
-  /// The one call engine. Resolves `name` through the Manager (filling
-  /// `cache`), marshals once, then drives the attempt loop: deadline
-  /// enforcement at the transport wait, stale-binding rebind, exponential
-  /// backoff, and migration-based failover per `opts`. Never throws for
-  /// transport or peer failures — they come back as CallResult.status.
+  /// The lock-step call: issue and await on the caller's thread. Resolves
+  /// `name` through the Manager (filling `cache`), marshals, then drives
+  /// the attempt loop: deadline enforcement at the transport wait,
+  /// stale-binding rebind, jittered exponential backoff, idempotent
+  /// retry, the line budget and migration-based failover per `opts`.
+  /// Never throws for transport or peer failures — they come back as
+  /// CallResult.status.
   CallResult invoke(const std::string& name, const uts::ProcDecl& import_decl,
                     const std::string& import_text, uts::ValueList args,
-                    BindingCache& cache, const CallOptions& opts) const;
+                    BindingCache& cache, CallOptions opts) const;
 
-  /// Asynchronous variant of the same engine: runs invoke() on a worker
-  /// so independent remote evaluations overlap on the wire. The CallCore
-  /// is captured by value; `cache` must outlive the future. One in-flight
-  /// call per MessageIo endpoint: callers overlap calls across *different*
-  /// lines/clients (each placed component owns its own), never on one —
-  /// reply sequence matching on a shared endpoint is single-caller.
-  std::future<CallResult> invoke_async(const std::string& name,
-                                       const uts::ProcDecl& import_decl,
-                                       const std::string& import_text,
-                                       uts::ValueList args, BindingCache& cache,
-                                       const CallOptions& opts) const;
+  /// The same call split in two: send the first attempt now and return
+  /// it in flight, so independent calls overlap — on different lines, or
+  /// several on one line or connection. `cache` must outlive it.
+  PendingCall issue(const std::string& name, const uts::ProcDecl& import_decl,
+                    const std::string& import_text, uts::ValueList args,
+                    BindingCache& cache, CallOptions opts) const;
 
   /// Just the bind step (used by benches isolating lookup cost). With
   /// `host_grace_ms` > 0 the Manager exchange is deadline-bounded. When
@@ -290,6 +373,7 @@ struct CallCore {
             BindingCache& cache, int host_grace_ms = 0) const;
 
  private:
+  friend class PendingCall;
   /// Re-point `manager` at the group's current leader. Returns false when
   /// no replica list is configured or no leader surfaced.
   bool rediscover_manager() const;

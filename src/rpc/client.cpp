@@ -102,6 +102,7 @@ Line::Line(Session& session, sim::EndpointPtr endpoint, LineOptions opts)
       name_(std::move(opts.name)),
       budget_(std::make_shared<LineBudget>(opts.budget)) {
   core_epoch_ = session_->leader_epoch();
+  core_.transport = &io_;
   core_.io = &io_;
   core_.manager = session_->leader();
   core_.manager_replicas = session_->replicas_;
@@ -110,8 +111,6 @@ Line::Line(Session& session, sim::EndpointPtr endpoint, LineOptions opts)
     endpoint_->clock().advance(static_cast<util::SimTime>(
         us / std::max(endpoint_->arch().cpu_speed, 1e-6)));
   };
-  core_.clock = &endpoint_->clock();
-  core_.sleep = [this](util::SimTime us) { endpoint_->clock().advance(us); };
   const int attempts = std::max(opts.admission_attempts, 1);
   try {
     for (int attempt = 1;; ++attempt) {
@@ -273,15 +272,15 @@ CallResult RemoteProc::call(uts::ValueList args, const CallOptions& opts) {
   return owner_->invoke(*this, std::move(args), opts);
 }
 
-std::future<CallResult> RemoteProc::call_async(uts::ValueList args,
-                                               const CallOptions& opts) {
+PendingCall RemoteProc::call_async(uts::ValueList args,
+                                   const CallOptions& opts) {
   if (owner_->line_ == kNoLine) {
     throw util::ShutdownError("line already quit");
   }
   calls_.add();
-  return owner_->call_core().invoke_async(name_, decl_, import_text_,
-                                          std::move(args), cache_,
-                                          owner_->with_budget(opts));
+  return owner_->call_core().issue(name_, decl_, import_text_,
+                                   std::move(args), cache_,
+                                   owner_->with_budget(opts));
 }
 
 util::SimTime RemoteProc::ping() {

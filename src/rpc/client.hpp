@@ -41,13 +41,12 @@ class RemoteProc {
   /// owning line's LineBudget is charged unless `opts` names another.
   CallResult call(uts::ValueList args, const CallOptions& opts);
 
-  /// Overlapping fault-tolerant invoke: the call runs on a worker thread
-  /// and the caller collects the CallResult from the future. The owning
-  /// line's endpoint serves one call at a time, so overlap calls on
-  /// *different* lines (as the flow executive does for independent remote
-  /// components) — not two async calls on one line.
-  std::future<CallResult> call_async(uts::ValueList args,
-                                     const CallOptions& opts);
+  /// Overlapping fault-tolerant invoke: the request leaves now and the
+  /// caller collects the CallResult from the pending call's get(), which
+  /// awaits the reply on the caller's own thread — no thread per call.
+  /// Calls overlap on different lines, and several may be outstanding on
+  /// one line (replies are matched by seq). Must not outlive this stub.
+  PendingCall call_async(uts::ValueList args, const CallOptions& opts);
 
   const std::string& name() const { return name_; }
   const uts::Signature& signature() const { return decl_.signature; }
@@ -131,7 +130,8 @@ struct LineOptions {
 /// name space under the Session's Manager. Duplicate procedure names
 /// across lines are fine — each line binds through its own name space.
 /// A Line is driven by one thread at a time (its endpoint's reply
-/// matching is single-caller); run many Lines for concurrency. Must not
+/// matching is single-caller), which may keep several calls outstanding
+/// (RemoteProc::call_async); run many Lines for concurrency. Must not
 /// outlive its Session.
 class Line {
  public:

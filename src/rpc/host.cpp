@@ -72,6 +72,7 @@ class HostRuntime {
     }
     const uts::ProcDecl& decl = decl_it->second;
     CallCore core;
+    core.transport = &io_;
     core.io = &io_;
     core.manager = manager_;
     core.line = line_;

@@ -86,45 +86,17 @@ void MessageIo::send(const std::string& to, const Message& msg) {
   cluster_->send(*endpoint_, to, std::move(frame));
 }
 
-std::optional<Incoming> MessageIo::receive() {
+std::optional<Incoming> MessageIo::next_incoming(int wait_ms) {
   while (true) {
     if (!stash_.empty()) {
       Incoming front = std::move(stash_.front());
       stash_.pop_front();
       return front;
     }
-    auto env = endpoint_->receive();
-    if (!env) return std::nullopt;
-    Message msg = decode_counted(env->payload);
-    if (abandoned_reply(msg)) continue;
-    return Incoming{std::move(env->from), std::move(msg)};
-  }
-}
-
-std::optional<Incoming> MessageIo::receive_for(int host_ms) {
-  while (true) {
-    if (!stash_.empty()) {
-      Incoming front = std::move(stash_.front());
-      stash_.pop_front();
-      return front;
-    }
-    auto env =
-        endpoint_->receive_for(std::chrono::milliseconds(std::max(host_ms, 1)));
-    if (!env) return std::nullopt;
-    Message msg = decode_counted(env->payload);
-    if (abandoned_reply(msg)) continue;
-    return Incoming{std::move(env->from), std::move(msg)};
-  }
-}
-
-std::optional<Incoming> MessageIo::try_receive() {
-  while (true) {
-    if (!stash_.empty()) {
-      Incoming front = std::move(stash_.front());
-      stash_.pop_front();
-      return front;
-    }
-    auto env = endpoint_->try_receive();
+    auto env = wait_ms < 0    ? endpoint_->receive()
+               : wait_ms == 0 ? endpoint_->try_receive()
+                              : endpoint_->receive_for(
+                                    std::chrono::milliseconds(wait_ms));
     if (!env) return std::nullopt;
     Message msg = decode_counted(env->payload);
     if (abandoned_reply(msg)) continue;
@@ -145,22 +117,64 @@ Message MessageIo::call_within(const std::string& to, Message& request,
 Message MessageIo::call_impl(const std::string& to, Message& request,
                              bool raise_errors, int host_grace_ms) {
   request.seq = next_seq();
-  const std::uint64_t want = request.seq;
   send(to, request);
+  Message reply = wait_reply(request.seq, host_grace_ms);
+  if (raise_errors) reply.raise_if_error();
+  return reply;
+}
+
+Issued MessageIo::issue(const std::string& to, Message& request) {
+  request.seq = next_seq();
+  send(to, request);
+  in_flight_.push_back(request.seq);
+  return Issued{.seq = request.seq};
+}
+
+Message MessageIo::await(Issued& call, const AwaitBound& bound) {
+  try {
+    return wait_reply(call.seq, bound.host_grace_ms);
+  } catch (const util::DeadlineError&) {
+    // The caller sat out the attempt's share of the deadline: bill it, so
+    // elapsed virtual time stays deterministic whatever the host did.
+    sleep(bound.budget_us);
+    throw;
+  }
+}
+
+void MessageIo::abandon(Issued& call) {
+  abandoned_.mark(call.seq);
+  forget(call.seq);
+}
+
+void MessageIo::forget(std::uint64_t seq) {
+  std::erase(in_flight_, seq);
+  std::erase_if(held_, [seq](const Message& m) { return m.seq == seq; });
+}
+
+Message MessageIo::wait_reply(std::uint64_t want, int host_grace_ms) {
+  // Replies echo the request seq; marking the finished seq abandoned
+  // also drops a *duplicated* reply frame (fault injection) on arrival.
+  for (Message& kept : held_) {
+    if (kept.seq != want) continue;
+    Message reply = std::move(kept);
+    abandoned_.mark(want);
+    forget(want);
+    return reply;
+  }
   while (true) {
     auto env = host_grace_ms > 0
                    ? endpoint_->receive_for(
                          std::chrono::milliseconds(host_grace_ms))
                    : endpoint_->receive();
     if (!env) {
+      forget(want);
       if (host_grace_ms > 0 && !endpoint_->closed()) {
         // Nothing arrived inside the grace window: the request or its
         // reply was lost (or the peer died mid-call). Abandon the seq so
         // a straggler reply cannot be mistaken for later traffic.
         abandoned_.mark(want);
-        throw util::DeadlineError("no reply from '" + to + "' for seq " +
-                                  std::to_string(want) + " within " +
-                                  std::to_string(host_grace_ms) +
+        throw util::DeadlineError("no reply for seq " + std::to_string(want) +
+                                  " within " + std::to_string(host_grace_ms) +
                                   "ms host grace");
       }
       throw util::ShutdownError("endpoint " + address() +
@@ -172,19 +186,18 @@ Message MessageIo::call_impl(const std::string& to, Message& request,
                      message_kind_name(msg.kind), " seq=", msg.seq);
       continue;
     }
-    if (msg.seq == want &&
-        (msg.kind == MessageKind::kError || *env->from == to ||
-         msg.kind != MessageKind::kCall)) {
-      // Replies echo the request seq. A concurrent *request* from a peer
-      // could coincidentally carry the same seq, so requests that we could
-      // be asked to serve (kCall and friends) are stashed, never consumed
-      // as replies.
-      if (is_reply_kind(msg.kind)) {
-        // Mark the finished seq abandoned too: a *duplicated* reply frame
-        // (fault injection) must not linger in the stash.
+    // Only reply kinds answer our seqs: a peer's request that happens to
+    // carry the same seq is traffic for the owner's main loop.
+    if (is_reply_kind(msg.kind)) {
+      if (msg.seq == want) {
         abandoned_.mark(want);
-        if (raise_errors) msg.raise_if_error();
+        forget(want);
         return msg;
+      }
+      if (std::find(in_flight_.begin(), in_flight_.end(), msg.seq) !=
+          in_flight_.end()) {
+        held_.push_back(std::move(msg));
+        continue;
       }
     }
     NPSS_LOG_TRACE("rpc.io", address(), " stash ",

@@ -6,15 +6,61 @@
 // the owner's main loop.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <deque>
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "rpc/message.hpp"
 #include "sim/cluster.hpp"
 
 namespace npss::rpc {
+
+/// One request in flight, as CallTransport::issue hands it back.
+struct Issued {
+  std::uint64_t seq = 0;  ///< 0 = nothing in flight
+};
+
+/// How long CallTransport::await may wait for a reply.
+struct AwaitBound {
+  /// The attempt's share of the call's deadline in fabric microseconds,
+  /// counted from `since`; 0 = wait forever.
+  util::SimTime budget_us = 0;
+  util::SimTime since = 0;
+  /// Fiber fabric only: host time without a frame after which the
+  /// request or its reply counts as lost (set whenever budget_us is).
+  int host_grace_ms = 0;
+};
+
+/// The data-plane seam under CallCore: split-phase request/reply matched
+/// by seq, and the fabric's clock. MessageIo implements it on the fiber
+/// fabric (virtual time), ChannelTransport over a TCP bus channel (the
+/// steady clock), so one attempt loop serves both.
+class CallTransport {
+ public:
+  /// Stamp a fresh seq into `request` and send it to `to` now. Throws
+  /// util::NoRouteError when `to` cannot be reached: the request never
+  /// left.
+  virtual Issued issue(const std::string& to, Message& request) = 0;
+  /// The reply to `call`, error replies included (never raised). Several
+  /// calls may be in flight; a reply to another one is kept for its own
+  /// await. On timeout the seq is abandoned and util::DeadlineError
+  /// thrown, with a virtual clock billed the wait's budget.
+  virtual Message await(Issued& call, const AwaitBound& bound) = 0;
+  /// Give up on `call` unawaited: its reply is discarded when it lands.
+  virtual void abandon(Issued& call) = 0;
+
+  /// Fabric time in microseconds.
+  virtual util::SimTime now() const = 0;
+  /// Let `us` of fabric time pass (a retry's backoff).
+  virtual void sleep(util::SimTime us) = 0;
+
+ protected:
+  /// Owned as the concrete fabric, never deleted through the seam.
+  ~CallTransport() = default;
+};
 
 struct Incoming {
   /// The sender's address, shared with its endpoint rather than copied
@@ -49,7 +95,7 @@ class SeqWindow {
   std::array<std::uint64_t, kSpan / 64> bits_{};
 };
 
-class MessageIo {
+class MessageIo final : public CallTransport {
  public:
   MessageIo(sim::Cluster& cluster, sim::EndpointPtr endpoint)
       : cluster_(&cluster), endpoint_(std::move(endpoint)) {}
@@ -65,16 +111,18 @@ class MessageIo {
 
   /// Blocking receive of the next message for the owner's main loop:
   /// drains the stash first. Returns nullopt once the endpoint closes.
-  std::optional<Incoming> receive();
+  std::optional<Incoming> receive() { return next_incoming(-1); }
 
   /// Non-blocking variant.
-  std::optional<Incoming> try_receive();
+  std::optional<Incoming> try_receive() { return next_incoming(0); }
 
   /// Bounded-wait variant: blocks at most `host_ms` of *host* time for a
   /// frame (the stash is drained first). Returns nullopt on timeout or
   /// once the endpoint closes — a Manager replica's leader loop uses the
   /// gap to notice missed heartbeats and fire elections.
-  std::optional<Incoming> receive_for(int host_ms);
+  std::optional<Incoming> receive_for(int host_ms) {
+    return next_incoming(std::max(host_ms, 1));
+  }
 
   /// Request/response: sends `request` (stamping a fresh seq into it)
   /// and blocks until the matching reply arrives; any other traffic
@@ -102,14 +150,29 @@ class MessageIo {
     return call_within(to, request, host_grace_ms, raise_errors);
   }
 
+  Issued issue(const std::string& to, Message& request) override;
+  Message await(Issued& call, const AwaitBound& bound) override;
+  void abandon(Issued& call) override;
+  /// The endpoint's virtual clock.
+  util::SimTime now() const override { return endpoint_->clock().now(); }
+  void sleep(util::SimTime us) override { endpoint_->clock().advance(us); }
+
   /// kPing round trip to `to`. Returns the virtual-time RTT in simulated
   /// microseconds and records it into the rpc.transport.rtt_us histogram,
   /// letting benches split network time from marshal time.
   util::SimTime ping(const std::string& to);
 
  private:
+  /// The stash, then the endpoint: `wait_ms` < 0 blocks, 0 polls, > 0
+  /// bounds the wait in host time.
+  std::optional<Incoming> next_incoming(int wait_ms);
   Message call_impl(const std::string& to, Message& request, bool raise_errors,
                     int host_grace_ms);
+  /// Receive until the reply to `want` arrives (0 grace = no bound),
+  /// keeping replies to other seqs in flight and stashing other traffic.
+  Message wait_reply(std::uint64_t want, int host_grace_ms);
+  /// Drop `seq` from the calls in flight and any reply kept for it.
+  void forget(std::uint64_t seq);
   /// True when `msg` is a late/duplicated reply to a seq this endpoint
   /// already finished with (timed out or served) — such frames are
   /// dropped, never stashed.
@@ -118,6 +181,10 @@ class MessageIo {
   sim::Cluster* cluster_;
   sim::EndpointPtr endpoint_;
   std::deque<Incoming> stash_;
+  /// Seqs issued and not yet awaited or abandoned, and replies to them
+  /// that arrived while another seq was awaited.
+  std::vector<std::uint64_t> in_flight_;
+  std::vector<Message> held_;
   std::uint64_t seq_ = 0;
   SeqWindow abandoned_;
 };

@@ -11,7 +11,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstring>
 #include <thread>
 
@@ -24,21 +23,6 @@
 namespace npss::rpc {
 
 using util::CallError;
-
-namespace {
-
-/// Frame bytes that are not argument blob: prefix, fixed fields, string
-/// lengths, empty table, optional trace extension. Lets the client count
-/// blob bytes (the historical client_bytes_marshaled unit) without ever
-/// materializing the blob.
-std::size_t call_frame_overhead(const std::string& a, const std::string& b,
-                                bool traced) {
-  return 4 /*prefix*/ + 1 /*kind*/ + 8 /*seq*/ + 8 /*line*/ +
-         (4 + a.size()) + (4 + b.size()) + 4 /*c*/ + 8 /*n*/ +
-         4 /*blob len*/ + 4 /*table*/ + (traced ? 1 + 3 * 8 : 0);
-}
-
-}  // namespace
 
 // --- TcpConnection ----------------------------------------------------------------
 
@@ -293,17 +277,82 @@ void TcpProcedureHost::handle(const std::shared_ptr<bus::BusConnection>& conn,
   }
 }
 
-// --- PendingTcpCall -----------------------------------------------------------------
+// --- ChannelTransport ---------------------------------------------------------------
 
-PendingTcpCall::~PendingTcpCall() {
-  // An un-got pending call abandons its seq; the shared connection and
-  // its other in-flight calls are unaffected.
-  if (!done_ && channel_ && reply_.valid()) channel_->abandon(seq_);
+ChannelTransport::ChannelTransport(std::string host, int port)
+    : host_(std::move(host)),
+      port_(port),
+      channel_(bus::TcpBus::instance().channel(host_, port_)) {}
+
+const std::shared_ptr<bus::BusChannel>& ChannelTransport::channel() {
+  if (!channel_ || !channel_->alive()) {
+    channel_ = bus::TcpBus::instance().channel(host_, port_);
+  }
+  return channel_;
 }
 
-CallResult& PendingTcpCall::get() {
-  if (!done_) owner_->finish(*this);
-  return result_;
+Issued ChannelTransport::issue(const std::string&, Message& request) {
+  try {
+    const std::shared_ptr<bus::BusChannel>& ch = channel();
+    request.seq = ch->next_seq();
+    in_flight_.emplace_back(
+        request.seq, ch->send(request.seq, [&](util::ByteWriter& out) {
+          bus::append_frame(out, request, ch->max_frame_bytes());
+        }));
+    return Issued{.seq = request.seq};
+  } catch (const CallError& e) {
+    throw util::NoRouteError(e.what());
+  }
+}
+
+std::future<Message> ChannelTransport::take(std::uint64_t seq) {
+  // A pipeline awaits its oldest call first, so the search starts at the
+  // oldest entry still in flight and usually ends there.
+  std::size_t i = head_;
+  while (in_flight_.at(i).first != seq) ++i;
+  std::future<Message> reply = std::move(in_flight_[i].second);
+  in_flight_[i].first = 0;
+  while (head_ < in_flight_.size() && in_flight_[head_].first == 0) ++head_;
+  if (head_ > in_flight_.size() / 2) {
+    in_flight_.erase(in_flight_.begin(),
+                     in_flight_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
+  }
+  return reply;
+}
+
+Message ChannelTransport::await(Issued& call, const AwaitBound& bound) {
+  std::future<Message> reply = take(call.seq);
+  if (bound.budget_us > 0) {
+    const std::chrono::microseconds left(bound.since + bound.budget_us -
+                                         now());
+    if (left.count() <= 0 ||
+        reply.wait_for(left) != std::future_status::ready) {
+      // Abandon only this seq — the connection stays up and keeps
+      // serving every other in-flight call. (A seq of a channel since
+      // replaced died with it: the abandon finds nothing.)
+      channel_->abandon(call.seq);
+      throw util::DeadlineError("no tcp reply for seq " +
+                                std::to_string(call.seq) + " within " +
+                                std::to_string(bound.budget_us / 1000) + "ms");
+    }
+  }
+  return reply.get();  // matched by seq; throws if the peer died
+}
+
+void ChannelTransport::abandon(Issued& call) {
+  take(call.seq);
+  channel_->abandon(call.seq);
+}
+
+util::SimTime ChannelTransport::now() const {
+  return std::chrono::duration_cast<std::chrono::microseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+void ChannelTransport::sleep(util::SimTime us) {
+  std::this_thread::sleep_for(std::chrono::microseconds(us));
 }
 
 // --- TcpRemoteProc ------------------------------------------------------------------
@@ -312,200 +361,36 @@ TcpRemoteProc::TcpRemoteProc(const std::string& host, int port,
                              const std::string& name,
                              const std::string& import_spec_text,
                              const std::string& arch_key)
-    : channel_(bus::TcpBus::instance().channel(host, port)),
-      host_(host),
-      port_(port),
-      name_(name),
-      arch_(&arch::arch_catalog(arch_key)) {
-  uts::SpecFile spec = uts::parse_spec(import_spec_text);
-  decl_ = spec.find(name);
+    : transport_(host, port), name_(name) {
+  decl_ = uts::parse_spec(import_spec_text).find(name);
   import_text_ = uts::decl_to_string(decl_);
-  request_plan_ = uts::compile_plan(decl_.signature, uts::Direction::kRequest);
-  reply_plan_ = uts::compile_plan(decl_.signature, uts::Direction::kReply);
-  span_label_ = "tcp call " + name_;
-  calls_by_name_ = &client_calls_counter(name_);
-}
-
-std::shared_ptr<bus::BusChannel>& TcpRemoteProc::live_channel() {
-  if (!channel_ || !channel_->alive()) {
-    channel_ = bus::TcpBus::instance().channel(host_, port_);
-  }
-  return channel_;
+  cache_.address = host + ":" + std::to_string(port);
+  cache_.resolved_name = name_;
+  cache_.request_plan =
+      uts::compile_plan(decl_.signature, uts::Direction::kRequest);
+  cache_.reply_plan =
+      uts::compile_plan(decl_.signature, uts::Direction::kReply);
+  cache_.span_label = "tcp call " + name_;
+  cache_.calls = &client_calls_counter(name_);
+  core_.transport = &transport_;
+  core_.arch = &arch::arch_catalog(arch_key);
 }
 
 CallResult TcpRemoteProc::call(uts::ValueList args, const CallOptions& opts) {
-  using clock_type = std::chrono::steady_clock;
-  obs::Span span("rpc.client", span_label_);
-  const auto deadline =
-      opts.deadline_us > 0
-          ? clock_type::now() + std::chrono::microseconds(opts.deadline_us)
-          : clock_type::time_point::max();
-  const int max_attempts = std::max(opts.max_attempts, 1);
-  CallResult result;
-  for (int n = 1; n <= max_attempts; ++n) {
-    if (clock_type::now() >= deadline) {
-      result.status = util::Status(
-          util::ErrorCode::kDeadlineExceeded,
-          "tcp call to '" + name_ + "': deadline exhausted after " +
-              std::to_string(result.attempts.size()) + " attempt(s)");
-      break;
-    }
-    util::SimTime backoff_us = 0;
-    if (n > 1 && opts.backoff.initial_us > 0) {
-      backoff_us = std::min<util::SimTime>(
-          static_cast<util::SimTime>(
-              static_cast<double>(opts.backoff.initial_us) *
-              std::pow(std::max(opts.backoff.multiplier, 1.0), n - 2)),
-          opts.backoff.max_us);
-      std::this_thread::sleep_for(std::chrono::microseconds(backoff_us));
-    }
-    // The attempt's budget is what is left of the call's deadline; the
-    // floor of 1 us keeps an exhausted budget from meaning "no deadline".
-    util::SimTime budget_us = 0;
-    if (opts.deadline_us > 0) {
-      budget_us = std::max<util::SimTime>(
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              deadline - clock_type::now())
-              .count(),
-          1);
-    }
-    PendingTcpCall pending;
-    {
-      obs::Span attempt_span("rpc.client", "attempt " + std::to_string(n));
-      pending = call_async(std::move(args), budget_us);
-      pending.get();
-    }
-    CallResult& outcome = pending.result_;
-    if (outcome.attempts.empty()) return std::move(outcome);  // bad args
-    CallAttempt& attempt = outcome.attempts.back();
-    attempt.number = n;
-    attempt.backoff_us = backoff_us;
-    result.attempts.push_back(std::move(attempt));
-    result.status = outcome.status;
-    if (outcome.ok()) {
-      result.values = std::move(outcome.values);
-      return result;
-    }
-    // A peer refusal is terminal; a timeout is retried only when the call
-    // is idempotent (the peer may have run it); a dead connection is
-    // re-pooled and retried.
-    if (pending.answered_) break;
-    const util::ErrorCode code = result.status.code();
-    if (code == util::ErrorCode::kCallFailure) {
-      channel_.reset();
-    } else if (code != util::ErrorCode::kDeadlineExceeded || !opts.idempotent) {
-      break;
-    }
-    args = std::move(pending.args_);
-  }
-  if (result.status.is_ok()) {
-    result.status = util::Status(
-        util::ErrorCode::kDeadlineExceeded,
-        "tcp call to '" + name_ + "': no attempt possible within deadline");
-  }
-  return result;
+  return core_.invoke(name_, decl_, import_text_, std::move(args), cache_,
+                      opts);
 }
 
-PendingTcpCall TcpRemoteProc::call_async(uts::ValueList args,
-                                         util::SimTime deadline_us) {
-  PendingTcpCall pending;
-  pending.owner_ = this;
-  pending.deadline_us_ = deadline_us;
-  pending.issued_ = std::chrono::steady_clock::now();
-  pending.args_ = std::move(args);
-  if (pending.args_.size() != decl_.signature.size()) {
-    pending.done_ = true;
-    pending.result_.status = util::Status(
-        util::ErrorCode::kTypeMismatch, "tcp call: argument count mismatch");
-    return pending;
-  }
-  try {
-    std::shared_ptr<bus::BusChannel>& ch = live_channel();
-    pending.channel_ = ch;
-    pending.seq_ = ch->next_seq();
-    const obs::TraceContext trace = obs::current_trace();
-    pending.reply_ = ch->send(pending.seq_, [&](util::ByteWriter& out) {
-      const std::size_t before = out.size();
-      bus::append_call_frame(out, pending.seq_, name_, import_text_,
-                             *request_plan_, *arch_, pending.args_, trace,
-                             ch->max_frame_bytes());
-      pending.request_bytes_ =
-          out.size() - before -
-          call_frame_overhead(name_, import_text_, trace.active());
-    });
-  } catch (const util::Error& e) {
-    // Nothing left the client; get() reports the failure as the attempt.
-    pending.done_ = true;
-    pending.result_.status = util::Status::from(e);
-    pending.result_.attempts.push_back(
-        CallAttempt{.address = host_ + ":" + std::to_string(port_),
-                    .status = pending.result_.status});
-  }
-  return pending;
-}
-
-void TcpRemoteProc::finish(PendingTcpCall& pending) {
-  CallResult& result = pending.result_;
-  pending.done_ = true;
-  try {
-    if (pending.deadline_us_ > 0) {
-      const auto deadline =
-          pending.issued_ + std::chrono::microseconds(pending.deadline_us_);
-      const auto left = deadline - std::chrono::steady_clock::now();
-      if (left <= std::chrono::steady_clock::duration::zero() ||
-          pending.reply_.wait_for(left) != std::future_status::ready) {
-        // Abandon only this seq — the connection stays up and keeps
-        // serving every other in-flight call.
-        pending.channel_->abandon(pending.seq_);
-        throw util::DeadlineError(
-            "no tcp reply within " +
-            std::to_string(pending.deadline_us_ / 1000) + "ms");
-      }
-    }
-    Message reply = pending.reply_.get();
-    pending.answered_ = true;
-    if (reply.is_error()) {
-      result.status =
-          util::Status(static_cast<util::ErrorCode>(reply.n), reply.a);
-    } else {
-      if (obs::enabled()) {
-        RpcMetrics& m = rpc_metrics();
-        m.client_calls.add();
-        calls_by_name_->add();
-        m.client_bytes_marshaled.add(pending.request_bytes_ +
-                                     reply.blob.size());
-        m.client_latency_us.record(
-            std::chrono::duration<double, std::micro>(
-                std::chrono::steady_clock::now() - pending.issued_)
-                .count());
-      }
-      const uts::Signature& sig = decl_.signature;
-      result.values = reply_plan_->unmarshal(*arch_, reply.blob);
-      for (std::size_t i = 0; i < sig.size(); ++i) {
-        if (!uts::param_travels(sig[i].mode, uts::Direction::kReply)) {
-          result.values[i] = std::move(pending.args_[i]);
-        }
-      }
-    }
-  } catch (const util::Error& e) {
-    result.status = util::Status::from(e);
-  }
-  result.attempts.push_back(CallAttempt{
-      .address = host_ + ":" + std::to_string(port_), .status = result.status});
+PendingCall TcpRemoteProc::call_async(uts::ValueList args) {
+  return core_.issue(name_, decl_, import_text_, std::move(args), cache_,
+                     CallOptions::legacy());
 }
 
 double TcpRemoteProc::ping_us() {
-  std::shared_ptr<bus::BusChannel> ch = live_channel();
   const auto before = std::chrono::steady_clock::now();
-  const std::uint64_t seq = ch->next_seq();
-  Message msg;
-  msg.kind = MessageKind::kPing;
-  msg.seq = seq;
-  std::future<Message> fut = ch->send(seq, [&](util::ByteWriter& out) {
-    bus::append_frame(out, msg, ch->max_frame_bytes());
-  });
-  Message reply = fut.get();  // matched by seq; throws if the peer died
-  if (reply.kind != MessageKind::kPong) {
+  Message ping{.kind = MessageKind::kPing};
+  Issued call = transport_.issue(cache_.address, ping);
+  if (transport_.await(call, AwaitBound{}).kind != MessageKind::kPong) {
     throw CallError("unexpected reply to ping");
   }
   const double rtt_us =

@@ -15,8 +15,10 @@
 // many sequence-tagged in-flight calls, coalesced scatter-gather writes,
 // and an incremental frame decoder. Every TcpRemoteProc aimed at one
 // host:port shares a pooled connection; call_async() pipelines calls over
-// it (DESIGN.md §14). The blocking TcpConnection remains for peers that
-// want the simple one-frame-at-a-time surface.
+// it (DESIGN.md §14). The client half is the CallCore the cluster runs,
+// over a ChannelTransport: one attempt loop for both fabrics. The
+// blocking TcpConnection remains for peers that want the simple
+// one-frame-at-a-time surface.
 #pragma once
 
 #include <atomic>
@@ -24,6 +26,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "arch/arch.hpp"
@@ -32,10 +35,6 @@
 #include "rpc/host.hpp"
 #include "rpc/message.hpp"
 #include "util/fair_queue.hpp"
-
-namespace npss::obs {
-class Counter;
-}
 
 namespace npss::rpc {
 
@@ -123,42 +122,47 @@ class TcpProcedureHost {
   std::vector<std::jthread> workers_;
 };
 
-class TcpRemoteProc;
-
-/// One pipelined in-flight call (see TcpRemoteProc::call_async). get()
-/// blocks for the reply and yields the CallResult; the destructor of an
-/// un-got pending call abandons its seq (the connection is unaffected).
-class PendingTcpCall {
+/// CallTransport over the pooled bus channel to one host:port, timed by
+/// the steady clock: a timed-out await has already spent its real time,
+/// so nothing more is billed. Like its stub, it has one caller thread at
+/// a time.
+class ChannelTransport final : public CallTransport {
  public:
-  PendingTcpCall(PendingTcpCall&&) = default;
-  PendingTcpCall& operator=(PendingTcpCall&&) = default;
-  ~PendingTcpCall();
+  /// Throws util::CallError when the host is unreachable.
+  ChannelTransport(std::string host, int port);
 
-  /// Wait for the reply (bounded by the deadline captured at issue time)
-  /// and produce the call's result. Idempotent: later calls return the
-  /// same result.
-  CallResult& get();
+  /// A dead or unreachable connection surfaces as util::NoRouteError
+  /// (the request never left); the next issue reconnects.
+  Issued issue(const std::string& to, Message& request) override;
+  /// Throws util::CallError when the connection dies under the request.
+  Message await(Issued& call, const AwaitBound& bound) override;
+  void abandon(Issued& call) override;
+  util::SimTime now() const override;
+  void sleep(util::SimTime us) override;
 
  private:
-  friend class TcpRemoteProc;
-  PendingTcpCall() = default;
+  /// The pooled channel, reconnecting if the previous one died.
+  const std::shared_ptr<bus::BusChannel>& channel();
+  /// Remove `seq`'s reply future from in_flight_ and hand it over.
+  std::future<Message> take(std::uint64_t seq);
 
-  TcpRemoteProc* owner_ = nullptr;
+  std::string host_;
+  int port_ = 0;
   std::shared_ptr<bus::BusChannel> channel_;
-  std::future<Message> reply_;
-  std::uint64_t seq_ = 0;
-  util::SimTime deadline_us_ = 0;
-  std::chrono::steady_clock::time_point issued_;
-  std::size_t request_bytes_ = 0;  ///< argument blob bytes sent
-  uts::ValueList args_;
-  CallResult result_;
-  bool done_ = false;
-  bool answered_ = false;  ///< the peer replied (success or refusal)
+  /// The reply futures of requests issued and not yet awaited or
+  /// abandoned, by seq (bus seqs are unique in the process, so a request
+  /// on a channel since replaced cannot collide), oldest first from
+  /// head_; a taken one leaves seq 0 until the head passes it. The
+  /// capacity is kept, so a steady pipeline allocates nothing here.
+  std::vector<std::pair<std::uint64_t, std::future<Message>>> in_flight_;
+  std::size_t head_ = 0;
 };
 
-/// Client stub calling one procedure on a TcpProcedureHost. All stubs
-/// aimed at one host:port share a pooled bus channel, so their calls
-/// multiplex (and, via call_async, pipeline) over a single socket.
+/// Client stub calling one procedure on a TcpProcedureHost: a CallCore
+/// with a fixed binding (host:port, no Manager) over a ChannelTransport.
+/// All stubs aimed at one host:port share a pooled bus channel, so their
+/// calls multiplex (and, via call_async, pipeline) over a single socket.
+/// Like a Line, a stub has one caller thread at a time.
 class TcpRemoteProc {
  public:
   /// `import_spec_text` holds the import declaration for `name`.
@@ -166,50 +170,40 @@ class TcpRemoteProc {
   TcpRemoteProc(const std::string& host, int port, const std::string& name,
                 const std::string& import_spec_text,
                 const std::string& arch_key);
+  TcpRemoteProc(const TcpRemoteProc&) = delete;
+  TcpRemoteProc& operator=(const TcpRemoteProc&) = delete;
 
-  /// Fault-tolerant invoke, mirroring RemoteProc::call(args, opts) on the
-  /// real transport: deadline_us counts *real* microseconds. Each attempt
-  /// is a call_async() completed in place. A timed-out seq is abandoned —
-  /// the healthy shared connection is kept and the late reply discarded
-  /// by seq; only a dead connection forces a reconnect. failover_machine
-  /// is ignored.
+  /// Fault-tolerant invoke, the engine RemoteProc::call runs, on the real
+  /// transport: deadline_us counts *real* microseconds. A timed-out seq
+  /// is abandoned — the healthy shared connection is kept and the late
+  /// reply discarded by seq; a dead connection is retried on the same
+  /// address once the bus reconnects. failover_machine is ignored.
   CallResult call(uts::ValueList args, const CallOptions& opts);
 
-  /// Issue the call and return immediately; many pending calls pipeline
-  /// over the shared connection and replies are matched by seq. One
-  /// attempt, no retries; `deadline_us` of 0 waits forever in get().
-  PendingTcpCall call_async(uts::ValueList args, util::SimTime deadline_us = 0);
+  /// Issue the call under CallOptions::legacy() and return it in flight;
+  /// many pending calls pipeline over the shared connection and replies
+  /// are matched by seq.
+  PendingCall call_async(uts::ValueList args);
 
   /// Measure a kPing/kPong round trip over the shared connection, in real
   /// (wall-clock) microseconds. Recorded into the rpc.transport.rtt_us
   /// histogram so benches can split network time from marshal time.
+  /// Throws util::NoRouteError when the host cannot be reached, and
+  /// util::CallError when the connection dies under the ping.
   double ping_us();
 
   const uts::Signature& signature() const { return decl_.signature; }
 
  private:
-  friend class PendingTcpCall;
-
-  /// The pooled channel, reconnecting if the previous one died.
-  std::shared_ptr<bus::BusChannel>& live_channel();
-  /// The one reply-completion path of call() and call_async(): wait
-  /// within the deadline captured at issue, then check for a peer error,
-  /// record metrics, unmarshal, and copy val slots through.
-  void finish(PendingTcpCall& pending);
-
-  std::shared_ptr<bus::BusChannel> channel_;
-  std::string host_;
-  int port_ = 0;
+  ChannelTransport transport_;
   std::string name_;
   uts::ProcDecl decl_;
   std::string import_text_;
-  const arch::ArchDescriptor* arch_;
-  std::shared_ptr<const uts::MarshalPlan> request_plan_;
-  std::shared_ptr<const uts::MarshalPlan> reply_plan_;
-  // Cached observability handles: the span label and the per-procedure
-  // call counter are fixed for this stub's lifetime.
-  std::string span_label_;
-  obs::Counter* calls_by_name_ = nullptr;
+  BindingCache cache_;
+  CallCore core_;
 };
+
+/// The TCP name of the engine's one pending-call type.
+using PendingTcpCall = PendingCall;
 
 }  // namespace npss::rpc

@@ -109,29 +109,27 @@ TEST(FrameDecoder, RejectsOversizedLengthPrefixBeforeBuffering) {
   EXPECT_THROW(decoder.next(), util::EncodingError);
 }
 
-TEST(BusFrame, InPlaceCallFrameMatchesEncodeMessage) {
+TEST(BusFrame, InPlaceReplyFrameMatchesEncodeMessage) {
   // The zero-copy builder must be byte-identical to prefix+encode_message
-  // over the equivalent Message, or the two transport generations would
-  // disagree on the wire.
+  // over the equivalent Message, or the two framing paths would disagree
+  // on the wire.
   const uts::SpecFile spec =
       uts::parse_spec("import inc prog(\"x\" val integer, \"y\" res integer)");
-  const uts::ProcDecl& decl = spec.find("inc");
-  const std::string import_text = uts::decl_to_string(decl);
-  const uts::Signature& sig = decl.signature;
+  const uts::Signature& sig = spec.find("inc").signature;
   const arch::ArchDescriptor& arch = arch::arch_catalog("sun-sparc10");
-  auto plan = uts::compile_plan(sig, uts::Direction::kRequest);
-  const uts::ValueList args = {Value::integer(41), Value::integer(0)};
+  auto plan = uts::compile_plan(sig, uts::Direction::kReply);
+  const uts::ValueList values = {Value::integer(41), Value::integer(42)};
+  const obs::TraceContext trace{.trace_id = 5, .span_id = 6,
+                                .parent_span_id = 4};
 
   util::ByteWriter in_place;
-  bus::append_call_frame(in_place, 7, "inc", import_text, *plan, arch, args,
-                         obs::TraceContext{}, 64u << 20);
+  bus::append_reply_frame(in_place, 7, *plan, arch, values, trace, 64u << 20);
 
   Message msg;
-  msg.kind = MessageKind::kCall;
+  msg.kind = MessageKind::kReply;
   msg.seq = 7;
-  msg.a = "inc";
-  msg.b = import_text;
-  msg.blob = uts::marshal(arch, sig, args, uts::Direction::kRequest);
+  msg.blob = uts::marshal(arch, sig, values, uts::Direction::kReply);
+  msg.trace = trace;
   util::Bytes body = encode_message(msg);
   util::ByteWriter reference;
   reference.u32(static_cast<std::uint32_t>(body.size()));

@@ -187,6 +187,32 @@ TEST_F(FaultPathTest, DeadlineExceededComesBackAsStatusNotHang) {
   client->quit();
 }
 
+TEST_F(FaultPathTest, APipelinedCallRetriesFromGetAfterALostRequest) {
+  auto session = system_->make_session("avs");
+  auto client = session->open_line(rpc::LineOptions{}.with_name("split"));
+  client->contact_schx("far", "/bin/echo");
+  auto echo = client->import_proc("echo", kEchoImport);
+  ASSERT_TRUE(echo->call({Value::real(1), Value::real(0)}, wan_options()).ok());
+
+  // The first attempt's request is lost at issue; the link heals before
+  // get(), whose await times out and whose retry is then answered.
+  cluster_->set_fault_seed(11);
+  sim::FaultSpec spec;
+  spec.drop_rate = 1.0;
+  cluster_->set_link_faults("internet-wan", spec);
+  rpc::PendingCall pending =
+      echo->call_async({Value::real(4), Value::real(0)}, wan_options());
+  cluster_->clear_faults();
+
+  CallResult& r = pending.get();
+  ASSERT_TRUE(r.ok()) << r.status.to_string();
+  EXPECT_DOUBLE_EQ(r.values[1].as_real(), 8.0);
+  ASSERT_EQ(r.attempt_count(), 2);
+  EXPECT_EQ(r.attempts[0].status.code(), util::ErrorCode::kDeadlineExceeded);
+  EXPECT_EQ(echo->calls(), 2);
+  client->quit();
+}
+
 TEST_F(FaultPathTest, FivePercentWanLossCompletesEveryIdempotentCall) {
   // The availability claim: under 5% injected frame loss on the wan, a
   // retrying idempotent caller completes every call — no hangs, no

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <future>
 
 #include "npss/procedures.hpp"
 #include "npss/remote_backend.hpp"
@@ -226,12 +225,10 @@ TEST_F(NpssIntegrationTest, AsyncCallsOverlapAcrossInstancesAndMatchSync) {
       uts::Value::real_array({95.0, 600.0, 250000.0, 20.0}),
       uts::Value::real(0.05), uts::Value::real_array({0, 0, 0, 0})};
 
-  std::future<uts::ValueList> f0 =
-      backend.call_async(AdaptedComponent::kDuct, 0, args0);
-  std::future<uts::ValueList> f1 =
-      backend.call_async(AdaptedComponent::kDuct, 1, args1);
-  uts::ValueList r0 = f0.get();
-  uts::ValueList r1 = f1.get();
+  rpc::PendingCall f0 = backend.call_async(AdaptedComponent::kDuct, 0, args0);
+  rpc::PendingCall f1 = backend.call_async(AdaptedComponent::kDuct, 1, args1);
+  uts::ValueList r0 = f0.get().values_or_raise();
+  uts::ValueList r1 = f1.get().values_or_raise();
 
   tess::ComponentHooks hooks = backend.hooks();
   tess::StationArray s0 =

@@ -272,6 +272,32 @@ TEST_F(SeqFilterTest, DuplicatedRepliesAreDroppedNeverStashed) {
   EXPECT_FALSE(io_->try_receive().has_value());
 }
 
+TEST_F(SeqFilterTest, ARepliedSeqIsKeptForItsAwaitAndDroppedWhenAbandoned) {
+  sim::EndpointPtr peer = cluster_.create_endpoint("b", "peer");
+  Message first{.kind = MessageKind::kPing};
+  Message second{.kind = MessageKind::kPing};
+  Message third{.kind = MessageKind::kPing};
+  Issued a = io_->issue(peer->address(), first);
+  Issued b = io_->issue(peer->address(), second);
+  Issued c = io_->issue(peer->address(), third);
+  deliver(*peer, Message{.kind = MessageKind::kPong, .seq = a.seq, .a = "a"});
+  deliver(*peer, Message{.kind = MessageKind::kPong, .seq = b.seq, .a = "b"});
+  deliver(*peer, Message{.kind = MessageKind::kPong, .seq = c.seq, .a = "c"});
+
+  // Awaited last first: the earlier replies are kept for their own
+  // awaits, never stashed for the owner's main loop. Bounded, so a lost
+  // reply fails the test instead of hanging it.
+  const AwaitBound bound{.budget_us = 1, .host_grace_ms = 500};
+  EXPECT_EQ(io_->await(c, bound).a, "c");
+  EXPECT_FALSE(io_->try_receive().has_value());
+  EXPECT_EQ(io_->await(a, bound).a, "a");
+  // Abandoned after its reply arrived: the kept reply goes too.
+  io_->abandon(b);
+  EXPECT_FALSE(io_->try_receive().has_value());
+  deliver(*peer, Message{.kind = MessageKind::kPong, .seq = b.seq});
+  EXPECT_FALSE(io_->try_receive().has_value()) << "a duplicate stays dropped";
+}
+
 // --- Runtime fixtures ---------------------------------------------------------------
 
 const char* kCounterSpec = R"(

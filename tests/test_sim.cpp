@@ -7,7 +7,7 @@
 
 #include <atomic>
 #include <chrono>
-#include <future>
+#include <filesystem>
 #include <map>
 #include <mutex>
 #include <stdexcept>
@@ -585,6 +585,17 @@ TEST_F(FabricTest, FourConcurrentClientThreadsAllGetTheirReplies) {
   EXPECT_EQ(correct.load(), kClients * kCalls);
 }
 
+/// The process's OS threads: the entries of /proc/self/task.
+std::size_t thread_count() {
+  std::size_t n = 0;
+  for (const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)task;
+    ++n;
+  }
+  return n;
+}
+
 TEST_F(FabricTest, SleepingHostsDoNotStallTheFabric) {
   const char* nap_spec =
       R"(export nap prog("ms" val integer, "done" res integer))";
@@ -613,9 +624,12 @@ TEST_F(FabricTest, SleepingHostsDoNotStallTheFabric) {
 
   const uts::ValueList args = {uts::Value::integer(50),
                                uts::Value::integer(0)};
+  const std::size_t threads_before = thread_count();
   const auto t0 = std::chrono::steady_clock::now();
-  std::vector<std::future<rpc::CallResult>> pending;
+  std::vector<rpc::PendingCall> pending;
   for (auto& nap : naps) pending.push_back(nap->call_async(args, kLegacy));
+  EXPECT_LE(thread_count(), threads_before)
+      << "an outstanding call must not own a thread";
   for (auto& p : pending) {
     EXPECT_EQ(p.get().values_or_raise()[1].as_integer(), 50);
   }
@@ -624,6 +638,51 @@ TEST_F(FabricTest, SleepingHostsDoNotStallTheFabric) {
                              .count();
   EXPECT_GE(wall_ms, 50.0);
   EXPECT_LT(wall_ms, 90.0) << "the two 50 ms sleeps did not overlap";
+}
+
+TEST_F(FabricTest, TwoCallsOutstandingOnOneLineAreAwaitedInReverseOrder) {
+  install_add("cray");
+  auto line = session_->open_line(rpc::LineOptions{}.with_name("split"));
+  line->contact_schx("cray", "/npss/add");
+  auto add = line->import_proc("add", kAddImport);
+  // Bounded, so a reply lost between the two awaits fails the test
+  // instead of hanging it.
+  rpc::CallOptions bounded = kLegacy;
+  bounded.deadline_us = 10'000'000;
+  bounded.host_grace_ms = 500;
+  rpc::PendingCall first = add->call_async(add_args(1, 2), bounded);
+  rpc::PendingCall second = add->call_async(add_args(10, 20), bounded);
+  // The first reply lands while the second is awaited and is kept for
+  // the first call's own await.
+  EXPECT_DOUBLE_EQ(second.get().values_or_raise()[2].as_real(), 30.0);
+  EXPECT_DOUBLE_EQ(first.get().values_or_raise()[2].as_real(), 3.0);
+  EXPECT_DOUBLE_EQ(first.get().values[2].as_real(), 3.0) << "get() repeats";
+  EXPECT_EQ(add->calls(), 2);
+}
+
+TEST_F(FabricTest, ADroppedPendingCallReleasesItsSlotAndLosesItsLateReply) {
+  cluster_.install_image(
+      "cray", "/npss/slow-add",
+      rpc::make_procedure_image(
+          kAddSpec, {{"add", [](rpc::ProcCall& call) {
+                        sleep_for(std::chrono::milliseconds(20));
+                        call.set_real("sum", call.real("x") + call.real("y"));
+                      }}}));
+  auto line = session_->open_line(
+      rpc::LineOptions{}.with_name("dropper").with_budget({.outstanding = 1}));
+  line->contact_schx("cray", "/npss/slow-add");
+  auto add = line->import_proc("add", kAddImport);
+  add->call(add_args(0, 0), kLegacy).values_or_raise();  // bind
+
+  { rpc::PendingCall dropped = add->call_async(add_args(1, 2), kLegacy); }
+  EXPECT_EQ(line->budget()->outstanding(), 0)
+      << "the dropped call's slot is released";
+  // The dropped call's reply lands during this call and is discarded: the
+  // call gets its own sum, and the one-call quota has room for it.
+  rpc::CallResult next = add->call(add_args(10, 20), kLegacy);
+  ASSERT_TRUE(next.ok()) << next.status.to_string();
+  EXPECT_DOUBLE_EQ(next.values[2].as_real(), 30.0);
+  EXPECT_EQ(line->budget()->outstanding(), 0);
 }
 
 }  // namespace

@@ -7,7 +7,9 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <memory>
 #include <thread>
 #include <tuple>
 
@@ -260,6 +262,95 @@ TEST(TcpTransport, PipelinedAndLockStepCountTheSameMarshaledBytes) {
   const std::uint64_t pipelined = bytes.value() - start - lockstep;
   EXPECT_GT(lockstep, 0u);
   EXPECT_EQ(pipelined, lockstep);
+}
+
+const char* kNapSpec = R"(export nap prog("ms" val integer, "y" res integer))";
+const char* kNapImport =
+    R"(import nap prog("ms" val integer, "y" res integer))";
+
+/// Serves nap: sleeps `ms` and echoes it. With `late_first`, the host's
+/// first reply instead comes 300 ms late and every later one at once.
+std::unique_ptr<TcpProcedureHost> nap_host(bool late_first = false) {
+  auto served = std::make_shared<std::atomic<int>>(0);
+  return std::make_unique<TcpProcedureHost>(
+      kNapSpec,
+      std::vector<ProcedureDef>{
+          {"nap",
+           [served, late_first](ProcCall& c) {
+             const bool late = late_first && served->fetch_add(1) == 0;
+             std::this_thread::sleep_for(std::chrono::milliseconds(
+                 late ? 300 : c.integer("ms")));
+             c.set("y", Value::integer(c.integer("ms")));
+           }}},
+      "sun-sparc10");
+}
+
+TEST(TcpTransport, ATimedOutCallCountsInTheSharedFailureMetrics) {
+  auto host = nap_host();
+  TcpRemoteProc nap("127.0.0.1", host->port(), "nap", kNapImport,
+                    "sun-sparc10");
+  obs::Registry& reg = obs::Registry::global();
+  const std::uint64_t timeouts = reg.counter("rpc.client.timeouts").value();
+  const std::uint64_t failed = reg.counter("rpc.client.failed_calls").value();
+  CallOptions opts;  // not idempotent: a timeout is not retried
+  opts.deadline_us = 50'000;
+  CallResult r = nap.call({Value::integer(300), Value::integer(0)}, opts);
+  EXPECT_EQ(r.status.code(), util::ErrorCode::kDeadlineExceeded);
+  EXPECT_EQ(reg.counter("rpc.client.timeouts").value() - timeouts, 1u);
+  EXPECT_EQ(reg.counter("rpc.client.failed_calls").value() - failed, 1u);
+}
+
+TEST(TcpTransport,
+     AnIdempotentCallIsRetriedAfterALateReplyWithJitteredBackoff) {
+  auto host = nap_host(/*late_first=*/true);
+  TcpRemoteProc nap("127.0.0.1", host->port(), "nap", kNapImport,
+                    "sun-sparc10");
+  CallOptions opts;
+  opts.deadline_us = 200'000;  // 100 ms for each of two attempts
+  opts.max_attempts = 2;
+  opts.idempotent = true;
+  CallResult r = nap.call({Value::integer(0), Value::integer(0)}, opts);
+  ASSERT_TRUE(r.ok()) << r.status.to_string();
+  ASSERT_EQ(r.attempt_count(), 2);
+  EXPECT_EQ(r.attempts[0].status.code(), util::ErrorCode::kDeadlineExceeded);
+  const double initial = static_cast<double>(opts.backoff.initial_us);
+  EXPECT_GE(r.attempts[1].backoff_us, initial * (1.0 - opts.backoff.jitter));
+  EXPECT_LE(r.attempts[1].backoff_us, initial * (1.0 + opts.backoff.jitter));
+}
+
+TEST(TcpTransport, ANonIdempotentCallIsNotRetriedAfterALateReply) {
+  auto host = nap_host(/*late_first=*/true);
+  TcpRemoteProc nap("127.0.0.1", host->port(), "nap", kNapImport,
+                    "sun-sparc10");
+  CallOptions opts;
+  opts.deadline_us = 200'000;
+  opts.max_attempts = 2;
+  CallResult r = nap.call({Value::integer(0), Value::integer(0)}, opts);
+  EXPECT_EQ(r.status.code(), util::ErrorCode::kDeadlineExceeded);
+  EXPECT_EQ(r.attempt_count(), 1);
+}
+
+TEST(TcpTransport, APipelinedCallToADeadHostRetriesFromGetOnTheSameAddress) {
+  auto host = nap_host();
+  TcpRemoteProc nap("127.0.0.1", host->port(), "nap", kNapImport,
+                    "sun-sparc10");
+  host->stop();
+  // Once a ping has failed, the stub has seen its connection die: the
+  // next request cannot leave, and is not in doubt.
+  EXPECT_THROW(nap.ping_us(), util::Error);
+  obs::Registry& reg = obs::Registry::global();
+  const std::uint64_t retries = reg.counter("rpc.client.retries").value();
+  const std::uint64_t stale = reg.counter("rpc.client.stale_retries").value();
+  // The first attempt fails at issue; get() runs the second (a reconnect
+  // to the same host:port, as the binding is fixed).
+  PendingTcpCall pending = nap.call_async({Value::integer(0), Value::integer(0)});
+  CallResult& r = pending.get();
+  EXPECT_EQ(r.status.code(), util::ErrorCode::kNoRoute);
+  ASSERT_EQ(r.attempt_count(), 2);
+  EXPECT_EQ(r.attempts[1].address, r.attempts[0].address);
+  EXPECT_EQ(reg.counter("rpc.client.retries").value() - retries, 1u);
+  EXPECT_EQ(reg.counter("rpc.client.stale_retries").value(), stale)
+      << "a reconnect is no stale binding";
 }
 
 // One export served by both procedure hosts — the cluster image and the
