@@ -17,10 +17,12 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -121,6 +123,90 @@ Row tcp_lockstep(rpc::TcpRemoteProc& proc, const std::string& signature,
   return make_row(signature, "tcp", "lockstep", latencies, wall.elapsed_ms());
 }
 
+/// Blocking, length-prefixed Message stream over a connected socket: the
+/// raw-socket floor's one-frame-at-a-time transport.
+class TcpConnection {
+ public:
+  /// Adopt an already-connected socket descriptor.
+  explicit TcpConnection(int fd) : fd_(fd) {}
+  ~TcpConnection() { close(); }
+  TcpConnection(const TcpConnection&) = delete;
+  TcpConnection& operator=(const TcpConnection&) = delete;
+
+  /// Connect to host:port. Throws util::CallError on failure.
+  static std::unique_ptr<TcpConnection> connect(const std::string& host,
+                                                int port) {
+    return std::make_unique<TcpConnection>(
+        rpc::bus::tcp_connect_fd(host, port));
+  }
+
+  void send(const rpc::Message& msg) {
+    const util::Bytes frame = rpc::encode_message(msg);
+    std::uint8_t prefix[4];
+    const auto len = static_cast<std::uint32_t>(frame.size());
+    for (int i = 0; i < 4; ++i) {
+      prefix[i] = static_cast<std::uint8_t>(len >> (8 * (3 - i)));
+    }
+    write_all(prefix, 4);
+    write_all(frame.data(), frame.size());
+  }
+
+  /// Blocking receive; returns false on orderly peer close.
+  bool receive(rpc::Message& msg) {
+    std::uint8_t prefix[4];
+    if (!read_all(prefix, 4)) return false;
+    std::uint32_t len = 0;
+    for (int i = 0; i < 4; ++i) len = (len << 8) | prefix[i];
+    if (len > (64u << 20)) {
+      throw util::EncodingError("tcp frame length " + std::to_string(len) +
+                                " exceeds the 64 MiB sanity cap");
+    }
+    util::Bytes frame(len);
+    if (!read_all(frame.data(), len)) return false;
+    msg = rpc::decode_message(frame);
+    return true;
+  }
+
+  void close() {
+    if (fd_ >= 0) {
+      ::shutdown(fd_, SHUT_RDWR);
+      ::close(fd_);
+      fd_ = -1;
+    }
+  }
+
+ private:
+  void write_all(const std::uint8_t* data, std::size_t size) {
+    std::size_t sent = 0;
+    while (sent < size) {
+      const ssize_t n = ::send(fd_, data + sent, size - sent, MSG_NOSIGNAL);
+      if (n > 0) {
+        sent += static_cast<std::size_t>(n);
+      } else if (n < 0 && errno == EINTR) {
+        continue;
+      } else {
+        throw util::CallError("tcp send failed");
+      }
+    }
+  }
+
+  bool read_all(std::uint8_t* data, std::size_t size) {
+    std::size_t got = 0;
+    while (got < size) {
+      const ssize_t n = ::recv(fd_, data + got, size - got, 0);
+      if (n == 0) return false;  // orderly close
+      if (n < 0) {
+        if (errno == EINTR) continue;
+        throw util::CallError("tcp recv failed");
+      }
+      got += static_cast<std::size_t>(n);
+    }
+    return true;
+  }
+
+  int fd_ = -1;
+};
+
 /// The floor under the bus's lock-step rows: a null call (ping, pong)
 /// over a plain blocking TcpConnection pair. One thread per end, no
 /// dispatcher, no worker pool, no marshal plan.
@@ -142,7 +228,7 @@ Row tcp_raw_floor(long calls) {
     const int fd = ::accept(listen_fd, nullptr, nullptr);
     int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-    rpc::TcpConnection server(fd);
+    TcpConnection server(fd);
     rpc::Message msg;
     while (server.receive(msg)) {
       msg.kind = rpc::MessageKind::kPong;
@@ -152,7 +238,7 @@ Row tcp_raw_floor(long calls) {
   std::vector<double> latencies;
   latencies.reserve(static_cast<std::size_t>(calls));
   auto client =
-      rpc::TcpConnection::connect("127.0.0.1", ntohs(addr.sin_port));
+      TcpConnection::connect("127.0.0.1", ntohs(addr.sin_port));
   rpc::Message ping, pong;
   ping.kind = rpc::MessageKind::kPing;
   util::Stopwatch wall;

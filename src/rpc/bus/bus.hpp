@@ -33,9 +33,6 @@ struct BusOptions {
   /// dispatcher stops reading new requests from it until the peer
   /// drains — slow consumers stall themselves, not the process.
   std::size_t backpressure_bytes = 4u << 20;
-  /// Handler threads a TcpProcedureHost runs behind the dispatcher
-  /// (0 = run handlers inline on the event-loop thread).
-  int workers = 2;
 };
 
 /// Cached handles for the bus-level counters (registry lookups are

@@ -112,8 +112,8 @@ class TcpBus {
 };
 
 /// Blocking TCP connect (IPv4 dotted quad), TCP_NODELAY set. Throws
-/// util::CallError on failure. Shared by the channel pool and the legacy
-/// blocking TcpConnection.
+/// util::CallError on failure. Used by the channel pool and by
+/// bench_throughput's raw-socket floor.
 int tcp_connect_fd(const std::string& host, int port);
 
 }  // namespace npss::rpc::bus

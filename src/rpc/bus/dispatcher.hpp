@@ -2,7 +2,7 @@
 // nonblocking. Modeled on the classic tcp_dispatcher/tcp_connection
 // split of high-throughput RPC buses: the dispatcher owns the sockets
 // and reads them; connection users (client channels, the procedure
-// host's workers) append frames and receive decoded Messages.
+// host engine) append frames and receive decoded Messages.
 //
 // Threading contract:
 //   * on_frame / on_close / on_accept callbacks run on the loop thread.
@@ -64,7 +64,7 @@ class BusConnection : public std::enable_shared_from_this<BusConnection> {
   BusConnection& operator=(const BusConnection&) = delete;
 
   /// Append one complete frame via `framer` (which must write exactly
-  /// one length-prefixed frame, e.g. through append_reply_frame) and
+  /// one length-prefixed frame, e.g. through append_frame) and
   /// schedule a flush. With kWriteThrough, when the frame is the whole
   /// backlog and no thread is writing, it is written right here instead.
   /// Thread-safe. Returns false when the connection is closed — the

@@ -4,14 +4,11 @@ namespace npss::rpc::bus {
 
 using util::ByteWriter;
 
-std::size_t begin_frame(ByteWriter& out) {
+void append_frame(ByteWriter& out, const Message& msg,
+                  std::size_t max_frame_bytes) {
   const std::size_t mark = out.size();
-  out.u32(0);  // placeholder, patched by end_frame
-  return mark;
-}
-
-void end_frame(ByteWriter& out, std::size_t mark,
-               std::size_t max_frame_bytes) {
+  out.u32(0);  // length prefix, patched once the body is written
+  encode_message_into(out, msg);
   const std::size_t body = out.size() - mark - 4;
   if (body > max_frame_bytes) {
     throw util::EncodingError("frame length " + std::to_string(body) +
@@ -19,47 +16,6 @@ void end_frame(ByteWriter& out, std::size_t mark,
                               std::to_string(max_frame_bytes) + " byte cap");
   }
   out.patch_u32(mark, static_cast<std::uint32_t>(body));
-}
-
-void append_frame(ByteWriter& out, const Message& msg,
-                  std::size_t max_frame_bytes) {
-  const std::size_t mark = begin_frame(out);
-  encode_message_into(out, msg);
-  end_frame(out, mark, max_frame_bytes);
-}
-
-void append_reply_frame(ByteWriter& out, std::uint64_t seq,
-                        const uts::MarshalPlan& plan,
-                        const arch::ArchDescriptor& arch,
-                        const uts::ValueList& values,
-                        const obs::TraceContext& trace,
-                        std::size_t max_frame_bytes) {
-  // The fixed Message fields, then the blob encoded in place through the
-  // compiled plan (a nested length placeholder patched once the batch is
-  // written), then an empty table and the optional trace extension.
-  // Byte-identical to encode_message over a kReply Message whose blob is
-  // plan.marshal(...).
-  const std::size_t mark = begin_frame(out);
-  out.u8(static_cast<std::uint8_t>(MessageKind::kReply));
-  out.u64(seq);
-  out.i64(kNoLine);
-  out.str(std::string_view{});  // a
-  out.str(std::string_view{});  // b
-  out.str(std::string_view{});  // c
-  out.i64(0);                   // n
-  const std::size_t blob_mark = out.size();
-  out.u32(0);  // blob length placeholder
-  plan.marshal_into(arch, values, out);
-  out.patch_u32(blob_mark,
-                static_cast<std::uint32_t>(out.size() - blob_mark - 4));
-  out.u32(0);  // empty table
-  if (trace.active()) {
-    out.u8(kTraceExtensionMarker);
-    out.u64(trace.trace_id);
-    out.u64(trace.span_id);
-    out.u64(trace.parent_span_id);
-  }
-  end_frame(out, mark, max_frame_bytes);
 }
 
 void FrameDecoder::feed(std::span<const std::uint8_t> data) {

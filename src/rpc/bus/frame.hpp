@@ -2,13 +2,12 @@
 // Schooner Message frame the blocking transport used, but produced and
 // consumed incrementally.
 //
-// Producing: frames are appended *in place* to a connection's pending
-// output buffer — append_reply_frame writes the message fields directly
-// and marshals the UTS value batch through a compiled MarshalPlan straight
-// into the same buffer, so a small reply reaches the socket with zero
-// intermediate copies (no Message::blob, no encode_message temporary, no
-// prefix copy). Calls leave through append_frame over the client's kept
-// request, whose blob buffer is reused from call to call.
+// Producing: append_frame encodes a Message straight into a connection's
+// pending output buffer behind a patched length prefix (no
+// encode_message temporary, no prefix copy). Calls and replies both leave
+// this way: a call from the client's kept request, whose blob buffer is
+// reused from call to call, a reply from the Message the host engine
+// built.
 //
 // Consuming: FrameDecoder buffers whatever recv() produced and yields
 // complete frames — it tolerates partial reads (a frame split across
@@ -21,36 +20,17 @@
 #include <span>
 #include <string>
 
-#include "arch/arch.hpp"
 #include "rpc/message.hpp"
 #include "util/bytes.hpp"
-#include "uts/marshal_plan.hpp"
 
 namespace npss::rpc::bus {
 
-/// Begin a length-prefixed frame: writes a 4-byte placeholder and
-/// returns its position for end_frame().
-std::size_t begin_frame(util::ByteWriter& out);
-
-/// Patch the length prefix opened at `mark` to cover everything
-/// appended since. Throws util::EncodingError if the body exceeds
-/// `max_frame_bytes` (the peer would drop the connection anyway).
-void end_frame(util::ByteWriter& out, std::size_t mark,
-               std::size_t max_frame_bytes);
-
-/// Append a complete frame for an arbitrary Message (control traffic:
-/// ping/pong, errors — paths where zero-copy does not matter).
+/// Append a complete length-prefixed frame for `msg`. Throws
+/// util::EncodingError if the body exceeds `max_frame_bytes` (the peer
+/// would drop the connection anyway); `out` then holds a partial frame,
+/// which BusConnection::send_frame rolls back.
 void append_frame(util::ByteWriter& out, const Message& msg,
                   std::size_t max_frame_bytes);
-
-/// Append a kReply frame, marshaling `values` through `plan` (the
-/// compiled reply plan) directly into `out`.
-void append_reply_frame(util::ByteWriter& out, std::uint64_t seq,
-                        const uts::MarshalPlan& plan,
-                        const arch::ArchDescriptor& arch,
-                        const uts::ValueList& values,
-                        const obs::TraceContext& trace,
-                        std::size_t max_frame_bytes);
 
 /// Incremental decoder for the length-prefixed stream. feed() appends a
 /// read chunk; next() yields each complete frame payload (prefix

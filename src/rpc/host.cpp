@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <cctype>
-#include <thread>
 
 #include "obs/trace.hpp"
 #include "rpc/calling.hpp"
 #include "rpc/manager.hpp"
 #include "rpc/metrics.hpp"
-#include "util/fair_queue.hpp"
 #include "util/log.hpp"
 #include "util/sha256.hpp"
 
@@ -32,32 +30,46 @@ std::string table_get(const std::vector<std::string>& argv,
 
 }  // namespace
 
-class HostRuntime {
+/// The cluster image: a HostEngine over the process's MessageIo, plus the
+/// cluster runtime the TCP host lacks (export registration, simulated
+/// compute time, nested calls, migration state and shutdown).
+class HostRuntime final : public HostEngine {
  public:
   HostRuntime(sim::ProcessContext& ctx, const std::string& spec_text,
               const std::vector<ProcedureDef>& procs,
               const ProcedureImageOptions& options)
-      : ctx_(ctx),
+      : HostEngine(spec_text, procs, ctx.self().arch(), io_, options),
+        ctx_(ctx),
         io_(ctx.cluster(), ctx.self_ptr()),
-        options_(options),
-        exports_(spec_text, procs),
         spec_hash_(util::sha256_hex(spec_text)) {
     manager_ = table_get(ctx.args(), "manager", "");
     line_ = std::stoll(table_get(ctx.args(), "line", "-1"));
     shared_ = table_get(ctx.args(), "shared", "0") == "1";
     path_ = table_get(ctx.args(), "path", "?");
   }
+  // The pool must stop before the members its handlers reach go.
+  ~HostRuntime() override { drain(); }
 
   void run() {
     register_exports();
-    serve();
+    // The dispatch fiber keeps sole ownership of io_.receive(); pool
+    // workers only send, so draining the pool cannot wait on another sim
+    // process (DESIGN.md §16).
+    while (auto in = io_.receive()) {
+      HostRequest request{std::move(in->msg), std::move(in->sender)};
+      if (!dispatch(request)) {
+        drain_and_exit(request.msg.a);
+        return;
+      }
+    }
+    drain();
   }
 
-  void compute(double microseconds) { ctx_.compute(microseconds); }
+  void compute(double microseconds) override { ctx_.compute(microseconds); }
 
   uts::ValueList call_remote(const std::string& name,
                              const std::string& import_text,
-                             uts::ValueList args) {
+                             uts::ValueList args) override {
     if (options_.workers > 0) {
       // The dispatch loop owns io_.receive(); a nested call from a worker
       // would race it for the reply stream.
@@ -85,6 +97,8 @@ class HostRuntime {
   }
 
  private:
+  bool in_cluster() const override { return true; }
+
   void register_exports() {
     const arch::ArchDescriptor& arch = ctx_.self().arch();
     Message msg;
@@ -113,108 +127,6 @@ class HostRuntime {
                    " procedure(s) for line ", line_);
   }
 
-  void serve() {
-    // Pooled mode (§15 fairness): kCall work queues per line and the pool
-    // drains lines round-robin, so one line's call storm waits behind its
-    // own earlier calls instead of starving every other line. Control
-    // messages stay on the dispatch fiber, which also keeps sole
-    // ownership of io_.receive(). The workers only send, so joining them
-    // here cannot wait on another sim process (DESIGN.md §16).
-    util::FairQueue<Incoming> queue;
-    std::vector<std::jthread> pool;
-    const int workers = std::max(options_.workers, 0);
-    pool.reserve(static_cast<std::size_t>(workers));
-    for (int i = 0; i < workers; ++i) {
-      pool.emplace_back([this, &queue] {
-        while (auto work = queue.pop()) on_call(*work);
-      });
-    }
-    while (auto in = io_.receive()) {
-      const Message& msg = in->msg;
-      switch (msg.kind) {
-        case MessageKind::kCall:
-          if (workers > 0) {
-            queue.push(msg.line, std::move(*in));
-          } else {
-            on_call(*in);
-          }
-          break;
-        case MessageKind::kStateRequest: {
-          Message rep;
-          rep.kind = MessageKind::kStateReply;
-          rep.seq = msg.seq;
-          if (options_.save_state) rep.blob = options_.save_state();
-          io_.send(in->from(), std::move(rep));
-          break;
-        }
-        case MessageKind::kStateInstall: {
-          Message rep;
-          rep.kind = MessageKind::kStateAck;
-          rep.seq = msg.seq;
-          if (options_.restore_state) {
-            options_.restore_state(msg.blob);
-          }
-          io_.send(in->from(), std::move(rep));
-          break;
-        }
-        case MessageKind::kPing:
-          io_.send(in->from(),
-                   Message{.kind = MessageKind::kPong, .seq = msg.seq});
-          break;
-        case MessageKind::kShutdownProc:
-          // Let the pool finish (and answer) everything already queued,
-          // then error-answer whatever is still in the mailbox.
-          queue.close();
-          pool.clear();
-          drain_and_exit(msg.a);
-          return;
-        default:
-          io_.send(in->from(),
-                   Message::error_reply(msg, util::ErrorCode::kProtocolError,
-                                        "procedure host: unexpected " +
-                                            std::string(message_kind_name(
-                                                msg.kind))));
-      }
-    }
-    queue.close();
-  }
-
-  void on_call(const Incoming& in) {
-    const Message& msg = in.msg;
-    // Adopt the caller's trace so both hops share one trace id; nested
-    // remote calls made by the handler become children of this span.
-    obs::Span span("rpc.host", "serve " + msg.a, msg.trace);
-    span.set_line(msg.line);
-    try {
-      // Parse/type-check/plan-compile once per distinct import text; the
-      // steady-state path runs the compiled plans only.
-      const PreparedImport& prep = exports_.prepare(msg.a, msg.b);
-      const arch::ArchDescriptor& arch = ctx_.self().arch();
-      compute(static_cast<double>(msg.blob.size()) * kMarshalUsPerByte);
-      if (options_.compute_us_per_call > 0) {
-        compute(options_.compute_us_per_call);
-      }
-      util::Bytes blob = prep.reply_plan->marshal(
-          arch, run_prepared(prep, arch, msg.blob, this));
-      compute(static_cast<double>(blob.size()) * kMarshalUsPerByte);
-      Message rep;
-      rep.kind = MessageKind::kReply;
-      rep.seq = msg.seq;
-      rep.blob = std::move(blob);
-      rep.trace = span.context();
-      if (obs::enabled()) {
-        RpcMetrics& m = rpc_metrics();
-        m.host_calls.add();
-        m.host_bytes_marshaled.add(msg.blob.size() + rep.blob.size());
-        m.host_handler_us.record(span.elapsed_us());
-      }
-      io_.send(in.from(), std::move(rep));
-    } catch (const util::Error& e) {
-      count(rpc_metrics().host_errors);
-      io_.send(in.from(), Message::error_reply(msg, e));
-    }
-  }
-
   /// On shutdown, close the mailbox, then answer any queued calls with a
   /// stale-binding error so blocked callers re-bind instead of hanging.
   void drain_and_exit(const std::string& reason) {
@@ -236,12 +148,8 @@ class HostRuntime {
 
   sim::ProcessContext& ctx_;
   MessageIo io_;
-  ProcedureImageOptions options_;
-  /// Read by pooled workers; its prepared-import cache locks itself. The
-  /// rest of HostRuntime's state is dispatch-fiber-only: the nested
-  /// caches are touched only by unpooled hosts, and io_.receive() is
-  /// owned by the dispatch fiber alone.
-  ExportTable exports_;
+  // Dispatch-fiber-only: the nested caches are touched only by unpooled
+  // hosts.
   std::string manager_;
   LineId line_ = kNoLine;
   bool shared_ = false;
@@ -313,10 +221,15 @@ const PreparedImport& ExportTable::prepare(const std::string& name,
       .first->second;
 }
 
+namespace {
+
+/// Serve one call: unmarshal `request` through the prepared plan, scatter
+/// it into the export's slots, run the handler, and gather the reply
+/// values back into import order for the caller to marshal.
 uts::ValueList run_prepared(const PreparedImport& prep,
                             const arch::ArchDescriptor& arch,
                             std::span<const std::uint8_t> request,
-                            HostRuntime* host) {
+                            HostEngine& host) {
   const uts::Signature& import_sig = prep.import_decl.signature;
   // Request values decode straight into their export slots; only the
   // slots nothing fills copy a default.
@@ -338,6 +251,122 @@ uts::ValueList run_prepared(const PreparedImport& prep,
     reply_values.push_back(std::move(call.values()[prep.slot_of_import[i]]));
   }
   return reply_values;
+}
+
+}  // namespace
+
+// --- HostEngine ------------------------------------------------------------
+
+HostEngine::HostEngine(const std::string& spec_text,
+                       std::vector<ProcedureDef> procs,
+                       const arch::ArchDescriptor& arch,
+                       HostTransport& transport,
+                       ProcedureImageOptions options)
+    : options_(std::move(options)),
+      exports_(spec_text, std::move(procs)),
+      arch_(&arch),
+      transport_(transport) {
+  const int workers = std::max(options_.workers, 0);
+  pool_.reserve(static_cast<std::size_t>(workers));
+  for (int i = 0; i < workers; ++i) {
+    pool_.emplace_back([this] {
+      while (auto request = queue_.pop()) serve(*request, /*pooled=*/true);
+    });
+  }
+}
+
+void HostEngine::drain() {
+  queue_.close();
+  pool_.clear();  // joins; pop() hands out every queued call first
+}
+
+bool HostEngine::dispatch(HostRequest& request) {
+  const Message& msg = request.msg;
+  if (msg.kind == MessageKind::kCall) {
+    // Pooled, the call queues behind its own line's earlier calls.
+    if (pool_.empty()) {
+      serve(request, /*pooled=*/false);
+    } else {
+      queue_.push(msg.line, std::move(request));
+    }
+    return true;
+  }
+  // Every other kind is answered here, on the delivering thread: a ping
+  // ahead of queued calls, so an RTT probe measures the fabric.
+  Message rep{.kind = MessageKind::kPong, .seq = msg.seq};
+  // Migration and shutdown orders come from a cluster's Manager: a host
+  // without a cluster runtime answers them as unexpected, like a stray
+  // kError.
+  const bool order = msg.kind == MessageKind::kStateRequest ||
+                     msg.kind == MessageKind::kStateInstall ||
+                     msg.kind == MessageKind::kShutdownProc;
+  switch (order && !in_cluster() ? MessageKind::kError : msg.kind) {
+    case MessageKind::kPing:
+      break;
+    case MessageKind::kStateRequest:
+      rep.kind = MessageKind::kStateReply;
+      if (options_.save_state) rep.blob = options_.save_state();
+      break;
+    case MessageKind::kStateInstall:
+      rep.kind = MessageKind::kStateAck;
+      if (options_.restore_state) options_.restore_state(msg.blob);
+      break;
+    case MessageKind::kShutdownProc:
+      drain();
+      return false;
+    default:
+      rep = Message::error_reply(msg, util::ErrorCode::kProtocolError,
+                                 "procedure host: unexpected " +
+                                     std::string(message_kind_name(msg.kind)));
+  }
+  transport_.reply(request, rep, /*last=*/false);
+  return true;
+}
+
+void HostEngine::serve(HostRequest& request, bool pooled) {
+  const Message& msg = request.msg;
+  // A worker that finds the queue empty sends the last reply of its
+  // batch; queued calls mean more replies follow to share its write.
+  auto last = [&] { return pooled && queue_.size() == 0; };
+  // Adopt the caller's trace so both hops share one trace id; nested
+  // remote calls made by the handler become children of this span.
+  obs::Span span("rpc.host", "serve " + msg.a, msg.trace);
+  span.set_line(msg.line);
+  try {
+    // Parse/type-check/plan-compile once per distinct import text; the
+    // steady-state path runs the compiled plans only.
+    const PreparedImport& prep = exports_.prepare(msg.a, msg.b);
+    compute(static_cast<double>(msg.blob.size()) * kMarshalUsPerByte);
+    if (options_.compute_us_per_call > 0) {
+      compute(options_.compute_us_per_call);
+    }
+    Message rep;
+    rep.kind = MessageKind::kReply;
+    rep.seq = msg.seq;
+    rep.blob = prep.reply_plan->marshal(
+        *arch_, run_prepared(prep, *arch_, msg.blob, *this));
+    compute(static_cast<double>(rep.blob.size()) * kMarshalUsPerByte);
+    rep.trace = span.context();
+    // Counted before the reply can leave: a caller that has its reply
+    // also sees the count.
+    ++calls_;
+    if (obs::enabled()) {
+      RpcMetrics& m = rpc_metrics();
+      m.host_calls.add();
+      m.host_bytes_marshaled.add(msg.blob.size() + rep.blob.size());
+      m.host_handler_us.record(span.elapsed_us());
+    }
+    transport_.reply(request, rep, last());
+  } catch (const util::Error& e) {
+    count(rpc_metrics().host_errors);
+    transport_.reply(request, Message::error_reply(msg, e), last());
+  }
+}
+
+uts::ValueList HostEngine::call_remote(const std::string&, const std::string&,
+                                       uts::ValueList) {
+  throw util::ModelError(
+      "nested remote calls need the Schooner cluster runtime");
 }
 
 // --- ProcCall --------------------------------------------------------------
@@ -365,17 +394,11 @@ void ProcCall::set(std::string_view name, uts::Value value) {
   values_[index_of(name)] = std::move(value);
 }
 
-void ProcCall::compute(double microseconds) {
-  if (host_) host_->compute(microseconds);
-}
+void ProcCall::compute(double microseconds) { host_->compute(microseconds); }
 
 uts::ValueList ProcCall::call_remote(const std::string& name,
                                      const std::string& import_spec_text,
                                      uts::ValueList args) {
-  if (!host_) {
-    throw util::ModelError(
-        "nested remote calls need the Schooner cluster runtime");
-  }
   return host_->call_remote(name, import_spec_text, std::move(args));
 }
 

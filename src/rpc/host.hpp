@@ -12,17 +12,24 @@
 //     (ProcCall::call_remote), the Figure 1 control-flow chain,
 //   * answers state save/restore messages for migration, and
 //   * on kShutdownProc drains and error-answers queued calls, then exits.
+//
+// The serve path itself is HostEngine, which the TCP host
+// (tcp_transport.hpp) runs too: one dispatch switch, one kCall server,
+// one worker pool and one drain for both fabrics.
 #pragma once
 
+#include <atomic>
 #include <functional>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "rpc/calling.hpp"
 #include "rpc/io.hpp"
 #include "rpc/message.hpp"
 #include "sim/cluster.hpp"
+#include "util/fair_queue.hpp"
 #include "util/mutex.hpp"
 #include "util/string_pair.hpp"
 #include "util/thread_annotations.hpp"
@@ -32,17 +39,14 @@
 
 namespace npss::rpc {
 
-class HostRuntime;
+class HostEngine;
 
 /// One in-flight invocation, as seen by a procedure handler.
-/// `host` may be null for transports without a cluster runtime (the TCP
-/// direct-connection host); compute() is then a no-op and nested
-/// call_remote() is unavailable.
 class ProcCall {
  public:
   ProcCall(const uts::Signature& signature, uts::ValueList values,
-           HostRuntime* host)
-      : signature_(&signature), values_(std::move(values)), host_(host) {}
+           HostEngine& host)
+      : signature_(&signature), values_(std::move(values)), host_(&host) {}
 
   const uts::Signature& signature() const { return *signature_; }
   uts::ValueList& values() { return values_; }
@@ -64,7 +68,8 @@ class ProcCall {
     set(name, uts::Value::real(value));
   }
 
-  /// Account simulated compute time for this invocation.
+  /// Account simulated compute time for this invocation (a no-op on a
+  /// host without a cluster runtime).
   void compute(double microseconds);
 
   /// Invoke another remote procedure in this process's line — the nested
@@ -79,7 +84,7 @@ class ProcCall {
 
   const uts::Signature* signature_;
   uts::ValueList values_;
-  HostRuntime* host_;
+  HostEngine* host_;
 };
 
 using ProcHandler = std::function<void(ProcCall&)>;
@@ -100,11 +105,12 @@ struct ProcedureImageOptions {
   /// A procedure with neither hook is stateless and freely movable.
   std::function<util::Bytes()> save_state;
   std::function<void(std::span<const std::uint8_t>)> restore_state;
-  /// Worker pool size for serving kCall. 0 (default) keeps the historical
-  /// single-threaded loop. With N > 0, calls queue per *line* and N
-  /// workers drain the lines round-robin (util::FairQueue), so one line's
-  /// call storm queues behind itself instead of starving its neighbors —
-  /// the shared-fleet fairness half of DESIGN.md §15. Pooled hosts serve
+  /// Worker pool size for serving kCall (the TCP host's `workers`
+  /// argument is the same knob, default 2). 0 (default) serves on the
+  /// dispatch loop. With N > 0, calls queue per *line* and N workers
+  /// drain the lines round-robin (util::FairQueue), so one line's call
+  /// storm queues behind itself instead of starving its neighbors — the
+  /// shared-fleet fairness half of DESIGN.md §15. Pooled hosts serve
   /// concurrent calls, so handlers must be thread-safe; nested
   /// ProcCall::call_remote is unavailable in pooled mode (the reply
   /// stream is owned by the dispatch loop).
@@ -134,9 +140,7 @@ struct PreparedImport {
   std::shared_ptr<const uts::MarshalPlan> reply_plan;
 };
 
-/// The procedures a host serves and its prepared-import cache, shared by
-/// both procedure hosts: the cluster image of make_procedure_image and
-/// the TcpProcedureHost. Only the transport around a call differs.
+/// The procedures a host serves and its prepared-import cache.
 class ExportTable {
  public:
   /// `spec_text` must hold one export declaration per procedure.
@@ -169,14 +173,59 @@ class ExportTable {
       SCHOONER_GUARDED_BY(mu_);
 };
 
-/// Serve one call: unmarshal `request` through the prepared plan, scatter
-/// it into the export's slots, run the handler, and gather the reply
-/// values back into import order for the caller to marshal. `host` is
-/// null for transports without a cluster runtime.
-uts::ValueList run_prepared(const PreparedImport& prep,
-                            const arch::ArchDescriptor& arch,
-                            std::span<const std::uint8_t> request,
-                            HostRuntime* host);
+/// The serve path of both procedure hosts. A fabric delivers each
+/// request to dispatch() and sends the replies through its HostTransport:
+/// the cluster image runs the engine over its MessageIo (HostRuntime,
+/// host.cpp), the TcpProcedureHost over its bus connections.
+class HostEngine {
+ public:
+  /// `transport` is only used once a request arrives. Starts
+  /// `options.workers` pool threads.
+  HostEngine(const std::string& spec_text, std::vector<ProcedureDef> procs,
+             const arch::ArchDescriptor& arch, HostTransport& transport,
+             ProcedureImageOptions options);
+  virtual ~HostEngine() { drain(); }
+  HostEngine(const HostEngine&) = delete;
+  HostEngine& operator=(const HostEngine&) = delete;
+
+  /// Act on one request, on the delivering thread (the dispatch fiber,
+  /// the bus loop): a kCall is served now or queued for the pool, every
+  /// other kind is answered now. Returns false on kShutdownProc, once the
+  /// pool has answered every queued call; `request.msg` is left intact.
+  bool dispatch(HostRequest& request);
+  /// Let the pool serve every queued call, then stop it. Idempotent; one
+  /// thread at a time.
+  void drain();
+  /// Calls served; a call counts before its reply can leave.
+  long calls() const { return calls_.load(); }
+
+  /// The cluster runtime behind ProcCall. Without one (the TCP host),
+  /// compute() is a no-op, nested calls fail, and the migration and
+  /// shutdown orders are unexpected kinds.
+  virtual void compute(double /*microseconds*/) {}
+  virtual uts::ValueList call_remote(const std::string& name,
+                                     const std::string& import_text,
+                                     uts::ValueList args);
+
+ protected:
+  virtual bool in_cluster() const { return false; }
+
+  const ProcedureImageOptions options_;
+  /// Read by pool threads; its prepared-import cache locks itself.
+  ExportTable exports_;
+
+ private:
+  /// Serve one kCall and send its reply (or its error reply).
+  void serve(HostRequest& request, bool pooled);
+
+  const arch::ArchDescriptor* arch_;
+  HostTransport& transport_;
+  std::atomic<long> calls_{0};
+  /// Per-line FIFO lanes drained round-robin: one line's call storm
+  /// queues behind itself, not in front of every other line (§15).
+  util::FairQueue<HostRequest> queue_;
+  std::vector<std::jthread> pool_;
+};
 
 /// Build a program image exporting `procs` per `spec_text` (which must hold
 /// one export declaration per procedure). Install the result into a

@@ -71,6 +71,29 @@ struct Incoming {
   const std::string& from() const { return *sender; }
 };
 
+/// One request delivered to a procedure host, with the fabric's handle on
+/// its sender: the sender's address on the fiber fabric, its connection
+/// on TCP. Only the HostTransport that delivered it reads `from`.
+struct HostRequest {
+  Message msg;
+  std::shared_ptr<const void> from;
+};
+
+/// The host-side seam, the mirror of CallTransport: a fabric delivers each
+/// request to the host engine (HostEngine::dispatch) and sends back the
+/// replies the engine hands it. MessageIo implements it on the fiber
+/// fabric, the TCP host over its bus connections.
+class HostTransport {
+ public:
+  /// Send `reply` to the sender of `request`. `last` says no other reply
+  /// is queued behind it, so it need not wait to share a write.
+  virtual void reply(const HostRequest& request, const Message& reply,
+                     bool last) = 0;
+
+ protected:
+  ~HostTransport() = default;
+};
+
 /// The seqs an endpoint has finished with, kept as a fixed window over
 /// the newest kSpan seq values: a bit per seq in a ring, so marking and
 /// checking are O(1) and allocate nothing. Seqs are monotone per
@@ -95,7 +118,7 @@ class SeqWindow {
   std::array<std::uint64_t, kSpan / 64> bits_{};
 };
 
-class MessageIo final : public CallTransport {
+class MessageIo final : public CallTransport, public HostTransport {
  public:
   MessageIo(sim::Cluster& cluster, sim::EndpointPtr endpoint)
       : cluster_(&cluster), endpoint_(std::move(endpoint)) {}
@@ -156,6 +179,11 @@ class MessageIo final : public CallTransport {
   /// The endpoint's virtual clock.
   util::SimTime now() const override { return endpoint_->clock().now(); }
   void sleep(util::SimTime us) override { endpoint_->clock().advance(us); }
+
+  void reply(const HostRequest& request, const Message& reply,
+             bool /*last*/) override {
+    send(*static_cast<const std::string*>(request.from.get()), reply);
+  }
 
   /// kPing round trip to `to`. Returns the virtual-time RTT in simulated
   /// microseconds and records it into the rpc.transport.rtt_us histogram,

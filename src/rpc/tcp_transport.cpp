@@ -2,14 +2,11 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
 
-#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <thread>
@@ -24,141 +21,35 @@ namespace npss::rpc {
 
 using util::CallError;
 
-// --- TcpConnection ----------------------------------------------------------------
-
-TcpConnection::~TcpConnection() { close(); }
-
-std::unique_ptr<TcpConnection> TcpConnection::connect(const std::string& host,
-                                                      int port) {
-  return std::make_unique<TcpConnection>(bus::tcp_connect_fd(host, port));
-}
-
-void TcpConnection::write_all(const std::uint8_t* data, std::size_t size) {
-  std::size_t sent = 0;
-  while (sent < size) {
-    ssize_t n = ::send(fd_, data + sent, size - sent, MSG_NOSIGNAL);
-    if (n > 0) {
-      sent += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n == 0) throw CallError("tcp send failed");
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      // Nonblocking socket with a full send buffer: a partial write
-      // already consumed a prefix of `data`; wait for writability and
-      // resume where we left off.
-      pollfd pfd{fd_, POLLOUT, 0};
-      int rc;
-      do {
-        rc = ::poll(&pfd, 1, -1);
-      } while (rc < 0 && errno == EINTR);
-      if (rc < 0) throw CallError("poll() failed while writing");
-      continue;
-    }
-    throw CallError("tcp send failed");
-  }
-}
-
-bool TcpConnection::read_all(std::uint8_t* data, std::size_t size) {
-  std::size_t got = 0;
-  while (got < size) {
-    ssize_t n = ::recv(fd_, data + got, size - got, 0);
-    if (n == 0) return false;  // orderly close
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        pollfd pfd{fd_, POLLIN, 0};
-        int rc;
-        do {
-          rc = ::poll(&pfd, 1, -1);
-        } while (rc < 0 && errno == EINTR);
-        if (rc < 0) throw CallError("poll() failed while reading");
-        continue;
-      }
-      throw CallError("tcp recv failed");
-    }
-    got += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-void TcpConnection::send(const Message& msg) {
-  util::Bytes frame = encode_message(msg);
-  if (obs::enabled()) {
-    rpc_metrics().frames_sent.add();
-    rpc_metrics().bytes_sent.add(frame.size());
-  }
-  std::uint8_t prefix[4];
-  const std::uint32_t len = static_cast<std::uint32_t>(frame.size());
-  for (int i = 0; i < 4; ++i) {
-    prefix[i] = static_cast<std::uint8_t>(len >> (8 * (3 - i)));
-  }
-  write_all(prefix, 4);
-  write_all(frame.data(), frame.size());
-}
-
-bool TcpConnection::receive(Message& msg) {
-  std::uint8_t prefix[4];
-  if (!read_all(prefix, 4)) return false;
-  std::uint32_t len = 0;
-  for (int i = 0; i < 4; ++i) len = (len << 8) | prefix[i];
-  if (len > (64u << 20)) {
-    throw util::EncodingError("tcp frame length " + std::to_string(len) +
-                              " exceeds the 64 MiB sanity cap");
-  }
-  util::Bytes frame(len);
-  if (!read_all(frame.data(), len)) return false;
-  if (obs::enabled()) {
-    rpc_metrics().frames_received.add();
-    rpc_metrics().bytes_received.add(frame.size());
-  }
-  msg = decode_message(frame);
-  return true;
-}
-
-bool TcpConnection::receive_within(Message& msg, int timeout_ms) {
-  if (timeout_ms > 0) {
-    using clock_type = std::chrono::steady_clock;
-    // Absolute deadline: an EINTR-interrupted poll resumes with the
-    // *remaining* budget, instead of granting the full timeout again.
-    const auto deadline =
-        clock_type::now() + std::chrono::milliseconds(timeout_ms);
-    pollfd pfd{fd_, POLLIN, 0};
-    for (;;) {
-      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-          deadline - clock_type::now());
-      if (left.count() <= 0) {
-        throw util::DeadlineError("no tcp reply within " +
-                                  std::to_string(timeout_ms) + "ms");
-      }
-      const int rc = ::poll(&pfd, 1, static_cast<int>(left.count()));
-      if (rc > 0) break;
-      if (rc == 0) {
-        throw util::DeadlineError("no tcp reply within " +
-                                  std::to_string(timeout_ms) + "ms");
-      }
-      if (errno != EINTR) throw CallError("poll() failed on tcp connection");
-    }
-  }
-  return receive(msg);
-}
-
-void TcpConnection::close() {
-  if (fd_ >= 0) {
-    ::shutdown(fd_, SHUT_RDWR);
-    ::close(fd_);
-    fd_ = -1;
-  }
-}
-
 // --- TcpProcedureHost --------------------------------------------------------------
+
+namespace {
+
+/// The TCP side of the HostTransport seam: a request's handle is the bus
+/// connection it came in on, and its reply is framed onto that
+/// connection, written through when no other reply is queued behind it.
+class ConnectionReplies final : public HostTransport {
+ public:
+  void reply(const HostRequest& request, const Message& reply,
+             bool last) override {
+    auto* conn = const_cast<bus::BusConnection*>(
+        static_cast<const bus::BusConnection*>(request.from.get()));
+    conn->send_message(reply, last ? bus::SendHint::kWriteThrough
+                                   : bus::SendHint::kCoalesce);
+  }
+};
+
+ConnectionReplies connection_replies;
+
+}  // namespace
 
 TcpProcedureHost::TcpProcedureHost(const std::string& spec_text,
                                    std::vector<ProcedureDef> procs,
                                    const std::string& arch_key, int port,
-                                   bus::BusOptions bus_options)
-    : arch_(&arch::arch_catalog(arch_key)),
-      exports_(spec_text, std::move(procs)) {
+                                   int workers)
+    : dispatcher_(std::make_unique<bus::BusDispatcher>("tcp-host")),
+      engine_(spec_text, std::move(procs), arch::arch_catalog(arch_key),
+              connection_replies, ProcedureImageOptions{.workers = workers}) {
   int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd < 0) throw CallError("socket() failed");
   int one = 1;
@@ -181,21 +72,14 @@ TcpProcedureHost::TcpProcedureHost(const std::string& spec_text,
     throw CallError("listen failed");
   }
 
-  dispatcher_ =
-      std::make_unique<bus::BusDispatcher>("tcp-host", bus_options);
-  const int workers = std::max(bus_options.workers, 0);
-  for (int i = 0; i < workers; ++i) {
-    workers_.emplace_back([this] {
-      while (auto work = work_.pop()) {
-        handle(work->conn, work->msg, /*pooled=*/true);
-      }
-    });
-  }
   dispatcher_->listen(listen_fd, [this](int fd) {
     dispatcher_->adopt(
         fd,
         [this](const std::shared_ptr<bus::BusConnection>& conn,
-               Message&& msg) { on_frame(conn, std::move(msg)); },
+               Message&& msg) {
+          HostRequest request{std::move(msg), conn};
+          engine_.dispatch(request);
+        },
         bus::BusConnection::CloseFn{});
   });
 }
@@ -204,77 +88,8 @@ TcpProcedureHost::~TcpProcedureHost() { stop(); }
 
 void TcpProcedureHost::stop() {
   if (stopping_.exchange(true)) return;
-  if (dispatcher_) dispatcher_->stop();
-  work_.close();
-  workers_.clear();  // joins the pool; pop() drains queued calls first
-}
-
-void TcpProcedureHost::on_frame(
-    const std::shared_ptr<bus::BusConnection>& conn, Message&& msg) {
-  // Pings answered inline on the loop thread: the RTT probe must not sit
-  // behind queued calls.
-  if (msg.kind == MessageKind::kPing) {
-    Message pong;
-    pong.kind = MessageKind::kPong;
-    pong.seq = msg.seq;
-    conn->send_message(pong);
-    return;
-  }
-  if (workers_.empty()) {
-    handle(conn, msg, /*pooled=*/false);
-    return;
-  }
-  const LineId line = msg.line;
-  work_.push(line, Work{conn, std::move(msg)});
-}
-
-void TcpProcedureHost::handle(const std::shared_ptr<bus::BusConnection>& conn,
-                              Message& msg, bool pooled) {
-  // A worker that finds the queue empty sends the last reply of its
-  // batch: write it through. Queued calls mean more replies follow, and
-  // the loop thread (no pool) flushes its own batch: both coalesce.
-  auto reply_hint = [&] {
-    return pooled && work_.size() == 0 ? bus::SendHint::kWriteThrough
-                                       : bus::SendHint::kCoalesce;
-  };
-  if (msg.kind != MessageKind::kCall) {
-    conn->send_message(Message::error_reply(
-        msg, util::ErrorCode::kProtocolError, "tcp host: unexpected message"));
-    return;
-  }
-  // Adopt the caller's trace: both ends of the socket log spans under
-  // the same trace id.
-  obs::Span span("rpc.host", "tcp serve " + msg.a, msg.trace);
-  try {
-    const PreparedImport& prep = exports_.prepare(msg.a, msg.b);
-    // No cluster runtime behind a TCP host: compute() is a no-op and
-    // nested calls are unavailable.
-    const uts::ValueList reply_values =
-        run_prepared(prep, *arch_, msg.blob, nullptr);
-    std::size_t reply_frame_bytes = 0;
-    double serve_us = 0.0;
-    conn->send_frame([&](util::ByteWriter& out) {
-      const std::size_t before = out.size();
-      bus::append_reply_frame(out, msg.seq, *prep.reply_plan, *arch_,
-                              reply_values, span.context(),
-                              dispatcher_->options().max_frame_bytes);
-      reply_frame_bytes = out.size() - before;
-      ++calls_;  // committed: counted before the reply bytes can leave,
-                 // so a client that saw its reply also sees the counter
-      // Serving ends with the framed reply; writing it is transport time.
-      serve_us = span.elapsed_us();
-    }, reply_hint());
-    if (obs::enabled()) {
-      RpcMetrics& m = rpc_metrics();
-      m.host_calls.add();
-      m.host_bytes_marshaled.add(msg.blob.size() + reply_frame_bytes);
-      m.host_handler_us.record(serve_us);
-    }
-  } catch (const util::Error& e) {
-    count(rpc_metrics().host_errors);
-    conn->send_message(Message::error_reply(msg, e),
-                       reply_hint());
-  }
+  dispatcher_->stop();
+  engine_.drain();
 }
 
 // --- ChannelTransport ---------------------------------------------------------------

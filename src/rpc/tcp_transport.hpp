@@ -15,17 +15,16 @@
 // many sequence-tagged in-flight calls, coalesced scatter-gather writes,
 // and an incremental frame decoder. Every TcpRemoteProc aimed at one
 // host:port shares a pooled connection; call_async() pipelines calls over
-// it (DESIGN.md §14). The client half is the CallCore the cluster runs,
-// over a ChannelTransport: one attempt loop for both fabrics. The
-// blocking TcpConnection remains for peers that want the simple
-// one-frame-at-a-time surface.
+// it (DESIGN.md §14). Each half is the engine the cluster runs: the
+// client is a CallCore over a ChannelTransport, the host a HostEngine fed
+// by the bus dispatcher — one attempt loop and one serve path for both
+// fabrics.
 #pragma once
 
 #include <atomic>
 #include <future>
 #include <memory>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -34,92 +33,40 @@
 #include "rpc/calling.hpp"
 #include "rpc/host.hpp"
 #include "rpc/message.hpp"
-#include "util/fair_queue.hpp"
 
 namespace npss::rpc {
 
-/// Blocking, length-prefixed Message stream over a connected socket.
-/// (The multiplexed paths use the bus; this surface stays for tools and
-/// tests that want lock-step framing, and it now survives nonblocking
-/// sockets: write_all handles EAGAIN/partial writes, receive_within
-/// charges poll time against the *remaining* deadline across EINTR.)
-class TcpConnection {
- public:
-  /// Adopt an already-connected socket descriptor.
-  explicit TcpConnection(int fd) : fd_(fd) {}
-  ~TcpConnection();
-  TcpConnection(const TcpConnection&) = delete;
-  TcpConnection& operator=(const TcpConnection&) = delete;
-
-  /// Connect to host:port. Throws util::CallError on failure.
-  static std::unique_ptr<TcpConnection> connect(const std::string& host,
-                                                int port);
-
-  void send(const Message& msg);
-  /// Blocking receive; returns false on orderly peer close.
-  bool receive(Message& msg);
-  /// Like receive(), but throws util::DeadlineError when no data is
-  /// readable within `timeout_ms` of real time (0 = block forever).
-  bool receive_within(Message& msg, int timeout_ms);
-
-  void close();
-  int fd() const { return fd_; }
-
- private:
-  void write_all(const std::uint8_t* data, std::size_t size);
-  bool read_all(std::uint8_t* data, std::size_t size);
-
-  int fd_ = -1;
-};
-
 /// Serves a set of procedures over TCP: a bus dispatcher owns every
-/// connection; decoded kCall frames are handed to a small worker pool
-/// (kPing answered inline on the loop). Calls are prepared and run by the
-/// same ExportTable as the cluster host (host.hpp), so steady-state calls
-/// execute cached plans instead of re-parsing signature text.
+/// connection and feeds each decoded frame to the HostEngine the cluster
+/// image runs (host.hpp). kCall goes to its worker pool, kPing is
+/// answered inline on the loop thread, and each reply leaves as a Message
+/// on the connection its request came in on.
 class TcpProcedureHost {
  public:
   /// Listen on `port` (0 = ephemeral; see port()). `arch_key` names the
   /// architecture whose native formats this host's values pass through.
+  /// `workers` is ProcedureImageOptions::workers for this host: handler
+  /// threads behind the dispatcher (0 = on the event-loop thread).
   TcpProcedureHost(const std::string& spec_text,
                    std::vector<ProcedureDef> procs, const std::string& arch_key,
-                   int port = 0, bus::BusOptions bus_options = {});
+                   int port = 0, int workers = 2);
   ~TcpProcedureHost();
   TcpProcedureHost(const TcpProcedureHost&) = delete;
   TcpProcedureHost& operator=(const TcpProcedureHost&) = delete;
 
   int port() const { return port_; }
   /// Calls served so far.
-  long calls() const { return calls_.load(); }
+  long calls() const { return engine_.calls(); }
 
   void stop();
 
  private:
-  struct Work {
-    std::shared_ptr<bus::BusConnection> conn;
-    Message msg;
-  };
-
-  void on_frame(const std::shared_ptr<bus::BusConnection>& conn,
-                Message&& msg);
-  /// Serve one call; `pooled` is true on a worker thread, false inline
-  /// on the loop.
-  void handle(const std::shared_ptr<bus::BusConnection>& conn, Message& msg,
-              bool pooled);
-
-  const arch::ArchDescriptor* arch_;
-  /// Set up before the workers start; its prepared-import cache is the
-  /// one the cluster host uses, and locks itself.
-  ExportTable exports_;
+  // The loop thread starts before the engine's workers; stop() ends
+  // both before either member is destroyed.
+  std::unique_ptr<bus::BusDispatcher> dispatcher_;
+  HostEngine engine_;
   int port_ = 0;
   std::atomic<bool> stopping_{false};
-  std::atomic<long> calls_{0};
-
-  std::unique_ptr<bus::BusDispatcher> dispatcher_;
-  /// Per-line FIFO lanes drained round-robin: one line's call storm
-  /// queues behind itself, not in front of every other line (§15).
-  util::FairQueue<Work> work_;
-  std::vector<std::jthread> workers_;
 };
 
 /// CallTransport over the pooled bus channel to one host:port, timed by

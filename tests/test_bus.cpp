@@ -13,6 +13,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -110,32 +111,37 @@ TEST(FrameDecoder, RejectsOversizedLengthPrefixBeforeBuffering) {
 }
 
 TEST(BusFrame, InPlaceReplyFrameMatchesEncodeMessage) {
-  // The zero-copy builder must be byte-identical to prefix+encode_message
-  // over the equivalent Message, or the two framing paths would disagree
-  // on the wire.
+  // A host reply is framed in place behind a patched length prefix,
+  // appended after whatever the connection already holds; it must be
+  // byte-identical to prefix+encode_message over the same Message, or the
+  // two encoders would disagree on the wire.
   const uts::SpecFile spec =
       uts::parse_spec("import inc prog(\"x\" val integer, \"y\" res integer)");
   const uts::Signature& sig = spec.find("inc").signature;
   const arch::ArchDescriptor& arch = arch::arch_catalog("sun-sparc10");
-  auto plan = uts::compile_plan(sig, uts::Direction::kReply);
-  const uts::ValueList values = {Value::integer(41), Value::integer(42)};
-  const obs::TraceContext trace{.trace_id = 5, .span_id = 6,
-                                .parent_span_id = 4};
-
-  util::ByteWriter in_place;
-  bus::append_reply_frame(in_place, 7, *plan, arch, values, trace, 64u << 20);
-
   Message msg;
   msg.kind = MessageKind::kReply;
   msg.seq = 7;
-  msg.blob = uts::marshal(arch, sig, values, uts::Direction::kReply);
-  msg.trace = trace;
+  msg.blob = uts::marshal(arch, sig, {Value::integer(41), Value::integer(42)},
+                          uts::Direction::kReply);
+  msg.trace = obs::TraceContext{.trace_id = 5, .span_id = 6,
+                                .parent_span_id = 4};
+
+  util::ByteWriter in_place;
+  bus::append_frame(in_place, make_msg(1, "queued"), 64u << 20);
+  const std::size_t queued = in_place.size();
+  bus::append_frame(in_place, msg, 64u << 20);
+  const util::Bytes out = std::move(in_place).take();
+
   util::Bytes body = encode_message(msg);
   util::ByteWriter reference;
   reference.u32(static_cast<std::uint32_t>(body.size()));
   reference.raw(body);
+  const util::Bytes expected = std::move(reference).take();
 
-  EXPECT_EQ(std::move(in_place).take(), std::move(reference).take());
+  ASSERT_EQ(out.size(), queued + expected.size());
+  EXPECT_TRUE(std::equal(expected.begin(), expected.end(),
+                         out.begin() + static_cast<std::ptrdiff_t>(queued)));
 }
 
 // --- Raw-socket behavior of the dispatcher host ----------------------------
@@ -422,14 +428,12 @@ TEST(BusWriteThrough, LockStepWritesThroughAndPipelinedWindowStillCoalesces) {
   // One worker, so the count is exact: with two, a worker preempted
   // between its send and giving the write token back makes the other
   // worker's next reply coalesce instead (correct, but not counted).
-  bus::BusOptions one_worker;
-  one_worker.workers = 1;
   TcpProcedureHost host(
       "export inc prog(\"x\" val integer, \"y\" res integer)",
       {{"inc", [](ProcCall& c) {
           c.set("y", Value::integer(c.integer("x") + 1));
         }}},
-      "sun-sparc10", 0, one_worker);
+      "sun-sparc10", 0, /*workers=*/1);
   TcpRemoteProc inc("127.0.0.1", host.port(), "inc", kIncImport,
                     "sun-sparc10");
   inc.call({Value::integer(0), Value::integer(0)}, kLegacy)

@@ -354,8 +354,9 @@ TEST(TcpTransport, APipelinedCallToADeadHostRetriesFromGetOnTheSameAddress) {
 }
 
 // One export served by both procedure hosts — the cluster image and the
-// TCP host — answers a subset import, an unknown procedure and an
-// incompatible import identically: same values, same codes, same text.
+// TCP host — answers a subset import, an unknown procedure, an
+// incompatible import, a ping and an unexpected kind identically: same
+// values, same codes, same text; unpooled and with a worker pool alike.
 TEST(HostParity, ClusterAndTcpHostsServeOneExportAlike) {
   const char* spec = R"(
     export stats prog(
@@ -375,65 +376,117 @@ TEST(HostParity, ClusterAndTcpHostsServeOneExportAlike) {
   const std::string incompatible =
       "import stats prog(\"x\" val integer, \"y\" res double)";
 
-  sim::Cluster cluster;
-  cluster.add_machine("m", "sun-sparc10", "site");
-  cluster.install_image("m", "/bin/stats",
-                        make_procedure_image(spec, {{"stats", handler}}));
-  SchoonerSystem system(cluster, "m");
-  auto session = system.make_session("m");
-  auto line = session->open_line(LineOptions{}.with_name("parity"));
-  const std::string address = line->contact_schx("m", "/bin/stats").address;
-  // Straight to the cluster host, past the Manager's own lookup and
-  // compatibility gate, so the two hosts face the very same requests.
-  auto cluster_call = [&](const std::string& name, const std::string& text,
-                          const uts::ValueList& args) {
-    const uts::ProcDecl decl = uts::parse_spec(text).find(name);
-    Message msg;
-    msg.kind = MessageKind::kCall;
-    msg.line = line->id();
-    msg.a = name;
-    msg.b = uts::decl_to_string(decl);
-    msg.blob = uts::compile_plan(decl.signature, uts::Direction::kRequest)
-                   ->marshal(line->arch(), args);
-    return line->io().call(address, std::move(msg), /*raise_errors=*/false);
-  };
+  for (int workers : {0, 2}) {
+    SCOPED_TRACE(testing::Message() << workers << " worker(s)");
+    sim::Cluster cluster;
+    cluster.add_machine("m", "sun-sparc10", "site");
+    cluster.install_image(
+        "m", "/bin/stats",
+        make_procedure_image(spec, {{"stats", handler}}, {.workers = workers}));
+    SchoonerSystem system(cluster, "m");
+    auto session = system.make_session("m");
+    auto line = session->open_line(LineOptions{}.with_name("parity"));
+    const std::string address = line->contact_schx("m", "/bin/stats").address;
+    // Straight to the cluster host, past the Manager's own lookup and
+    // compatibility gate, so the two hosts face the very same requests.
+    auto cluster_send = [&](Message& msg) {
+      return line->io().call(address, msg, /*raise_errors=*/false);
+    };
+    auto cluster_call = [&](const std::string& name, const std::string& text,
+                            const uts::ValueList& args) {
+      const uts::ProcDecl decl = uts::parse_spec(text).find(name);
+      Message msg;
+      msg.kind = MessageKind::kCall;
+      msg.line = line->id();
+      msg.a = name;
+      msg.b = uts::decl_to_string(decl);
+      msg.blob = uts::compile_plan(decl.signature, uts::Direction::kRequest)
+                     ->marshal(line->arch(), args);
+      return cluster_send(msg);
+    };
 
-  TcpProcedureHost host(spec, {{"stats", handler}}, "sun-sparc10");
-  auto tcp_call = [&](const std::string& name, const std::string& text,
-                      const uts::ValueList& args) {
-    TcpRemoteProc proc("127.0.0.1", host.port(), name, text, "sun-sparc10");
-    return proc.call(args, kLegacy);
-  };
+    TcpProcedureHost host(spec, {{"stats", handler}}, "sun-sparc10", 0,
+                          workers);
+    auto tcp_call = [&](const std::string& name, const std::string& text,
+                        const uts::ValueList& args) {
+      TcpRemoteProc proc("127.0.0.1", host.port(), name, text, "sun-sparc10");
+      return proc.call(args, kLegacy);
+    };
+    // A raw frame on the host's pooled connection, as tcp_call's stubs use.
+    auto tcp_send = [&](Message& msg) {
+      std::shared_ptr<bus::BusChannel> ch =
+          bus::TcpBus::instance().channel("127.0.0.1", host.port());
+      msg.seq = ch->next_seq();
+      return ch
+          ->send(msg.seq,
+                 [&](util::ByteWriter& out) {
+                   bus::append_frame(out, msg, ch->max_frame_bytes());
+                 })
+          .get();
+    };
 
-  const uts::ValueList args = {Value::real(1.5), Value::real(0)};
-  auto stub = line->import_proc("stats", subset);
-  const CallResult via_cluster = stub->call(args, kLegacy);
-  const CallResult via_tcp = tcp_call("stats", subset, args);
-  ASSERT_TRUE(via_cluster.ok()) << via_cluster.status.to_string();
-  ASSERT_TRUE(via_tcp.ok()) << via_tcp.status.to_string();
-  ASSERT_EQ(via_tcp.values.size(), 2u);
-  EXPECT_DOUBLE_EQ(via_tcp.values[1].as_real(), 3.0);  // scale defaulted
-  EXPECT_EQ(via_cluster.values, via_tcp.values);
+    const uts::ValueList args = {Value::real(1.5), Value::real(0)};
+    auto stub = line->import_proc("stats", subset);
+    const CallResult via_cluster = stub->call(args, kLegacy);
+    const CallResult via_tcp = tcp_call("stats", subset, args);
+    ASSERT_TRUE(via_cluster.ok()) << via_cluster.status.to_string();
+    ASSERT_TRUE(via_tcp.ok()) << via_tcp.status.to_string();
+    ASSERT_EQ(via_tcp.values.size(), 2u);
+    EXPECT_DOUBLE_EQ(via_tcp.values[1].as_real(), 3.0);  // scale defaulted
+    EXPECT_EQ(via_cluster.values, via_tcp.values);
 
-  const uts::ValueList int_args = {Value::integer(1), Value::real(0)};
-  for (const auto& [name, text, call_args, code] :
-       {std::tuple{std::string("ghost"), unknown, args,
-                   util::ErrorCode::kLookupFailure},
-        std::tuple{std::string("stats"), incompatible, int_args,
-                   util::ErrorCode::kTypeMismatch}}) {
-    SCOPED_TRACE(text);
-    const Message reply = cluster_call(name, text, call_args);
-    const CallResult result = tcp_call(name, text, call_args);
-    ASSERT_TRUE(reply.is_error());
-    EXPECT_EQ(static_cast<util::ErrorCode>(reply.n), code);
-    EXPECT_EQ(result.status.code(), code);
-    EXPECT_EQ(result.status.message(), reply.a);
+    const uts::ValueList int_args = {Value::integer(1), Value::real(0)};
+    for (const auto& [name, text, call_args, code] :
+         {std::tuple{std::string("ghost"), unknown, args,
+                     util::ErrorCode::kLookupFailure},
+          std::tuple{std::string("stats"), incompatible, int_args,
+                     util::ErrorCode::kTypeMismatch}}) {
+      SCOPED_TRACE(text);
+      const Message reply = cluster_call(name, text, call_args);
+      const CallResult result = tcp_call(name, text, call_args);
+      ASSERT_TRUE(reply.is_error());
+      EXPECT_EQ(static_cast<util::ErrorCode>(reply.n), code);
+      EXPECT_EQ(result.status.code(), code);
+      EXPECT_EQ(result.status.message(), reply.a);
+    }
+    const CallResult mismatch = tcp_call("stats", incompatible, int_args);
+    EXPECT_NE(mismatch.status.message().find("call to 'stats': "),
+              std::string::npos)
+        << mismatch.status.message();
+
+    // A ping is answered with a pong under the request's seq.
+    Message cluster_ping{.kind = MessageKind::kPing};
+    Message tcp_ping{.kind = MessageKind::kPing};
+    const Message cluster_pong = cluster_send(cluster_ping);
+    const Message tcp_pong = tcp_send(tcp_ping);
+    EXPECT_EQ(cluster_pong.kind, MessageKind::kPong);
+    EXPECT_EQ(tcp_pong.kind, MessageKind::kPong);
+    EXPECT_EQ(cluster_pong.seq, cluster_ping.seq);
+    EXPECT_EQ(tcp_pong.seq, tcp_ping.seq);
+
+    // A kind no procedure host serves is a protocol error, worded alike.
+    Message cluster_stray{.kind = MessageKind::kQuit};
+    Message tcp_stray{.kind = MessageKind::kQuit};
+    const Message cluster_error = cluster_send(cluster_stray);
+    const Message tcp_error = tcp_send(tcp_stray);
+    ASSERT_TRUE(cluster_error.is_error());
+    ASSERT_TRUE(tcp_error.is_error());
+    EXPECT_EQ(static_cast<util::ErrorCode>(cluster_error.n),
+              util::ErrorCode::kProtocolError);
+    EXPECT_EQ(static_cast<util::ErrorCode>(tcp_error.n),
+              util::ErrorCode::kProtocolError);
+    EXPECT_EQ(tcp_error.a, cluster_error.a);
+
+    // Shutdown orders come from a cluster's Manager: the TCP host takes
+    // one for a stray kind and keeps serving.
+    Message tcp_shutdown{.kind = MessageKind::kShutdownProc};
+    const Message refused = tcp_send(tcp_shutdown);
+    ASSERT_TRUE(refused.is_error());
+    EXPECT_EQ(static_cast<util::ErrorCode>(refused.n),
+              util::ErrorCode::kProtocolError);
+    EXPECT_TRUE(tcp_call("stats", subset, args).ok());
+    line->quit();
   }
-  const CallResult mismatch = tcp_call("stats", incompatible, int_args);
-  EXPECT_NE(mismatch.status.message().find("call to 'stats': "),
-            std::string::npos)
-      << mismatch.status.message();
-  line->quit();
 }
 
 }  // namespace
