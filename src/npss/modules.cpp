@@ -4,9 +4,7 @@
 
 #include "flow/network.hpp"
 #include "npss/procedures.hpp"
-#include "obs/metrics.hpp"
 #include "tess/components.hpp"
-#include "util/log.hpp"
 #include "util/status.hpp"
 
 namespace npss::glue {
@@ -44,15 +42,6 @@ GasState station_from_value(const Value& v) {
                   f[3].as_real()};
 }
 
-uts::Value energy_to_value(const StationArray& a) {
-  return Value::real_array({a[0], a[1], a[2], a[3]});
-}
-
-StationArray energy_from_value(const Value& v) {
-  std::vector<double> r = v.as_real_vector();
-  return {r[0], r[1], r[2], r[3]};
-}
-
 namespace {
 
 /// Shaft lookup used by compressor and turbine modules: the spool a
@@ -70,15 +59,6 @@ ShaftModule& shaft_by_name(flow::Module& self) {
     throw util::GraphError("module '" + name + "' is not a tess-shaft");
   }
   return *shaft;
-}
-
-Value station_wire_value(const StationArray& a) {
-  return Value::real_array({a[0], a[1], a[2], a[3]});
-}
-
-StationArray station_wire_from(const Value& v) {
-  std::vector<double> r = v.as_real_vector();
-  return {r[0], r[1], r[2], r[3]};
 }
 
 }  // namespace
@@ -99,54 +79,35 @@ void AdaptedModule::placement_widgets(ModuleSpec& spec,
   spec.typein_string("path", default_path);
 }
 
-rpc::Line& AdaptedModule::remote_line() {
+AdaptedClient& AdaptedModule::client() {
   NpssRuntime& rt = npss_runtime();
-  if (!rt.configured()) {
-    throw util::ModelError("module '" + instance_name() +
-                           "': NPSS runtime not configured for remote "
-                           "computation");
+  const std::string& machine = widget("machine").text();
+  const std::string& path = widget("path").text();
+  const std::string key = remote() ? machine + ":" + path : "";
+  if (key != placed_at_) {
+    destroy();  // the old line goes before the session it was opened from
+    if (!key.empty()) {
+      if (!rt.configured()) {
+        throw util::ModelError("module '" + instance_name() +
+                               "': NPSS runtime not configured for remote "
+                               "computation");
+      }
+      session_ = rt.schooner->make_session(rt.avs_machine);
+      client_ = AdaptedClient(*session_, component_, instance_name(),
+                              Placement{machine, path});
+      placed_at_ = key;
+    }
   }
-  const std::string machine = widget("machine").text();
-  const std::string path = widget("path").text();
-  const std::string key = machine + ":" + path;
-  if (!line_ || contacted_machine_ != key) {
-    if (line_) line_->quit();
-    line_.reset();  // before the session it was opened from
-    session_ = rt.schooner->make_session(rt.avs_machine);
-    line_ = session_->open_line(rpc::LineOptions{}.with_name(instance_name()));
-    line_->contact_schx(machine, path);
-    bind_imports(*line_);
-    contacted_machine_ = key;
-  }
-  return *line_;
-}
-
-bool AdaptedModule::remote_invoke(rpc::RemoteProc& proc, ValueList args,
-                                  ValueList* out) {
-  NpssRuntime& rt = npss_runtime();
-  rpc::CallResult result = proc.call(std::move(args), rt.call_options);
-  if (result.ok()) {
-    *out = std::move(result.values);
-    return true;
-  }
-  if (!rt.local_fallback) result.status.raise_if_error();
-  degraded_ = true;
-  NPSS_LOG_WARN("npss.glue", "module '", instance_name(),
-                "' degraded to local compute: ", result.status.to_string(),
-                " (", result.attempt_count(), " attempt(s))");
-  if (obs::enabled()) {
-    obs::Registry::global().counter("npss.remote.degraded_calls").add();
-  }
-  return false;
+  client_.set_call_options(rt.call_options);
+  client_.set_local_fallback(rt.local_fallback);
+  return client_;
 }
 
 void AdaptedModule::destroy() {
-  if (line_) {
-    line_->quit();  // sch_i_quit: the Manager tears down only this line
-    line_.reset();
-    session_.reset();
-    contacted_machine_.clear();
-  }
+  client_.quit();  // sch_i_quit: the Manager tears down only this line
+  client_ = AdaptedClient();
+  session_.reset();
+  placed_at_.clear();
 }
 
 // --- Inlet -----------------------------------------------------------------------
@@ -193,7 +154,7 @@ void CompressorModule::compute() {
       tess::enthalpy(r.out.Tt, in_state.far) -
       tess::enthalpy(in_state.Tt, in_state.far);
   out("out", station_to_value(r.out));
-  out("ecom", energy_to_value({r.power, in_state.W, dh, r.point.eff}));
+  out("ecom", station_value({r.power, in_state.W, dh, r.point.eff}));
   out_real("surge-margin", r.surge_margin);
   out_real("power", r.power);
 }
@@ -257,7 +218,7 @@ void TurbineModule::compute() {
       tess::enthalpy(in_state.Tt, in_state.far) -
       tess::enthalpy(r.out.Tt, in_state.far);
   out("out", station_to_value(r.out));
-  out("etur", energy_to_value({r.power, in_state.W, dh, r.point.eff}));
+  out("etur", station_value({r.power, in_state.W, dh, r.point.eff}));
   out_real("flow-error",
            (in_state.W - r.flow_demand) / std::max(in_state.W, 1e-6));
 }
@@ -289,28 +250,10 @@ void DuctModule::spec(ModuleSpec& spec) {
   spec.output("out", station_type());
 }
 
-void DuctModule::bind_imports(rpc::Line& line) {
-  duct_ = line.import_proc("duct", duct_import_spec());
-}
-
 void DuctModule::compute() {
   const GasState in_state = station_from_value(in("in"));
-  const double dp = widget("dp").real();
-  if (!remote()) {
-    out("out", station_to_value(tess::duct(in_state, dp)));
-    return;
-  }
-  remote_line();
-  ValueList reply;
-  if (!remote_invoke(*duct_,
-                     {station_wire_value(tess::to_array(in_state)),
-                      Value::real(dp), Value::real_array({0, 0, 0, 0})},
-                     &reply)) {
-    out("out", station_to_value(tess::duct(in_state, dp)));
-    return;
-  }
-  out("out",
-      station_to_value(tess::from_array(station_wire_from(reply[2]))));
+  out("out", station_to_value(tess::from_array(client().duct(
+                 tess::to_array(in_state), widget("dp").real()))));
 }
 
 // --- Combustor (adapted) --------------------------------------------------------------
@@ -327,31 +270,12 @@ void CombustorModule::spec(ModuleSpec& spec) {
   spec.output("out", station_type());
 }
 
-void CombustorModule::bind_imports(rpc::Line& line) {
-  combustor_ = line.import_proc("combustor", combustor_import_spec());
-}
-
 void CombustorModule::compute() {
   const GasState in_state = station_from_value(in("in"));
-  const double wf = widget("wfuel").real();
   const double eff = widget("eff").real() * widget("trim").real();
-  const double dp = widget("dp").real();
-  if (!remote()) {
-    out("out", station_to_value(tess::combustor(in_state, wf, eff, dp).out));
-    return;
-  }
-  remote_line();
-  ValueList reply;
-  if (!remote_invoke(*combustor_,
-                     {station_wire_value(tess::to_array(in_state)),
-                      Value::real(wf), Value::real(eff), Value::real(dp),
-                      Value::real_array({0, 0, 0, 0})},
-                     &reply)) {
-    out("out", station_to_value(tess::combustor(in_state, wf, eff, dp).out));
-    return;
-  }
-  out("out",
-      station_to_value(tess::from_array(station_wire_from(reply[4]))));
+  out("out", station_to_value(tess::from_array(client().combustor(
+                 tess::to_array(in_state), widget("wfuel").real(), eff,
+                 widget("dp").real()))));
 }
 
 // --- Nozzle (adapted) ----------------------------------------------------------------
@@ -365,39 +289,13 @@ void NozzleModule::spec(ModuleSpec& spec) {
   spec.output("thrust", uts::Type::real_double());
 }
 
-void NozzleModule::bind_imports(rpc::Line& line) {
-  nozzle_ = line.import_proc("nozzle", nozzle_import_spec());
-}
-
 void NozzleModule::compute() {
   const GasState in_state = station_from_value(in("in"));
-  const double area = widget("area").real();
-  const double pamb = widget("pamb").real();
-  double w_required = 0.0, thrust = 0.0;
-  if (!remote()) {
-    tess::NozzleResult r = tess::nozzle(in_state, area, pamb);
-    w_required = r.w_required;
-    thrust = r.thrust;
-  } else {
-    remote_line();
-    ValueList reply;
-    if (remote_invoke(*nozzle_,
-                      {station_wire_value(tess::to_array(in_state)),
-                       Value::real(area), Value::real(pamb),
-                       Value::real_array({0, 0, 0, 0})},
-                      &reply)) {
-      StationArray r = station_wire_from(reply[3]);
-      w_required = r[0];
-      thrust = r[1];
-    } else {
-      tess::NozzleResult r = tess::nozzle(in_state, area, pamb);
-      w_required = r.w_required;
-      thrust = r.thrust;
-    }
-  }
-  out_real("w-error",
-           (in_state.W - w_required) / std::max(in_state.W, 1e-6));
-  out_real("thrust", thrust);
+  // [w_required, thrust, v_exit, choked]
+  const StationArray r = client().nozzle(
+      tess::to_array(in_state), widget("area").real(), widget("pamb").real());
+  out_real("w-error", (in_state.W - r[0]) / std::max(in_state.W, 1e-6));
+  out_real("thrust", r[1]);
 }
 
 // --- Shaft (adapted) ----------------------------------------------------------------
@@ -415,29 +313,9 @@ void ShaftModule::spec(ModuleSpec& spec) {
   spec.output("speed", uts::Type::real_double());
 }
 
-void ShaftModule::bind_imports(rpc::Line& line) {
-  shaft_ = line.import_proc("shaft", shaft_import_spec());
-  setshaft_ = line.import_proc("setshaft", shaft_import_spec());
-}
-
 void ShaftModule::run_setshaft() {
-  const StationArray ecom = energy_from_value(in("ecom"));
-  const StationArray etur = energy_from_value(in("etur"));
-  if (!remote()) {
-    ecorr_ = tess::setshaft(ecom.data(), 1, etur.data(), 1);
-  } else {
-    remote_line();
-    ValueList reply;
-    if (remote_invoke(*setshaft_,
-                      {energy_to_value(ecom), Value::integer(1),
-                       energy_to_value(etur), Value::integer(1),
-                       Value::real(0)},
-                      &reply)) {
-      ecorr_ = reply[4].as_real();
-    } else {
-      ecorr_ = tess::setshaft(ecom.data(), 1, etur.data(), 1);
-    }
-  }
+  ecorr_ = client().setshaft(station_from(in("ecom")), 1,
+                             station_from(in("etur")), 1);
   have_ecorr_ = true;
 }
 
@@ -452,27 +330,10 @@ void ShaftModule::compute() {
     return;
   }
   if (!have_ecorr_) run_setshaft();
-  const StationArray ecom = energy_from_value(in("ecom"));
-  const StationArray etur = energy_from_value(in("etur"));
-  const double inertia = widget("moment-inertia").real();
-  if (!remote()) {
-    accel_ = tess::shaft(ecom.data(), 1, etur.data(), 1, ecorr_, speed_,
-                         inertia);
-  } else {
-    remote_line();
-    ValueList reply;
-    if (remote_invoke(*shaft_,
-                      {energy_to_value(ecom), Value::integer(1),
-                       energy_to_value(etur), Value::integer(1),
-                       Value::real(ecorr_), Value::real(speed_),
-                       Value::real(inertia), Value::real(0)},
-                      &reply)) {
-      accel_ = reply[7].as_real();
-    } else {
-      accel_ = tess::shaft(ecom.data(), 1, etur.data(), 1, ecorr_, speed_,
-                           inertia);
-    }
-  }
+  const StationArray ecom = station_from(in("ecom"));
+  const StationArray etur = station_from(in("etur"));
+  accel_ = client().shaft(ecom, 1, etur, 1, ecorr_, speed_,
+                          widget("moment-inertia").real());
   out_real("accel", accel_);
   out_real("speed", speed_);
 }

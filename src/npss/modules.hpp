@@ -12,61 +12,50 @@
 #include <memory>
 
 #include "flow/module.hpp"
+#include "npss/remote_backend.hpp"
 #include "npss/runtime.hpp"
-#include "rpc/client.hpp"
 #include "tess/engine.hpp"
 
 namespace npss::glue {
 
 /// Port type for engine stations: record of W, Tt, Pt, FAR.
 const uts::Type& station_type();
-/// Port type for shaft energy terms: array[4] of double.
+/// Port type for shaft energy terms: array[4] of double (station_value).
 const uts::Type& energy_type();
 
 uts::Value station_to_value(const tess::GasState& s);
 tess::GasState station_from_value(const uts::Value& v);
-uts::Value energy_to_value(const tess::StationArray& a);
-tess::StationArray energy_from_value(const uts::Value& v);
 
 // --- Adapted-module machinery ------------------------------------------------
 
 /// Mixin for the four adapted module types: owns the machine/path widgets
-/// and a lazy Schooner line, re-contacted whenever the placement widgets
-/// change (interactive user placement, §4.2).
+/// and the module's AdaptedClient (the glue RemoteBackend also runs).
 class AdaptedModule : public flow::Module {
  public:
   /// True when the machine widget selects a remote machine.
   bool remote() const;
-  /// The module's Schooner line, contacting the remote process on first
-  /// use (the sch_contact_schx call at the top of compute, §3.3).
-  rpc::Line& remote_line();
-
-  /// The module fell back to local physics at least once (fault-tolerant
-  /// degradation; see NpssRuntime::call_options / local_fallback).
-  bool degraded() const { return degraded_; }
 
   void destroy() override;  ///< sch_i_quit (§3.3)
 
  protected:
+  explicit AdaptedModule(AdaptedComponent component)
+      : component_(component) {}
+
   /// Declare the two placement widgets (§3.3's add-to-spec step).
   void placement_widgets(flow::ModuleSpec& spec,
                          const std::string& default_path);
-  /// Called after contact; build import stubs here.
-  virtual void bind_imports(rpc::Line& line) = 0;
-
-  /// Fault-tolerant stub invoke with the runtime's CallOptions. On
-  /// success fills `out` and returns true; on terminal failure records
-  /// the degradation (npss.remote.degraded_calls) and returns false so
-  /// the caller computes locally — or raises the status as its Error
-  /// subclass when NpssRuntime::local_fallback is off.
-  bool remote_invoke(rpc::RemoteProc& proc, uts::ValueList args,
-                     uts::ValueList* out);
+  /// The module's client, carrying NpssRuntime::call_options and
+  /// local_fallback: placed where the machine/path widgets say (the
+  /// sch_contact_schx at the top of compute, §3.3) and re-placed whenever
+  /// they change (interactive user placement, §4.2); unplaced, computing
+  /// locally, while the machine widget reads <local>.
+  AdaptedClient& client();
 
  private:
-  std::unique_ptr<rpc::Session> session_;
-  std::unique_ptr<rpc::Line> line_;
-  std::string contacted_machine_;
-  bool degraded_ = false;
+  AdaptedComponent component_;
+  std::unique_ptr<rpc::Session> session_;  ///< outlives client_'s line
+  AdaptedClient client_;
+  std::string placed_at_;  ///< client_'s "machine:path"; empty = local
 };
 
 // --- Engine modules ------------------------------------------------------------
@@ -116,15 +105,10 @@ class MixerModule final : public flow::Module {
 /// Adapted: total-pressure-loss duct.
 class DuctModule final : public AdaptedModule {
  public:
+  DuctModule() : AdaptedModule(AdaptedComponent::kDuct) {}
   std::string type_name() const override { return "tess-duct"; }
   void spec(flow::ModuleSpec& spec) override;
   void compute() override;
-
- protected:
-  void bind_imports(rpc::Line& line) override;
-
- private:
-  std::unique_ptr<rpc::RemoteProc> duct_;
 };
 
 /// Adapted: combustor with transient stator-angle control schedule
@@ -132,35 +116,26 @@ class DuctModule final : public AdaptedModule {
 /// combustor and nozzle; modeled here as a fuel-efficiency trim vs time).
 class CombustorModule final : public AdaptedModule {
  public:
+  CombustorModule() : AdaptedModule(AdaptedComponent::kCombustor) {}
   std::string type_name() const override { return "tess-combustor"; }
   void spec(flow::ModuleSpec& spec) override;
   void compute() override;
-
- protected:
-  void bind_imports(rpc::Line& line) override;
-
- private:
-  std::unique_ptr<rpc::RemoteProc> combustor_;
 };
 
 /// Adapted: convergent nozzle.
 class NozzleModule final : public AdaptedModule {
  public:
+  NozzleModule() : AdaptedModule(AdaptedComponent::kNozzle) {}
   std::string type_name() const override { return "tess-nozzle"; }
   void spec(flow::ModuleSpec& spec) override;
   void compute() override;
-
- protected:
-  void bind_imports(rpc::Line& line) override;
-
- private:
-  std::unique_ptr<rpc::RemoteProc> nozzle_;
 };
 
 /// Adapted: shaft with the paper's widget panel. Holds the spool-speed
 /// state; NetworkEngine sets it before each network evaluation.
 class ShaftModule final : public AdaptedModule {
  public:
+  ShaftModule() : AdaptedModule(AdaptedComponent::kShaft) {}
   std::string type_name() const override { return "tess-shaft"; }
   void spec(flow::ModuleSpec& spec) override;
   void compute() override;
@@ -172,11 +147,7 @@ class ShaftModule final : public AdaptedModule {
   void run_setshaft();
   void clear_setshaft() { have_ecorr_ = false; }
 
- protected:
-  void bind_imports(rpc::Line& line) override;
-
  private:
-  std::unique_ptr<rpc::RemoteProc> shaft_, setshaft_;
   double speed_ = 0.0;
   double accel_ = 0.0;
   double ecorr_ = 1.0;

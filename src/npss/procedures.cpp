@@ -60,16 +60,16 @@ std::string to_import(const char* export_text) {
   return uts::export_to_import_text(uts::parse_spec(export_text));
 }
 
-StationArray station_arg(const ProcCall& call, std::string_view name) {
-  std::vector<double> v = call.arg(name).as_real_vector();
-  return {v[0], v[1], v[2], v[3]};
-}
+}  // namespace
 
 Value station_value(const StationArray& a) {
   return Value::real_array({a[0], a[1], a[2], a[3]});
 }
 
-}  // namespace
+StationArray station_from(const Value& v) {
+  std::vector<double> r = v.as_real_vector();
+  return {r[0], r[1], r[2], r[3]};
+}
 
 std::string shaft_import_spec() { return to_import(kShaftSpec); }
 std::string duct_import_spec() { return to_import(kDuctSpec); }
@@ -84,8 +84,8 @@ sim::ProgramImage shaft_image(double compute_us) {
       kShaftSpec,
       {{"setshaft",
         [](ProcCall& call) {
-          StationArray ecom = station_arg(call, "ecom");
-          StationArray etur = station_arg(call, "etur");
+          StationArray ecom = station_from(call.arg("ecom"));
+          StationArray etur = station_from(call.arg("etur"));
           call.set_real("ecorr",
                         tess::setshaft(ecom.data(),
                                        static_cast<int>(call.integer("incom")),
@@ -94,8 +94,8 @@ sim::ProgramImage shaft_image(double compute_us) {
         }},
        {"shaft",
         [](ProcCall& call) {
-          StationArray ecom = station_arg(call, "ecom");
-          StationArray etur = station_arg(call, "etur");
+          StationArray ecom = station_from(call.arg("ecom"));
+          StationArray etur = station_from(call.arg("etur"));
           call.set_real(
               "dxspl",
               tess::shaft(ecom.data(),
@@ -115,7 +115,7 @@ sim::ProgramImage duct_image(double compute_us) {
   return rpc::make_procedure_image(
       kDuctSpec, {{"duct", [](ProcCall& call) {
                      tess::GasState out = tess::duct(
-                         tess::from_array(station_arg(call, "stin")),
+                         tess::from_array(station_from(call.arg("stin"))),
                          call.real("dp"));
                      call.set("stout", station_value(tess::to_array(out)));
                    }}},
@@ -130,7 +130,7 @@ sim::ProgramImage combustor_image(double compute_us) {
       kCombustorSpec,
       {{"combustor", [](ProcCall& call) {
           tess::CombustorResult r = tess::combustor(
-              tess::from_array(station_arg(call, "stin")),
+              tess::from_array(station_from(call.arg("stin"))),
               call.real("wfuel"), call.real("effb"), call.real("dp"));
           call.set("stout", station_value(tess::to_array(r.out)));
         }}},
@@ -144,7 +144,7 @@ sim::ProgramImage nozzle_image(double compute_us) {
   return rpc::make_procedure_image(
       kNozzleSpec, {{"nozzle", [](ProcCall& call) {
                        tess::NozzleResult r = tess::nozzle(
-                           tess::from_array(station_arg(call, "stin")),
+                           tess::from_array(station_from(call.arg("stin"))),
                            call.real("area"), call.real("pamb"));
                        call.set("result",
                                 Value::real_array({r.w_required, r.thrust,
@@ -165,7 +165,7 @@ sim::ProgramImage hifi_duct_image(tess::HifiDuctConfig config,
           // Same interface as the level-1 duct; the dp argument is
           // superseded by the level-2 physics.
           tess::HifiDuctResult r = tess::hifi_duct(
-              tess::from_array(station_arg(call, "stin")), config);
+              tess::from_array(station_from(call.arg("stin"))), config);
           call.set("stout", station_value(tess::to_array(r.out)));
         }}},
       opt);

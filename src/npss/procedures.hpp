@@ -12,8 +12,15 @@
 #include "rpc/host.hpp"
 #include "sim/cluster.hpp"
 #include "tess/hifi_duct.hpp"
+#include "tess/remote_seam.hpp"
 
 namespace npss::glue {
+
+/// A station [W, Tt, Pt, FAR] or a shaft's energy terms as the specs'
+/// array[4] of double: how every adapted procedure's array argument and
+/// result crosses the wire, and the flow modules' energy port value.
+uts::Value station_value(const tess::StationArray& a);
+tess::StationArray station_from(const uts::Value& v);
 
 /// Export/import specification texts.
 extern const char* kShaftSpec;      ///< setshaft + shaft (paper §3.3)

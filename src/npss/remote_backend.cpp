@@ -24,15 +24,6 @@ std::string_view adapted_component_name(AdaptedComponent c) {
 
 namespace {
 
-Value station_value(const StationArray& a) {
-  return Value::real_array({a[0], a[1], a[2], a[3]});
-}
-
-StationArray station_from(const Value& v) {
-  std::vector<double> r = v.as_real_vector();
-  return {r[0], r[1], r[2], r[3]};
-}
-
 std::string default_path(AdaptedComponent c) {
   switch (c) {
     case AdaptedComponent::kShaft: return kShaftPath;
@@ -43,7 +34,150 @@ std::string default_path(AdaptedComponent c) {
   return "";
 }
 
+std::string instance_label(AdaptedComponent c, int instance) {
+  return std::string(adapted_component_name(c)) + "[" +
+         std::to_string(instance) + "]";
+}
+
+const tess::ComponentHooks& local_hooks() {
+  static const tess::ComponentHooks hooks = tess::ComponentHooks::local();
+  return hooks;
+}
+
 }  // namespace
+
+// --- AdaptedClient -----------------------------------------------------------------
+
+AdaptedClient::AdaptedClient(rpc::Session& session, AdaptedComponent component,
+                             const std::string& name,
+                             const Placement& placement) {
+  line_ = session.open_line(rpc::LineOptions{}.with_name(name));
+  line_->contact_schx(placement.machine, placement.path.empty()
+                                             ? default_path(component)
+                                             : placement.path);
+  switch (component) {
+    case AdaptedComponent::kShaft:
+      primary_ = line_->import_proc("shaft", shaft_import_spec());
+      secondary_ = line_->import_proc("setshaft", shaft_import_spec());
+      break;
+    case AdaptedComponent::kDuct:
+      primary_ = line_->import_proc("duct", duct_import_spec());
+      break;
+    case AdaptedComponent::kCombustor:
+      primary_ = line_->import_proc("combustor", combustor_import_spec());
+      break;
+    case AdaptedComponent::kNozzle:
+      primary_ = line_->import_proc("nozzle", nozzle_import_spec());
+      break;
+  }
+}
+
+bool AdaptedClient::call(rpc::RemoteProc& proc, ValueList args,
+                         ValueList* out) {
+  rpc::CallResult result = proc.call(std::move(args), options_);
+  if (result.failed_over) {
+    ++failovers_;
+    if (obs::enabled()) {
+      obs::Registry::global().counter("npss.remote.failovers").add();
+    }
+  }
+  if (result.ok()) {
+    *out = std::move(result.values);
+    return true;
+  }
+  if (!local_fallback_) result.status.raise_if_error();
+  ++degraded_calls_;
+  NPSS_LOG_WARN("npss.glue", line_->name(), " degraded to local compute: ",
+                result.status.to_string(), " (", result.attempt_count(),
+                " attempt(s))");
+  if (obs::enabled()) {
+    obs::Registry::global().counter("npss.remote.degraded_calls").add();
+  }
+  return false;
+}
+
+StationArray AdaptedClient::duct(const StationArray& in, double dp) {
+  ValueList out;
+  if (placed() && call(*primary_,
+                       {station_value(in), Value::real(dp),
+                        Value::real_array({0, 0, 0, 0})},
+                       &out)) {
+    return station_from(out[2]);
+  }
+  return local_hooks().duct(0, in, dp);
+}
+
+StationArray AdaptedClient::combustor(const StationArray& in, double wf,
+                                      double eff, double dp) {
+  ValueList out;
+  if (placed() && call(*primary_,
+                       {station_value(in), Value::real(wf), Value::real(eff),
+                        Value::real(dp), Value::real_array({0, 0, 0, 0})},
+                       &out)) {
+    return station_from(out[4]);
+  }
+  return local_hooks().combustor(0, in, wf, eff, dp);
+}
+
+StationArray AdaptedClient::nozzle(const StationArray& in, double area,
+                                   double pamb) {
+  ValueList out;
+  if (placed() && call(*primary_,
+                       {station_value(in), Value::real(area),
+                        Value::real(pamb), Value::real_array({0, 0, 0, 0})},
+                       &out)) {
+    return station_from(out[3]);
+  }
+  return local_hooks().nozzle(0, in, area, pamb);
+}
+
+double AdaptedClient::setshaft(const StationArray& ecom, int incom,
+                               const StationArray& etur, int intur) {
+  ValueList out;
+  if (placed() && call(*secondary_,
+                       {station_value(ecom), Value::integer(incom),
+                        station_value(etur), Value::integer(intur),
+                        Value::real(0)},
+                       &out)) {
+    return out[4].as_real();
+  }
+  return local_hooks().setshaft(0, ecom, incom, etur, intur);
+}
+
+double AdaptedClient::shaft(const StationArray& ecom, int incom,
+                            const StationArray& etur, int intur, double ecorr,
+                            double xspool, double xmyi) {
+  ValueList out;
+  if (placed() && call(*primary_,
+                       {station_value(ecom), Value::integer(incom),
+                        station_value(etur), Value::integer(intur),
+                        Value::real(ecorr), Value::real(xspool),
+                        Value::real(xmyi), Value::real(0)},
+                       &out)) {
+    return out[7].as_real();
+  }
+  return local_hooks().shaft(0, ecom, incom, etur, intur, ecorr, xspool, xmyi);
+}
+
+rpc::PendingCall AdaptedClient::call_async(ValueList args) {
+  return primary_->call_async(std::move(args), options_);
+}
+
+int AdaptedClient::calls() const {
+  return (primary_ ? primary_->calls() : 0) +
+         (secondary_ ? secondary_->calls() : 0);
+}
+
+int AdaptedClient::stale_retries() const {
+  return (primary_ ? primary_->stale_retries() : 0) +
+         (secondary_ ? secondary_->stale_retries() : 0);
+}
+
+void AdaptedClient::quit() {
+  if (line_) line_->quit();
+}
+
+// --- RemoteBackend -----------------------------------------------------------------
 
 RemoteBackend::RemoteBackend(rpc::SchoonerSystem& system,
                              std::string avs_machine)
@@ -58,64 +192,42 @@ RemoteBackend::~RemoteBackend() {
 
 void RemoteBackend::place(AdaptedComponent component, int instance,
                           const Placement& placement) {
-  Placement p = placement;
-  if (p.path.empty()) p.path = default_path(component);
-
   if (!session_) session_ = system_->make_session(avs_machine_);
   Instance inst;
-  inst.line = session_->open_line(rpc::LineOptions{}.with_name(
-      std::string(adapted_component_name(component)) + "[" +
-      std::to_string(instance) + "]"));
-  inst.line->contact_schx(p.machine, p.path);
-  switch (component) {
-    case AdaptedComponent::kShaft:
-      inst.primary = inst.line->import_proc("shaft", shaft_import_spec());
-      inst.secondary =
-          inst.line->import_proc("setshaft", shaft_import_spec());
-      break;
-    case AdaptedComponent::kDuct:
-      inst.primary = inst.line->import_proc("duct", duct_import_spec());
-      break;
-    case AdaptedComponent::kCombustor:
-      inst.primary =
-          inst.line->import_proc("combustor", combustor_import_spec());
-      break;
-    case AdaptedComponent::kNozzle:
-      inst.primary = inst.line->import_proc("nozzle", nozzle_import_spec());
-      break;
-  }
-  inst.clock_base = inst.line->io().endpoint().clock().now();
+  inst.client = AdaptedClient(*session_, component,
+                              instance_label(component, instance), placement);
+  inst.client.set_call_options(options_);
+  inst.client.set_local_fallback(local_fallback_);
+  inst.clock_base = inst.client.line().io().endpoint().clock().now();
   instances_[{component, instance}] = std::move(inst);
 }
 
-bool RemoteBackend::remote_call(rpc::RemoteProc& proc,
-                                const std::string& label, uts::ValueList args,
-                                uts::ValueList* out) {
-  rpc::CallResult result = proc.call(std::move(args), options_);
-  if (result.failed_over) {
-    ++failovers_;
-    if (obs::enabled()) {
-      obs::Registry::global().counter("npss.remote.failovers").add();
-    }
-  }
-  if (result.ok()) {
-    *out = std::move(result.values);
-    return true;
-  }
-  if (!local_fallback_) result.status.raise_if_error();
-  ++degraded_calls_;
-  degraded_.insert(label);
-  NPSS_LOG_WARN("npss.glue", label, " degraded to local compute: ",
-                result.status.to_string(), " (", result.attempt_count(),
-                " attempt(s))");
-  if (obs::enabled()) {
-    obs::Registry::global().counter("npss.remote.degraded_calls").add();
-  }
-  return false;
+void RemoteBackend::set_call_options(const rpc::CallOptions& opts) {
+  options_ = opts;
+  for (auto& [key, inst] : instances_) inst.client.set_call_options(opts);
+}
+
+void RemoteBackend::set_local_fallback(bool on) {
+  local_fallback_ = on;
+  for (auto& [key, inst] : instances_) inst.client.set_local_fallback(on);
 }
 
 std::vector<std::string> RemoteBackend::degraded_instances() const {
-  return {degraded_.begin(), degraded_.end()};
+  std::vector<std::string> labels;
+  for (const auto& [key, inst] : instances_) {
+    if (inst.client.degraded_calls() > 0) {
+      labels.push_back(instance_label(key.first, key.second));
+    }
+  }
+  std::sort(labels.begin(), labels.end());
+  return labels;
+}
+
+
+int RemoteBackend::sum(int (AdaptedClient::*count)() const) const {
+  int total = 0;
+  for (const auto& [key, inst] : instances_) total += (inst.client.*count)();
+  return total;
 }
 
 RemoteBackend::Instance* RemoteBackend::find(AdaptedComponent c,
@@ -124,152 +236,79 @@ RemoteBackend::Instance* RemoteBackend::find(AdaptedComponent c,
   return it == instances_.end() ? nullptr : &it->second;
 }
 
+RemoteBackend::Instance& RemoteBackend::require(AdaptedComponent c,
+                                                int instance,
+                                                const char* what) {
+  Instance* inst = find(c, instance);
+  if (!inst) {
+    throw util::LookupError(std::string(what) + ": " +
+                            instance_label(c, instance) +
+                            " is not placed remotely");
+  }
+  return *inst;
+}
+
+AdaptedClient& RemoteBackend::client(AdaptedComponent c, int instance) {
+  Instance* inst = find(c, instance);
+  return inst ? inst->client : local_;
+}
+
 tess::ComponentHooks RemoteBackend::hooks() {
-  tess::ComponentHooks local = tess::ComponentHooks::local();
+  using C = AdaptedComponent;
   tess::ComponentHooks hooks;
-
-  hooks.duct = [this, local](int instance, const StationArray& in,
-                             double dp) {
-    Instance* inst = find(AdaptedComponent::kDuct, instance);
-    ValueList out;
-    if (!inst ||
-        !remote_call(*inst->primary, "duct[" + std::to_string(instance) + "]",
-                     {station_value(in), Value::real(dp),
-                      Value::real_array({0, 0, 0, 0})},
-                     &out)) {
-      return local.duct(instance, in, dp);
-    }
-    return station_from(out[2]);
+  hooks.duct = [this](int instance, const StationArray& in, double dp) {
+    return client(C::kDuct, instance).duct(in, dp);
   };
-
-  hooks.combustor = [this, local](int instance, const StationArray& in,
-                                  double wf, double eff, double dp) {
-    Instance* inst = find(AdaptedComponent::kCombustor, instance);
-    ValueList out;
-    if (!inst ||
-        !remote_call(*inst->primary,
-                     "combustor[" + std::to_string(instance) + "]",
-                     {station_value(in), Value::real(wf), Value::real(eff),
-                      Value::real(dp), Value::real_array({0, 0, 0, 0})},
-                     &out)) {
-      return local.combustor(instance, in, wf, eff, dp);
-    }
-    return station_from(out[4]);
+  hooks.combustor = [this](int instance, const StationArray& in, double wf,
+                           double eff, double dp) {
+    return client(C::kCombustor, instance).combustor(in, wf, eff, dp);
   };
-
-  hooks.nozzle = [this, local](int instance, const StationArray& in,
-                               double area, double pamb) {
-    Instance* inst = find(AdaptedComponent::kNozzle, instance);
-    ValueList out;
-    if (!inst ||
-        !remote_call(*inst->primary,
-                     "nozzle[" + std::to_string(instance) + "]",
-                     {station_value(in), Value::real(area), Value::real(pamb),
-                      Value::real_array({0, 0, 0, 0})},
-                     &out)) {
-      return local.nozzle(instance, in, area, pamb);
-    }
-    return station_from(out[3]);
+  hooks.nozzle = [this](int instance, const StationArray& in, double area,
+                        double pamb) {
+    return client(C::kNozzle, instance).nozzle(in, area, pamb);
   };
-
-  hooks.setshaft = [this, local](int spool, const StationArray& ecom,
-                                 int incom, const StationArray& etur,
-                                 int intur) {
-    Instance* inst = find(AdaptedComponent::kShaft, spool);
-    ValueList out;
-    if (!inst ||
-        !remote_call(*inst->secondary,
-                     "shaft[" + std::to_string(spool) + "]",
-                     {station_value(ecom), Value::integer(incom),
-                      station_value(etur), Value::integer(intur),
-                      Value::real(0)},
-                     &out)) {
-      return local.setshaft(spool, ecom, incom, etur, intur);
-    }
-    return out[4].as_real();
+  hooks.setshaft = [this](int spool, const StationArray& ecom, int incom,
+                          const StationArray& etur, int intur) {
+    return client(C::kShaft, spool).setshaft(ecom, incom, etur, intur);
   };
-
-  hooks.shaft = [this, local](int spool, const StationArray& ecom, int incom,
-                              const StationArray& etur, int intur,
-                              double ecorr, double xspool, double xmyi) {
-    Instance* inst = find(AdaptedComponent::kShaft, spool);
-    ValueList out;
-    if (!inst ||
-        !remote_call(*inst->primary, "shaft[" + std::to_string(spool) + "]",
-                     {station_value(ecom), Value::integer(incom),
-                      station_value(etur), Value::integer(intur),
-                      Value::real(ecorr), Value::real(xspool),
-                      Value::real(xmyi), Value::real(0)},
-                     &out)) {
-      return local.shaft(spool, ecom, incom, etur, intur, ecorr, xspool,
-                         xmyi);
-    }
-    return out[7].as_real();
+  hooks.shaft = [this](int spool, const StationArray& ecom, int incom,
+                       const StationArray& etur, int intur, double ecorr,
+                       double xspool, double xmyi) {
+    return client(C::kShaft, spool)
+        .shaft(ecom, incom, etur, intur, ecorr, xspool, xmyi);
   };
-
   return hooks;
 }
 
 rpc::PendingCall RemoteBackend::call_async(AdaptedComponent component,
                                            int instance,
                                            uts::ValueList args) {
-  Instance* inst = find(component, instance);
-  if (!inst) {
-    throw util::LookupError("call_async: " +
-                            std::string(adapted_component_name(component)) +
-                            "[" + std::to_string(instance) +
-                            "] is not placed remotely");
-  }
-  return inst->primary->call_async(std::move(args), options_);
+  return require(component, instance, "call_async")
+      .client.call_async(std::move(args));
 }
 
 std::string RemoteBackend::move(AdaptedComponent component, int instance,
                                 const std::string& machine,
                                 const std::string& path,
                                 bool transfer_state) {
-  Instance* inst = find(component, instance);
-  if (!inst) {
-    throw util::LookupError("move: " +
-                            std::string(adapted_component_name(component)) +
-                            "[" + std::to_string(instance) +
-                            "] is not placed remotely");
-  }
-  return inst->line->move_proc(
-      std::string(adapted_component_name(component)), machine, path,
-      transfer_state);
-}
-
-int RemoteBackend::total_stale_retries() const {
-  int total = 0;
-  for (const auto& [key, inst] : instances_) {
-    if (inst.primary) total += inst.primary->stale_retries();
-    if (inst.secondary) total += inst.secondary->stale_retries();
-  }
-  return total;
+  return require(component, instance, "move")
+      .client.line()
+      .move_proc(std::string(adapted_component_name(component)), machine,
+                 path, transfer_state);
 }
 
 std::map<std::string, int> RemoteBackend::call_counts() const {
   std::map<std::string, int> counts;
   for (const auto& [key, inst] : instances_) {
-    std::string label = std::string(adapted_component_name(key.first)) + "[" +
-                        std::to_string(key.second) + "]";
-    int n = inst.primary ? inst.primary->calls() : 0;
-    if (inst.secondary) n += inst.secondary->calls();
-    counts[label] = n;
+    counts[instance_label(key.first, key.second)] = inst.client.calls();
   }
   return counts;
-}
-
-int RemoteBackend::total_calls() const {
-  int total = 0;
-  for (const auto& [label, n] : call_counts()) total += n;
-  return total;
 }
 
 util::SimTime RemoteBackend::elapsed_virtual_us() const {
   util::SimTime worst = 0;
   for (const auto& [key, inst] : instances_) {
-    worst = std::max(worst, inst.line->io().endpoint().clock().now() -
+    worst = std::max(worst, inst.client.line().io().endpoint().clock().now() -
                                 inst.clock_base);
   }
   return worst;
@@ -277,14 +316,12 @@ util::SimTime RemoteBackend::elapsed_virtual_us() const {
 
 void RemoteBackend::reset_clocks() {
   for (auto& [key, inst] : instances_) {
-    inst.clock_base = inst.line->io().endpoint().clock().now();
+    inst.clock_base = inst.client.line().io().endpoint().clock().now();
   }
 }
 
 void RemoteBackend::quit() {
-  for (auto& [key, inst] : instances_) {
-    if (inst.line) inst.line->quit();
-  }
+  for (auto& [key, inst] : instances_) inst.client.quit();
 }
 
 }  // namespace npss::glue

@@ -6,7 +6,8 @@
 // shaft instances, and in the paper each AVS module instance registers
 // with the Manager and owns its remote process — same-named procedures in
 // different lines, the very scenario that forced the §4.2 lines extension.
-// Each placed instance therefore gets its own rpc::Line, opened from the
+// Each placed instance therefore gets its own AdaptedClient — the same
+// glue the Figure 2 flow modules use — whose line is opened from the
 // backend's one Session.
 // Unplaced instances keep computing locally, so any subset of the adapted
 // components can be remote, as in the paper's module-by-module tests.
@@ -14,7 +15,6 @@
 
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -37,6 +37,72 @@ struct Placement {
   std::string path;  ///< empty = conventional install path
 };
 
+/// One adapted component instance's client — the glue both the engine
+/// model's hooks (RemoteBackend) and the Figure 2 flow modules
+/// (AdaptedModule) call through. A placed client owns a line named after
+/// the instance, contacted with sch_contact_schx, and the component's
+/// import stubs; its five ComponentHooks-shaped calls pack the
+/// procedure's arguments and read its result slot. When a remote call
+/// fails terminally (per the CallOptions) and local fallback is on, the
+/// call degrades to tess::ComponentHooks::local() for that evaluation,
+/// logs it and counts npss.remote.degraded_calls — the run completes
+/// instead of aborting the solve; with fallback off it raises the
+/// terminal status as its Error subclass. An unplaced (default) client
+/// computes locally.
+class AdaptedClient {
+ public:
+  AdaptedClient() = default;
+  /// Open a line named `name` from `session` (which must outlive it),
+  /// contact the component's process per `placement`, import its stubs.
+  AdaptedClient(rpc::Session& session, AdaptedComponent component,
+                const std::string& name, const Placement& placement);
+
+  bool placed() const { return line_ != nullptr; }
+  /// The placed client's line (its name is the degradation label).
+  rpc::Line& line() const { return *line_; }
+
+  tess::StationArray duct(const tess::StationArray& in, double dp);
+  tess::StationArray combustor(const tess::StationArray& in, double wf,
+                               double eff, double dp);
+  tess::StationArray nozzle(const tess::StationArray& in, double area,
+                            double pamb);
+  double setshaft(const tess::StationArray& ecom, int incom,
+                  const tess::StationArray& etur, int intur);
+  double shaft(const tess::StationArray& ecom, int incom,
+               const tess::StationArray& etur, int intur, double ecorr,
+               double xspool, double xmyi);
+
+  /// Issue the primary procedure (duct/combustor/nozzle/shaft) with the
+  /// client's CallOptions and return it in flight; no fallback.
+  rpc::PendingCall call_async(uts::ValueList args);
+
+  void set_call_options(const rpc::CallOptions& opts) { options_ = opts; }
+  void set_local_fallback(bool on) { local_fallback_ = on; }
+
+  /// Remote calls, stale-binding recoveries, degraded evaluations and
+  /// failovers on this placement.
+  int calls() const;
+  int stale_retries() const;
+  int degraded_calls() const { return degraded_calls_; }
+  int failovers() const { return failovers_; }
+
+  /// sch_i_quit (no-op when unplaced); the Line destructor also quits.
+  void quit();
+
+ private:
+  /// Run `proc` remotely; false when it failed and the caller computes
+  /// locally (after recording the degradation).
+  bool call(rpc::RemoteProc& proc, uts::ValueList args, uts::ValueList* out);
+
+  std::unique_ptr<rpc::Line> line_;
+  std::unique_ptr<rpc::RemoteProc> primary_;    ///< duct/combustor/nozzle/shaft
+  std::unique_ptr<rpc::RemoteProc> secondary_;  ///< setshaft
+  rpc::CallOptions options_ = rpc::CallOptions::legacy();
+  bool local_fallback_ = true;
+  int degraded_calls_ = 0;
+  int failovers_ = 0;
+};
+
 class RemoteBackend {
  public:
   RemoteBackend(rpc::SchoonerSystem& system, std::string avs_machine);
@@ -47,30 +113,27 @@ class RemoteBackend {
   void place(AdaptedComponent component, int instance,
              const Placement& placement);
 
-  /// Hooks for EngineModel::set_hooks(): remote where placed, local else.
-  /// When a placed instance's remote call fails terminally (per the
-  /// configured CallOptions) and local fallback is on, the hook degrades
-  /// to the local physics for that evaluation and the degradation is
-  /// recorded (npss.remote.degraded_calls counter + degraded_instances())
-  /// — the run completes instead of aborting the solve.
+  /// Hooks for EngineModel::set_hooks(): each placed instance's
+  /// AdaptedClient (degrading to local physics as it describes), local
+  /// compute for the rest.
   tess::ComponentHooks hooks();
 
   /// Deadline/retry/failover policy for every remote call, on current and
   /// future placements (default: rpc::CallOptions::legacy()).
-  void set_call_options(const rpc::CallOptions& opts) { options_ = opts; }
+  void set_call_options(const rpc::CallOptions& opts);
   const rpc::CallOptions& call_options() const { return options_; }
 
   /// Degrade to the local compute hook when a remote call fails (default
-  /// on). When off, hook failures raise the terminal status as its Error
-  /// subclass, as the pre-fault-tolerance glue did.
-  void set_local_fallback(bool on) { local_fallback_ = on; }
+  /// on), on current and future placements. When off, hook failures raise
+  /// the terminal status as its Error subclass.
+  void set_local_fallback(bool on);
 
   /// "component[instance]" labels that have degraded to local compute at
   /// least once, and how many hook evaluations fell back in total.
   std::vector<std::string> degraded_instances() const;
-  int degraded_calls() const { return degraded_calls_; }
+  int degraded_calls() const { return sum(&AdaptedClient::degraded_calls); }
   /// Calls recovered by migration-based failover across all stubs.
-  int failovers() const { return failovers_; }
+  int failovers() const { return sum(&AdaptedClient::failovers); }
 
   /// Async call seam: issue instance's primary procedure with the
   /// backend's CallOptions and return it in flight, so calls on
@@ -90,15 +153,18 @@ class RemoteBackend {
 
   /// Remote calls per "component[instance]" so far.
   std::map<std::string, int> call_counts() const;
-  int total_calls() const;
+  int total_calls() const { return sum(&AdaptedClient::calls); }
 
   /// Stale-binding recoveries across all stubs (each moved stub pays one
   /// on its first post-move call).
-  int total_stale_retries() const;
+  int total_stale_retries() const {
+    return sum(&AdaptedClient::stale_retries);
+  }
 
-  /// Worst per-line elapsed virtual time (network + marshal; the engine's
-  /// calls are sequential so lines see disjoint slices of the same wall
-  /// clock — the maximum is the end-to-end cost).
+  /// Worst per-line elapsed virtual time (network + marshal): the busiest
+  /// line's clock. The engine's calls are sequential, so each line's clock
+  /// counts only its own calls, and this is a lower bound on the program's
+  /// time, not its end-to-end cost (see ROADMAP "Fix first", item 2).
   util::SimTime elapsed_virtual_us() const;
   void reset_clocks();
 
@@ -107,20 +173,18 @@ class RemoteBackend {
 
  private:
   struct Instance {
-    std::unique_ptr<rpc::Line> line;
-    std::unique_ptr<rpc::RemoteProc> primary;   ///< duct/combustor/nozzle/shaft
-    std::unique_ptr<rpc::RemoteProc> secondary; ///< setshaft
+    AdaptedClient client;
     util::SimTime clock_base = 0;
   };
 
+  /// The placed instance, or nullptr when it computes locally.
   Instance* find(AdaptedComponent c, int instance);
-
-  /// The one fault-tolerant hook path: runs the stub with the backend's
-  /// CallOptions; on success fills `out` and returns true. On terminal
-  /// failure records the degradation and returns false (hook falls back
-  /// to local physics) — or raises when local fallback is off.
-  bool remote_call(rpc::RemoteProc& proc, const std::string& label,
-                   uts::ValueList args, uts::ValueList* out);
+  /// find(), throwing util::LookupError naming `what` when unplaced.
+  Instance& require(AdaptedComponent c, int instance, const char* what);
+  /// The client hooks() calls for an instance: placed, or a local one.
+  AdaptedClient& client(AdaptedComponent c, int instance);
+  /// `count` summed over the placed instances' clients.
+  int sum(int (AdaptedClient::*count)() const) const;
 
   rpc::SchoonerSystem* system_;
   std::string avs_machine_;
@@ -129,9 +193,8 @@ class RemoteBackend {
   std::map<std::pair<AdaptedComponent, int>, Instance> instances_;
   rpc::CallOptions options_ = rpc::CallOptions::legacy();
   bool local_fallback_ = true;
-  std::set<std::string> degraded_;
-  int degraded_calls_ = 0;
-  int failovers_ = 0;
+  /// Unplaced instances call through this client, which computes locally.
+  AdaptedClient local_;
 };
 
 }  // namespace npss::glue

@@ -539,7 +539,8 @@ TEST(BusWriteThrough, OversizedFrameIsFinishedByTheLoopAndLaterFramesKeepOrder) 
       for (std::int64_t i = 0; i < kPerThread; ++i) {
         Message m;
         m.kind = MessageKind::kCall;
-        m.a = "t" + std::to_string(t);
+        m.a = "t";
+        m.a += std::to_string(t);
         m.n = i;
         send(m);
       }

@@ -13,6 +13,15 @@
 namespace npss::flow {
 namespace {
 
+/// `prefix` followed by `i`, built by appending: g++ 12 at -O3 reports a
+/// false -Wrestrict overlap for `"literal" + std::to_string(i)` once the
+/// concatenation is inlined.
+std::string numbered(const char* prefix, int i) {
+  std::string s = prefix;
+  s += std::to_string(i);
+  return s;
+}
+
 // --- Widgets ----------------------------------------------------------------------
 
 TEST(Widgets, DialEnforcesBounds) {
@@ -362,7 +371,7 @@ TEST(Wavefront, ParallelAndSequentialAgree) {
   auto build = [](Network& net) {
     net.add("src", "constant");
     for (int i = 0; i < 4; ++i) {
-      std::string name = "d" + std::to_string(i);
+      const std::string name = numbered("d", i);
       net.add(name, std::make_unique<DoublerModule>());
       net.connect("src", "out", name, "in");
       net.add(name + "s", std::make_unique<MonitorModule>());
@@ -376,7 +385,7 @@ TEST(Wavefront, ParallelAndSequentialAgree) {
   seq.set_parallel_evaluation(false);
   EXPECT_EQ(par.evaluate(), seq.evaluate());
   for (int i = 0; i < 4; ++i) {
-    std::string sink = "d" + std::to_string(i) + "s";
+    const std::string sink = numbered("d", i) + "s";
     EXPECT_DOUBLE_EQ(
         static_cast<MonitorModule&>(par.module(sink)).last(),
         static_cast<MonitorModule&>(seq.module(sink)).last());
@@ -390,7 +399,7 @@ TEST(Wavefront, SameLevelModulesRunConcurrently) {
   // is 1 and the level would legitimately run sequentially.
   net.set_parallel_workers(4);
   for (int i = 0; i < 4; ++i) {
-    net.add("p" + std::to_string(i),
+    net.add(numbered("p", i),
             std::make_unique<OverlapProbe>(live, peak, /*safe=*/true));
   }
   net.evaluate();
@@ -401,7 +410,7 @@ TEST(Wavefront, ThreadSafeOptOutForcesSequential) {
   std::atomic<int> live{0}, peak{0};
   Network net;
   for (int i = 0; i < 4; ++i) {
-    net.add("p" + std::to_string(i),
+    net.add(numbered("p", i),
             std::make_unique<OverlapProbe>(live, peak, /*safe=*/false));
   }
   EXPECT_EQ(net.evaluate(), 4);
@@ -414,7 +423,7 @@ TEST(Wavefront, ParallelSwitchOffForcesSequential) {
   net.set_parallel_evaluation(false);
   EXPECT_FALSE(net.parallel_evaluation());
   for (int i = 0; i < 4; ++i) {
-    net.add("p" + std::to_string(i),
+    net.add(numbered("p", i),
             std::make_unique<OverlapProbe>(live, peak, /*safe=*/true));
   }
   EXPECT_EQ(net.evaluate(), 4);

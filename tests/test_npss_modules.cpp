@@ -1,7 +1,8 @@
 // Unit tests of the NPSS glue layer: station/energy value conversion, the
 // TESS flow modules' widget panels and port behaviour, interactive
 // re-placement (changing the machine widget mid-session re-contacts the
-// Manager on a fresh line), and the runtime context guard rails.
+// Manager on a fresh line), degradation to local physics when a placed
+// module's machine crashes, and the runtime context guard rails.
 #include <gtest/gtest.h>
 
 #include "flow/network.hpp"
@@ -9,6 +10,7 @@
 #include "npss/network_driver.hpp"
 #include "npss/procedures.hpp"
 #include "npss/runtime.hpp"
+#include "obs/metrics.hpp"
 
 namespace npss::glue {
 namespace {
@@ -26,9 +28,9 @@ TEST(StationValues, RoundTripThroughRecord) {
 
 TEST(StationValues, EnergyArrayRoundTrip) {
   tess::StationArray e{1.3e7, 102.0, 1.27e5, 0.86};
-  uts::Value v = energy_to_value(e);
+  uts::Value v = station_value(e);
   EXPECT_NO_THROW(uts::check_value(energy_type(), v));
-  tess::StationArray back = energy_from_value(v);
+  tess::StationArray back = station_from(v);
   for (int i = 0; i < 4; ++i) EXPECT_DOUBLE_EQ(back[i], e[i]);
 }
 
@@ -148,6 +150,43 @@ TEST_F(PlacementTest, ChangingTheMachineWidgetRecontacts) {
   const auto before_removal = system_->stats().lines_shut_down;
   net.remove("duct");
   EXPECT_EQ(system_->stats().lines_shut_down, before_removal + 1);
+}
+
+TEST_F(PlacementTest, CrashedMachineDegradesTheDuctToLocalPhysics) {
+  // The flow-module fault path: a placed duct whose machine crashes
+  // computes its output with the local physics and counts one degraded
+  // call; with local fallback off the same evaluation raises instead.
+  register_tess_modules();
+  const bool obs_was_on = obs::enabled();
+  obs::set_enabled(true);
+  obs::Counter& degraded =
+      obs::Registry::global().counter("npss.remote.degraded_calls");
+  auto output = [](const flow::Module& m, const std::string& port) {
+    for (const flow::OutputPort& p : m.outputs()) {
+      if (p.name == port) return tess::to_array(station_from_value(*p.value));
+    }
+    ADD_FAILURE() << "no output port " << port;
+    return tess::StationArray{};
+  };
+  flow::Network net;
+  flow::Module& duct = net.add("duct", "tess-duct");
+  flow::Module& inlet = net.add("inlet", "tess-inlet");
+  net.connect("inlet", "out", "duct", "in");
+  duct.widget("machine").select("m1");
+  net.evaluate();
+  const std::uint64_t before = degraded.value();
+
+  ASSERT_GT(cluster_.crash_machine("m1"), 0);
+  net.evaluate();
+  EXPECT_EQ(degraded.value(), before + 1);
+  EXPECT_EQ(output(duct, "out"),
+            tess::ComponentHooks::local().duct(0, output(inlet, "out"),
+                                               duct.widget("dp").real()));
+
+  npss_runtime().local_fallback = false;
+  EXPECT_THROW(net.evaluate(), util::Error);
+  EXPECT_EQ(degraded.value(), before + 1);
+  obs::set_enabled(obs_was_on);
 }
 
 TEST_F(PlacementTest, ZoomedDuctPathWorksInTheNetwork) {

@@ -91,7 +91,8 @@ std::vector<Message> codec_corpus() {
     m.kind = static_cast<MessageKind>(k);
     m.seq = 0x0102030405060708ull * static_cast<std::uint64_t>(k);
     m.line = k % 3 == 0 ? kNoLine : 11 * k;
-    m.a = "a" + std::to_string(k);
+    m.a = "a";
+    m.a += std::to_string(k);
     m.b = k % 2 ? "import shaft prog(\"x\" val float)" : "";
     m.c = std::string(static_cast<std::size_t>(k % 5), 'c');
     m.n = -k;
