@@ -14,6 +14,9 @@ namespace npss::rpc {
 
 namespace {
 
+/// Exchanges one ManagerLink::request may make, re-sends included.
+constexpr int kMaxManagerExchanges = 4;
+
 // SplitMix64 — same generator family the sim-layer FaultInjector uses, so
 // backoff jitter shares its statistical quality and, crucially, its
 // determinism: the draw depends only on the virtual clock and the attempt
@@ -76,17 +79,66 @@ std::string discover_manager_leader(MessageIo& io,
   return {};
 }
 
-bool CallCore::rediscover_manager() const {
-  if (manager_replicas.empty()) return false;
-  std::string leader = discover_manager_leader(*io, manager_replicas);
-  if (leader.empty()) return false;
-  if (leader != manager) {
-    NPSS_LOG_INFO("rpc.call", "manager leader moved: ", manager, " -> ",
-                  leader);
-    count(rpc_metrics().meta_rebinds_after_failover);
+std::string ManagerLink::leader() const {
+  util::MutexLock lock(mu_);
+  return leader_;
+}
+
+void ManagerLink::adopt(const std::string& leader) {
+  util::MutexLock lock(mu_);
+  if (leader == leader_) return;
+  NPSS_LOG_INFO("rpc.call", "manager leader moved: ", leader_, " -> ",
+                leader);
+  count(rpc_metrics().meta_rebinds_after_failover);
+  leader_ = leader;
+}
+
+void ManagerLink::follow(MessageIo& io, const std::string& failed,
+                         const std::string& hint) {
+  if (!hint.empty() && hint != failed) return adopt(hint);
+  if (leader() != failed) return;  // another line got here first
+  std::string found = discover_manager_leader(io, replicas_);
+  if (found.empty()) {
+    throw util::UnavailableError(
+        "no Manager replica reports a leader; the control plane is down");
   }
-  manager = leader;
-  return true;
+  adopt(found);
+}
+
+Message ManagerLink::request(MessageIo& io, Message msg, int host_grace_ms) {
+  const bool group = !replicas_.empty();
+  // With a replica group a hung leader (e.g. partitioned away) must not
+  // block the client forever; a one-member group blocks until it answers.
+  if (host_grace_ms <= 0 && group) host_grace_ms = 500;
+  for (int exchange = 1;; ++exchange) {
+    const bool last = !group || exchange == kMaxManagerExchanges;
+    const std::string target = leader();
+    Message ack;
+    try {
+      // A re-send re-issues `msg` under a fresh seq.
+      ack = host_grace_ms > 0
+                ? io.call_within(target, msg, host_grace_ms,
+                                 /*raise_errors=*/false)
+                : io.call(target, msg, /*raise_errors=*/false);
+    } catch (const util::Error& e) {
+      // A dead or silent Manager: find the leader and ask again.
+      if (last || (e.code() != util::ErrorCode::kNoRoute &&
+                   e.code() != util::ErrorCode::kDeadlineExceeded)) {
+        throw;
+      }
+      follow(io, target, {});
+      continue;
+    }
+    if (!last && ack.is_error() &&
+        static_cast<util::ErrorCode>(ack.n) == util::ErrorCode::kNotLeader) {
+      // A follower answered: it names its best leader guess in .b; an
+      // empty hint (election in progress) falls back to polling.
+      follow(io, target, ack.b);
+      continue;
+    }
+    ack.raise_if_error();
+    return ack;
+  }
 }
 
 CallOptions CallOptions::legacy() {
@@ -101,49 +153,17 @@ CallOptions CallOptions::legacy() {
 void CallCore::bind(const std::string& name, const std::string& import_text,
                     BindingCache& cache, int host_grace_ms) const {
   obs::Span span("rpc.client", "bind " + name);
-  for (int attempt = 0;; ++attempt) {
-    Message lookup;
-    lookup.kind = MessageKind::kLookup;
-    lookup.line = line;
-    lookup.a = name;
-    lookup.b = import_text;
-    lookup.trace = span.context();
-    Message ack;
-    try {
-      ack = host_grace_ms > 0
-                ? io->call_within(manager, std::move(lookup), host_grace_ms,
-                                  /*raise_errors=*/false)
-                : io->call(manager, std::move(lookup),
-                           /*raise_errors=*/false);
-    } catch (const util::NoRouteError&) {
-      // The Manager we knew is dead. With a replica group, find the new
-      // leader and re-ask; alone, the bind fails as it always did.
-      if (attempt >= 3 || !rediscover_manager()) throw;
-      continue;
-    } catch (const util::DeadlineError&) {
-      if (attempt >= 3 || !rediscover_manager()) throw;
-      continue;
-    }
-    if (ack.is_error() &&
-        static_cast<util::ErrorCode>(ack.n) == util::ErrorCode::kNotLeader &&
-        attempt < 3 && !manager_replicas.empty()) {
-      // A follower answered: it names its best leader guess in .b; an
-      // empty hint (election in progress) falls back to polling the group.
-      if (!ack.b.empty() && ack.b != manager) {
-        manager = ack.b;
-        count(rpc_metrics().meta_rebinds_after_failover);
-      } else if (!rediscover_manager()) {
-        ack.raise_if_error();
-      }
-      continue;
-    }
-    ack.raise_if_error();
-    cache.address = ack.a;
-    cache.resolved_name = ack.b;
-    cache.lookups.add();
-    count(rpc_metrics().client_lookups);
-    return;
-  }
+  Message lookup;
+  lookup.kind = MessageKind::kLookup;
+  lookup.line = line;
+  lookup.a = name;
+  lookup.b = import_text;
+  lookup.trace = span.context();
+  Message ack = manager_link->request(*io, std::move(lookup), host_grace_ms);
+  cache.address = std::move(ack.a);
+  cache.resolved_name = std::move(ack.b);
+  cache.lookups.add();
+  count(rpc_metrics().client_lookups);
 }
 
 CallResult CallCore::invoke(const std::string& name,
@@ -245,7 +265,7 @@ void PendingCall::drive(bool span_attempts) {
 }
 
 void PendingCall::unbind() {
-  if (!core_->manager.empty()) cache_->address.clear();
+  if (core_->manager_link) cache_->address.clear();
 }
 
 bool PendingCall::send_attempt(std::optional<obs::Span>* attempt_span) {
@@ -316,7 +336,7 @@ bool PendingCall::send_attempt(std::optional<obs::Span>* attempt_span) {
     // always safe to rebind and retry. A fixed binding just reconnects:
     // no procedure moved, so no stale binding is counted.
     attempt_.status = util::Status::from(e);
-    if (!core.manager.empty()) {
+    if (core.manager_link) {
       unbind();
       cache.stale_retries.add();
       count(rpc_metrics().client_stale_retries);
@@ -444,7 +464,7 @@ void PendingCall::end_attempt(bool retryable) {
   // ask the Manager to sch_move the procedure onto a healthy machine
   // and spend one final attempt on the new placement.
   if (!failover_tried_ && !opts_.failover_machine.empty() &&
-      !core_->manager.empty() &&
+      core_->manager_link != nullptr &&
       (last_code_ == util::ErrorCode::kNoRoute ||
        last_code_ == util::ErrorCode::kDeadlineExceeded)) {
     failover_tried_ = true;
@@ -460,32 +480,20 @@ bool PendingCall::fail_over() {
   const CallCore& core = *core_;
   NPSS_LOG_WARN("rpc.call", "failing over '", *name_, "' to machine '",
                 opts_.failover_machine, "' via sch_move");
+  Message mv;
+  mv.kind = MessageKind::kMove;
+  mv.line = core.line;
+  mv.a = cache_->resolved_name.empty() ? *name_ : cache_->resolved_name;
+  mv.b = opts_.failover_machine;
+  mv.trace = obs::current_trace();
+  // The Manager may have died with the procedure's machine: the link
+  // takes the move to the new leader, which rebuilt the export table
+  // (spec hashes included) from the replicated log.
   const int grace_ms = this->grace_ms();
-  auto send_move = [&]() {
-    Message mv;
-    mv.kind = MessageKind::kMove;
-    mv.line = core.line;
-    mv.a = cache_->resolved_name.empty() ? *name_ : cache_->resolved_name;
-    mv.b = opts_.failover_machine;
-    mv.trace = obs::current_trace();
-    return grace_ms > 0 ? core.io->call_within(core.manager, std::move(mv),
-                                               std::max(grace_ms * 10, 500))
-                        : core.io->call(core.manager, std::move(mv));
-  };
   try {
-    Message ack;
-    try {
-      ack = send_move();
-    } catch (const util::NoRouteError&) {
-      // The Manager died with the procedure's machine. Re-bind to the
-      // new leader (which rebuilt the export table, spec hashes
-      // included, from the replicated log) and retry the move there.
-      if (!core.rediscover_manager()) throw;
-      ack = send_move();
-    } catch (const util::NotLeaderError&) {
-      if (!core.rediscover_manager()) throw;
-      ack = send_move();
-    }
+    Message ack = core.manager_link->request(
+        *core.io, std::move(mv),
+        grace_ms > 0 ? std::max(grace_ms * 10, 500) : 0);
     cache_->address = ack.a;
     result_.failed_over = true;
     count(rpc_metrics().client_failovers);

@@ -3,6 +3,8 @@
 // through the caller's native formats, issue and await over the fabric's
 // CallTransport, and recover from stale bindings by re-querying the
 // Manager — the §4.2 cache-update path used after a procedure migrates.
+// Every client-side Manager exchange goes through one ManagerLink, which
+// follows the replica group's leader.
 #pragma once
 
 #include <algorithm>
@@ -19,6 +21,8 @@
 #include "rpc/io.hpp"
 #include "rpc/message.hpp"
 #include "util/clock.hpp"
+#include "util/mutex.hpp"
+#include "util/thread_annotations.hpp"
 #include "uts/canonical.hpp"
 #include "uts/marshal_plan.hpp"
 #include "uts/spec.hpp"
@@ -250,6 +254,52 @@ std::string discover_manager_leader(MessageIo& io,
                                     const std::vector<std::string>& replicas,
                                     int rounds = 50);
 
+/// A client's link to the Manager replica group: the replica list and the
+/// only cache of the leader's address. A Session owns one and lends it to
+/// every Line's CallCore; a procedure host builds a one-member link from
+/// the Manager that started it.
+///
+/// Threading: many lines send through one link at once. The leader is
+/// copied out under `rpc.Session.leader` and each exchange runs without
+/// it; a leader change is logged under it (lock_hierarchy.md).
+class ManagerLink {
+ public:
+  /// `leader` is the Manager to ask first; `replicas` the whole group
+  /// (empty for a one-member group, whose Manager is then never replaced).
+  explicit ManagerLink(std::string leader,
+                       std::vector<std::string> replicas = {})
+      : leader_(std::move(leader)), replicas_(std::move(replicas)) {}
+  ManagerLink(const ManagerLink&) = delete;
+  ManagerLink& operator=(const ManagerLink&) = delete;
+
+  /// Send `msg` to the leader over `io` and return its reply, error
+  /// replies raised as exceptions (like MessageIo::call). Each exchange
+  /// waits at most `host_grace_ms` of host time; 0 means 500 ms on a
+  /// replica group and no bound on a one-member group. On a replica group
+  /// a dead or silent Manager sends the link to poll the group, and a
+  /// follower's kNotLeader to its leader hint (or to a poll when it has
+  /// none); the request is re-sent, at most four exchanges in all. Throws
+  /// util::UnavailableError when no replica reports a leader.
+  Message request(MessageIo& io, Message msg, int host_grace_ms = 0);
+
+  /// The leader as this link last saw it.
+  std::string leader() const;
+  const std::vector<std::string>& replicas() const { return replicas_; }
+
+ private:
+  /// Re-point the link after `failed` let an exchange down: at `hint`
+  /// when it names another Manager, else at whatever leader a poll of
+  /// the group finds (unless another line already moved the link on).
+  void follow(MessageIo& io, const std::string& failed,
+              const std::string& hint);
+  /// Adopt `leader`, counting rpc.meta.rebinds_after_failover on a change.
+  void adopt(const std::string& leader);
+
+  mutable util::Mutex mu_{"rpc.Session.leader"};
+  std::string leader_ SCHOONER_GUARDED_BY(mu_);
+  const std::vector<std::string> replicas_;
+};
+
 struct CallCore;
 
 /// A call in flight, the engine's one pending-call type on both fabrics:
@@ -331,17 +381,13 @@ class PendingCall {
 struct CallCore {
   /// The data plane: issue/await by seq and the fabric's clock.
   CallTransport* transport = nullptr;
-  /// The control plane: Manager traffic (bind, sch_move, leader
-  /// discovery). Unused on a fixed binding.
+  /// The control plane: Manager traffic (bind, sch_move) through
+  /// `manager_link`. Unused on a fixed binding.
   MessageIo* io = nullptr;
-  /// Current Manager (leader) address. Mutable: when the leader dies the
-  /// const call paths rediscover and re-point mid-flight. Empty = a fixed
-  /// binding (a TCP stub): the cache's address is the procedure's for
-  /// good, so a dead connection is retried on the same address.
-  mutable std::string manager;
-  /// Every Manager replica address; empty = a one-member group (a dead
-  /// Manager is then terminal, as before).
-  std::vector<std::string> manager_replicas;
+  /// Not owned. Null = a fixed binding (a TCP stub): the cache's address
+  /// is the procedure's for good, so a dead connection is retried on the
+  /// same address.
+  ManagerLink* manager_link = nullptr;
   LineId line = kNoLine;
   const arch::ArchDescriptor* arch = nullptr;
   /// Bills simulated marshal CPU time (may be empty).
@@ -365,18 +411,12 @@ struct CallCore {
                     const std::string& import_text, uts::ValueList args,
                     BindingCache& cache, CallOptions opts) const;
 
-  /// Just the bind step (used by benches isolating lookup cost). With
-  /// `host_grace_ms` > 0 the Manager exchange is deadline-bounded. When
-  /// `manager_replicas` is set, a dead or deposed Manager triggers leader
-  /// rediscovery and a retry instead of failing the bind.
+  /// Just the bind step: one kLookup through `manager_link`, which bounds
+  /// and re-sends it by ManagerLink::request's rule (`host_grace_ms` > 0 is
+  /// the caller's bound per exchange). PendingCall binds through it, and
+  /// so does RemoteProc::ping on a cold binding.
   void bind(const std::string& name, const std::string& import_text,
             BindingCache& cache, int host_grace_ms = 0) const;
-
- private:
-  friend class PendingCall;
-  /// Re-point `manager` at the group's current leader. Returns false when
-  /// no replica list is configured or no leader surfaced.
-  bool rediscover_manager() const;
 };
 
 }  // namespace npss::rpc

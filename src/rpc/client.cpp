@@ -16,72 +16,7 @@ Session::Session(sim::Cluster& cluster, std::string machine,
                  std::vector<std::string> manager_replicas)
     : cluster_(&cluster),
       machine_(std::move(machine)),
-      manager_(std::move(manager_address)),
-      replicas_(std::move(manager_replicas)) {}
-
-std::string Session::manager_address() const { return leader(); }
-
-std::string Session::leader() const {
-  util::MutexLock lock(mu_);
-  return manager_;
-}
-
-void Session::note_leader(const std::string& leader) {
-  util::MutexLock lock(mu_);
-  if (leader == manager_) return;
-  NPSS_LOG_INFO("client", "manager leader moved: ", manager_, " -> ", leader);
-  count(rpc_metrics().meta_rebinds_after_failover);
-  manager_ = leader;
-  leader_epoch_.fetch_add(1, std::memory_order_release);
-}
-
-void Session::rebind_to_leader(MessageIo& io) {
-  std::string found = discover_manager_leader(io, replicas_);
-  if (found.empty()) {
-    throw util::UnavailableError(
-        "no Manager replica reports a leader; the control plane is down");
-  }
-  note_leader(found);
-}
-
-Message Session::manager_call(MessageIo& io, Message msg) {
-  for (int attempt = 0;; ++attempt) {
-    const std::string target = leader();
-    Message ack;
-    try {
-      // With a replica group a hung leader (e.g. partitioned away) must
-      // not block the client forever; a one-member group keeps the legacy
-      // block-until-reply semantics. A re-issue re-sends `msg` under a
-      // fresh seq.
-      ack = replicas_.empty()
-                ? io.call(target, msg, /*raise_errors=*/false)
-                : io.call_within(target, msg, /*host_grace_ms=*/500,
-                                 /*raise_errors=*/false);
-    } catch (const util::NoRouteError&) {
-      if (replicas_.empty() || attempt >= 3) throw;
-      rebind_to_leader(io);
-      continue;
-    } catch (const util::DeadlineError&) {
-      if (replicas_.empty() || attempt >= 3) throw;
-      rebind_to_leader(io);
-      continue;
-    }
-    if (ack.is_error() &&
-        static_cast<util::ErrorCode>(ack.n) == util::ErrorCode::kNotLeader &&
-        !replicas_.empty() && attempt < 3) {
-      // The follower's leader hint rides in .b; empty means an election
-      // is still running, so fall back to polling the group.
-      if (!ack.b.empty() && ack.b != target) {
-        note_leader(ack.b);
-      } else {
-        rebind_to_leader(io);
-      }
-      continue;
-    }
-    ack.raise_if_error();
-    return ack;
-  }
-}
+      manager_(std::move(manager_address), std::move(manager_replicas)) {}
 
 std::unique_ptr<Line> Session::open_line(LineOptions opts) {
   sim::EndpointPtr endpoint = cluster_->create_endpoint(
@@ -101,11 +36,9 @@ Line::Line(Session& session, sim::EndpointPtr endpoint, LineOptions opts)
       io_(*session.cluster_, endpoint_),
       name_(std::move(opts.name)),
       budget_(std::make_shared<LineBudget>(opts.budget)) {
-  core_epoch_ = session_->leader_epoch();
   core_.transport = &io_;
   core_.io = &io_;
-  core_.manager = session_->leader();
-  core_.manager_replicas = session_->replicas_;
+  core_.manager_link = &session_->manager_;
   core_.arch = &endpoint_->arch();
   core_.compute = [this](double us) {
     endpoint_->clock().advance(static_cast<util::SimTime>(
@@ -118,7 +51,7 @@ Line::Line(Session& session, sim::EndpointPtr endpoint, LineOptions opts)
       msg.kind = MessageKind::kRegisterLine;
       msg.a = name_;
       try {
-        Message ack = session_->manager_call(io_, std::move(msg));
+        Message ack = session_->manager_.request(io_, std::move(msg));
         line_ = ack.line;
         core_.line = line_;
         // The Manager grants a per-line outstanding-call quota in ack.n
@@ -173,7 +106,7 @@ StartResult Line::contact_schx(const std::string& machine,
   msg.a = machine;
   msg.b = path;
   msg.n = shared ? 1 : 0;
-  Message ack = session_->manager_call(io_, std::move(msg));
+  Message ack = session_->manager_.request(io_, std::move(msg));
   StartResult result;
   result.address = ack.a;
   result.exports = ack.table;
@@ -217,7 +150,7 @@ std::string Line::move_proc(const std::string& name,
   msg.b = machine;
   msg.c = path;
   msg.n = transfer_state ? 1 : 0;
-  Message ack = session_->manager_call(io_, std::move(msg));
+  Message ack = session_->manager_.request(io_, std::move(msg));
   return ack.a;
 }
 
@@ -226,19 +159,8 @@ void Line::quit() {
   Message msg;
   msg.kind = MessageKind::kQuit;
   msg.line = line_;
-  session_->manager_call(io_, std::move(msg));
+  session_->manager_.request(io_, std::move(msg));
   line_ = kNoLine;
-}
-
-const CallCore& Line::call_core() {
-  // Epoch before leader: a change racing this read bumps the epoch again,
-  // and the next call copies the leader again.
-  const std::uint64_t epoch = session_->leader_epoch();
-  if (epoch != core_epoch_) {
-    core_epoch_ = epoch;
-    core_.manager = session_->leader();
-  }
-  return core_;
 }
 
 CallOptions Line::with_budget(const CallOptions& opts) const {
@@ -253,8 +175,8 @@ CallResult Line::invoke(RemoteProc& proc, uts::ValueList args,
   if (line_ == kNoLine) {
     throw util::ShutdownError("line already quit");
   }
-  return call_core().invoke(proc.name_, proc.decl_, proc.import_text_,
-                            std::move(args), proc.cache_, with_budget(opts));
+  return core_.invoke(proc.name_, proc.decl_, proc.import_text_,
+                      std::move(args), proc.cache_, with_budget(opts));
 }
 
 // --- RemoteProc ------------------------------------------------------------
@@ -278,9 +200,8 @@ PendingCall RemoteProc::call_async(uts::ValueList args,
     throw util::ShutdownError("line already quit");
   }
   calls_.add();
-  return owner_->call_core().issue(name_, decl_, import_text_,
-                                   std::move(args), cache_,
-                                   owner_->with_budget(opts));
+  return owner_->core_.issue(name_, decl_, import_text_, std::move(args),
+                             cache_, owner_->with_budget(opts));
 }
 
 util::SimTime RemoteProc::ping() {
@@ -288,7 +209,7 @@ util::SimTime RemoteProc::ping() {
     throw util::ShutdownError("line already quit");
   }
   if (cache_.address.empty()) {
-    owner_->call_core().bind(name_, import_text_, cache_);
+    owner_->core_.bind(name_, import_text_, cache_);
   }
   return owner_->io_.ping(cache_.address);
 }

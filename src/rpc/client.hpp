@@ -4,8 +4,8 @@
 // the §4.2 extension sch_move for migrating a running procedure.
 //
 // Multi-tenant surface (DESIGN.md §15): a Session owns one Manager
-// connection — the cached leader identity, admission policy, and the
-// per-line binding caches — and mints lightweight Line handles from it.
+// link — the replica group and the only cache of its leader — and mints
+// lightweight Line handles that send through it.
 // Each Line is one of the paper's §4 "lines": a sequential thread of
 // control with its own procedure name space, its own teardown
 // (sch_i_quit), and — past the paper — its own fault budget (LineBudget)
@@ -20,8 +20,6 @@
 #include "rpc/calling.hpp"
 #include "rpc/io.hpp"
 #include "rpc/message.hpp"
-#include "util/mutex.hpp"
-#include "util/thread_annotations.hpp"
 #include "uts/spec.hpp"
 
 namespace npss::rpc {
@@ -185,9 +183,6 @@ class Line {
   /// The synchronous invoke path; stamps the line budget into opts.
   CallResult invoke(RemoteProc& proc, uts::ValueList args,
                     const CallOptions& opts);
-  /// The line's call engine, first re-pointed at the Session's leader if
-  /// the Session has seen a new one since the last call.
-  const CallCore& call_core();
   /// Find-or-create the binding cache for a (name, import) pair,
   /// compiling the marshal plans on first sight. References are stable
   /// (map nodes) for the life of the Line.
@@ -202,10 +197,9 @@ class Line {
   std::string name_;
   LineId line_ = kNoLine;
   std::shared_ptr<LineBudget> budget_;
-  /// Built once at admission and reused by every call on this line.
+  /// Built once at admission and reused by every call on this line; it
+  /// binds through the Session's Manager link.
   CallCore core_;
-  /// The Session's leader_epoch_ that core_.manager was copied at.
-  std::uint64_t core_epoch_ = 0;
   /// Per-line binding caches, keyed "name\n<import text>" — the §4.2
   /// name cache, hoisted out of the stubs so re-imports share bindings.
   /// Thread-confined: a Line has one owning caller by contract
@@ -214,10 +208,11 @@ class Line {
   std::map<std::string, BindingCache> caches_;
 };
 
-/// The Manager connection shared by many lines: the cached leader
-/// identity (re-pointed after elections, under a mutex — lines race to
-/// update it), and the factory for Line handles. One Session per client
-/// process is the intended shape; it must outlive every Line it opened.
+/// The Manager connection shared by many lines: the Manager link (the
+/// replica group and its one leader cache, re-pointed after elections by
+/// whichever line sees one first), and the factory for Line handles. One
+/// Session per client process is the intended shape; it must outlive
+/// every Line it opened.
 class Session {
  public:
   /// `machine` is the cluster machine this session's lines live on (their
@@ -239,11 +234,11 @@ class Session {
   std::unique_ptr<Line> open_line(LineOptions opts = {});
 
   /// Current Manager leader, as this session last saw it.
-  std::string manager_address() const;
+  std::string manager_address() const { return manager_.leader(); }
   const std::string& machine() const { return machine_; }
   sim::Cluster& cluster() { return *cluster_; }
   const std::vector<std::string>& manager_replicas() const {
-    return replicas_;
+    return manager_.replicas();
   }
   /// Lines this session successfully opened (admission rejections and
   /// quits do not decrement; diagnostic).
@@ -252,30 +247,10 @@ class Session {
  private:
   friend class Line;
 
-  /// Manager request over `io` with leader re-bind: on a dead or deposed
-  /// Manager (NoRoute / kNotLeader) rediscover the leader and re-issue.
-  /// Raises error replies as exceptions, like MessageIo::call does.
-  Message manager_call(MessageIo& io, Message msg);
-  /// Poll the replica group for the current leader and adopt it; throws
-  /// util::UnavailableError when none surfaces.
-  void rebind_to_leader(MessageIo& io);
-  std::string leader() const;
-  void note_leader(const std::string& leader);
-  /// Bumped on every leader change, so a Line can tell without the lock
-  /// (or a string copy) whether its CallCore's Manager is current.
-  std::uint64_t leader_epoch() const {
-    return leader_epoch_.load(std::memory_order_acquire);
-  }
-
   sim::Cluster* cluster_;
   std::string machine_;
-  /// Leader-cache lock: lines race to re-point manager_ after an
-  /// election. note_leader logs under it, so Session.leader orders
-  /// before util.Logger in the hierarchy (lock_hierarchy.md).
-  mutable util::Mutex mu_{"rpc.Session.leader"};
-  std::string manager_ SCHOONER_GUARDED_BY(mu_);
-  std::atomic<std::uint64_t> leader_epoch_{0};
-  std::vector<std::string> replicas_;
+  /// Every Manager exchange of every line goes through it.
+  ManagerLink manager_;
   std::atomic<long> lines_opened_{0};
   std::atomic<long> line_seq_{0};  ///< endpoint-label suffix for open_line
 };

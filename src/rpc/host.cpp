@@ -41,8 +41,8 @@ class HostRuntime final : public HostEngine {
       : HostEngine(spec_text, procs, ctx.self().arch(), io_, options),
         ctx_(ctx),
         io_(ctx.cluster(), ctx.self_ptr()),
+        manager_(table_get(ctx.args(), "manager", "")),
         spec_hash_(util::sha256_hex(spec_text)) {
-    manager_ = table_get(ctx.args(), "manager", "");
     line_ = std::stoll(table_get(ctx.args(), "line", "-1"));
     shared_ = table_get(ctx.args(), "shared", "0") == "1";
     path_ = table_get(ctx.args(), "path", "?");
@@ -86,7 +86,7 @@ class HostRuntime final : public HostEngine {
     CallCore core;
     core.transport = &io_;
     core.io = &io_;
-    core.manager = manager_;
+    core.manager_link = &manager_;
     core.line = line_;
     core.arch = &ctx_.self().arch();
     core.compute = [this](double us) { compute(us); };
@@ -121,7 +121,7 @@ class HostRuntime final : public HostEngine {
           external, signature_text(uts::DeclKind::kExport, external,
                                    entry.decl.signature));
     }
-    io_.call(manager_, std::move(msg));
+    manager_.request(io_, std::move(msg));
     NPSS_LOG_DEBUG("host", io_.address(), " exported ",
                    exports_.exports().size(),
                    " procedure(s) for line ", line_);
@@ -148,9 +148,10 @@ class HostRuntime final : public HostEngine {
 
   sim::ProcessContext& ctx_;
   MessageIo io_;
+  /// A one-member link to the Manager that started this process.
+  ManagerLink manager_;
   // Dispatch-fiber-only: the nested caches are touched only by unpooled
   // hosts.
-  std::string manager_;
   LineId line_ = kNoLine;
   bool shared_ = false;
   std::string path_;

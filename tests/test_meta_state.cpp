@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -20,6 +22,7 @@
 #include "meta/snapshot.hpp"
 #include "meta/state.hpp"
 #include "npss/procedures.hpp"
+#include "obs/metrics.hpp"
 #include "rpc/schooner.hpp"
 
 namespace npss {
@@ -487,6 +490,87 @@ TEST_F(MetaGroupTest, LeaderKillFailsOverWithExportTableIntact) {
   rpc::ManagerStats stats = system_->stats();
   EXPECT_GE(stats.leader_elections, 1u);
   client->quit();
+}
+
+TEST_F(MetaGroupTest, ColdBindCutOffFromTheLeaderFailsInsteadOfHanging) {
+  // The client machine loses its link to a leader that still leads. A
+  // cold bind's lookup is bounded like every other Manager exchange of
+  // the Session, so once no replica names a reachable leader the call
+  // comes back kUnavailable instead of blocking forever.
+  build({});
+  auto session = system_->make_session("avs");
+  auto client =
+      session->open_line(rpc::LineOptions{}.with_name("cut-off bind"));
+  client->contact_schx("far", "/bin/echo");
+  auto proc = client->import_proc("echo", kEchoImport);
+  ASSERT_TRUE(
+      proc->call({uts::Value::real(1.0), uts::Value::real(0.0)}, kLegacy)
+          .ok());
+
+  cluster_->partition({"avs"}, {"m0"});  // m0 hosts the leader
+  proc->invalidate();
+
+  // Watchdog: a call still blocked at the bound has its line's endpoint
+  // retired under it, so a hang fails the test instead of stalling it.
+  constexpr auto kBound = std::chrono::seconds(20);
+  std::mutex mu;
+  std::condition_variable returned;
+  bool done = false;
+  std::thread watchdog([&] {
+    std::unique_lock<std::mutex> lock(mu);
+    if (!returned.wait_for(lock, kBound, [&] { return done; })) {
+      cluster_->retire_endpoint(client->io().address());
+    }
+  });
+  const auto start = std::chrono::steady_clock::now();
+  rpc::CallResult result =
+      proc->call({uts::Value::real(2.0), uts::Value::real(0.0)}, kLegacy);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    done = true;
+  }
+  returned.notify_one();
+  watchdog.join();
+
+  EXPECT_LT(elapsed, kBound);
+  EXPECT_FALSE(result.ok());
+  EXPECT_EQ(result.status.code(), util::ErrorCode::kUnavailable)
+      << result.status.to_string();
+  cluster_->heal();
+}
+
+TEST_F(MetaGroupTest, OneLeaderChangeIsFollowedOncePerSession) {
+  // Two lines share one Session, hence one leader cache: the first line
+  // to meet the dead leader finds the new one, and the second sends
+  // straight to it without polling the group again.
+  build({});
+  auto session = system_->make_session("avs");
+  auto line_a = session->open_line(rpc::LineOptions{}.with_name("line a"));
+  auto line_b = session->open_line(rpc::LineOptions{}.with_name("line b"));
+  line_a->contact_schx("far", "/bin/echo");
+  auto proc = line_a->import_proc("echo", kEchoImport);
+  ASSERT_TRUE(
+      proc->call({uts::Value::real(1.0), uts::Value::real(0.0)}, kLegacy)
+          .ok());
+  ASSERT_FALSE(converged_digest().empty());
+
+  const bool obs_was_on = obs::enabled();
+  obs::set_enabled(true);
+  const obs::Counter& rebinds =
+      obs::Registry::global().counter("rpc.meta.rebinds_after_failover");
+  const std::uint64_t before = rebinds.value();
+  cluster_->crash_process(system_->manager_replica_addresses()[0]);
+
+  proc->invalidate();  // line A: a cold call meets the dead leader
+  EXPECT_TRUE(
+      proc->call({uts::Value::real(3.0), uts::Value::real(0.0)}, kLegacy)
+          .ok());
+  line_b->contact_schx("far", "/bin/echo");
+  EXPECT_EQ(rebinds.value() - before, 1u);
+  obs::set_enabled(obs_was_on);
+  line_a->quit();
+  line_b->quit();
 }
 
 TEST_F(MetaGroupTest, SameSeedElectsTheSameLeader) {
