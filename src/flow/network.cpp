@@ -1,7 +1,6 @@
 #include "flow/network.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <map>
 #include <set>
@@ -431,24 +430,6 @@ void Network::load_from_text(const std::string& text) {
                        ": unknown verb '" + verb + "'");
     }
   }
-}
-
-int evaluate_networks(const std::vector<Network*>& networks, int workers) {
-  std::atomic<int> executed{0};
-  util::parallel_for(
-      0, networks.size(),
-      [&](std::size_t i) {
-        if (networks[i] == nullptr) return;
-        executed.fetch_add(networks[i]->evaluate(),
-                           std::memory_order_relaxed);
-      },
-      workers);
-  if (obs::enabled()) {
-    obs::Registry::global()
-        .counter("flow.scheduler.concurrent_line_sweeps")
-        .add(static_cast<double>(networks.size()));
-  }
-  return executed.load();
 }
 
 }  // namespace npss::flow

@@ -141,13 +141,4 @@ class Network {
   mutable std::vector<std::vector<std::string>> level_cache_;
 };
 
-/// Concurrent-line execution (DESIGN.md §15): evaluate each network —
-/// typically one per Schooner line — concurrently, up to `workers` at a
-/// time (0 = hardware concurrency). Each network still runs its own
-/// wavefront sweep internally; networks must not share modules. Returns
-/// the total number of modules executed. If any sweep throws, the first
-/// error is rethrown after every in-flight sweep finishes (matching
-/// util::parallel_for semantics).
-int evaluate_networks(const std::vector<Network*>& networks, int workers = 0);
-
 }  // namespace npss::flow

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "meta/record.hpp"
 #include "util/status.hpp"
 
 namespace npss::mc {
@@ -13,28 +12,9 @@ namespace {
 using meta::Msg;
 using meta::MsgKind;
 
-/// Canonical byte image of one in-flight message (fingerprint input —
-/// never decoded, so it needs no version byte).
-void encode_msg(util::ByteWriter& out, const Msg& m) {
-  out.u8(static_cast<std::uint8_t>(m.kind));
-  out.i64(m.from);
-  out.u64(m.term);
-  out.u64(m.index);
-  out.u64(m.prev_term);
-  out.u64(m.last_index);
-  out.u64(m.last_term);
-  out.u64(m.commit);
-  out.u64(m.commit_term);
-  out.u8(m.granted ? 1 : 0);
-  out.blob(meta::encode_record(m.record));
-  out.u64(m.snap_index);
-  out.u64(m.snap_term);
-  out.str(m.snap_digest);
-  out.blob(m.snapshot);
-  out.blob(meta::encode_record_batch(m.batch));
-}
-
-std::string wire_name(const Msg& m) {
+/// Transcript name of one queued frame, e.g. "append #3 (term 2)".
+std::string wire_name(const util::Bytes& frame) {
+  const Msg m = meta::decode_msg(frame, /*from=*/-1);
   std::ostringstream os;
   os << meta::msg_kind_name(m.kind);
   switch (m.kind) {
@@ -100,7 +80,7 @@ void World::pump(int i) {
     // A frame to a dead replica vanishes at the endpoint, exactly like
     // the simulator's NoRouteError path in the live driver.
     if (!nodes_[static_cast<std::size_t>(out.to)].up) continue;
-    link(i, out.to).push_back(std::move(out.msg));
+    link(i, out.to).push_back(meta::encode_msg(out.msg));
   }
   for (const meta::CoreEvent& ev : node.core.take_events()) {
     switch (ev.kind) {
@@ -189,7 +169,8 @@ void World::step(const Action& action) {
       break;
     }
     case ActionKind::kDeliver: {
-      Msg m = std::move(link(action.a, action.b).front());
+      const Msg m = meta::decode_msg(link(action.a, action.b).front(),
+                                     action.a);
       link(action.a, action.b).pop_front();
       nodes_[idx(action.b)].core.handle(m);
       pump(action.b);
@@ -380,7 +361,7 @@ util::Bytes World::fingerprint() const {
   }
   for (const auto& queue : links_) {
     out.u32(static_cast<std::uint32_t>(queue.size()));
-    for (const Msg& m : queue) encode_msg(out, m);
+    for (const util::Bytes& frame : queue) out.blob(frame);
   }
   out.u32(static_cast<std::uint32_t>(pending_.size()));
   for (const PendingOp& op : pending_) {

@@ -128,23 +128,25 @@ class World {
     bool up = true;
   };
 
-  std::deque<meta::Msg>& link(int from, int to) {
+  std::deque<util::Bytes>& link(int from, int to) {
     return links_[static_cast<std::size_t>(from * opts_.replicas + to)];
   }
-  const std::deque<meta::Msg>& link(int from, int to) const {
+  const std::deque<util::Bytes>& link(int from, int to) const {
     return links_[static_cast<std::size_t>(from * opts_.replicas + to)];
   }
 
-  /// Drain replica i's queued outputs: outbound messages onto the links
-  /// (frames to a dead replica vanish — its endpoint is gone), events
-  /// into the client ledger and leader history.
+  /// Drain replica i's queued outputs: outbound messages, encoded, onto
+  /// the links (frames to a dead replica vanish — its endpoint is gone),
+  /// events into the client ledger and leader history.
   void pump(int i);
 
   meta::CoreConfig config_for(int i) const;
 
   Options opts_;
   std::vector<Node> nodes_;
-  std::vector<std::deque<meta::Msg>> links_;  ///< [from * n + to]
+  /// [from * n + to]: per-pair FIFO of encode_msg frames — the bytes the
+  /// live Manager puts on the fabric.
+  std::vector<std::deque<util::Bytes>> links_;
 
   // Budgets consumed so far (each gates its action in enabled()).
   int ops_done_ = 0;

@@ -17,6 +17,98 @@ std::string_view msg_kind_name(MsgKind kind) {
   return "?";
 }
 
+util::Bytes encode_msg(const Msg& m) {
+  util::ByteWriter out;
+  // Room for a typical append (the largest frame but a fetch-ack), so
+  // the buffer is allocated once instead of grown field by field.
+  out.reserve(160);
+  out.u8(static_cast<std::uint8_t>(m.kind));
+  out.u64(m.term);
+  switch (m.kind) {
+    case MsgKind::kHeartbeat:
+      out.u64(m.last_index);
+      out.u64(m.commit);
+      out.u64(m.commit_term);
+      break;
+    case MsgKind::kAppend:
+      out.u64(m.index);
+      out.u64(m.prev_term);
+      out.u64(m.commit);
+      out.blob(encode_record(m.record));
+      break;
+    case MsgKind::kAppendAck:
+    case MsgKind::kFetch:
+      out.u64(m.index);
+      break;
+    case MsgKind::kVoteReq:
+      out.u64(m.last_index);
+      out.u64(m.last_term);
+      break;
+    case MsgKind::kVoteAck:
+      out.u8(m.granted ? 1 : 0);
+      break;
+    case MsgKind::kFetchAck:
+      out.u64(m.snap_index);
+      out.u64(m.snap_term);
+      out.str(m.snap_digest);
+      out.u64(m.commit);
+      out.blob(m.snapshot);
+      out.blob(encode_record_batch(m.batch));
+      break;
+  }
+  return std::move(out).take();
+}
+
+Msg decode_msg(std::span<const std::uint8_t> bytes, int from) {
+  util::ByteReader in(bytes);
+  Msg m;
+  const std::uint8_t kind = in.u8();
+  if (kind < static_cast<std::uint8_t>(MsgKind::kHeartbeat) ||
+      kind > static_cast<std::uint8_t>(MsgKind::kFetchAck)) {
+    throw util::EncodingError("unknown replica message kind " +
+                              std::to_string(kind));
+  }
+  m.kind = static_cast<MsgKind>(kind);
+  m.from = from;
+  m.term = in.u64();
+  switch (m.kind) {
+    case MsgKind::kHeartbeat:
+      m.last_index = in.u64();
+      m.commit = in.u64();
+      m.commit_term = in.u64();
+      break;
+    case MsgKind::kAppend:
+      m.index = in.u64();
+      m.prev_term = in.u64();
+      m.commit = in.u64();
+      m.record = decode_record(in.raw(in.u32()));
+      break;
+    case MsgKind::kAppendAck:
+    case MsgKind::kFetch:
+      m.index = in.u64();
+      break;
+    case MsgKind::kVoteReq:
+      m.last_index = in.u64();
+      m.last_term = in.u64();
+      break;
+    case MsgKind::kVoteAck:
+      m.granted = in.u8() != 0;
+      break;
+    case MsgKind::kFetchAck:
+      m.snap_index = in.u64();
+      m.snap_term = in.u64();
+      m.snap_digest = in.str();
+      m.commit = in.u64();
+      m.snapshot = in.blob();
+      m.batch = decode_record_batch(in.raw(in.u32()));
+      break;
+  }
+  if (!in.exhausted()) {
+    throw util::EncodingError("trailing bytes in replica message");
+  }
+  return m;
+}
+
 ReplicaCore::ReplicaCore(CoreConfig config) : config_(config) {
   match_.assign(static_cast<std::size_t>(config_.replicas), 0);
 }
@@ -61,7 +153,6 @@ Msg ReplicaCore::make_heartbeat() const {
   hb.kind = MsgKind::kHeartbeat;
   hb.term = term_;
   hb.last_index = changelog_.last_index();
-  hb.last_term = changelog_.last_term();
   hb.commit = commit_;
   hb.commit_term = commit_ == 0 ? 0 : changelog_.term_at(commit_);
   return hb;

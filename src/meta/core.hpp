@@ -8,9 +8,10 @@
 // (handle / fire_timer / propose), every output is a queued value
 // (take_outbound / take_events), and nothing in here reads a clock,
 // a random source, or a socket. The live ReplicaDriver in rpc/manager.cpp
-// owns one core and translates rpc::Message frames and host time into
-// core calls; src/mc/ owns N cores over a virtual network and enumerates
-// every delivery order. Both see the identical protocol.
+// owns one core and translates host time into core calls; src/mc/ owns N
+// cores over a virtual network and enumerates every delivery order. Both
+// carry messages as encode_msg frames, so both see the identical protocol
+// down to its bytes.
 //
 // Two protocol modes, selected by CoreConfig::quorum_commit:
 //
@@ -43,6 +44,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -70,6 +72,7 @@ std::string_view msg_kind_name(MsgKind kind);
 
 /// One protocol message between replicas. Field usage varies by kind —
 /// unused fields stay zero so messages compare/serialize canonically.
+/// `from` is never encoded: the receiver knows who sent the frame.
 struct Msg {
   MsgKind kind = MsgKind::kHeartbeat;
   int from = -1;                 ///< sender's replica index
@@ -78,7 +81,7 @@ struct Msg {
                                  ///< matched-through; fetch: first wanted
   std::uint64_t prev_term = 0;   ///< append: term of entry index-1
   std::uint64_t last_index = 0;  ///< heartbeat/votereq: sender's last index
-  std::uint64_t last_term = 0;   ///< heartbeat/votereq: sender's last term
+  std::uint64_t last_term = 0;   ///< votereq: sender's last term
   std::uint64_t commit = 0;      ///< sender's commit index
   std::uint64_t commit_term = 0; ///< heartbeat: term of entry `commit`
   bool granted = false;          ///< voteack verdict
@@ -88,7 +91,26 @@ struct Msg {
   std::string snap_digest;       ///< fetchack: sender's state digest
   util::Bytes snapshot;          ///< fetchack: serialized ReplicatedState
   std::vector<std::pair<std::uint64_t, ChangeRecord>> batch;  ///< log tail
+
+  bool operator==(const Msg&) const = default;
 };
+
+/// The replica protocol's one wire image, shared by the live Manager and
+/// meta_check: the kind and the term, then the fields that kind carries
+///   kHeartbeat  last_index, commit, commit_term
+///   kAppend     index, prev_term, commit, record
+///   kAppendAck  index
+///   kVoteReq    last_index, last_term
+///   kVoteAck    granted
+///   kFetch      index
+///   kFetchAck   snap_index, snap_term, snap_digest, commit, snapshot, batch
+/// Records and batches go through encode_record / encode_record_batch.
+util::Bytes encode_msg(const Msg& m);
+/// Inverse of encode_msg, with `from` filled in by the caller (the frame's
+/// source). Every field the kind does not carry comes back zero. Throws
+/// util::EncodingError on an unknown kind, a short frame, a count that
+/// exceeds the frame, or trailing bytes.
+Msg decode_msg(std::span<const std::uint8_t> bytes, int from);
 
 struct Outbound {
   int to = -1;

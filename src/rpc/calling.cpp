@@ -358,7 +358,6 @@ bool PendingCall::send_attempt(std::optional<obs::Span>* attempt_span) {
 
 util::SimTime PendingCall::attempt_budget() const {
   if (deadline_abs_ == 0) return 0;
-  if (opts_.attempt_timeout_us > 0) return opts_.attempt_timeout_us;
   return std::max<util::SimTime>(
       (deadline_abs_ - attempt_start_) / attempts_left_, 1);
 }

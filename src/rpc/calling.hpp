@@ -183,11 +183,9 @@ struct CallOptions {
   /// Total budget for the call in the fabric's microseconds (virtual on
   /// the fiber fabric, real on TCP), binding and retries included. 0 = no
   /// deadline: every transport wait blocks forever, as the
-  /// pre-fault-tolerance runtime did.
+  /// pre-fault-tolerance runtime did. Each attempt's budget is the
+  /// remaining deadline split evenly over the remaining attempts.
   util::SimTime deadline_us = 0;
-  /// Per-attempt budget; 0 splits the remaining deadline evenly over the
-  /// remaining attempts.
-  util::SimTime attempt_timeout_us = 0;
   /// Attempts in total (first try included). The engine always re-tries
   /// dead-address and stale-binding failures (the request never ran);
   /// *timeouts* are ambiguous and re-tried only when `idempotent`.

@@ -770,7 +770,9 @@ class ReplicaDriver {
       const std::string to = addr_of(out.to);
       if (to.empty()) continue;
       try {
-        io_.send(to, to_wire(out.msg));
+        io_.send(to, Message{.kind = MessageKind::kMetaProtocol,
+                             .seq = io_.next_seq(),
+                             .blob = meta::encode_msg(out.msg)});
       } catch (const util::NoRouteError&) {
         // Dead peer; it catches up via snapshot + tail if it returns.
       }
@@ -838,14 +840,8 @@ class ReplicaDriver {
   void dispatch(const Incoming& in) {
     const Message& msg = in.msg;
     switch (msg.kind) {
-      case MessageKind::kMetaHeartbeat:
-      case MessageKind::kMetaAppend:
-      case MessageKind::kMetaAppendAck:
-      case MessageKind::kMetaVoteReq:
-      case MessageKind::kMetaVoteAck:
-      case MessageKind::kMetaFetch:
-      case MessageKind::kMetaFetchAck:
-        if (auto m = from_wire(in)) core_->handle(*m);
+      case MessageKind::kMetaProtocol:
+        deliver(in);
         return;
       case MessageKind::kMetaConfig:
         // Duplicate handshake delivery: re-ack, the table is unchanged.
@@ -877,130 +873,20 @@ class ReplicaDriver {
     }
   }
 
-  /// rpc::Message <-> meta::Msg framing. The core speaks replica indices
-  /// and typed fields; the wire speaks addresses and the shared Message
-  /// struct (field usage documented on each MessageKind).
-  Message to_wire(const meta::Msg& m) {
-    Message w;
-    w.seq = io_.next_seq();
-    w.n = static_cast<std::int64_t>(m.term);
-    switch (m.kind) {
-      case meta::MsgKind::kHeartbeat:
-        w.kind = MessageKind::kMetaHeartbeat;
-        w.a = io_.address();
-        w.b = std::to_string(m.last_index);
-        w.c = std::to_string(m.commit_term);
-        w.line = static_cast<std::int64_t>(m.commit);
-        break;
-      case meta::MsgKind::kAppend:
-        w.kind = MessageKind::kMetaAppend;
-        w.b = std::to_string(m.index);
-        w.c = std::to_string(m.prev_term);
-        w.line = static_cast<std::int64_t>(m.commit);
-        w.blob = meta::encode_record(m.record);
-        break;
-      case meta::MsgKind::kAppendAck:
-        w.kind = MessageKind::kMetaAppendAck;
-        w.b = std::to_string(m.index);
-        break;
-      case meta::MsgKind::kVoteReq:
-        w.kind = MessageKind::kMetaVoteReq;
-        w.a = io_.address();
-        w.b = std::to_string(m.last_index);
-        w.c = std::to_string(my_index_);
-        w.line = static_cast<std::int64_t>(m.last_term);
-        break;
-      case meta::MsgKind::kVoteAck:
-        w.kind = MessageKind::kMetaVoteAck;
-        w.b = m.granted ? "1" : "0";
-        break;
-      case meta::MsgKind::kFetch:
-        w.kind = MessageKind::kMetaFetch;
-        w.b = std::to_string(m.index);
-        break;
-      case meta::MsgKind::kFetchAck: {
-        w.kind = MessageKind::kMetaFetchAck;
-        w.a = std::to_string(m.snap_term);
-        w.b = std::to_string(m.snap_index);
-        w.c = m.snap_digest;
-        w.line = static_cast<std::int64_t>(m.commit);
-        util::ByteWriter payload;
-        payload.blob(m.snapshot);
-        payload.blob(meta::encode_record_batch(m.batch));
-        w.blob = std::move(payload).take();
-        break;
-      }
-    }
-    return w;
-  }
-
-  std::optional<meta::Msg> from_wire(const Incoming& in) {
-    const Message& msg = in.msg;
+  /// Hand a member's frame to the core; the sender's replica index is its
+  /// address. Frames from outside the group, and malformed ones, are
+  /// dropped: the protocol re-sends or re-fetches, it never trusts a
+  /// broken frame.
+  void deliver(const Incoming& in) {
+    const int from = addr_index(in.from());
+    if (from < 0) return;
     meta::Msg m;
-    m.from = addr_index(in.from());
-    if (m.from < 0) return std::nullopt;  // not a member of this group
-    m.term = msg.n < 0 ? 0 : static_cast<std::uint64_t>(msg.n);
-    const auto u64 = [](const std::string& s) {
-      return s.empty() ? std::uint64_t{0} : std::stoull(s);
-    };
-    const auto commit_of = [&msg] {
-      return msg.line < 0 ? std::uint64_t{0}
-                          : static_cast<std::uint64_t>(msg.line);
-    };
     try {
-      switch (msg.kind) {
-        case MessageKind::kMetaHeartbeat:
-          m.kind = meta::MsgKind::kHeartbeat;
-          m.last_index = u64(msg.b);
-          m.commit_term = u64(msg.c);
-          m.commit = commit_of();
-          break;
-        case MessageKind::kMetaAppend:
-          m.kind = meta::MsgKind::kAppend;
-          m.index = u64(msg.b);
-          m.prev_term = u64(msg.c);
-          m.commit = commit_of();
-          m.record = meta::decode_record(msg.blob);
-          break;
-        case MessageKind::kMetaAppendAck:
-          m.kind = meta::MsgKind::kAppendAck;
-          m.index = u64(msg.b);
-          break;
-        case MessageKind::kMetaVoteReq:
-          m.kind = meta::MsgKind::kVoteReq;
-          m.last_index = u64(msg.b);
-          m.last_term = msg.line < 0
-                            ? std::uint64_t{0}
-                            : static_cast<std::uint64_t>(msg.line);
-          break;
-        case MessageKind::kMetaVoteAck:
-          m.kind = meta::MsgKind::kVoteAck;
-          m.granted = msg.b == "1";
-          break;
-        case MessageKind::kMetaFetch:
-          m.kind = meta::MsgKind::kFetch;
-          m.index = msg.b.empty() ? 1 : u64(msg.b);
-          break;
-        case MessageKind::kMetaFetchAck: {
-          m.kind = meta::MsgKind::kFetchAck;
-          m.snap_term = u64(msg.a);
-          m.snap_index = u64(msg.b);
-          m.snap_digest = msg.c;
-          m.commit = commit_of();
-          util::ByteReader payload(msg.blob);
-          m.snapshot = payload.blob();
-          m.batch = meta::decode_record_batch(payload.blob());
-          break;
-        }
-        default:
-          return std::nullopt;
-      }
-    } catch (const std::exception&) {
-      // Malformed frame (torn numeral, bad record bytes): drop it; the
-      // protocol re-sends or re-fetches, it never trusts a broken frame.
-      return std::nullopt;
+      m = meta::decode_msg(in.msg.blob, from);
+    } catch (const util::EncodingError&) {
+      return;
     }
-    return m;
+    core_->handle(m);
   }
 
   void answer_who_is_leader(const Incoming& in) {

@@ -34,15 +34,9 @@ std::string_view message_kind_name(MessageKind kind) {
     case MessageKind::kError: return "error";
     case MessageKind::kMetaConfig: return "meta-config";
     case MessageKind::kMetaConfigAck: return "meta-config-ack";
-    case MessageKind::kMetaHeartbeat: return "meta-heartbeat";
-    case MessageKind::kMetaAppend: return "meta-append";
-    case MessageKind::kMetaVoteReq: return "meta-vote-req";
-    case MessageKind::kMetaVoteAck: return "meta-vote-ack";
-    case MessageKind::kMetaFetch: return "meta-fetch";
-    case MessageKind::kMetaFetchAck: return "meta-fetch-ack";
     case MessageKind::kMetaWhoIsLeader: return "meta-who-is-leader";
     case MessageKind::kMetaLeaderAck: return "meta-leader-ack";
-    case MessageKind::kMetaAppendAck: return "meta-append-ack";
+    case MessageKind::kMetaProtocol: return "meta-protocol";
   }
   return "?";
 }

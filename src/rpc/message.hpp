@@ -33,6 +33,11 @@
 //   kManagerStop                                       -> (manager exits)
 //   kError          n=ErrorCode, a=message (any reply position)
 //
+// The Manager's replicas add their own kinds behind these (documented on
+// the enum): the membership handshake, leader discovery, and
+// kMetaProtocol, which carries one replica-protocol message as its blob
+// in meta::encode_msg's image (src/meta/core.hpp).
+//
 // Frames may carry a trailing *trace extension* (marker byte + three
 // trace ids) so a client-side span and the procedure-side span of one
 // call share a trace id. Frames without the extension decode exactly as
@@ -78,26 +83,14 @@ enum class MessageKind : std::uint8_t {
   kError,
   // --- Replicated control plane (src/meta/), appended so frames from
   // pre-replication peers decode unchanged -------------------------------
-  kMetaConfig,       ///< table=(index, replica address), n=term -> kMetaConfigAck
+  kMetaConfig,       ///< table=(index, replica address), n=receiver's
+                     ///< index -> kMetaConfigAck
   kMetaConfigAck,
-  kMetaHeartbeat,    ///< n=term, a=leader addr, b=last index, c=commit term,
-                     ///< line=commit index (quorum piggyback)
-  kMetaAppend,       ///< n=term, b=log index, c=prev entry term,
-                     ///< line=commit index, blob=ChangeRecord
-  kMetaVoteReq,      ///< n=term, a=candidate addr, b=last log index,
-                     ///< c=replica index, line=last log term
-  kMetaVoteAck,      ///< n=term, b="1" granted / "0" refused (one-way)
-  kMetaFetch,        ///< b=from index: catch-up request -> kMetaFetchAck
-  kMetaFetchAck,     ///< n=term, b=snapshot index, c=snapshot digest,
-                     ///< a=snapshot entry term, line=commit index,
-                     ///< blob=two nested blobs:
-                     ///< (snapshot image — may be empty, record batch)
   kMetaWhoIsLeader,  ///< leader discovery -> kMetaLeaderAck
   kMetaLeaderAck,    ///< a=leader address ("" = election in progress),
                      ///< n=term, b=state digest, c=last applied index
-  // --- Quorum commit (appended behind the existing kinds so mixed-build
-  // frames keep decoding) --------------------------------------------------
-  kMetaAppendAck,    ///< n=term, b=matched-through index (one-way)
+  kMetaProtocol,     ///< blob=meta::encode_msg frame, replica to replica
+                     ///< (one-way); the sender is named by its address
 };
 
 std::string_view message_kind_name(MessageKind kind);

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 
+#include "meta/core.hpp"
 #include "meta/record.hpp"
 #include "meta/state.hpp"
 #include "rpc/schooner.hpp"
@@ -415,6 +416,92 @@ TEST(MetaRecordAdversarial, LengthLyingCountsAreRejectedNotAllocated) {
     EXPECT_THROW((void)meta::decode_record_batch(std::move(out).take()),
                  util::EncodingError);
   }
+}
+
+/// A replica message of `kind` with every field random; encode_msg keeps
+/// only the ones the kind carries.
+meta::Msg random_msg(Rng& rng, meta::MsgKind kind) {
+  meta::Msg m;
+  m.kind = kind;
+  m.term = rng.next() % 64;
+  m.index = rng.next();
+  m.prev_term = rng.next();
+  m.last_index = rng.next();
+  m.last_term = rng.next();
+  m.commit = rng.next();
+  m.commit_term = rng.next();
+  m.granted = rng.below(2) == 1;
+  m.record = random_record(rng);
+  m.snap_index = rng.next();
+  m.snap_term = rng.next();
+  m.snap_digest = std::string(static_cast<std::size_t>(rng.below(65)), 'd');
+  meta::ReplicatedState state;
+  const int applied = rng.below(4);
+  for (int i = 0; i < applied; ++i) {
+    state.apply(random_record(rng), static_cast<std::uint64_t>(i + 1));
+  }
+  m.snapshot = state.serialize();
+  const int tail = rng.below(4);
+  for (int i = 0; i < tail; ++i) {
+    m.batch.emplace_back(rng.next(), random_record(rng));
+  }
+  return m;
+}
+
+TEST(MetaMsgAdversarial, MutatedFramesOfEveryKindParseOrThrowNeverCrash) {
+  // The Manager hands every replica frame off the fabric to decode_msg;
+  // a damaged one must parse or be refused, on every kind.
+  Rng rng(0x3e9a1c0d);
+  const auto decode = [](const util::Bytes& b) {
+    (void)meta::decode_msg(b, 1);
+  };
+  for (int round = 0; round < 30; ++round) {
+    for (auto kind = static_cast<std::uint8_t>(meta::MsgKind::kHeartbeat);
+         kind <= static_cast<std::uint8_t>(meta::MsgKind::kFetchAck);
+         ++kind) {
+      const auto k = static_cast<meta::MsgKind>(kind);
+      const util::Bytes frame = meta::encode_msg(random_msg(rng, k));
+      util::Bytes flipped = frame;
+      flipped[static_cast<std::size_t>(rng.below(
+          static_cast<int>(frame.size())))] ^= 1u << rng.below(8);
+      expect_parse_or_throw(flipped, decode, "bit flip");
+      // Every field is fixed-width or length-prefixed, so every proper
+      // prefix of a frame is short of a field it promised.
+      for (std::size_t cut = 0; cut < frame.size(); ++cut) {
+        EXPECT_THROW(
+            (void)meta::decode_msg(
+                util::Bytes(frame.begin(),
+                            frame.begin() + static_cast<std::ptrdiff_t>(cut)),
+                1),
+            util::EncodingError)
+            << meta::msg_kind_name(k) << " cut at " << cut;
+      }
+      util::Bytes padded = frame;
+      padded.push_back(static_cast<std::uint8_t>(rng.next()));
+      EXPECT_THROW((void)meta::decode_msg(padded, 1), util::EncodingError)
+          << meta::msg_kind_name(k);
+    }
+  }
+}
+
+TEST(MetaMsgAdversarial, LyingBatchCountIsRejectedNotAllocated) {
+  // A fetch-ack whose record batch claims four billion entries: reserving
+  // them would throw bad_alloc or length_error, so EncodingError here
+  // means the count guard ran before any allocation.
+  util::ByteWriter batch;
+  batch.u8(meta::kRecordVersion);
+  batch.u32(0xffffffffu);
+  util::ByteWriter out;
+  out.u8(static_cast<std::uint8_t>(meta::MsgKind::kFetchAck));
+  out.u64(3);   // term
+  out.u64(0);   // snap_index
+  out.u64(0);   // snap_term
+  out.str("");  // snap_digest
+  out.u64(0);   // commit
+  out.blob(util::Bytes{});  // snapshot
+  out.blob(std::move(batch).take());
+  EXPECT_THROW((void)meta::decode_msg(std::move(out).take(), 0),
+               util::EncodingError);
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include "mc/explore.hpp"
 #include "mc/model.hpp"
 #include "meta/changelog.hpp"
+#include "meta/core.hpp"
 #include "meta/election.hpp"
 #include "meta/record.hpp"
 #include "meta/snapshot.hpp"
@@ -257,6 +258,92 @@ TEST(MetaElection, ScheduleIsAPureFunctionOfSeedTermAndReplica) {
   EXPECT_TRUE(meta::candidate_better(10, 7, 9, 3));
   EXPECT_TRUE(meta::candidate_better(10, 3, 10, 7));
   EXPECT_FALSE(meta::candidate_better(10, 7, 10, 3));
+}
+
+TEST(MetaMsgCodec, EachKindCarriesItsFieldsAndZeroesTheRest) {
+  using meta::MsgKind;
+  // Every field set, each to a distinct value.
+  meta::Msg full;
+  full.from = 9;  // never encoded: the receiver names the sender
+  full.term = 7;
+  full.index = 11;
+  full.prev_term = 6;
+  full.last_index = 12;
+  full.last_term = 5;
+  full.commit = 10;
+  full.commit_term = 4;
+  full.granted = true;
+  full.record = export_rec(3, "far:echo#1", "ab12");
+  full.record.term = 6;
+  full.snap_index = 3;
+  full.snap_term = 2;
+  full.snap_digest = "digest";
+  meta::ReplicatedState state;
+  state.apply(line_create(1, "first"), 1);
+  full.snapshot = state.serialize();
+  full.batch = {{4, line_create(2, "second")}, {5, full.record}};
+
+  // What each kind carries, per the table on meta::encode_msg.
+  const auto carried = [&full](MsgKind kind) {
+    meta::Msg m;
+    m.kind = kind;
+    m.from = 2;
+    m.term = full.term;
+    switch (kind) {
+      case MsgKind::kHeartbeat:
+        m.last_index = full.last_index;
+        m.commit = full.commit;
+        m.commit_term = full.commit_term;
+        break;
+      case MsgKind::kAppend:
+        m.index = full.index;
+        m.prev_term = full.prev_term;
+        m.commit = full.commit;
+        m.record = full.record;
+        break;
+      case MsgKind::kAppendAck:
+      case MsgKind::kFetch:
+        m.index = full.index;
+        break;
+      case MsgKind::kVoteReq:
+        m.last_index = full.last_index;
+        m.last_term = full.last_term;
+        break;
+      case MsgKind::kVoteAck:
+        m.granted = full.granted;
+        break;
+      case MsgKind::kFetchAck:
+        m.snap_index = full.snap_index;
+        m.snap_term = full.snap_term;
+        m.snap_digest = full.snap_digest;
+        m.commit = full.commit;
+        m.snapshot = full.snapshot;
+        m.batch = full.batch;
+        break;
+    }
+    return m;
+  };
+  for (auto kind = static_cast<std::uint8_t>(MsgKind::kHeartbeat);
+       kind <= static_cast<std::uint8_t>(MsgKind::kFetchAck); ++kind) {
+    meta::Msg sent = full;
+    sent.kind = static_cast<MsgKind>(kind);
+    const util::Bytes frame = meta::encode_msg(sent);
+    EXPECT_EQ(meta::decode_msg(frame, 2), carried(sent.kind))
+        << meta::msg_kind_name(sent.kind);
+    // Canonical: what a kind does not carry cannot change its frame.
+    EXPECT_EQ(meta::encode_msg(carried(sent.kind)), frame)
+        << meta::msg_kind_name(sent.kind);
+  }
+  // Kind bytes outside the enum are refused, not guessed at.
+  for (const std::uint8_t kind : {std::uint8_t{0}, std::uint8_t{8}}) {
+    util::ByteWriter out;
+    out.u8(kind);
+    out.u64(1);
+    out.u64(1);
+    EXPECT_THROW((void)meta::decode_msg(std::move(out).take(), 0),
+                 util::EncodingError)
+        << int{kind};
+  }
 }
 
 TEST(MetaQuorumRegression, MinimizedLegacyScheduleLosesAnAckedWrite) {

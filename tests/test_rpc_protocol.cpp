@@ -79,7 +79,7 @@ std::string hex(std::span<const std::uint8_t> bytes) {
   return out;
 }
 
-constexpr int kKindCount = 36;  ///< kRegisterLine (1) .. kMetaAppendAck (36)
+constexpr int kKindCount = 30;  ///< kRegisterLine (1) .. kMetaProtocol (30)
 
 /// One message per MessageKind, its fields derived from the kind: every
 /// other one carries the trace extension, every third has table rows,
@@ -143,7 +143,7 @@ TEST(MessageCodec, FramesMatchTheGoldenBytesAndAreSizedOnce) {
             "6363fffffffffffffffe000000024a4b000000005400000000000003ea0000"
             "0000000007d20000000000000bba");
   EXPECT_EQ(util::sha256_hex(all),
-            "3a642752c37c5432a0fcc7b5ff746b2d13d8113d83dc0a741dda68185833389b");
+            "ce82640a6cff802c8a3ebcc1342250e262383be9fbf91c47847e56a26026e60e");
 }
 
 TEST(MessageCodec, EveryFrameRoundTrips) {
