@@ -10,6 +10,7 @@
 // Finally the network is saved to f100.net (the Network Editor's save).
 //
 //   $ ./f100_engine
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 
@@ -105,18 +106,23 @@ int main() {
 
   // "Fly" a climb profile: each point's flight condition.
   std::printf("\nclimb profile (steady points):\n");
-  std::printf("%10s %6s %10s %12s %10s\n", "alt [m]", "Mach", "wf [kg/s]",
-              "thrust [kN]", "T4 [K]");
+  std::printf("%10s %6s %10s %12s %10s %10s\n", "alt [m]", "Mach",
+              "wf [kg/s]", "thrust [kN]", "T4 [K]", "messages");
   struct Leg {
     double alt, mach, wf;
   };
   for (const Leg& leg : {Leg{0, 0.0, 1.27}, Leg{3000, 0.5, 1.05},
                          Leg{7000, 0.75, 0.85}, Leg{11000, 0.85, 0.62}}) {
     const tess::FlightCondition fc{leg.alt, leg.mach, 0.0};
+    // Messages this leg's balance put on the simulated network, retries
+    // included.
+    const std::uint64_t before = cluster.traffic().messages;
     const tess::Performance pt =
         engine.balance(leg.wf, fc, sys.steady_method()).performance;
-    std::printf("%10.0f %6.2f %10.2f %12.2f %10.1f\n", leg.alt, leg.mach,
-                leg.wf, pt.thrust / 1e3, pt.t4);
+    std::printf("%10.0f %6.2f %10.2f %12.2f %10.1f %10llu\n", leg.alt,
+                leg.mach, leg.wf, pt.thrust / 1e3, pt.t4,
+                static_cast<unsigned long long>(cluster.traffic().messages -
+                                                before));
   }
 
   // Save the engine model, as the AVS Network Editor would.

@@ -9,6 +9,10 @@ namespace npss::solvers {
 
 namespace {
 
+/// The smallest backtracking factor the line search tries before it takes
+/// the step whether or not ||F|| fell.
+constexpr double kMinDamping = 1.0 / 64;
+
 /// Finite-difference Jacobian at (x, fx), one column per unknown.
 Matrix fd_jacobian(const ResidualFn& residual, const std::vector<double>& x,
                    const std::vector<double>& fx, const NewtonOptions& opt,
@@ -120,10 +124,7 @@ NewtonResult run(const ResidualFn& residual, std::vector<double> x,
         f_new = residual(x_new);
         ++result.function_evaluations;
         norm_new = inf_norm(f_new);
-        if (!opt.require_reduction || norm_new < norm ||
-            lambda <= opt.min_damping) {
-          break;
-        }
+        if (norm_new < norm || lambda <= kMinDamping) break;
         lambda *= 0.5;
       }
       if (carry != nullptr) carry->jacobian = std::move(jac);

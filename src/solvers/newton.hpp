@@ -21,11 +21,9 @@
 namespace npss::solvers {
 
 struct NewtonOptions {
-  double tolerance = 1e-9;        ///< convergence: ||F||_inf below this
+  double tolerance = 1e-9;  ///< convergence: ||F||_inf below this
   int max_iterations = 50;
-  double fd_step = 1e-6;          ///< relative finite-difference step
-  double min_damping = 1.0 / 64;  ///< smallest backtracking factor tried
-  bool require_reduction = true;  ///< backtrack until ||F|| decreases
+  double fd_step = 1e-6;    ///< relative finite-difference step
 };
 
 struct NewtonResult {
@@ -70,8 +68,9 @@ NewtonResult newton_solve(const ResidualFn& residual,
                           std::vector<double> initial,
                           const NewtonOptions& options, JacobianCarry& carry);
 
-/// Same, but returns the (non-converged) result instead of throwing; used
-/// by benches that record failure modes.
+/// Same, but returns the result, converged or not, instead of throwing, so
+/// a caller can inspect a failed solve's last iterate and residual norm
+/// (the solver tests check the post-condition above on a stuck solve).
 NewtonResult newton_try_solve(const ResidualFn& residual,
                               std::vector<double> initial,
                               const NewtonOptions& options = {});

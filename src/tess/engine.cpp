@@ -64,7 +64,11 @@ SteadyResult EngineModel::balance(double wf, const FlightCondition& flight,
     solvers::NewtonOptions opt;
     opt.tolerance = balance_tolerance_;
     opt.max_iterations = 60;
-    opt.fd_step = 1e-5;
+    // Each Jacobian column carries the flow match's error (up to its
+    // tolerance) divided by the probe, so a probe of 100x that tolerance
+    // keeps the error near 1% of the column; a probe inside the tolerance
+    // would return the flow match unchanged and a zero column.
+    opt.fd_step = std::max(1e-5, 100.0 * flow_tolerance_);
     Performance last;
     auto residual = [&](const std::vector<double>& x) {
       std::vector<double> states(n);
@@ -76,49 +80,8 @@ SteadyResult EngineModel::balance(double wf, const FlightCondition& flight,
       }
       return r;
     };
-    std::vector<double> x0(n, 1.0);
-    solvers::NewtonResult nr;
-    try {
-      nr = solvers::newton_solve(residual, x0, opt);
-    } catch (const util::ConvergenceError&) {
-      // Far-from-design operating points (deep part power) can defeat
-      // Newton from the design guess; pre-condition with a short
-      // pseudo-transient march and retry from wherever it settles.
-      auto integ = solvers::make_integrator(
-          num_states() > num_spools() ? solvers::IntegratorKind::kGear
-                                      : solvers::IntegratorKind::kRungeKutta4);
-      // The design point itself may be thermodynamically infeasible at
-      // this fuel flow (deep idle at full speed has no flow match); scan
-      // down in speed until evaluation succeeds, then march from there.
-      auto eval = last_evaluation(*this, flight);
-      std::vector<double> march_states = design;
-      bool feasible = false;
-      for (double scale : {1.0, 0.92, 0.85, 0.78, 0.72, 0.66, 0.60}) {
-        for (int i = 0; i < n; ++i) march_states[i] = design[i] * scale;
-        try {
-          (void)eval(march_states, wf);
-          feasible = true;
-          break;
-        } catch (const util::ConvergenceError&) {
-        }
-      }
-      if (!feasible) throw;
-      solvers::OdeFn rhs = [&](double, const std::vector<double>& y) {
-        return eval(y, wf).accelerations;
-      };
-      for (int s = 0; s < 800; ++s) {
-        march_states = integ->step(rhs, s * 0.05, march_states, 0.05);
-        const Performance& p = eval(march_states, wf);
-        double worst = 0.0;
-        for (int i = 0; i < n; ++i) {
-          worst = std::max(worst,
-                           std::abs(p.accelerations[i]) * 1000.0 / scales[i]);
-        }
-        if (worst < 50.0) break;
-      }
-      for (int i = 0; i < n; ++i) x0[i] = march_states[i] / design[i];
-      nr = solvers::newton_solve(residual, x0, opt);
-    }
+    const solvers::NewtonResult nr =
+        solvers::newton_solve(residual, std::vector<double>(n, 1.0), opt);
     // newton_solve's last residual was at the solution, so `last` is the
     // evaluation there.
     SteadyResult result;

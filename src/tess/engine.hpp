@@ -115,7 +115,9 @@ class EngineModel {
   double flow_tolerance() const { return flow_tolerance_; }
   double balance_tolerance() const { return balance_tolerance_; }
 
-  /// Steady-state balance at fuel flow `wf` (§3.2's engine "balancing").
+  /// Steady-state balance at fuel flow `wf` (§3.2's engine "balancing")
+  /// by the one method asked for. Throws util::ConvergenceError when it
+  /// does not settle; no method falls back to the other.
   SteadyResult balance(double wf, const FlightCondition& flight,
                        SteadyMethod method = SteadyMethod::kNewtonRaphson);
 

@@ -261,6 +261,29 @@ TEST(Turbojet, FlowPathCallsEqualFlowMatchResiduals) {
   EXPECT_EQ(count.shaft[0], 3);
 }
 
+TEST(F100, LoosenedToleranceCruiseBalanceConvergesByNewton) {
+  // At the remote tolerances (flow 5e-6) a balance probe must clear the
+  // flow match's tolerance, or its Jacobian column comes out near zero and
+  // Newton walks off the maps. The cruise point then balances by Newton
+  // alone, in a few evaluations, at the default-tolerance answer.
+  const FlightCondition cruise{11000.0, 0.85, 0.0};
+  F100Engine reference;
+  const Performance want = reference.balance(0.62, cruise).performance;
+
+  F100Engine engine;
+  engine.set_solver_tolerances(5e-6, 1e-4);
+  CountingHooks count;
+  engine.set_hooks(count.hooks());
+  const Performance got = engine.balance(0.62, cruise).performance;
+
+  for (std::size_t i = 0; i < want.speeds.size(); ++i) {
+    EXPECT_NEAR(got.speeds[i] / want.speeds[i], 1.0, 1e-3) << "spool " << i;
+  }
+  EXPECT_NEAR(got.thrust / want.thrust, 1.0, 1e-3);
+  const int evaluations = (count.shaft[0] + count.shaft[1]) / 2;
+  EXPECT_LE(evaluations, 20);
+}
+
 TEST(F100, ConvergenceFailureIsReported) {
   F100Engine engine;
   // An absurd fuel flow drives the flow match out of map range.
