@@ -1,23 +1,17 @@
-// Scheduler overlap benchmarks: the two concurrency seams this growth step
-// added, measured in wall-clock time and written to BENCH_scheduler.json.
-//
-//  * Wavefront half — a flow network of independent modules whose compute
-//    takes real time: the wavefront scheduler runs a dependency level
-//    concurrently, the sequential sweep pays the sum.
-//  * Remote-overlap half — a Table-2-style placement of two independent
-//    remote procedures on different machines. Each remote handler performs
-//    real wall-clock work (the remote machine computes while the caller
-//    waits), so issuing both calls via call_async overlaps the waits,
-//    while the conventional sequential calls pay them back-to-back.
+// Remote-overlap benchmark, in wall-clock time, written to
+// BENCH_scheduler.json: a Table-2-style placement of two independent
+// remote procedures on different machines. Each remote handler performs
+// real wall-clock work (the remote machine computes while the caller
+// waits), so issuing both calls via call_async overlaps the waits, while
+// the conventional sequential calls pay them back-to-back. The flow
+// executive itself is sequential; call_async is its one overlap mechanism.
 #include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/testbed.hpp"
-#include "flow/network.hpp"
 #include "rpc/client.hpp"
 #include "rpc/host.hpp"
 #include "uts/spec.hpp"
@@ -31,60 +25,6 @@ double elapsed_ms(clock_type::time_point t0) {
   return std::chrono::duration<double, std::milli>(clock_type::now() - t0)
       .count();
 }
-
-// --- wavefront half --------------------------------------------------------
-
-/// A module whose compute costs real wall-clock time, standing in for a
-/// component that waits on an external computation.
-class SpinModule final : public flow::Module {
- public:
-  explicit SpinModule(int ms) : ms_(ms) {}
-  std::string type_name() const override { return "bench-spin"; }
-  void spec(flow::ModuleSpec& spec) override {
-    spec.output("out", uts::Type::real_double());
-  }
-  void compute() override {
-    std::this_thread::sleep_for(std::chrono::milliseconds(ms_));
-    out_real("out", static_cast<double>(ms_));
-  }
-
- private:
-  int ms_;
-};
-
-struct WavefrontResult {
-  double sequential_ms;
-  double parallel_ms;
-};
-
-WavefrontResult run_wavefront_half(int modules, int ms_per_module) {
-  auto build = [&](flow::Network& net) {
-    for (int i = 0; i < modules; ++i) {
-      net.add("spin" + std::to_string(i),
-              std::make_unique<SpinModule>(ms_per_module));
-    }
-  };
-  WavefrontResult r{};
-  {
-    flow::Network net;
-    build(net);
-    net.set_parallel_evaluation(false);
-    const auto t0 = clock_type::now();
-    net.evaluate();
-    r.sequential_ms = elapsed_ms(t0);
-  }
-  {
-    flow::Network net;
-    build(net);
-    net.set_parallel_workers(modules);  // single-core hosts still overlap
-    const auto t0 = clock_type::now();
-    net.evaluate();
-    r.parallel_ms = elapsed_ms(t0);
-  }
-  return r;
-}
-
-// --- remote-overlap half ---------------------------------------------------
 
 const char* kSpinSpec = R"(
 export spin prog(
@@ -111,7 +51,7 @@ struct OverlapResult {
   double overlapped_ms;
 };
 
-OverlapResult run_overlap_half(int work_ms) {
+OverlapResult run_overlap(int work_ms) {
   Testbed bed;
   const std::string spin_import =
       uts::export_to_import_text(uts::parse_spec(kSpinSpec));
@@ -160,17 +100,9 @@ OverlapResult run_overlap_half(int work_ms) {
 int main() {
   using namespace npss::bench;
 
-  print_header("Wavefront scheduler: N independent modules, real compute");
-  const int kModules = 4, kModuleMs = 25;
-  WavefrontResult wf = run_wavefront_half(kModules, kModuleMs);
-  std::printf("%d modules x %d ms: sequential %.1f ms, wavefront %.1f ms "
-              "(%.2fx)\n",
-              kModules, kModuleMs, wf.sequential_ms, wf.parallel_ms,
-              wf.sequential_ms / wf.parallel_ms);
-
   print_header("Remote overlap: 2 independent remote components");
   const int kWorkMs = 50;
-  OverlapResult ov = run_overlap_half(kWorkMs);
+  OverlapResult ov = run_overlap(kWorkMs);
   std::printf("2 remote spins x %d ms: sequential %.1f ms, call_async "
               "%.1f ms (%.2fx)\n",
               kWorkMs, ov.sequential_ms, ov.overlapped_ms,
@@ -180,14 +112,6 @@ int main() {
   if (f) {
     std::fprintf(f, "{\n");
     std::fprintf(f, "  \"benchmark\": \"scheduler\",\n");
-    std::fprintf(f, "  \"wavefront\": {\n");
-    std::fprintf(f, "    \"modules\": %d,\n", kModules);
-    std::fprintf(f, "    \"module_ms\": %d,\n", kModuleMs);
-    std::fprintf(f, "    \"sequential_ms\": %.2f,\n", wf.sequential_ms);
-    std::fprintf(f, "    \"parallel_ms\": %.2f,\n", wf.parallel_ms);
-    std::fprintf(f, "    \"speedup\": %.2f\n",
-                 wf.sequential_ms / wf.parallel_ms);
-    std::fprintf(f, "  },\n");
     std::fprintf(f, "  \"remote_overlap\": {\n");
     std::fprintf(f, "    \"components\": 2,\n");
     std::fprintf(f, "    \"work_ms\": %d,\n", kWorkMs);

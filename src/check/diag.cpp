@@ -104,12 +104,9 @@ const std::vector<CodeInfo>& diagnostic_code_table() {
       {"UTS406", Severity::kWarning,
        "isolated module: it has ports but none are connected, so the "
        "scheduler runs it for nothing"},
-      {"UTS407", Severity::kWarning,
-       "parallel-unsafety hazard: a thread_safe()==false module sits on a "
-       "wavefront level the scheduler would parallelize"},
       {"UTS408", Severity::kNote,
-       "predicted wavefront width for a dependency level (bench_scheduler "
-       "expectation)"},
+       "predicted wavefront width for a dependency level (the modules the "
+       "executive runs one after another at that level)"},
       {"MC001", Severity::kError,
        "election safety violated: two replicas both led the same term"},
       {"MC002", Severity::kError,

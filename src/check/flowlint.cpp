@@ -76,7 +76,6 @@ ModuleCatalog ModuleCatalog::from_factory() {
       info.outputs.emplace_back(p.name, p.type);
     }
     info.widgets = module->widget_names();
-    info.thread_safe = module->thread_safe();
     catalog.add(std::move(info));
   }
   return catalog;
@@ -346,8 +345,8 @@ FlowLintResult lint_network_text(const std::string& file,
     }
   }
 
-  // Wavefront prediction + parallel-unsafety screen — only meaningful on
-  // a DAG (the executive refuses cyclic networks outright).
+  // Wavefront prediction — only meaningful on a DAG (the executive refuses
+  // cyclic networks outright).
   if (cyclic.empty() && !order.empty()) {
     std::map<std::string, std::size_t> depth;
     std::size_t max_depth = 0;
@@ -367,19 +366,6 @@ FlowLintResult lint_network_text(const std::string& file,
       diag("UTS408", Severity::kNote, 0,
            "level " + std::to_string(l) + ": predicted wavefront width " +
                std::to_string(levels[l].size()));
-      if (levels[l].size() < 2) continue;
-      for (const std::string& name : levels[l]) {
-        const Instance& inst = instances[name];
-        if (inst.info && !inst.info->thread_safe) {
-          diag("UTS407", Severity::kWarning, inst.line,
-               "module '" + name + "' (type " + inst.info->type_name +
-                   ") is not thread-safe but sits on wavefront level " +
-                   std::to_string(l) + " with " +
-                   std::to_string(levels[l].size() - 1) +
-                   " parallelizable peer(s): the scheduler will serialize "
-                   "it");
-        }
-      }
     }
   }
 

@@ -2,12 +2,11 @@
 // description (UTS4xx).
 //
 // The flow executive validates a network incrementally while it is being
-// built: Network::connect throws on the first bad edge, and scheduling
-// hazards (a thread-unsafe module on a parallel wavefront) surface only
-// while running. This pass lints the *serialized* network form — the text
-// Network::save_to_text emits and load_from_text replays — in one sweep,
-// reporting every problem with file:line positions and without
-// instantiating live module state beyond a port/widget catalog:
+// built: Network::connect throws on the first bad edge. This pass lints the
+// *serialized* network form — the text Network::save_to_text emits and
+// load_from_text replays — in one sweep, reporting every problem with
+// file:line positions and without instantiating live module state beyond a
+// port/widget catalog:
 //
 //   UTS400 syntax error (bad verb, malformed line, unknown widget)
 //   UTS401 unknown module type / duplicate instance
@@ -16,7 +15,6 @@
 //   UTS404 input with more than one source
 //   UTS405 cycle outside a declared solver loop (`loop` verb)
 //   UTS406 isolated module (warning)
-//   UTS407 thread-unsafe module on a parallelizable level (warning)
 //   UTS408 predicted wavefront width per level (note)
 //
 // A `loop <name> <module>...` line declares a solver loop: a cycle whose
@@ -42,7 +40,6 @@ struct ModuleTypeInfo {
   std::vector<std::pair<std::string, uts::Type>> inputs;
   std::vector<std::pair<std::string, uts::Type>> outputs;
   std::vector<std::string> widgets;
-  bool thread_safe = true;
 };
 
 /// The module types a network description may reference. Build one from

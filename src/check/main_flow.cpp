@@ -4,10 +4,11 @@
 //
 // Lints each saved network description (the Network::save_to_text form)
 // against the registered module catalog: dangling connections, port type
-// mismatches, ambiguous inputs, undeclared cycles, unreachable modules,
-// and parallel-unsafety hazards, plus the predicted wavefront width per
-// dependency level. Exit status: 0 when clean (notes allowed), 1 when any
-// error or warning was reported, 2 on usage or I/O problems.
+// mismatches, ambiguous inputs, undeclared cycles and unreachable
+// modules, plus the predicted wavefront width per dependency level (the
+// modules the sequential executive runs one after another at that level).
+// Exit status: 0 when clean (notes allowed), 1 when any error or warning
+// was reported, 2 on usage or I/O problems.
 #include <fstream>
 #include <iostream>
 #include <sstream>

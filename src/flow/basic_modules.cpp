@@ -58,8 +58,6 @@ void register_basic_modules() {
     f.register_type("csv-trace", [] { return std::make_unique<CsvTraceModule>(); });
     f.register_type("strip-chart",
                     [] { return std::make_unique<StripChartModule>(); });
-    f.register_type("serial-sink",
-                    [] { return std::make_unique<SerialSinkModule>(); });
     return true;
   }();
   (void)done;

@@ -110,26 +110,6 @@ class StripChartModule final : public Module {
   std::vector<double> samples_;
 };
 
-/// A monitor that opts out of wavefront concurrency — the stand-in for a
-/// sink bound to a serial resource (a single plot window, an append-only
-/// log). Placing one on a parallelizable level is legal but serializes it
-/// behind its peers; flow_lint flags the placement as UTS407.
-class SerialSinkModule final : public Module {
- public:
-  std::string type_name() const override { return "serial-sink"; }
-  void spec(ModuleSpec& spec) override {
-    spec.input("in", uts::Type::real_double());
-  }
-  void compute() override {
-    if (has_in("in")) history_.push_back(in_real("in"));
-  }
-  bool thread_safe() const override { return false; }
-  const std::vector<double>& history() const { return history_; }
-
- private:
-  std::vector<double> history_;
-};
-
 /// Registers the basic module types with the ModuleFactory (idempotent).
 void register_basic_modules();
 

@@ -77,13 +77,6 @@ class Module {
   /// Teardown when removed from the network / the network is cleared.
   virtual void destroy() {}
 
-  /// Opt-out knob for the wavefront scheduler: a module whose compute()
-  /// touches shared mutable state (beyond its own ports/widgets and the
-  /// thread-safe cluster/obs runtimes) should return false; the scheduler
-  /// then runs it sequentially while thread-safe peers of the same
-  /// dependency level execute concurrently.
-  virtual bool thread_safe() const { return true; }
-
   // --- runtime access (valid after the module joined a network) ---------
   const std::string& instance_name() const { return instance_name_; }
   Network* network() { return network_; }

@@ -8,7 +8,6 @@
 
 #include "obs/metrics.hpp"
 #include "util/log.hpp"
-#include "util/parallel.hpp"
 #include "util/status.hpp"
 
 namespace npss::flow {
@@ -212,8 +211,7 @@ void Network::ensure_topology() const {
   }
 
   // Wavefront levels: a module's level is its longest path from a source,
-  // so same-level modules cannot be connected (directly or transitively)
-  // and may execute concurrently.
+  // so same-level modules cannot be connected (directly or transitively).
   std::map<std::string, std::size_t> depth;
   std::size_t max_depth = 0;
   for (const std::string& name : order) {
@@ -259,82 +257,34 @@ void Network::propagate(Module& module) {
 
 void Network::run_level(const std::vector<std::string>& level,
                         bool only_changed, int& executed) {
-  std::vector<Node*> fire;
-  fire.reserve(level.size());
+  // One module at a time, in level order, on the caller's thread. A failed
+  // module's outputs are NOT propagated: downstream keeps the previous
+  // values (the degraded-but-running behavior).
+  std::size_t width = 0;
   for (const std::string& name : level) {
     Node& node = nodes_.at(name);
-    if (only_changed && !node.fresh_input && !node.module->widgets_changed()) {
+    Module& module = *node.module;
+    if (only_changed && !node.fresh_input && !module.widgets_changed()) {
       continue;
     }
-    fire.push_back(&node);
-  }
-  if (fire.empty()) return;
-  if (obs::enabled()) {
-    obs::Registry::global()
-        .histogram("flow.scheduler.wavefront_width")
-        .record(static_cast<double>(fire.size()));
-  }
-
-  // Per-fire error slot (parallel phase writes disjoint indices, so no
-  // lock); empty = the module computed cleanly.
-  std::vector<std::string> errors(fire.size());
-  auto compute_guarded = [this, &fire, &errors](std::size_t i) {
+    ++width;
+    std::string error;
     if (!continue_on_error_) {
-      compute_instrumented(*fire[i]->module);
-      return;
-    }
-    try {
-      compute_instrumented(*fire[i]->module);
-    } catch (const std::exception& e) {
-      errors[i] = e.what();
-      if (errors[i].empty()) errors[i] = "unknown error";
-    }
-  };
-  auto index_of = [&fire](Module* m) -> std::size_t {
-    for (std::size_t i = 0; i < fire.size(); ++i) {
-      if (fire[i]->module.get() == m) return i;
-    }
-    return 0;  // unreachable: m always comes from fire
-  };
-
-  // Compute phase: same-level modules are independent by construction, so
-  // thread-safe ones may run concurrently. Modules opting out via
-  // thread_safe() == false run one at a time afterwards.
-  if (parallel_ && fire.size() >= 2) {
-    std::vector<Module*> concurrent;
-    concurrent.reserve(fire.size());
-    for (Node* node : fire) {
-      if (node->module->thread_safe()) concurrent.push_back(node->module.get());
-    }
-    if (concurrent.size() >= 2) {
-      util::parallel_for(
-          0, concurrent.size(),
-          [&concurrent, &compute_guarded, &index_of](std::size_t i) {
-            compute_guarded(index_of(concurrent[i]));
-          },
-          workers_);
+      compute_instrumented(module);
     } else {
-      for (Module* m : concurrent) compute_guarded(index_of(m));
+      try {
+        compute_instrumented(module);
+      } catch (const std::exception& e) {
+        error = e.what();
+        if (error.empty()) error = "unknown error";
+      }
     }
-    for (std::size_t i = 0; i < fire.size(); ++i) {
-      if (!fire[i]->module->thread_safe()) compute_guarded(i);
-    }
-  } else {
-    for (std::size_t i = 0; i < fire.size(); ++i) compute_guarded(i);
-  }
-
-  // Bookkeeping + propagation stay sequential in topo order, so the values
-  // downstream modules observe are exactly the sequential schedule's.
-  // A failed module's outputs are NOT propagated: downstream keeps the
-  // previous values (the degraded-but-running behavior).
-  for (std::size_t i = 0; i < fire.size(); ++i) {
-    Node* node = fire[i];
-    node->module->clear_widget_changes();
-    node->fresh_input = false;
-    if (!errors[i].empty()) {
-      module_errors_.emplace_back(node->module->instance_name(), errors[i]);
-      NPSS_LOG_WARN("flow", "module '", node->module->instance_name(),
-                    "' failed, continuing without it: ", errors[i]);
+    module.clear_widget_changes();
+    node.fresh_input = false;
+    if (!error.empty()) {
+      module_errors_.emplace_back(module.instance_name(), error);
+      NPSS_LOG_WARN("flow", "module '", module.instance_name(),
+                    "' failed, continuing without it: ", error);
       if (obs::enabled()) {
         obs::Registry::global().counter("flow.scheduler.module_errors").add();
       }
@@ -342,7 +292,12 @@ void Network::run_level(const std::vector<std::string>& level,
     }
     ++executions_;
     ++executed;
-    propagate(*node->module);
+    propagate(module);
+  }
+  if (width > 0 && obs::enabled()) {
+    obs::Registry::global()
+        .histogram("flow.scheduler.wavefront_width")
+        .record(static_cast<double>(width));
   }
 }
 

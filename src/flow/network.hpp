@@ -62,10 +62,9 @@ class Network {
   ///
   /// Scheduling is by wavefront: modules are grouped into dependency
   /// levels (longest path from a source) computed from the cached topo
-  /// order; same-level modules have no path between them, so the
-  /// scheduler may run them concurrently (util::parallel_for), then
-  /// propagates the level's outputs sequentially in topo order — the
-  /// observable results are identical to the strict sequential sweep.
+  /// order, and each level's modules run one at a time, in level order,
+  /// on the caller's thread. Overlap with remote machines comes from the
+  /// modules themselves (call_async), not from the executive.
   int evaluate();
 
   /// Execute only modules whose widgets changed or that receive fresh
@@ -75,15 +74,7 @@ class Network {
   /// Executions performed so far (scheduler metric).
   long executions() const { return executions_; }
 
-  // --- Scheduler knobs ------------------------------------------------------
-  /// Master switch for same-level concurrency (default on). Modules whose
-  /// thread_safe() returns false always run sequentially either way.
-  void set_parallel_evaluation(bool on) { parallel_ = on; }
-  bool parallel_evaluation() const { return parallel_; }
-
-  /// Worker cap for parallel levels; 0 = hardware concurrency.
-  void set_parallel_workers(int workers) { workers_ = workers; }
-
+  // --- Error handling -------------------------------------------------------
   /// Graceful degradation (default off, matching the historical abort
   /// semantics): when on, a module whose compute() throws no longer
   /// aborts the sweep — the error is recorded in module_errors(), the
@@ -132,8 +123,6 @@ class Network {
   std::vector<std::string> insertion_order_;
   std::vector<Connection> connections_;
   long executions_ = 0;
-  bool parallel_ = true;
-  int workers_ = 0;
   bool continue_on_error_ = false;
   std::vector<std::pair<std::string, std::string>> module_errors_;
   mutable bool topo_valid_ = false;

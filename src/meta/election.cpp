@@ -45,6 +45,10 @@ int election_timeout_ms(std::uint64_t seed, std::uint64_t term,
   return base_ms * (1 + 2 * position);
 }
 
+int slowest_election_timeout_ms(int n_replicas, int base_ms) {
+  return base_ms * (2 * n_replicas - 1);
+}
+
 bool candidate_better(std::uint64_t last_index_a, std::uint64_t rank_a,
                       std::uint64_t last_index_b, std::uint64_t rank_b) {
   if (last_index_a != last_index_b) return last_index_a > last_index_b;

@@ -38,6 +38,11 @@ std::uint64_t candidate_rank(std::uint64_t seed, std::uint64_t term,
 int election_timeout_ms(std::uint64_t seed, std::uint64_t term,
                         int replica_index, int n_replicas, int base_ms);
 
+/// The longest election_timeout_ms any replica of an `n_replicas` group
+/// can draw, base * (2n - 1): a follower that has heard no heartbeat for
+/// this long has stood for election, whatever its rank.
+int slowest_election_timeout_ms(int n_replicas, int base_ms);
+
 /// The vote/yield ordering: true when candidate a (log length, rank)
 /// should win over candidate b.
 bool candidate_better(std::uint64_t last_index_a, std::uint64_t rank_a,

@@ -4,6 +4,9 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <map>
+#include <set>
+#include <utility>
 
 #include "obs/trace.hpp"
 #include "rpc/metrics.hpp"
@@ -53,26 +56,65 @@ util::SimTime backoff_us(const BackoffPolicy& policy, int retry_index,
 
 std::string discover_manager_leader(MessageIo& io,
                                     const std::vector<std::string>& replicas,
-                                    int rounds) {
+                                    int rounds, int settle_ms) {
+  using Clock = std::chrono::steady_clock;
+  // How many followers of one round named a (leader, term), and when the
+  // first of them was asked.
+  struct Claim {
+    std::size_t count = 0;
+    Clock::time_point asked;
+  };
+  // The (leader, term) a majority has named while that leader stayed
+  // silent, and the start of the first round that saw it.
+  std::pair<std::string, std::int64_t> held;
+  Clock::time_point held_since;
   for (int round = 0; round < rounds; ++round) {
+    const Clock::time_point round_start = Clock::now();
+    std::set<std::string> answered;
+    std::map<std::pair<std::string, std::int64_t>, Claim> named;
     for (const std::string& address : replicas) {
       Message who;
       who.kind = MessageKind::kMetaWhoIsLeader;
+      const Clock::time_point asked = Clock::now();
       try {
         Message ack = io.call_within(address, std::move(who),
                                      /*host_grace_ms=*/100,
                                      /*raise_errors=*/false);
-        // Only a replica's claim about *itself* counts: a follower that
-        // has not yet heard of the leader's death would keep naming the
-        // corpse, and adopting it would burn the caller's retry budget
-        // before the election even fires.
-        if (ack.kind == MessageKind::kMetaLeaderAck && ack.a == address) {
-          return ack.a;
-        }
-        // Anything else = election in progress or stale; keep polling.
+        answered.insert(address);
+        // Only a replica's claim about *itself* names the leader: a
+        // follower that has not yet heard of the leader's death would keep
+        // naming the corpse, and adopting it would burn the caller's retry
+        // budget before the election even fires.
+        if (ack.kind != MessageKind::kMetaLeaderAck) continue;
+        if (ack.a == address) return ack.a;
+        // A follower's claim (.n is its term) counts only towards the
+        // early stop below.
+        if (ack.a.empty()) continue;
+        Claim& claim = named[{ack.a, ack.n}];
+        if (claim.count++ == 0) claim.asked = asked;
       } catch (const util::Error&) {
-        // Dead replica; try the next one.
+        // Dead or silent replica; try the next one.
       }
+    }
+    const std::pair<std::string, std::int64_t>* majority = nullptr;
+    for (const auto& [leader, claim] : named) {
+      if (claim.count > replicas.size() / 2 &&
+          !answered.contains(leader.first)) {
+        majority = &leader;
+      }
+    }
+    if (settle_ms <= 0 || majority == nullptr) {
+      held = {};
+    } else if (*majority != held) {
+      held = *majority;
+      held_since = round_start;
+    } else if (named.at(held).asked - held_since >
+               std::chrono::milliseconds(settle_ms)) {
+      // A follower asked a full election timeout after the leader first
+      // went silent still follows it on the same term, so it heard the
+      // leader's heartbeats since: the leader lives, and only this caller
+      // is cut off from it.
+      return {};
     }
     sim::sleep_for(std::chrono::milliseconds(20));
   }
@@ -97,10 +139,12 @@ void ManagerLink::follow(MessageIo& io, const std::string& failed,
                          const std::string& hint) {
   if (!hint.empty() && hint != failed) return adopt(hint);
   if (leader() != failed) return;  // another line got here first
-  std::string found = discover_manager_leader(io, replicas_);
+  std::string found =
+      discover_manager_leader(io, replicas_, /*rounds=*/50, settle_ms_);
   if (found.empty()) {
     throw util::UnavailableError(
-        "no Manager replica reports a leader; the control plane is down");
+        "no reachable Manager replica reports a leader; the control plane "
+        "is down or cut off from this machine");
   }
   adopt(found);
 }

@@ -248,9 +248,18 @@ struct CallResult {
 /// Returns the leader address, or "" when no replica named one within
 /// `rounds` polls (each round visits every replica, then sleeps ~20ms of
 /// host time — elections settle within a few election timeouts).
+///
+/// With `settle_ms` > 0 (the group's slowest election timeout) the poll
+/// also returns "" early: once a majority of `replicas` has named the same
+/// silent leader at the same term over consecutive rounds spanning more
+/// than `settle_ms`. A follower still on one term after every election
+/// timer would have fired is hearing that leader's heartbeats, so the
+/// leader lives and only the caller is cut off from it; a dead leader's
+/// followers change term within that window. `replicas` must then be the
+/// whole group, since the majority is counted over it.
 std::string discover_manager_leader(MessageIo& io,
                                     const std::vector<std::string>& replicas,
-                                    int rounds = 50);
+                                    int rounds = 50, int settle_ms = 0);
 
 /// A client's link to the Manager replica group: the replica list and the
 /// only cache of the leader's address. A Session owns one and lends it to
@@ -263,10 +272,16 @@ std::string discover_manager_leader(MessageIo& io,
 class ManagerLink {
  public:
   /// `leader` is the Manager to ask first; `replicas` the whole group
-  /// (empty for a one-member group, whose Manager is then never replaced).
+  /// (empty for a one-member group, whose Manager is then never replaced)
+  /// and `settle_ms` its slowest election timeout, which bounds how long
+  /// a poll waits on a leader the rest of the group still follows (see
+  /// discover_manager_leader).
   explicit ManagerLink(std::string leader,
-                       std::vector<std::string> replicas = {})
-      : leader_(std::move(leader)), replicas_(std::move(replicas)) {}
+                       std::vector<std::string> replicas = {},
+                       int settle_ms = 0)
+      : leader_(std::move(leader)),
+        replicas_(std::move(replicas)),
+        settle_ms_(settle_ms) {}
   ManagerLink(const ManagerLink&) = delete;
   ManagerLink& operator=(const ManagerLink&) = delete;
 
@@ -277,7 +292,8 @@ class ManagerLink {
   /// a dead or silent Manager sends the link to poll the group, and a
   /// follower's kNotLeader to its leader hint (or to a poll when it has
   /// none); the request is re-sent, at most four exchanges in all. Throws
-  /// util::UnavailableError when no replica reports a leader.
+  /// util::UnavailableError when no replica reports a leader, or when the
+  /// group still follows a leader this link cannot reach.
   Message request(MessageIo& io, Message msg, int host_grace_ms = 0);
 
   /// The leader as this link last saw it.
@@ -296,6 +312,7 @@ class ManagerLink {
   mutable util::Mutex mu_{"rpc.Session.leader"};
   std::string leader_ SCHOONER_GUARDED_BY(mu_);
   const std::vector<std::string> replicas_;
+  const int settle_ms_;
 };
 
 struct CallCore;

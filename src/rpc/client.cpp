@@ -13,10 +13,12 @@ namespace npss::rpc {
 
 Session::Session(sim::Cluster& cluster, std::string machine,
                  std::string manager_address,
-                 std::vector<std::string> manager_replicas)
+                 std::vector<std::string> manager_replicas,
+                 int leader_settle_ms)
     : cluster_(&cluster),
       machine_(std::move(machine)),
-      manager_(std::move(manager_address), std::move(manager_replicas)) {}
+      manager_(std::move(manager_address), std::move(manager_replicas),
+               leader_settle_ms) {}
 
 std::unique_ptr<Line> Session::open_line(LineOptions opts) {
   sim::EndpointPtr endpoint = cluster_->create_endpoint(

@@ -220,9 +220,12 @@ class Session {
   /// Manager replica group (empty for a one-member group):
   /// with it set, every Manager exchange survives a leader death by
   /// rediscovering the new leader and re-issuing the request.
+  /// `leader_settle_ms` is the group's slowest election timeout (see
+  /// ManagerLink).
   Session(sim::Cluster& cluster, std::string machine,
           std::string manager_address,
-          std::vector<std::string> manager_replicas = {});
+          std::vector<std::string> manager_replicas = {},
+          int leader_settle_ms = 0);
 
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "meta/election.hpp"
 #include "util/log.hpp"
 
 namespace npss::rpc {
@@ -24,6 +25,8 @@ SchoonerSystem::SchoonerSystem(sim::Cluster& cluster,
   config.line_call_quota = options.line_call_quota;
 
   const int replicas = std::max(options.manager_replicas, 1);
+  leader_settle_ms_ =
+      meta::slowest_election_timeout_ms(replicas, options.election_base_ms);
   config.heartbeat_ms = options.heartbeat_ms;
   config.election_base_ms = options.election_base_ms;
   config.election_seed = options.election_seed;
@@ -107,7 +110,7 @@ std::unique_ptr<Session> SchoonerSystem::make_session(
       replica_addresses_.size() > 1 ? replica_addresses_
                                     : std::vector<std::string>{};
   return std::make_unique<Session>(*cluster_, machine, manager_address_,
-                                   std::move(replicas));
+                                   std::move(replicas), leader_settle_ms_);
 }
 
 void SchoonerSystem::stop() {

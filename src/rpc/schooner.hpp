@@ -99,6 +99,8 @@ class SchoonerSystem {
   sim::Cluster* cluster_;
   std::string manager_address_;
   std::vector<std::string> replica_addresses_;
+  /// The group's slowest election timeout, handed to every Session.
+  int leader_settle_ms_ = 0;
   std::map<std::string, std::string> server_addresses_;
   /// One live counter block per replica (index-aligned with
   /// replica_addresses_); stats() sums snapshots across the group.

@@ -2,8 +2,9 @@
 // algorithm encapsulated inside one Schooner procedure (e.g. PVM on a
 // workstation cluster, or a node program on the i860/CM-5); this is the
 // in-process equivalent those simulated "parallel machine" procedures use
-// for their inner loops. The flow executive's wavefront scheduler also
-// runs same-level modules through it.
+// for their inner loops (tess::hifi_duct). The flow executive does not use
+// it: it runs modules sequentially, and overlaps remote work with
+// call_async.
 #pragma once
 
 #include <algorithm>

@@ -67,7 +67,6 @@ const std::map<std::string, std::string>& expected_codes() {
       {"undeclared_cycle.net", "UTS405"},
       {"bad_widget.net", "UTS400"},
       {"bad_verb.net", "UTS400"},
-      {"serial_hazard.net", "UTS407"},
   };
   return table;
 }

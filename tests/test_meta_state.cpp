@@ -247,6 +247,7 @@ TEST(MetaElection, ScheduleIsAPureFunctionOfSeedTermAndReplica) {
     timeouts.insert(meta::election_timeout_ms(42, 3, replica, 5, 60));
   }
   EXPECT_EQ(timeouts.size(), 5u);
+  EXPECT_EQ(*timeouts.rbegin(), meta::slowest_election_timeout_ms(5, 60));
   int prev = -1;
   for (int t : timeouts) {
     if (prev >= 0) {
@@ -594,7 +595,11 @@ TEST_F(MetaGroupTest, ColdBindCutOffFromTheLeaderFailsInsteadOfHanging) {
       proc->call({uts::Value::real(1.0), uts::Value::real(0.0)}, kLegacy)
           .ok());
 
-  cluster_->partition({"avs"}, {"m0"});  // m0 hosts the leader
+  // Cut the client machine off from whichever replica leads now; the
+  // followers keep hearing its heartbeats, so it goes on leading.
+  const std::string leader = wait_for_leader();
+  ASSERT_FALSE(leader.empty());
+  cluster_->partition({"avs"}, {leader.substr(0, leader.find('/'))});
   proc->invalidate();
 
   // Watchdog: a call still blocked at the bound has its line's endpoint
