@@ -21,6 +21,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/percentile.hpp"
 #include "bench/testbed.hpp"
 
 namespace npss {
@@ -52,14 +53,6 @@ std::string fleet_spec(int i) {
 std::string fleet_import(int i) {
   return "import " + fleet_proc(i) +
          " prog(\"x\" val double, \"y\" res double)";
-}
-
-double percentile(std::vector<double>& sorted_into, double q) {
-  std::sort(sorted_into.begin(), sorted_into.end());
-  if (sorted_into.empty()) return 0.0;
-  std::size_t idx = static_cast<std::size_t>(
-      q * static_cast<double>(sorted_into.size() - 1));
-  return sorted_into[idx];
 }
 
 struct SteadyPoint {
@@ -244,8 +237,8 @@ int run() {
     point.nlines = nlines;
     point.cycles = static_cast<long>(latencies.size());
     point.lines_per_sec = point.cycles / (ms / 1000.0);
-    point.p50_ms = latencies[latencies.size() / 2];
-    point.p99_ms = latencies[latencies.size() * 99 / 100];
+    point.p50_ms = bench::percentile(latencies, 0.50);
+    point.p99_ms = bench::percentile(latencies, 0.99);
     line_points.push_back(point);
     std::printf("%8d %10ld %14.1f %12.2f %12.2f\n", point.nlines,
                 point.cycles, point.lines_per_sec, point.p50_ms,
@@ -288,9 +281,9 @@ int run() {
     p.calls = static_cast<long>(latencies.size());
     p.open_ms = open_ms;
     p.calls_per_sec = p.calls / sec;
-    std::vector<double> sorted = latencies;
-    p.p50_us = percentile(sorted, 0.50);
-    p.p99_us = percentile(sorted, 0.99);
+    std::sort(latencies.begin(), latencies.end());
+    p.p50_us = bench::percentile(latencies, 0.50);
+    p.p99_us = bench::percentile(latencies, 0.99);
     steady_points.push_back(p);
     std::printf("%8d %10ld %12.1f %14.1f %10.1f %10.1f\n", p.nlines, p.calls,
                 p.open_ms, p.calls_per_sec, p.p50_us, p.p99_us);
@@ -330,7 +323,8 @@ int run() {
 
     std::vector<double> baseline;
     step_lines(lines, procs, 100, 4, baseline);
-    noisy.baseline_p99_us = percentile(baseline, 0.99);
+    std::sort(baseline.begin(), baseline.end());
+    noisy.baseline_p99_us = bench::percentile(baseline, 0.99);
 
     sim::FaultSpec loss;
     loss.drop_rate = 1.0;
@@ -363,7 +357,8 @@ int run() {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     std::vector<double> contended;
     step_lines(lines, procs, 100, 4, contended);
-    noisy.with_noisy_p99_us = percentile(contended, 0.99);
+    std::sort(contended.begin(), contended.end());
+    noisy.with_noisy_p99_us = bench::percentile(contended, 0.99);
     stop.store(true);
     storm.join();
     cluster.clear_faults();

@@ -29,6 +29,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench/percentile.hpp"
 #include "bench/testbed.hpp"
 #include "rpc/tcp_transport.hpp"
 #include "util/clock.hpp"
@@ -82,8 +83,8 @@ Row make_row(const std::string& signature, const std::string& transport,
   row.mode = mode;
   row.calls = static_cast<long>(latencies.size());
   row.calls_per_sec = row.calls / (wall_ms / 1000.0);
-  row.p50_us = latencies.empty() ? 0.0 : latencies[latencies.size() / 2];
-  row.p99_us = latencies.empty() ? 0.0 : latencies[latencies.size() * 99 / 100];
+  row.p50_us = bench::percentile(latencies, 0.50);
+  row.p99_us = bench::percentile(latencies, 0.99);
   return row;
 }
 

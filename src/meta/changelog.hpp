@@ -10,7 +10,7 @@
 // is owned by one replica's manager_main loop and is never shared, so
 // it carries no lock; cross-replica effects travel as messages. Counter
 // visibility to the bench thread goes through the replica's
-// ManagerCounters, never through this object.
+// rpc::ManagerTally, never through this object.
 #pragma once
 
 #include <cstdint>

@@ -129,8 +129,8 @@ struct CoreEvent {
   std::uint64_t term = 0;
 };
 
-/// Monotonic protocol counters; the driver diffs successive snapshots
-/// into the shared atomic ManagerCounters.
+/// Monotonic protocol counters; the driver records the difference of
+/// successive reads in its replica's rpc::ManagerTally.
 struct CoreCounters {
   std::uint64_t log_appends = 0;
   std::uint64_t snapshot_installs = 0;

@@ -193,29 +193,28 @@ RemoteBackend::~RemoteBackend() {
 void RemoteBackend::place(AdaptedComponent component, int instance,
                           const Placement& placement) {
   if (!session_) session_ = system_->make_session(avs_machine_);
-  Instance inst;
-  inst.client = AdaptedClient(*session_, component,
-                              instance_label(component, instance), placement);
-  inst.client.set_call_options(options_);
-  inst.client.set_local_fallback(local_fallback_);
-  inst.clock_base = inst.client.line().io().endpoint().clock().now();
-  instances_[{component, instance}] = std::move(inst);
+  AdaptedClient client(*session_, component,
+                       instance_label(component, instance), placement);
+  client.set_call_options(options_);
+  client.set_local_fallback(local_fallback_);
+  instances_[{component, instance}] = std::move(client);
+  reset_clocks();
 }
 
 void RemoteBackend::set_call_options(const rpc::CallOptions& opts) {
   options_ = opts;
-  for (auto& [key, inst] : instances_) inst.client.set_call_options(opts);
+  for (auto& [key, client] : instances_) client.set_call_options(opts);
 }
 
 void RemoteBackend::set_local_fallback(bool on) {
   local_fallback_ = on;
-  for (auto& [key, inst] : instances_) inst.client.set_local_fallback(on);
+  for (auto& [key, client] : instances_) client.set_local_fallback(on);
 }
 
 std::vector<std::string> RemoteBackend::degraded_instances() const {
   std::vector<std::string> labels;
-  for (const auto& [key, inst] : instances_) {
-    if (inst.client.degraded_calls() > 0) {
+  for (const auto& [key, client] : instances_) {
+    if (client.degraded_calls() > 0) {
       labels.push_back(instance_label(key.first, key.second));
     }
   }
@@ -226,56 +225,71 @@ std::vector<std::string> RemoteBackend::degraded_instances() const {
 
 int RemoteBackend::sum(int (AdaptedClient::*count)() const) const {
   int total = 0;
-  for (const auto& [key, inst] : instances_) total += (inst.client.*count)();
+  for (const auto& [key, client] : instances_) total += (client.*count)();
   return total;
 }
 
-RemoteBackend::Instance* RemoteBackend::find(AdaptedComponent c,
-                                             int instance) {
+AdaptedClient* RemoteBackend::find(AdaptedComponent c, int instance) {
   auto it = instances_.find({c, instance});
   return it == instances_.end() ? nullptr : &it->second;
 }
 
-RemoteBackend::Instance& RemoteBackend::require(AdaptedComponent c,
-                                                int instance,
-                                                const char* what) {
-  Instance* inst = find(c, instance);
-  if (!inst) {
+AdaptedClient& RemoteBackend::require(AdaptedComponent c, int instance,
+                                      const char* what) {
+  AdaptedClient* client = find(c, instance);
+  if (!client) {
     throw util::LookupError(std::string(what) + ": " +
                             instance_label(c, instance) +
                             " is not placed remotely");
   }
-  return *inst;
+  return *client;
 }
 
-AdaptedClient& RemoteBackend::client(AdaptedComponent c, int instance) {
-  Instance* inst = find(c, instance);
-  return inst ? inst->client : local_;
+template <typename Call>
+auto RemoteBackend::on_program_time(AdaptedComponent c, int instance,
+                                    Call call) {
+  AdaptedClient* placed = find(c, instance);
+  if (!placed) return call(local_);
+  util::VirtualClock& line_clock = placed->line().io().endpoint().clock();
+  line_clock.join(program_us_);
+  auto result = call(*placed);
+  program_us_ = std::max(program_us_, line_clock.now());
+  return result;
 }
 
 tess::ComponentHooks RemoteBackend::hooks() {
   using C = AdaptedComponent;
   tess::ComponentHooks hooks;
   hooks.duct = [this](int instance, const StationArray& in, double dp) {
-    return client(C::kDuct, instance).duct(in, dp);
+    return on_program_time(C::kDuct, instance, [&](AdaptedClient& client) {
+      return client.duct(in, dp);
+    });
   };
   hooks.combustor = [this](int instance, const StationArray& in, double wf,
                            double eff, double dp) {
-    return client(C::kCombustor, instance).combustor(in, wf, eff, dp);
+    return on_program_time(C::kCombustor, instance,
+                           [&](AdaptedClient& client) {
+                             return client.combustor(in, wf, eff, dp);
+                           });
   };
   hooks.nozzle = [this](int instance, const StationArray& in, double area,
                         double pamb) {
-    return client(C::kNozzle, instance).nozzle(in, area, pamb);
+    return on_program_time(C::kNozzle, instance, [&](AdaptedClient& client) {
+      return client.nozzle(in, area, pamb);
+    });
   };
   hooks.setshaft = [this](int spool, const StationArray& ecom, int incom,
                           const StationArray& etur, int intur) {
-    return client(C::kShaft, spool).setshaft(ecom, incom, etur, intur);
+    return on_program_time(C::kShaft, spool, [&](AdaptedClient& client) {
+      return client.setshaft(ecom, incom, etur, intur);
+    });
   };
   hooks.shaft = [this](int spool, const StationArray& ecom, int incom,
                        const StationArray& etur, int intur, double ecorr,
                        double xspool, double xmyi) {
-    return client(C::kShaft, spool)
-        .shaft(ecom, incom, etur, intur, ecorr, xspool, xmyi);
+    return on_program_time(C::kShaft, spool, [&](AdaptedClient& client) {
+      return client.shaft(ecom, incom, etur, intur, ecorr, xspool, xmyi);
+    });
   };
   return hooks;
 }
@@ -284,7 +298,7 @@ rpc::PendingCall RemoteBackend::call_async(AdaptedComponent component,
                                            int instance,
                                            uts::ValueList args) {
   return require(component, instance, "call_async")
-      .client.call_async(std::move(args));
+      .call_async(std::move(args));
 }
 
 std::string RemoteBackend::move(AdaptedComponent component, int instance,
@@ -292,36 +306,29 @@ std::string RemoteBackend::move(AdaptedComponent component, int instance,
                                 const std::string& path,
                                 bool transfer_state) {
   return require(component, instance, "move")
-      .client.line()
+      .line()
       .move_proc(std::string(adapted_component_name(component)), machine,
                  path, transfer_state);
 }
 
 std::map<std::string, int> RemoteBackend::call_counts() const {
   std::map<std::string, int> counts;
-  for (const auto& [key, inst] : instances_) {
-    counts[instance_label(key.first, key.second)] = inst.client.calls();
+  for (const auto& [key, client] : instances_) {
+    counts[instance_label(key.first, key.second)] = client.calls();
   }
   return counts;
 }
 
-util::SimTime RemoteBackend::elapsed_virtual_us() const {
-  util::SimTime worst = 0;
-  for (const auto& [key, inst] : instances_) {
-    worst = std::max(worst, inst.client.line().io().endpoint().clock().now() -
-                                inst.clock_base);
-  }
-  return worst;
-}
-
 void RemoteBackend::reset_clocks() {
-  for (auto& [key, inst] : instances_) {
-    inst.clock_base = inst.client.line().io().endpoint().clock().now();
+  for (auto& [key, client] : instances_) {
+    program_us_ =
+        std::max(program_us_, client.line().io().endpoint().clock().now());
   }
+  base_us_ = program_us_;
 }
 
 void RemoteBackend::quit() {
-  for (auto& [key, inst] : instances_) inst.client.quit();
+  for (auto& [key, client] : instances_) client.quit();
 }
 
 }  // namespace npss::glue

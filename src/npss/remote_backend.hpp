@@ -161,28 +161,28 @@ class RemoteBackend {
     return sum(&AdaptedClient::stale_retries);
   }
 
-  /// Worst per-line elapsed virtual time (network + marshal): the busiest
-  /// line's clock. The engine's calls are sequential, so each line's clock
-  /// counts only its own calls, and this is a lower bound on the program's
-  /// time, not its end-to-end cost (see ROADMAP "Fix first", item 2).
-  util::SimTime elapsed_virtual_us() const;
+  /// Virtual time (network + marshal) the program has waited on its hook
+  /// calls since the last placement or reset_clocks(). The engine is one
+  /// sequential program: each hook call starts its line at program time
+  /// and program time moves to where the call ended, so lock-step calls
+  /// add up. call_async calls are outside this clock.
+  util::SimTime elapsed_virtual_us() const { return program_us_ - base_us_; }
+  /// Re-base the program clock: program time becomes the latest line
+  /// clock, and elapsed_virtual_us() reads 0.
   void reset_clocks();
 
   /// sch_i_quit on every line (also run by the destructor).
   void quit();
 
  private:
-  struct Instance {
-    AdaptedClient client;
-    util::SimTime clock_base = 0;
-  };
-
-  /// The placed instance, or nullptr when it computes locally.
-  Instance* find(AdaptedComponent c, int instance);
+  /// The placed instance's client, or nullptr when it computes locally.
+  AdaptedClient* find(AdaptedComponent c, int instance);
   /// find(), throwing util::LookupError naming `what` when unplaced.
-  Instance& require(AdaptedComponent c, int instance, const char* what);
-  /// The client hooks() calls for an instance: placed, or a local one.
-  AdaptedClient& client(AdaptedComponent c, int instance);
+  AdaptedClient& require(AdaptedComponent c, int instance, const char* what);
+  /// Run one hook call `call(client)` on the instance's client — placed,
+  /// or a local one — on program time.
+  template <typename Call>
+  auto on_program_time(AdaptedComponent c, int instance, Call call);
   /// `count` summed over the placed instances' clients.
   int sum(int (AdaptedClient::*count)() const) const;
 
@@ -190,11 +190,14 @@ class RemoteBackend {
   std::string avs_machine_;
   /// Opened on first placement; outlives every instance's line.
   std::unique_ptr<rpc::Session> session_;
-  std::map<std::pair<AdaptedComponent, int>, Instance> instances_;
+  std::map<std::pair<AdaptedComponent, int>, AdaptedClient> instances_;
   rpc::CallOptions options_ = rpc::CallOptions::legacy();
   bool local_fallback_ = true;
   /// Unplaced instances call through this client, which computes locally.
   AdaptedClient local_;
+  /// The program's virtual clock, and its value at the last re-base.
+  util::SimTime program_us_ = 0;
+  util::SimTime base_us_ = 0;
 };
 
 }  // namespace npss::glue

@@ -1,4 +1,4 @@
-// The connection-multiplexed RPC bus — knobs and counters shared by the
+// The connection-multiplexed RPC bus — constants and counters shared by the
 // dispatcher, the framing layer, and both transport ends.
 //
 // The original real-socket transport was lock-step: one blocking
@@ -19,21 +19,16 @@ class Gauge;
 
 namespace npss::rpc::bus {
 
-/// Tuning knobs for one dispatcher (README "bus_*" table). The defaults
-/// favor small-call throughput over loopback; every field is a plain
-/// value so call sites can brace-initialize a variant.
-struct BusOptions {
-  /// Bytes pulled per recv() in the read loop; frames coalesced by the
-  /// peer arrive together in one chunk.
-  std::size_t read_chunk_bytes = 64 * 1024;
-  /// Frames whose length prefix exceeds this are a protocol violation:
-  /// the connection is dropped before any allocation happens.
-  std::size_t max_frame_bytes = 64u << 20;
-  /// Backpressure: once a connection's unsent output exceeds this, the
-  /// dispatcher stops reading new requests from it until the peer
-  /// drains — slow consumers stall themselves, not the process.
-  std::size_t backpressure_bytes = 4u << 20;
-};
+/// Bytes pulled per recv() in the read loop; frames coalesced by the
+/// peer arrive together in one chunk.
+inline constexpr std::size_t kReadChunkBytes = 64 * 1024;
+/// Frames whose length prefix exceeds this are a protocol violation: the
+/// connection is dropped before any allocation happens.
+inline constexpr std::size_t kMaxFrameBytes = 64u << 20;
+/// Backpressure: once a connection's unsent output exceeds this, the
+/// dispatcher stops reading new requests from it until the peer drains —
+/// slow consumers stall themselves, not the process.
+inline constexpr std::size_t kBackpressureBytes = 4u << 20;
 
 /// Cached handles for the bus-level counters (registry lookups are
 /// mutex-guarded; the hot path must be an atomic add):

@@ -55,7 +55,6 @@ std::shared_ptr<BusChannel> BusChannel::open(BusDispatcher& d,
                                              int port) {
   const int fd = tcp_connect_fd(host, port);
   auto ch = std::shared_ptr<BusChannel>(new BusChannel());
-  ch->max_frame_bytes_ = d.options().max_frame_bytes;
   std::weak_ptr<BusChannel> weak = ch;
   ch->conn_ = d.adopt(
       fd,

@@ -68,7 +68,6 @@ class BusChannel : public std::enable_shared_from_this<BusChannel> {
     return close_status_;
   }
   const std::shared_ptr<BusConnection>& connection() const { return conn_; }
-  std::size_t max_frame_bytes() const { return max_frame_bytes_; }
 
  private:
   BusChannel() = default;
@@ -77,7 +76,6 @@ class BusChannel : public std::enable_shared_from_this<BusChannel> {
   void on_close(const util::Status& why);
 
   std::shared_ptr<BusConnection> conn_;
-  std::size_t max_frame_bytes_ = 0;
 
   mutable util::Mutex mu_{"bus.BusChannel"};
   std::map<std::uint64_t, std::promise<Message>> waiting_

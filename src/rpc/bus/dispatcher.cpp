@@ -45,7 +45,6 @@ BusConnection::BusConnection(BusDispatcher* dispatcher, int fd,
                              FrameFn on_frame, CloseFn on_close)
     : dispatcher_(dispatcher),
       fd_(fd),
-      decoder_(dispatcher->options().max_frame_bytes),
       on_frame_(std::move(on_frame)),
       on_close_(std::move(on_close)) {}
 
@@ -101,9 +100,9 @@ bool BusConnection::send_frame(
 }
 
 bool BusConnection::send_message(const Message& msg, SendHint hint) {
-  const std::size_t cap = dispatcher_->options().max_frame_bytes;
   return send_frame(
-      [&](util::ByteWriter& out) { append_frame(out, msg, cap); }, hint);
+      [&](util::ByteWriter& out) { append_frame(out, msg, kMaxFrameBytes); },
+      hint);
 }
 
 void BusConnection::take_pending() {
@@ -181,14 +180,13 @@ void BusConnection::shutdown() {
 
 // --- BusDispatcher ----------------------------------------------------------
 
-BusDispatcher::BusDispatcher(std::string name, BusOptions opts)
-    : opts_(opts) {
+BusDispatcher::BusDispatcher(std::string name) {
   if (::pipe(wake_fds_) != 0) {
     throw util::CallError("bus dispatcher: pipe() failed");
   }
   set_nonblocking(wake_fds_[0]);
   set_nonblocking(wake_fds_[1]);
-  read_chunk_.resize(opts_.read_chunk_bytes);
+  read_chunk_.resize(kReadChunkBytes);
   thread_ = std::jthread([this, n = std::move(name)] { loop(n); });
 }
 
@@ -395,7 +393,7 @@ void BusDispatcher::loop(std::string name) {
       short events = 0;
       // Backpressure: stop reading a connection whose replies the peer
       // is not draining.
-      if (c->queued_bytes() < opts_.backpressure_bytes) events |= POLLIN;
+      if (c->queued_bytes() < kBackpressureBytes) events |= POLLIN;
       if (c->queued_bytes() > 0 &&
           !c->writing_.load(std::memory_order_relaxed)) {
         events |= POLLOUT;

@@ -134,7 +134,7 @@ class BusConnection : public std::enable_shared_from_this<BusConnection> {
 /// listening sockets; runs until stop().
 class BusDispatcher {
  public:
-  explicit BusDispatcher(std::string name, BusOptions opts = {});
+  explicit BusDispatcher(std::string name);
   ~BusDispatcher();
   BusDispatcher(const BusDispatcher&) = delete;
   BusDispatcher& operator=(const BusDispatcher&) = delete;
@@ -163,8 +163,6 @@ class BusDispatcher {
   /// kShutdown status) and all listeners. Idempotent.
   void stop();
 
-  const BusOptions& options() const { return opts_; }
-
  private:
   friend class BusConnection;
 
@@ -176,7 +174,6 @@ class BusDispatcher {
   /// Loop-thread entry for an externally requested shutdown().
   void stop_requested_close(const std::shared_ptr<BusConnection>& c);
 
-  BusOptions opts_;
   int wake_fds_[2] = {-1, -1};
   std::atomic<bool> wake_pending_{false};
   std::atomic<std::uint64_t> wakeups_{0};

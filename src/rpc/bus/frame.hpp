@@ -20,6 +20,7 @@
 #include <span>
 #include <string>
 
+#include "rpc/bus/bus.hpp"
 #include "rpc/message.hpp"
 #include "util/bytes.hpp"
 
@@ -39,7 +40,7 @@ void append_frame(util::ByteWriter& out, const Message& msg,
 /// Message before feeding again.
 class FrameDecoder {
  public:
-  explicit FrameDecoder(std::size_t max_frame_bytes = 64u << 20)
+  explicit FrameDecoder(std::size_t max_frame_bytes = kMaxFrameBytes)
       : max_frame_bytes_(max_frame_bytes) {}
 
   void feed(std::span<const std::uint8_t> data);

@@ -12,8 +12,8 @@
 #include "meta/record.hpp"
 #include "meta/snapshot.hpp"
 #include "meta/state.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "rpc/metrics.hpp"
 #include "util/log.hpp"
 
 namespace npss::rpc {
@@ -21,15 +21,6 @@ namespace npss::rpc {
 namespace {
 
 using util::ErrorCode;
-
-// ManagerCounters is the live atomic tally each replica increments;
-// ManagerStats stays the copyable per-system snapshot the benches read;
-// the global registry carries the cumulative process-wide view.
-void bump(const char* name) {
-  if (obs::enabled()) {
-    obs::Registry::global().counter(std::string("rpc.manager.") + name).add();
-  }
-}
 
 /// A procedure's (canonical name, export declaration text), as the
 /// changelog's kExport records carry it.
@@ -63,8 +54,9 @@ struct PendingStart {
 class ManagerState {
  public:
   ManagerState(MessageIo& io, const ManagerConfig& config,
-               std::shared_ptr<ManagerCounters> stats)
-      : io_(io), config_(config), stats_(std::move(stats)) {
+               const std::map<std::string, std::string>& servers,
+               ManagerTally& tally)
+      : io_(io), config_(config), servers_(servers), tally_(tally) {
     // Manifest names obey the same case-synonym rule as lookups.
     for (const auto& [name, text] : config_.static_manifest) {
       folded_manifest_.emplace(meta::fold_case(name), &text);
@@ -161,11 +153,8 @@ class ManagerState {
     const std::size_t active = proposed_.lines().size();
     if (config_.max_lines > 0 &&
         active >= static_cast<std::size_t>(config_.max_lines)) {
-      ++stats_->lines_rejected;
-      bump("lines_rejected");
-      if (obs::enabled()) {
-        obs::Registry::global().counter("rpc.line.rejected").add();
-      }
+      tally_.record(ManagerEvent::kLinesRejected);
+      count(rpc_metrics().line_rejected);
       NPSS_LOG_DEBUG("manager", "line for '", in.msg.a, "' rejected (",
                      active, "/", config_.max_lines, " lines active)");
       reply(in, Message::error_reply(
@@ -177,12 +166,10 @@ class ManagerState {
     }
     const LineId id = proposed_.next_line();
     const std::int64_t quota = config_.line_call_quota;
-    ++stats_->lines_created;
-    bump("lines_created");
+    tally_.record(ManagerEvent::kLinesCreated);
     if (obs::enabled()) {
-      obs::Registry& reg = obs::Registry::global();
-      reg.counter("rpc.line.admitted").add();
-      reg.gauge("rpc.line.active").add(1);
+      rpc_metrics().line_admitted.add();
+      rpc_metrics().line_active.add(1);
     }
     NPSS_LOG_DEBUG("manager", "line ", id, " registered for '", in.msg.a,
                    "' (", in.from(), ")");
@@ -205,8 +192,8 @@ class ManagerState {
   std::string spawn_process(const std::string& machine,
                             const std::string& path, LineId line,
                             bool shared) {
-    auto server = config_.servers.find(machine);
-    if (server == config_.servers.end()) {
+    auto server = servers_.find(machine);
+    if (server == servers_.end()) {
       throw util::NoSuchMachineError("no Schooner server on machine '" +
                                      machine + "'");
     }
@@ -219,8 +206,7 @@ class ManagerState {
                    {"shared", shared ? "1" : "0"},
                    {"path", path}};
     Message ack = io_.call(server->second, std::move(spawn));
-    ++stats_->processes_started;
-    bump("processes_started");
+    tally_.record(ManagerEvent::kProcessesStarted);
     return ack.a;
   }
 
@@ -275,13 +261,12 @@ class ManagerState {
     // into msg.c; a hash the manifest does not list means the spec changed
     // after uts_check ran. That alone is a warning, not a rejection — the
     // signature checks below decide whether the drift is compatible.
-    if (config_.strict && !msg.c.empty() &&
+    if (config_.strict_static_check && !msg.c.empty() &&
         !config_.manifest_spec_hashes.empty() &&
         std::find(config_.manifest_spec_hashes.begin(),
                   config_.manifest_spec_hashes.end(),
                   msg.c) == config_.manifest_spec_hashes.end()) {
-      ++stats_->stale_manifest_warnings;
-      bump("static_check_stale");
+      tally_.record(ManagerEvent::kStaleManifestWarnings);
       NPSS_LOG_WARN("manager", "stale manifest: spec hash ", msg.c,
                     " of exporter ", in.from(),
                     " is not in the uts_check manifest; re-run uts_check");
@@ -294,7 +279,7 @@ class ManagerState {
       std::map<std::string, uts::Signature> offered;  // by folded name
       for (const auto& [name, sig_text] : msg.table) {
         uts::ProcDecl decl = parse_signature_text(sig_text);
-        if (config_.strict) static_check(name, decl);
+        if (config_.strict_static_check) static_check(name, decl);
         if (auto taken = proposed_.find(line, name)) {
           throw util::DuplicateNameError(
               "procedure '" + name + "' conflicts with existing name '" +
@@ -322,8 +307,7 @@ class ManagerState {
                         parse_signature_text(old_text).signature,
                         replacement->second);
           if (!why.empty()) {
-            ++stats_->compat_rejects;
-            bump("compat_reject");
+            tally_.record(ManagerEvent::kCompatRejects);
             throw util::TypeMismatchError(
                 "move of '" + old_name + "' rejected: replacement on " +
                 pending_it->machine +
@@ -399,8 +383,7 @@ class ManagerState {
   void static_check(const std::string& name, const uts::ProcDecl& decl) {
     auto it = folded_manifest_.find(meta::fold_case(name));
     if (it == folded_manifest_.end()) {
-      ++stats_->static_check_failures;
-      bump("static_check_fail");
+      tally_.record(ManagerEvent::kStaticCheckFailures);
       throw util::TypeMismatchError(
           "static check: export '" + name +
           "' is not in the uts_check manifest");
@@ -414,17 +397,14 @@ class ManagerState {
       std::string why = uts::signature_compatibility_error(checked.signature,
                                                            decl.signature);
       if (why.empty()) {
-        ++stats_->stale_manifest_warnings;
-        bump("static_check_stale");
+        tally_.record(ManagerEvent::kStaleManifestWarnings);
         NPSS_LOG_WARN("manager", "stale manifest: export '", name,
                       "' drifted compatibly from the statically checked "
                       "signature; re-run uts_check");
         return;
       }
-      ++stats_->static_check_failures;
-      bump("static_check_fail");
-      ++stats_->compat_rejects;
-      bump("compat_reject");
+      tally_.record(ManagerEvent::kStaticCheckFailures);
+      tally_.record(ManagerEvent::kCompatRejects);
       throw util::TypeMismatchError(
           "static check: export '" + name +
           "' drifted incompatibly from the statically checked signature (" +
@@ -432,7 +412,7 @@ class ManagerState {
           uts::signature_to_string(checked.signature) + " != exported " +
           uts::signature_to_string(decl.signature));
     }
-    bump("static_check_pass");
+    tally_.record(ManagerEvent::kStaticCheckPasses);
   }
 
   /// The caller's line first, then the shared database (§4.2) — read
@@ -448,8 +428,7 @@ class ManagerState {
 
   void on_lookup(const Incoming& in) {
     const Message& msg = in.msg;
-    ++stats_->lookups;
-    bump("lookups");
+    tally_.record(ManagerEvent::kLookups);
     auto binding = resolve(msg.line, msg.a);
     if (!binding) {
       reply(in, Message::error_reply(msg, ErrorCode::kLookupFailure,
@@ -464,12 +443,10 @@ class ManagerState {
           parse_signature_text(msg.b).signature,
           parse_signature_text(sig_text).signature);
       if (!why.empty()) {
-        ++stats_->type_check_failures;
-        bump("type_check_failures");
+        tally_.record(ManagerEvent::kTypeCheckFailures);
         // A lookup with an import text is a (re)bind: refusing it here is
         // the compat gate clients hit when rebinding after a move.
-        ++stats_->compat_rejects;
-        bump("compat_reject");
+        tally_.record(ManagerEvent::kCompatRejects);
         reply(in,
               Message::error_reply(
                   msg, ErrorCode::kTypeMismatch,
@@ -509,11 +486,8 @@ class ManagerState {
     }
     NPSS_LOG_DEBUG("manager", "line ", msg.line, " quitting (", procs,
                    " process(es))");
-    ++stats_->lines_shut_down;
-    bump("lines_shut_down");
-    if (obs::enabled()) {
-      obs::Registry::global().gauge("rpc.line.active").sub(1);
-    }
+    tally_.record(ManagerEvent::kLinesShutDown);
+    if (obs::enabled()) rpc_metrics().line_active.sub(1);
     meta::ChangeRecord rec;
     rec.kind = meta::RecordKind::kLineQuit;
     rec.line = msg.line;
@@ -538,8 +512,7 @@ class ManagerState {
     const std::string old_address = source->first;
     const meta::ExportGroup group = source->second;
     const LineId line = group.shared ? kNoLine : group.line;
-    ++stats_->moves;
-    bump("moves");
+    tally_.record(ManagerEvent::kMoves);
 
     // 1. Capture state if requested (the planned UTS state-list extension).
     //    A crashed or unreachable source must not abort the move — that is
@@ -601,7 +574,7 @@ class ManagerState {
       shutdown_process(address, "manager stopping");
     }
     if (obs::enabled() && !proposed_.lines().empty()) {
-      obs::Registry::global().gauge("rpc.line.active").sub(
+      rpc_metrics().line_active.sub(
           static_cast<double>(proposed_.lines().size()));
     }
     reply(in, Message{.kind = MessageKind::kQuitAck, .seq = in.msg.seq});
@@ -609,7 +582,8 @@ class ManagerState {
 
   MessageIo& io_;
   const ManagerConfig& config_;
-  std::shared_ptr<ManagerCounters> stats_;
+  const std::map<std::string, std::string>& servers_;
+  ManagerTally& tally_;
   /// case-folded name -> manifest declaration text (owned by config_).
   std::map<std::string, const std::string*> folded_manifest_;
   meta::ReplicaCore* core_ = nullptr;  ///< set while (and once) leading
@@ -642,9 +616,10 @@ class ManagerState {
 class ReplicaDriver {
  public:
   ReplicaDriver(MessageIo& io, const ManagerConfig& config,
-                std::shared_ptr<ManagerCounters> stats)
-      : io_(io), config_(config), stats_(stats),
-        manager_(io, config, std::move(stats)) {}
+                const std::map<std::string, std::string>& servers,
+                ManagerTally& tally)
+      : io_(io), config_(config), tally_(tally),
+        manager_(io, config, servers, tally) {}
 
   void run() {
     if (!await_config()) return;
@@ -764,7 +739,7 @@ class ReplicaDriver {
 
   /// Drain the core's queued side effects: protocol messages onto the
   /// wire, commit/role events into client acks and leadership changes,
-  /// counter deltas into the shared atomics.
+  /// counter deltas into the replica's tally.
   void pump() {
     for (meta::Outbound& out : core_->take_outbound()) {
       const std::string to = addr_of(out.to);
@@ -807,34 +782,17 @@ class ReplicaDriver {
 
   void sync_counters() {
     const meta::CoreCounters& now = core_->counters();
-    const auto drain = [](std::uint64_t current, std::uint64_t& seen) {
-      const std::uint64_t delta = current - seen;
+    const auto drain = [this](ManagerEvent event, std::uint64_t current,
+                              std::uint64_t& seen) {
+      if (current == seen) return;
+      tally_.record(event, current - seen);
       seen = current;
-      return delta;
     };
-    if (const std::uint64_t d = drain(now.log_appends, synced_.log_appends)) {
-      stats_->log_appends += d;
-      if (obs::enabled()) {
-        obs::Registry::global().counter("rpc.meta.log_appends").add(
-            static_cast<double>(d));
-      }
-    }
-    if (const std::uint64_t d =
-            drain(now.snapshot_installs, synced_.snapshot_installs)) {
-      stats_->snapshot_installs += d;
-      if (obs::enabled()) {
-        obs::Registry::global().counter("rpc.meta.snapshot_installs").add(
-            static_cast<double>(d));
-      }
-    }
-    if (const std::uint64_t d =
-            drain(now.leader_elections, synced_.leader_elections)) {
-      stats_->leader_elections += d;
-      if (obs::enabled()) {
-        obs::Registry::global().counter("rpc.meta.leader_elections").add(
-            static_cast<double>(d));
-      }
-    }
+    drain(ManagerEvent::kLogAppends, now.log_appends, synced_.log_appends);
+    drain(ManagerEvent::kSnapshotInstalls, now.snapshot_installs,
+          synced_.snapshot_installs);
+    drain(ManagerEvent::kLeaderElections, now.leader_elections,
+          synced_.leader_elections);
   }
 
   void dispatch(const Incoming& in) {
@@ -933,7 +891,7 @@ class ReplicaDriver {
 
   MessageIo& io_;
   const ManagerConfig& config_;
-  std::shared_ptr<ManagerCounters> stats_;
+  ManagerTally& tally_;
   ManagerState manager_;
 
   bool running_ = true;
@@ -941,7 +899,7 @@ class ReplicaDriver {
   /// (replica index, address), sorted by index; includes this replica.
   std::vector<std::pair<int, std::string>> peers_;
   std::optional<meta::ReplicaCore> core_;
-  meta::CoreCounters synced_;  ///< counters already folded into stats_
+  meta::CoreCounters synced_;  ///< counters already recorded in tally_
 };
 
 }  // namespace
@@ -961,9 +919,10 @@ uts::ProcDecl parse_signature_text(const std::string& text) {
 }
 
 void manager_main(sim::ProcessContext& ctx, const ManagerConfig& config,
-                  std::shared_ptr<ManagerCounters> stats) {
+                  const std::map<std::string, std::string>& servers,
+                  std::shared_ptr<ManagerTally> tally) {
   MessageIo io(ctx.cluster(), ctx.self_ptr());
-  ReplicaDriver driver(io, config, std::move(stats));
+  ReplicaDriver driver(io, config, servers, *tally);
   NPSS_LOG_INFO("manager", "replica up at ", io.address());
   driver.run();
 }

@@ -21,13 +21,16 @@
 //    caller's line.
 #pragma once
 
+#include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "rpc/io.hpp"
 #include "rpc/message.hpp"
 #include "uts/spec.hpp"
@@ -41,10 +44,9 @@ std::string signature_text(uts::DeclKind kind, const std::string& name,
 /// Parse the single declaration in `text`.
 uts::ProcDecl parse_signature_text(const std::string& text);
 
+/// The Manager's policy, declared once. SchoonerSystem hands every replica
+/// the same copy (SystemOptions extends it with the group's layout).
 struct ManagerConfig {
-  /// machine name -> Server address (SchoonerSystem fills this in).
-  std::map<std::string, std::string> servers;
-
   /// --- Admission control (multi-tenant session layer, DESIGN.md §15) --
   /// Most lines the Manager will carry at once; a kRegisterLine beyond it
   /// is answered with a kLineRejected error reply and the client backs
@@ -57,14 +59,13 @@ struct ManagerConfig {
 
   /// Strict static-check mode: when set, every export a process registers
   /// is cross-checked against `static_manifest` (the "exports" table of a
-  /// `uts_check --json` run over the configuration's spec files). An export
-  /// that is absent from the manifest, or whose signature differs from the
-  /// statically checked one, is rejected at registration — before any call
-  /// is issued. Outcomes are recorded as the
-  /// rpc.manager.static_check_{pass,fail} counters.
-  bool strict = false;
-  /// canonical procedure name -> export declaration text
-  /// (check::load_manifest_json output).
+  /// `uts_check --json` run over the configuration's spec files, see
+  /// check::load_manifest_json). An export that is absent from the
+  /// manifest, or whose signature differs incompatibly from the
+  /// statically checked one, is rejected at registration — before any
+  /// call is issued.
+  bool strict_static_check = false;
+  /// canonical procedure name -> export declaration text.
   std::map<std::string, std::string> static_manifest;
   /// Per-spec-file content hashes from the manifest's "files" section.
   /// When non-empty, a strict-mode exporter whose spec hash (kExport
@@ -75,21 +76,19 @@ struct ManagerConfig {
   std::vector<std::string> manifest_spec_hashes;
 
   /// --- Replicated control plane (src/meta/) ---------------------------
-  /// Every Manager process is one replica of a group (a lone Manager is
-  /// a one-member group): it waits for the kMetaConfig handshake naming
-  /// every replica, then enters the leader/follower protocol.
-  /// Leader heartbeat period (host ms). Follower election timeouts are
-  /// derived from election_base_ms via meta::election_timeout_ms.
+  /// Leader heartbeat period and follower election-timeout base, in host
+  /// milliseconds (see meta::election_timeout_ms for the stagger rule).
   int heartbeat_ms = 15;
   int election_base_ms = 60;
-  /// Seed for the deterministic election rank/timeout schedule; the fault
-  /// suite's same-seed-same-recovery contract extends to elections.
+  /// Seed for the deterministic election schedule: same seed, same crash,
+  /// same winner — the fault suite's reproducibility contract.
   std::uint64_t election_seed = 1;
   /// Compact the changelog into a snapshot every N appends (0 = never).
   std::uint64_t snapshot_interval = 32;
 };
 
-/// Counters the benches read after a run (exposed through ManagerHandle).
+/// The Manager's event counts, summed over the group by
+/// SchoonerSystem::stats(). Every field is one row of manager_events().
 struct ManagerStats {
   std::uint64_t lines_created = 0;
   /// kRegisterLine refusals from the max_lines admission gate.
@@ -99,6 +98,8 @@ struct ManagerStats {
   std::uint64_t type_check_failures = 0;
   std::uint64_t moves = 0;
   std::uint64_t lines_shut_down = 0;
+  /// Strict-mode exports whose signature matched the manifest exactly.
+  std::uint64_t static_check_passes = 0;
   std::uint64_t static_check_failures = 0;
   /// Strict-mode exports admitted although their spec hash (or signature,
   /// compatibly) drifted from the manifest: the manifest is stale.
@@ -106,59 +107,61 @@ struct ManagerStats {
   /// Rebinds/migrations refused because the offered export surface is
   /// incompatible with what the client (or the manifest) compiled against.
   std::uint64_t compat_rejects = 0;
-  /// Replicated control plane (counted on the replica they happen on;
-  /// SchoonerSystem::manager_stats sums across the group).
-  std::uint64_t leader_elections = 0;   ///< times this replica won a term
-  std::uint64_t log_appends = 0;        ///< changelog records appended here
+  /// Replicated control plane, counted on the replica they happen on.
+  std::uint64_t leader_elections = 0;   ///< times a replica won a term
+  std::uint64_t log_appends = 0;        ///< changelog records appended
   std::uint64_t snapshot_installs = 0;  ///< snapshots captured or received
 };
 
-/// The live counters a running replica increments. Atomic field by
-/// field: each counter is bumped by its replica's fiber, on whichever
-/// thread runs it, while SchoonerSystem::stats() sums across the group
-/// from the test/bench thread, so plain uint64 fields would be a data
-/// race. Relaxed order is enough — each counter is an independent tally,
-/// not a synchronization point.
-struct ManagerCounters {
-  std::atomic<std::uint64_t> lines_created{0};
-  std::atomic<std::uint64_t> lines_rejected{0};
-  std::atomic<std::uint64_t> processes_started{0};
-  std::atomic<std::uint64_t> lookups{0};
-  std::atomic<std::uint64_t> type_check_failures{0};
-  std::atomic<std::uint64_t> moves{0};
-  std::atomic<std::uint64_t> lines_shut_down{0};
-  std::atomic<std::uint64_t> static_check_failures{0};
-  std::atomic<std::uint64_t> stale_manifest_warnings{0};
-  std::atomic<std::uint64_t> compat_rejects{0};
-  std::atomic<std::uint64_t> leader_elections{0};
-  std::atomic<std::uint64_t> log_appends{0};
-  std::atomic<std::uint64_t> snapshot_installs{0};
+/// Every event a Manager replica counts, in manager_events() row order.
+enum class ManagerEvent : std::uint8_t {
+  kLinesCreated,
+  kLinesRejected,
+  kProcessesStarted,
+  kLookups,
+  kTypeCheckFailures,
+  kMoves,
+  kLinesShutDown,
+  kStaticCheckPasses,
+  kStaticCheckFailures,
+  kStaleManifestWarnings,
+  kCompatRejects,
+  kLeaderElections,
+  kLogAppends,
+  kSnapshotInstalls,
+};
+inline constexpr std::size_t kManagerEventCount =
+    static_cast<std::size_t>(ManagerEvent::kSnapshotInstalls) + 1;
 
-  /// The copyable view callers aggregate and compare.
-  ManagerStats snapshot() const {
-    ManagerStats s;
-    s.lines_created = lines_created.load(std::memory_order_relaxed);
-    s.lines_rejected = lines_rejected.load(std::memory_order_relaxed);
-    s.processes_started = processes_started.load(std::memory_order_relaxed);
-    s.lookups = lookups.load(std::memory_order_relaxed);
-    s.type_check_failures =
-        type_check_failures.load(std::memory_order_relaxed);
-    s.moves = moves.load(std::memory_order_relaxed);
-    s.lines_shut_down = lines_shut_down.load(std::memory_order_relaxed);
-    s.static_check_failures =
-        static_check_failures.load(std::memory_order_relaxed);
-    s.stale_manifest_warnings =
-        stale_manifest_warnings.load(std::memory_order_relaxed);
-    s.compat_rejects = compat_rejects.load(std::memory_order_relaxed);
-    s.leader_elections = leader_elections.load(std::memory_order_relaxed);
-    s.log_appends = log_appends.load(std::memory_order_relaxed);
-    s.snapshot_installs = snapshot_installs.load(std::memory_order_relaxed);
-    return s;
-  }
+/// One event's ManagerStats field and its registry counter.
+struct ManagerEventRow {
+  std::uint64_t ManagerStats::*field;
+  obs::Counter& counter;
 };
 
-/// The Manager's process body; spawned by SchoonerSystem.
+/// The table of Manager events (src/rpc/metrics.cpp), indexed by
+/// ManagerEvent; its registry handles are resolved on first use.
+const std::array<ManagerEventRow, kManagerEventCount>& manager_events();
+
+/// One replica's live count of each event. The replica's fiber records
+/// while SchoonerSystem::stats() reads from the caller's thread, so each
+/// count is a relaxed atomic: an independent tally, not a sync point.
+class ManagerTally {
+ public:
+  /// Count `n` of `event` here and, when obs is on, in its registry
+  /// counter.
+  void record(ManagerEvent event, std::uint64_t n = 1);
+  /// Add this replica's counts to `stats`, one table row at a time.
+  void add_to(ManagerStats& stats) const;
+
+ private:
+  std::array<std::atomic<std::uint64_t>, kManagerEventCount> counts_{};
+};
+
+/// The Manager's process body; spawned by SchoonerSystem. `servers` maps
+/// each machine name to its Server's address.
 void manager_main(sim::ProcessContext& ctx, const ManagerConfig& config,
-                  std::shared_ptr<ManagerCounters> stats);
+                  const std::map<std::string, std::string>& servers,
+                  std::shared_ptr<ManagerTally> tally);
 
 }  // namespace npss::rpc

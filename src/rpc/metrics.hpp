@@ -42,6 +42,9 @@ struct RpcMetrics {
   obs::Counter& client_failed_calls;
 
   // Lines and Manager failover (rare paths, resolved with the rest).
+  obs::Counter& line_admitted;
+  obs::Counter& line_rejected;
+  obs::Gauge& line_active;
   obs::Counter& line_budget_exhausted;
   obs::Counter& line_admission_backoffs;
   obs::Counter& meta_rebinds_after_failover;

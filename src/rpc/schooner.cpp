@@ -11,26 +11,14 @@ SchoonerSystem::SchoonerSystem(sim::Cluster& cluster,
                                const std::string& manager_machine,
                                SystemOptions options)
     : cluster_(&cluster) {
-  ManagerConfig config;
-  config.strict = options.strict_static_check;
-  config.static_manifest = std::move(options.static_manifest);
-  config.manifest_spec_hashes = std::move(options.manifest_spec_hashes);
   for (const std::string& machine : cluster.machine_names()) {
     sim::EndpointPtr ep = cluster.spawn(machine, "schx-server", server_main);
-    config.servers[machine] = ep->address();
     server_addresses_[machine] = ep->address();
   }
-
-  config.max_lines = options.max_lines;
-  config.line_call_quota = options.line_call_quota;
 
   const int replicas = std::max(options.manager_replicas, 1);
   leader_settle_ms_ =
       meta::slowest_election_timeout_ms(replicas, options.election_base_ms);
-  config.heartbeat_ms = options.heartbeat_ms;
-  config.election_base_ms = options.election_base_ms;
-  config.election_seed = options.election_seed;
-  config.snapshot_interval = options.snapshot_interval;
 
   // Replica i's home: replica 0 on manager_machine, the rest on the
   // requested machines (round-robin over the cluster when unspecified).
@@ -42,12 +30,13 @@ SchoonerSystem::SchoonerSystem(sim::Cluster& cluster,
     homes.push_back(pool[static_cast<std::size_t>(i - 1) % pool.size()]);
   }
   for (int i = 0; i < replicas; ++i) {
-    auto stats = std::make_shared<ManagerCounters>();
-    stats_.push_back(stats);
+    auto tally = std::make_shared<ManagerTally>();
+    tallies_.push_back(tally);
     sim::EndpointPtr ep = cluster.spawn(
         homes[static_cast<std::size_t>(i)], "schx-manager",
-        [config, stats](sim::ProcessContext& ctx) {
-          manager_main(ctx, config, stats);
+        [config = static_cast<const ManagerConfig&>(options),
+         servers = server_addresses_, tally](sim::ProcessContext& ctx) {
+          manager_main(ctx, config, servers, tally);
         });
     replica_addresses_.push_back(ep->address());
   }
@@ -74,26 +63,8 @@ SchoonerSystem::SchoonerSystem(sim::Cluster& cluster,
 }
 
 ManagerStats SchoonerSystem::stats() const {
-  // Each replica thread is still bumping its counters while we read;
-  // snapshot() loads every field atomically, so the sum is race-free
-  // (if not a single consistent instant, which callers don't need).
   ManagerStats total;
-  for (const auto& s : stats_) {
-    const ManagerStats r = s->snapshot();
-    total.lines_created += r.lines_created;
-    total.lines_rejected += r.lines_rejected;
-    total.processes_started += r.processes_started;
-    total.lookups += r.lookups;
-    total.type_check_failures += r.type_check_failures;
-    total.moves += r.moves;
-    total.lines_shut_down += r.lines_shut_down;
-    total.static_check_failures += r.static_check_failures;
-    total.stale_manifest_warnings += r.stale_manifest_warnings;
-    total.compat_rejects += r.compat_rejects;
-    total.leader_elections += r.leader_elections;
-    total.log_appends += r.log_appends;
-    total.snapshot_installs += r.snapshot_installs;
-  }
+  for (const auto& tally : tallies_) tally->add_to(total);
   return total;
 }
 

@@ -112,7 +112,7 @@ Issued ChannelTransport::issue(const std::string&, Message& request) {
     request.seq = ch->next_seq();
     in_flight_.emplace_back(
         request.seq, ch->send(request.seq, [&](util::ByteWriter& out) {
-          bus::append_frame(out, request, ch->max_frame_bytes());
+          bus::append_frame(out, request, bus::kMaxFrameBytes);
         }));
     return Issued{.seq = request.seq};
   } catch (const CallError& e) {

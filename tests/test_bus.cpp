@@ -400,7 +400,7 @@ void stream_pings_into_reset() {
     ping.seq = ch->next_seq();
     try {
       waiters.push_back(ch->send(ping.seq, [&](util::ByteWriter& out) {
-        bus::append_frame(out, ping, ch->max_frame_bytes());
+        bus::append_frame(out, ping, bus::kMaxFrameBytes);
       }));
     } catch (const util::CallError&) {
       break;  // the channel saw the reset
@@ -511,7 +511,7 @@ TEST(BusWriteThrough, OversizedFrameIsFinishedByTheLoopAndLaterFramesKeepOrder) 
   auto send = [&](Message& m) {
     m.seq = ch->next_seq();
     std::future<Message> f = ch->send(m.seq, [&](util::ByteWriter& out) {
-      bus::append_frame(out, m, ch->max_frame_bytes());
+      bus::append_frame(out, m, bus::kMaxFrameBytes);
     });
     std::lock_guard<std::mutex> lock(mu);
     seqs.push_back(m.seq);
@@ -592,7 +592,7 @@ TEST(BusWriteThrough, SendErrorOnTheCallerThreadIsClosedByTheLoop) {
   ping.kind = MessageKind::kPing;
   ping.seq = ch->next_seq();
   std::future<Message> reply = ch->send(ping.seq, [&](util::ByteWriter& out) {
-    bus::append_frame(out, ping, ch->max_frame_bytes());
+    bus::append_frame(out, ping, bus::kMaxFrameBytes);
   });
   EXPECT_EQ(through.value() - through_before, 1u);
   EXPECT_TRUE(ch->alive()) << "closing is the loop's job, not the sender's";

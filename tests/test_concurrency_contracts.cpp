@@ -31,12 +31,12 @@ using namespace std::chrono_literals;
 
 // ManagerStats used to be a struct of plain uint64 fields shared between
 // every replica thread and SchoonerSystem::stats(); the aggregation read
-// them off-lock. ManagerCounters makes each tally atomic and snapshot()
+// them off-lock. A ManagerTally keeps each count atomic and add_to() is
 // the sanctioned read path. Hammer both sides concurrently: under TSan a
 // regression to plain fields is a reported race, and in any build the
-// final snapshot must equal the exact increment counts.
-TEST(ConcurrencyContracts, ManagerCountersSnapshotRacesWithIncrements) {
-  rpc::ManagerCounters counters;
+// final read must equal the exact record counts.
+TEST(ConcurrencyContracts, ManagerTallyReadRacesWithRecords) {
+  rpc::ManagerTally tally;
   constexpr int kWriters = 4;
   constexpr std::uint64_t kPerWriter = 20000;
 
@@ -44,7 +44,8 @@ TEST(ConcurrencyContracts, ManagerCountersSnapshotRacesWithIncrements) {
   std::thread reader([&] {
     std::uint64_t last = 0;
     while (!stop.load(std::memory_order_acquire)) {
-      const rpc::ManagerStats s = counters.snapshot();
+      rpc::ManagerStats s;
+      tally.add_to(s);
       // Each tally is monotone; a torn read would show it going back.
       EXPECT_GE(s.lookups, last);
       last = s.lookups;
@@ -53,11 +54,11 @@ TEST(ConcurrencyContracts, ManagerCountersSnapshotRacesWithIncrements) {
 
   std::vector<std::thread> writers;
   for (int w = 0; w < kWriters; ++w) {
-    writers.emplace_back([&counters] {
+    writers.emplace_back([&tally] {
       for (std::uint64_t i = 0; i < kPerWriter; ++i) {
-        ++counters.lookups;
-        ++counters.lines_created;
-        ++counters.log_appends;
+        tally.record(rpc::ManagerEvent::kLookups);
+        tally.record(rpc::ManagerEvent::kLinesCreated);
+        tally.record(rpc::ManagerEvent::kLogAppends);
       }
     });
   }
@@ -65,7 +66,8 @@ TEST(ConcurrencyContracts, ManagerCountersSnapshotRacesWithIncrements) {
   stop.store(true, std::memory_order_release);
   reader.join();
 
-  const rpc::ManagerStats s = counters.snapshot();
+  rpc::ManagerStats s;
+  tally.add_to(s);
   EXPECT_EQ(s.lookups, kWriters * kPerWriter);
   EXPECT_EQ(s.lines_created, kWriters * kPerWriter);
   EXPECT_EQ(s.log_appends, kWriters * kPerWriter);

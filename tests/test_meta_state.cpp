@@ -5,6 +5,7 @@
 // clients re-bind without losing a call.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <memory>
@@ -522,6 +523,88 @@ TEST_F(MetaGroupTest, GroupBootsReplicatesAndAgreesOnDigest) {
     EXPECT_EQ(stats.leader_elections, 0u);  // replica 0 leads term 1 as booted
     client->quit();
   }
+}
+
+// Every Manager event is counted once, through one table: what stats()
+// sums over the replicas is what the registry counted under the event's
+// metric name, and turning obs off stops only the registry.
+TEST(ManagerTally, StatsAndRegistryCountTheSameEvents) {
+  const auto& rows = rpc::manager_events();
+  for (const bool obs_on : {true, false}) {
+    SCOPED_TRACE(obs_on ? "obs on" : "obs off");
+    obs::set_enabled(obs_on);
+    sim::Cluster cluster;
+    cluster.add_machine("m0", "sun-sparc10", "lerc");
+    cluster.add_machine("m1", "ibm-rs6000", "lerc");
+    cluster.add_machine("m2", "sgi-4d480", "lerc");
+    cluster.add_machine("far", "sgi-4d480", "lerc");
+    cluster.add_machine("avs", "sun-sparc10", "lerc");
+    cluster.install_image("far", "/bin/echo", echo_image());
+    cluster.install_image("m2", "/bin/echo", echo_image());
+    rpc::SystemOptions options;
+    options.manager_replicas = 3;
+    options.replica_machines = {"m1", "m2"};
+    options.max_lines = 2;
+    options.strict_static_check = true;
+    options.static_manifest = {{"echo", kEchoSpec}};
+
+    std::vector<std::uint64_t> registry_before;
+    for (const auto& row : rows) registry_before.push_back(row.counter.value());
+
+    rpc::SchoonerSystem system(cluster, "m0", options);
+    auto session = system.make_session("avs");
+    auto line = session->open_line(rpc::LineOptions{}.with_name("tally"));
+    auto spare = session->open_line(rpc::LineOptions{}.with_name("spare"));
+    EXPECT_THROW((void)session->open_line(), util::LineRejectedError);
+    line->contact_schx("far", "/bin/echo");
+    auto echo = line->import_proc("echo", kEchoImport);
+    EXPECT_TRUE(echo->call({uts::Value::real(1.0), uts::Value::real(0.0)},
+                           kLegacy)
+                    .ok());
+    line->move_proc("echo", "m2");
+    EXPECT_TRUE(echo->call({uts::Value::real(2.0), uts::Value::real(0.0)},
+                           kLegacy)
+                    .ok());
+    spare->quit();
+    line->quit();
+    system.stop();
+
+    // Followers may still be recording the last appends: wait until the
+    // two views agree (each record() updates both), then compare them.
+    const auto deltas = [&] {
+      const rpc::ManagerStats stats = system.stats();
+      std::vector<std::pair<std::uint64_t, std::uint64_t>> d;
+      for (std::size_t i = 0; i < rows.size(); ++i) {
+        d.emplace_back(stats.*rows[i].field,
+                       rows[i].counter.value() - registry_before[i]);
+      }
+      return d;
+    };
+    auto d = deltas();
+    for (int spin = 0; spin < 100; ++spin) {
+      const bool settled = std::all_of(d.begin(), d.end(), [&](const auto& p) {
+        return p.second == (obs_on ? p.first : 0u);
+      });
+      if (settled && d == deltas()) break;
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      d = deltas();
+    }
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      SCOPED_TRACE(testing::Message() << "table row " << i);
+      EXPECT_EQ(d[i].second, obs_on ? d[i].first : 0u);
+    }
+
+    const rpc::ManagerStats stats = system.stats();
+    EXPECT_GT(stats.lines_created, 0u);
+    EXPECT_EQ(stats.lines_rejected, 1u);
+    EXPECT_GT(stats.processes_started, 0u);
+    EXPECT_GT(stats.lookups, 0u);
+    EXPECT_EQ(stats.moves, 1u);
+    EXPECT_GT(stats.lines_shut_down, 0u);
+    EXPECT_GT(stats.static_check_passes, 0u);
+    EXPECT_GT(stats.log_appends, 0u);
+  }
+  obs::set_enabled(true);
 }
 
 TEST_F(MetaGroupTest, LeaderKillFailsOverWithExportTableIntact) {

@@ -8,6 +8,7 @@
 #include <cmath>
 
 #include "npss/procedures.hpp"
+#include "obs/metrics.hpp"
 #include "npss/remote_backend.hpp"
 #include "tess/engine.hpp"
 
@@ -170,6 +171,28 @@ TEST_F(NpssIntegrationTest, RemoteRunCostsVirtualTimeByNetworkDistance) {
   const util::SimTime lan = run_with_placement("sgi340-ua");
   const util::SimTime wan = run_with_placement("cray-lerc");
   EXPECT_GT(wan, 5 * lan);
+}
+
+TEST_F(NpssIntegrationTest, ProgramTimeIsTheSumOfItsCalls) {
+  // TESS is one sequential program: the network time it waits is the sum
+  // of its lock-step calls' round trips, whichever line carried each one,
+  // not the busiest line's clock.
+  RemoteBackend backend(*system_, "sparc-ua");
+  backend.place(AdaptedComponent::kDuct, 0, {"cray-lerc", ""});
+  backend.place(AdaptedComponent::kDuct, 1, {"cray-lerc", ""});
+  F100Engine engine;
+  engine.set_hooks(backend.hooks());
+  engine.set_solver_tolerances(5e-6, 1e-4);
+  const obs::Histogram& call_us =
+      obs::Registry::global().histogram("rpc.client.virtual_latency_us");
+  const double before = call_us.sum();
+  backend.reset_clocks();
+  engine.balance(1.0, FlightCondition{});
+  auto counts = backend.call_counts();
+  ASSERT_GT(counts["duct[0]"], 0);
+  ASSERT_GT(counts["duct[1]"], 0);
+  EXPECT_EQ(static_cast<double>(backend.elapsed_virtual_us()),
+            call_us.sum() - before);
 }
 
 TEST_F(NpssIntegrationTest, MigrationMidTransientKeepsResultsCorrect) {

@@ -420,7 +420,7 @@ TEST(HostParity, ClusterAndTcpHostsServeOneExportAlike) {
       return ch
           ->send(msg.seq,
                  [&](util::ByteWriter& out) {
-                   bus::append_frame(out, msg, ch->max_frame_bytes());
+                   bus::append_frame(out, msg, bus::kMaxFrameBytes);
                  })
           .get();
     };
